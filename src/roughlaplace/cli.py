@@ -323,6 +323,9 @@ def run_hessian(rc: RunContext):
                 "reference_exponent": rep.reference_exponent,
                 "partial_sums": rep.partial_sums,
                 "N_list": rep.N_list,
+                "increments": rep.increments,
+                "increment_ratios": rep.increment_ratios,
+                "tail_bound": rep.tail_bound,
             },
             indent=2, sort_keys=True,
         ),
@@ -483,9 +486,12 @@ declared artifact exists.
 
 ## hessian
 - `hessian.csv`: dense symmetric truncated Hessian matrix (no header).
-- `hessian_meta.json`: basis name, truncation, Hurst, gamma hash.
+- `hessian_meta.json`: basis name, truncation, Hurst, gamma hash (CRC-32 of
+  the gamma sample bytes).
 - `hs_tail.csv`: columns `N,partial_sum`.
-- `hs_tail.json`: partial sums plus fitted and reference tail exponents.
+- `hs_tail.json`: partial sums, their increments and increment ratios, the
+  geometric tail bound (null when the last ratio is >= 1), and the fitted and
+  reference tail exponents.
 
 ## laplace
 - `mc_table.csv`: columns `eps,J_hat,se,n`.

@@ -34,7 +34,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _STREAM_FBM = 1
-_STREAM_MC = 2
+_STREAM_MC = 11
 _STREAM_OPT = 3
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,7 @@ def hessian_matrix(
             "basis": "cameron-martin images of L2 cosine modes",
             "H": H,
             "dim": d,
-            "gamma_hash": hash(ctx.gamma.values.tobytes()) & 0xFFFFFFFF,
+            "gamma_hash": zlib.crc32(ctx.gamma.values.tobytes()),
         },
         N=N,
     )
@@ -190,13 +191,23 @@ def hessian_matrix(
 @dataclass
 class HSTailReport:
     """Partial sums of squared p-variation norms of R1 over the weighted
-    cosine basis, and the fitted diagonal decay exponent."""
+    cosine basis, and the fitted diagonal decay exponent.
+
+    ``increments`` are the differences of successive partial sums and
+    ``increment_ratios`` the ratios of successive increments (None where an
+    increment is 0).  ``tail_bound`` is the geometric estimate
+    D_last * rho / (1 - rho) of what the truncated sum still misses, with
+    rho the last ratio, and None when there is no ratio or rho >= 1.
+    """
 
     N_list: list
     partial_sums: list
     fitted_tail_exponent: float
     reference_exponent: float
     diagonal_norms: list
+    increments: list
+    increment_ratios: list
+    tail_bound: float | None
 
 
 def hs_tail(
@@ -216,7 +227,10 @@ def hs_tail(
     above 1.  The partial sums therefore converge like N^{-(2(1/q-1/p) - 1)}:
     at the default pair each doubling of N adds nearly as much as the one
     before (ratio 2^{1 - 2(1/q-1/p)}, about 0.97 at H = 0.4), so a large
-    last-doubling change is expected, not a sign of divergence.
+    last-doubling change is expected, not a sign of divergence.  The report
+    carries the increments between successive truncations, their ratios and
+    the geometric tail bound, so a reader can see what share of the
+    Hilbert-Schmidt sum the last partial sum covers.
     """
     if hurst is None:
         raise ValueError("hs_tail needs the HurstParams for (p, q)")
@@ -251,12 +265,18 @@ def hs_tail(
         coef, *_ = np.linalg.lstsq(A, ylog, rcond=None)
     else:
         coef = [float("nan")]  # degenerate (e.g. constant sigma): no decay law
+    incr = [b - a for a, b in zip(partial[:-1], partial[1:])]
+    ratios = [b / a if a > 0.0 else None for a, b in zip(incr[:-1], incr[1:])]
+    rho = ratios[-1] if ratios else None
     return HSTailReport(
         N_list=list(N_list),
         partial_sums=partial,
         fitted_tail_exponent=float(coef[0]),
         reference_exponent=-(4.0 / q - 2.0 / p),
         diagonal_norms=[float(v) for v in diag],
+        increments=incr,
+        increment_ratios=ratios,
+        tail_bound=incr[-1] * rho / (1.0 - rho) if rho is not None and rho < 1.0 else None,
     )
 
 

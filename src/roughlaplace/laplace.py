@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbm import CameronMartinVector, HurstParams, cm_basis, substream
+from .fbm import _STREAM_MC, _STREAM_OPT, CameronMartinVector, HurstParams, cm_basis, substream
 from .functionals import FunctionalSpec, one_functional
 from .grids import SampledPath, TimeGrid
 from .hessian import hessian_matrix, log_det2
@@ -138,7 +138,7 @@ def minimize_F_Lambda(
         return c, val, grad, ctx
 
     flags = []
-    rng = substream(opt.seed, 3, 0)
+    rng = substream(opt.seed, _STREAM_OPT, 0)
     best = None
     solutions = []
     for r in range(max(1, opt.restarts)):
@@ -281,7 +281,7 @@ class _FbmBatcher:
         k = self.m + (1 if self.with_pairing else 0)
         Z = np.empty((n, k, self.d))
         for s in range(n):
-            rng = substream(self.seed, 11, lo + s)
+            rng = substream(self.seed, _STREAM_MC, lo + s)
             Z[s] = rng.standard_normal((k, self.d))
         vals = np.zeros((n, self.m + 1, self.d))
         eta = np.zeros(n)

@@ -5,6 +5,12 @@ are piecewise monotone between samples (cosines sampled at extrema, dyadic
 polygons at their breakpoints) this equals the continuous-time value; in
 general it is a lower bound, and refinement diagnostics are the caller's tool
 for judging closeness.
+
+For a scalar path in the default norm, :func:`pvar_exact` runs the dynamic
+program on the path's turning points only (Butkus & Norvaisa, "Computation of
+p-variation", Lith. Math. J. 58, 2018).  This is exact for every p >= 1,
+because dropping a monotone interior sample never lowers a sum of p-th powers
+of increments.  Vector paths and custom norms use the full grid program.
 """
 from __future__ import annotations
 
@@ -83,14 +89,52 @@ def pvar_backbone(weights: np.ndarray, p: float) -> VariationResult:
     return VariationResult(value=best[-1] ** (1.0 / p), optimal_partition=partition)
 
 
+def _turning_points(x: np.ndarray) -> np.ndarray:
+    """Index 0, the last index and the first index of every strict turn of ``x``.
+
+    A run of equal values counts as one sample, at its first index.
+    """
+    d = np.diff(x)
+    moves = np.flatnonzero(d)
+    up = d[moves] > 0.0
+    turns = moves[:-1][up[1:] != up[:-1]] + 1
+    return np.concatenate([[0], turns, [x.size - 1]])
+
+
 def pvar_exact(path: SampledPath, p: float, norm=None) -> VariationResult:
     """Grid p-variation ``sup_P (sum |x_{t_i} - x_{t_{i-1}}|^p)^(1/p)``.
 
     Exact over sub-partitions of the sample grid (dynamic program over grid
     indices); a lower bound for the continuous-time supremum otherwise.
     Increments are measured in the Euclidean norm unless ``norm`` is given.
+
+    A scalar path with the default norm is first reduced to its turning
+    points (:func:`_turning_points`), and the dynamic program runs on those
+    alone.  The supremum is unchanged.  Take a partition point that is not a
+    turning point, with partition neighbours valued a and b.  If its value f
+    lies between a and b, dropping it never lowers the sum: for p >= 1,
+    f -> |f - a|^p + |b - f|^p is convex, so it is largest at an end, where
+    it equals |b - a|^p.  Otherwise it is a partition maximum or minimum,
+    and moving it to the top or bottom of its monotone stretch, which lies
+    between its neighbours in time, shrinks neither increment.  The returned
+    partition is mapped back to grid indices.  A flat run enters through its
+    first index, which is also where the full dynamic program's tie-breaking
+    (fewest points, then earliest index) puts it.
+
+    Two floating-point ties can make the partition differ from the full grid
+    program's.  When a monotone sample lies within rounding of a turning
+    value, both routes give the same value, and the full program may keep the
+    monotone sample, the earlier index.  At p = 1 every monotone sample ties
+    in exact arithmetic, so on non-integer data the full program's choice,
+    and its value in the last bits, is decided by rounding.
     """
-    return pvar_backbone(_increment_norms(path.values, norm), p)
+    values = path.values
+    if values.shape[1] == 1 and norm is None:
+        kept = _turning_points(values[:, 0])
+        res = pvar_backbone(_increment_norms(values[kept]), p)
+        res.optimal_partition = [int(kept[i]) for i in res.optimal_partition]
+        return res
+    return pvar_backbone(_increment_norms(values, norm), p)
 
 
 def pvar_jogfree(extrema_values, p: float) -> float:

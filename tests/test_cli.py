@@ -196,3 +196,6 @@ def test_hessian_run_small(tmp_path):
     assert np.abs(A - A.T).max() < 1e-10
     tail = json.loads(read(out, "hs_tail.json"))
     assert tail["partial_sums"][0] <= tail["partial_sums"][1]
+    # two truncations: one increment, no ratio, so no tail bound
+    assert tail["increments"] == [tail["partial_sums"][1] - tail["partial_sums"][0]]
+    assert tail["increment_ratios"] == [] and tail["tail_bound"] is None

@@ -1,4 +1,6 @@
+import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -112,6 +114,17 @@ class TestHessianMatrix:
         hm = hessian_matrix(zero_functional(), ctx257, 4, H=0.4)
         assert np.abs(hm.A).max() == 0.0
 
+    def test_gamma_hash_is_crc32(self):
+        # the hash must not depend on the process (Python's str/bytes hash()
+        # is salted per process), so it is the CRC-32 of the gamma samples
+        g = TimeGrid.uniform(129)
+        gamma = SampledPath(g, g.points[:, None] * np.array([0.5, -0.25]))
+        ctx = expansion_context(constant_field(np.eye(2)), gamma)
+        meta = json.loads(hessian_matrix(zero_functional(), ctx, 2, H=0.4).meta_json())
+        assert meta["gamma_hash"] == zlib.crc32(gamma.values.tobytes())
+        if np.little_endian:
+            assert meta["gamma_hash"] == 400310380
+
     def test_gaussian_linear_closed_form(self):
         # sigma constant, F quadratic in the endpoint: entries reduce to
         # grad2F<S e_a(1), S e_b(1)> with e_a the CM basis paths
@@ -202,6 +215,8 @@ class TestHsTail:
         ctx = expansion_context(field, SampledPath(g, np.zeros((129, 1))))
         rep = hs_tail(ctx, N_list=(2, 4), d=1, hurst=HurstParams.default(0.4))
         assert max(rep.partial_sums) == 0.0
+        assert rep.increments == [0.0]
+        assert rep.increment_ratios == [] and rep.tail_bound is None
 
     def test_partial_sums_nondecreasing(self):
         H = 0.4
@@ -213,6 +228,28 @@ class TestHsTail:
         rep = hs_tail(ctx, N_list=(4, 8, 16), d=1, hurst=hp)
         assert rep.partial_sums[0] <= rep.partial_sums[1] <= rep.partial_sums[2]
         assert rep.reference_exponent == pytest.approx(-(4 / hp.q - 2 / hp.p))
+
+        # tail estimate: increments, their ratio and D_last * rho / (1 - rho)
+        s = rep.partial_sums
+        assert rep.increments == [s[1] - s[0], s[2] - s[1]]
+        rho = rep.increments[1] / rep.increments[0]
+        assert rep.increment_ratios == [rho]
+        if rho < 1.0:
+            assert rep.tail_bound == rep.increments[1] * rho / (1.0 - rho)
+        else:
+            assert rep.tail_bound is None
+
+    def test_tail_bound_needs_shrinking_increments(self):
+        H = 0.4
+        hp = HurstParams.default(H)
+        g = TimeGrid.uniform(129)
+        field = tanh_field(1, 1, coef_seed=9, scale=0.5, drift_scale=0.4)
+        gamma = cm_map(np.array([[0.2], [0.3]]), H, g).induced_path
+        ctx = expansion_context(field, gamma)
+        # uneven steps: the increment over 2 -> 10 exceeds the one over 1 -> 2
+        rep = hs_tail(ctx, N_list=(1, 2, 10), d=1, hurst=hp)
+        assert rep.increment_ratios[0] > 1.0
+        assert rep.tail_bound is None
 
 
 class TestDet2:

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.variation import (
+    _increment_norms,
     besov_norm,
     coarsen_dyadic,
     cosine_pvar,
     dyadic_approx,
     holder_norm,
+    pvar_backbone,
     pvar_exact,
     pvar_jogfree,
 )
@@ -93,6 +95,113 @@ class TestPvarExact:
         path = SampledPath(g, rng.standard_normal(10))
         vals = [pvar_exact(path, p).value for p in (1.0, 1.5, 2.0, 3.0, 4.0)]
         assert all(a >= b - 1e-12 for a, b in zip(vals[:-1], vals[1:]))
+
+
+def full_grid_pvar(values, p: float):
+    """The dynamic program over every grid index, without any reduction."""
+    v = np.asarray(values, dtype=float).reshape(len(values), -1)
+    return pvar_backbone(_increment_norms(v), p)
+
+
+def fast_pvar(values, p: float):
+    return pvar_exact(SampledPath(TimeGrid.uniform(len(values)), values), p)
+
+
+class TestTurningPointReduction:
+    """Scalar pvar_exact runs on turning points; it must match the full DP."""
+
+    P_VALUES = (1.0, 1.5, 2.78, 4.0)
+
+    def assert_same(self, values, p):
+        fast, full = fast_pvar(values, p), full_grid_pvar(values, p)
+        assert fast.value == full.value
+        assert fast.optimal_partition == full.optimal_partition
+
+    @pytest.mark.parametrize("p", P_VALUES[1:])
+    def test_random_walks(self, p):
+        rng = np.random.default_rng(2018)
+        for n in (2, 3, 5, 17, 64, 300):
+            for _ in range(20):
+                self.assert_same(np.cumsum(rng.standard_normal(n)), p)
+
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=40), st.sampled_from(P_VALUES))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_walks_with_flat_runs(self, steps, p):
+        # zero steps give flat runs at extrema and inside monotone stretches;
+        # integer sums are exact, so even p = 1 ties are decided exactly
+        self.assert_same(np.cumsum(steps).astype(float), p)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0, 1, 1, 0],
+            [0, 1, 1, 2],
+            [0, 0, 1, 0],
+            [1, 1, 0],
+            [0, 1, 1],
+            [0, 2, 1, 3, 2, 4],
+            [0, 1, 0, 1, 0],
+            [0.0, -1.7],
+            [2.5, 2.5],
+            [3, 3, 3, 3, 3],
+        ],
+    )
+    def test_small_cases(self, values, p):
+        self.assert_same(np.asarray(values, dtype=float), p)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_flat_run_partition(self, p):
+        assert fast_pvar(np.array([0.0, 1.0, 1.0, 0.0]), p).optimal_partition == [0, 1, 3]
+        assert fast_pvar(np.array([0.0, 1.0, 1.0, 2.0]), p).optimal_partition == [0, 3]
+        assert fast_pvar(np.full(6, -0.5), p).optimal_partition == [0, 5]
+
+    @pytest.mark.parametrize("p", P_VALUES[1:])
+    def test_sampled_cosines(self, p):
+        for n in (1, 2, 5, 17):
+            for m in (3, 9, 65, 257):
+                t = np.linspace(0.0, 1.0, m)
+                self.assert_same(np.cos(n * math.pi * t) - 1.0, p)
+                self.assert_same(np.sin(n * math.pi * t) + 0.3 * t, p)
+
+    @pytest.mark.parametrize("p", P_VALUES[1:])
+    def test_near_ties_same_value(self, p):
+        # a monotone sample within rounding of a turning value ties it in
+        # floating point; the full DP may keep the monotone one (the earlier
+        # index), the reduction keeps the turning point: same value
+        rng = np.random.default_rng(58)
+        for _ in range(200):
+            vals = np.cumsum(rng.standard_normal(20))
+            vals[5] = vals[4] * (1.0 + 1e-15)
+            vals[10] = vals[9] + 1e-14
+            fast, full = fast_pvar(vals, p), full_grid_pvar(vals, p)
+            assert fast.value == full.value
+            swapped = set(fast.optimal_partition) ^ set(full.optimal_partition)
+            assert swapped <= {4, 5, 9, 10}
+
+    def test_p1_float_ties_differ_by_rounding_only(self):
+        # at p = 1 every monotone sample ties exactly; on non-integer data the
+        # full DP's pick among them is decided by rounding in its sums
+        rng = np.random.default_rng(9)
+        for n in (5, 40, 300):
+            for _ in range(20):
+                vals = np.cumsum(rng.standard_normal(n))
+                want = np.abs(np.diff(vals)).sum()
+                assert fast_pvar(vals, 1.0).value == pytest.approx(want, rel=1e-13)
+                assert full_grid_pvar(vals, 1.0).value == pytest.approx(want, rel=1e-13)
+
+    def test_vector_and_custom_norm_keep_full_dp(self):
+        rng = np.random.default_rng(4)
+        vals = rng.standard_normal((30, 2))
+        path = SampledPath(TimeGrid.uniform(30), vals)
+        res = pvar_exact(path, 2.2)
+        want = full_grid_pvar(vals, 2.2)
+        assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
+        l1 = lambda diffs: np.abs(diffs).sum(axis=-1)
+        scalar = SampledPath(TimeGrid.uniform(30), vals[:, 0])
+        res = pvar_exact(scalar, 2.2, norm=l1)
+        want = pvar_backbone(_increment_norms(scalar.values, l1), 2.2)
+        assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
 
 
 class TestJogFree:
