@@ -7,7 +7,7 @@ all of state space.  All evaluators broadcast over leading batch axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,18 +33,16 @@ __all__ = [
 
 @dataclass
 class FunctionalSpec:
-    """Evaluators for a path functional and its first three derivatives.
+    """Evaluators for a path functional and its first two derivatives.
 
     ``value(values, grid)`` accepts sample arrays of shape (..., N, n) and
     broadcasts; ``grad(base, zs, grid)`` evaluates the derivative at the base
-    path on direction arrays (..., N, n), and similarly for ``hess`` and the
-    optional third derivative.
+    path on direction arrays (..., N, n), and similarly for ``hess``.
     """
 
     value: Callable
     grad: Callable
     hess: Callable
-    third: Optional[Callable] = None
     name: str = "custom"
 
     def __call__(self, path: SampledPath) -> float:
@@ -66,7 +64,6 @@ def zero_functional() -> FunctionalSpec:
         hess=lambda v, z1, z2, g: np.zeros(
             np.broadcast_shapes(v.shape[:-2], z1.shape[:-2], z2.shape[:-2])
         ),
-        third=lambda v, z1, z2, z3, g: 0.0,
         name="zero",
     )
 
@@ -78,7 +75,6 @@ def one_functional() -> FunctionalSpec:
         value=lambda v, g: np.ones(v.shape[:-2]),
         grad=spec.grad,
         hess=spec.hess,
-        third=spec.third,
         name="one",
     )
 
@@ -92,7 +88,6 @@ def endpoint_linear(v) -> FunctionalSpec:
         hess=lambda vals, z1, z2, g: np.zeros(
             np.broadcast_shapes(z1.shape[:-2], z2.shape[:-2])
         ),
-        third=lambda vals, z1, z2, z3, g: 0.0,
         name="endpoint_linear",
     )
 
@@ -114,10 +109,7 @@ def endpoint_quadratic(Q, v=None) -> FunctionalSpec:
     def hess(vals, z1, z2, g):
         return np.einsum("...a,ab,...b->...", z1[..., -1, :], Q, z2[..., -1, :])
 
-    return FunctionalSpec(
-        value=value, grad=grad, hess=hess,
-        third=lambda vals, z1, z2, z3, g: 0.0, name="endpoint_quadratic",
-    )
+    return FunctionalSpec(value=value, grad=grad, hess=hess, name="endpoint_quadratic")
 
 
 def integral_quadratic(Q, v=None, c0: float = 0.0) -> FunctionalSpec:
@@ -138,10 +130,7 @@ def integral_quadratic(Q, v=None, c0: float = 0.0) -> FunctionalSpec:
         f = np.einsum("...ta,ab,...tb->...t", z1, Q, z2)
         return np.trapezoid(f, g.points, axis=-1)
 
-    return FunctionalSpec(
-        value=value, grad=grad, hess=hess,
-        third=lambda vals, z1, z2, z3, g: 0.0, name="integral_quadratic",
-    )
+    return FunctionalSpec(value=value, grad=grad, hess=hess, name="integral_quadratic")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,15 @@ import numpy as np
 from .fbm import cm_basis, onb_interp
 from .functionals import FunctionalSpec
 from .grids import SampledPath
-from .taylor import ExpansionContext, _as_values, _chi_values, _psi_sources
+from .taylor import (
+    ExpansionContext,
+    _as_values,
+    _chi_values,
+    _lin_sources,
+    _psi_sources,
+    _quad_sources,
+    _sum_sources,
+)
 from .variation import pvar_exact
 
 __all__ = [
@@ -40,46 +48,31 @@ def v_forms(ctx: ExpansionContext, f, k):
     """The split 2 grad^2 Psi<f,k> = V1(f,k) + V2(f,k):
 
         V1 = M int M^{-1} { ds<chi(f), dk> + ds<chi(k), df> },
-        V2 = M int M^{-1} { d2s<chi(f), chi(k), dgamma> + d2b0<chi(f), chi(k)> ds }.
+        V2 = M int M^{-1} { d2s<chi(f), chi(k), dgamma> + d2b0<chi(f), chi(k)> ds },
+
+    the two halves of the psi sources.
     """
     f_vals = _as_values(ctx, f)
     k_vals = _as_values(ctx, k)
     chi_f = _chi_values(ctx, f_vals)
     chi_k = _chi_values(ctx, k_vals)
-    df = np.diff(f_vals, axis=-2)
-    dk = np.diff(k_vals, axis=-2)
-
-    s1L = np.einsum("iajb,...ib,...ij->...ia", ctx.dsigma0[:-1], chi_f[..., :-1, :], dk)
-    s1L += np.einsum("iajb,...ib,...ij->...ia", ctx.dsigma0[:-1], chi_k[..., :-1, :], df)
-    s1R = np.einsum("iajb,...ib,...ij->...ia", ctx.dsigma0[1:], chi_f[..., 1:, :], dk)
-    s1R += np.einsum("iajb,...ib,...ij->...ia", ctx.dsigma0[1:], chi_k[..., 1:, :], df)
-
-    dgam = ctx.gamma.increments()
-    dt = ctx.grid.dt
-    s2L = np.einsum(
-        "iajbc,...ib,...ic,ij->...ia", ctx.d2sigma0[:-1], chi_f[..., :-1, :], chi_k[..., :-1, :], dgam
+    s1 = _sum_sources(
+        _lin_sources(ctx, chi_f, np.diff(k_vals, axis=-2)),
+        _lin_sources(ctx, chi_k, np.diff(f_vals, axis=-2)),
     )
-    s2L += np.einsum(
-        "iabc,...ib,...ic,i->...ia", ctx.d2beta_y0[:-1], chi_f[..., :-1, :], chi_k[..., :-1, :], dt
-    )
-    s2R = np.einsum(
-        "iajbc,...ib,...ic,ij->...ia", ctx.d2sigma0[1:], chi_f[..., 1:, :], chi_k[..., 1:, :], dgam
-    )
-    s2R += np.einsum(
-        "iabc,...ib,...ic,i->...ia", ctx.d2beta_y0[1:], chi_f[..., 1:, :], chi_k[..., 1:, :], dt
-    )
-
-    V1 = SampledPath(ctx.grid, ctx.solve(s1L, s1R))
-    V2 = SampledPath(ctx.grid, ctx.solve(s2L, s2R))
+    V1 = SampledPath(ctx.grid, ctx.solve(*s1))
+    V2 = SampledPath(ctx.grid, ctx.solve(*_quad_sources(ctx, chi_f, chi_k)))
     return V1, V2
+
+
+def _sigma0_times(ctx: ExpansionContext, f_vals: np.ndarray) -> np.ndarray:
+    """sigma(phi0_s) f_s, batched: (..., N, n)."""
+    return np.einsum("iab,...ib->...ia", ctx.sigma0, f_vals)
 
 
 def _r1_values(ctx: ExpansionContext, f_vals: np.ndarray, dk: np.ndarray) -> np.ndarray:
     """R1<f,k> = M int M^{-1} ds< sigma(phi0) f_s, dk_s >, batched."""
-    g = np.einsum("iab,...ib->...ia", ctx.sigma0, f_vals)  # sigma(phi0) f, (..., N, n)
-    sL = np.einsum("iajb,...ib,...ij->...ia", ctx.dsigma0[:-1], g[..., :-1, :], dk)
-    sR = np.einsum("iajb,...ib,...ij->...ia", ctx.dsigma0[1:], g[..., 1:, :], dk)
-    return ctx.solve(sL, sR)
+    return ctx.solve(*_lin_sources(ctx, _sigma0_times(ctx, f_vals), dk))
 
 
 def r_forms(ctx: ExpansionContext, f, k):
@@ -94,14 +87,10 @@ def r_forms(ctx: ExpansionContext, f, k):
     integration by parts that defines it).
     """
     f_vals = _as_values(ctx, f)
-    k_vals = _as_values(ctx, k)
-    dk = np.diff(k_vals, axis=-2)
+    dk = np.diff(_as_values(ctx, k), axis=-2)
     R1 = _r1_values(ctx, f_vals, dk)
-    chi_f = _chi_values(ctx, f_vals)
-    g = np.einsum("iab,...ib->...ia", ctx.sigma0, f_vals) - chi_f
-    sL = np.einsum("iajb,...ib,...ij->...ia", ctx.dsigma0[:-1], g[..., :-1, :], dk)
-    sR = np.einsum("iajb,...ib,...ij->...ia", ctx.dsigma0[1:], g[..., 1:, :], dk)
-    R2 = ctx.solve(sL, sR)
+    g = _sigma0_times(ctx, f_vals) - _chi_values(ctx, f_vals)
+    R2 = ctx.solve(*_lin_sources(ctx, g, dk))
     return SampledPath(ctx.grid, R1), SampledPath(ctx.grid, R2)
 
 

@@ -320,33 +320,35 @@ def mc_laplace(
     G = G or one_functional()
     if use_shift and gamma_cm is None:
         raise ValueError("shifted sampling needs the minimizer gamma")
-    rows = []
     gen = _FbmBatcher(grid, H, field_spec.d, seed, gamma_cm if use_shift else None)
     norm_sq = gamma_cm.norm_sq() if use_shift else 0.0
     gamma_vals = gamma_cm.induced_path.values if use_shift else 0.0
 
-    for eps in eps_list:
-        log_terms = np.empty(n_samples)
-        g_terms = np.empty(n_samples)
-        for lo in range(0, n_samples, batch):
-            hi = min(lo + batch, n_samples)
-            if use_shift:
-                vals, eta = gen.batch(lo, hi)
-            else:
-                vals, eta = gen.batch(lo, hi), 0.0
+    eps_list = list(eps_list)
+    log_terms = np.empty((len(eps_list), n_samples))
+    g_terms = np.empty((len(eps_list), n_samples))
+    for lo in range(0, n_samples, batch):
+        hi = min(lo + batch, n_samples)
+        if use_shift:
+            vals, eta = gen.batch(lo, hi)
+        else:
+            vals, eta = gen.batch(lo, hi), 0.0
+        for e, eps in enumerate(eps_list):
             Z = eps * vals + gamma_vals
             sol = heun_controlled(
                 field_spec, grid, np.diff(Z, axis=-2), np.zeros(field_spec.n),
                 eps_beta=eps, with_drift=True,
             )
             Fv = np.asarray(functional.value(sol, grid), dtype=float)
-            log_terms[lo:hi] = -Fv / eps**2
-            g_terms[lo:hi] = np.asarray(G.value(sol, grid), dtype=float)
+            log_terms[e, lo:hi] = -Fv / eps**2
+            g_terms[e, lo:hi] = np.asarray(G.value(sol, grid), dtype=float)
             if use_shift:
-                log_terms[lo:hi] -= eta / eps + norm_sq / (2.0 * eps**2)
+                log_terms[e, lo:hi] -= eta / eps + norm_sq / (2.0 * eps**2)
+    rows = []
+    for eps, lt, gt in zip(eps_list, log_terms, g_terms):
         # log-domain guard against overflow: factor out the max exponent
-        mshift = log_terms.max()
-        w = g_terms * np.exp(log_terms - mshift)
+        mshift = lt.max()
+        w = gt * np.exp(lt - mshift)
         J = math.exp(mshift) * float(w.mean()) if math.isfinite(mshift) else 0.0
         se = math.exp(mshift) * float(w.std(ddof=1) / math.sqrt(n_samples))
         rows.append((float(eps), J, se, n_samples))

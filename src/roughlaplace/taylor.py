@@ -10,11 +10,15 @@ forms built on them) are inhomogeneous linear equations with one shared
 homogeneous part; they all route through
 :func:`roughlaplace.odes.linear_perturbation_solve`, whose exact linearity in
 the sources makes identities like theta1 = phi1 - chi hold to rounding.
+Their sources are sums of two primitives over the coefficients along phi0:
+ds(phi0)<z, dY> against a path's increments (``_lin_sources``) and the
+per-step Q<z1, z2> (``_quad_sources``), with Q contracted with dgamma and dt
+once per context, plus the drift's eps-derivatives for phi2 and theta2.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,12 +26,9 @@ import numpy as np
 from .grids import SampledPath, TimeGrid
 from .odes import (
     VectorFieldSpec,
-    LinearFlow,
     _omega_increments,
     heun_controlled,
-    linear_flow,
     linear_perturbation_solve,
-    solve_young_ode,
 )
 from .variation import coarsen_dyadic, pvar_exact
 
@@ -50,28 +51,34 @@ __all__ = [
 
 def compute_phi0(field_spec: VectorFieldSpec, gamma: SampledPath) -> SampledPath:
     """Base path: d phi0 = sigma(phi0) dgamma + beta(0, phi0) dt."""
-    return solve_young_ode(field_spec, gamma, np.zeros(field_spec.n), with_drift=True)
+    vals = heun_controlled(
+        field_spec, gamma.grid, gamma.increments(), np.zeros(field_spec.n), 0.0, True
+    )
+    return SampledPath(gamma.grid, vals)
 
 
 @dataclass
 class ExpansionContext:
     """Everything the linear perturbation equations share: the base path
-    phi0 = Psi(gamma), the flow M, M^{-1}, and cached coefficient tensors
-    along phi0."""
+    phi0 = Psi(gamma), the generator increments of dOmega, and the
+    coefficients along phi0 that the sources are assembled from.
+
+    ``Q``, ``P`` and ``D`` are (left, right) pairs per step, contracted once
+    with the gamma-dependent increments: Q = d2sigma(phi0) dgamma +
+    d2beta_y(phi0) dt, P = d_eps d_y beta(phi0) dt, D = d2_eps beta(phi0) dt.
+    """
 
     field: VectorFieldSpec
     gamma: SampledPath
     phi0: SampledPath
-    flow: LinearFlow
     omL: np.ndarray
     omR: np.ndarray
     sigma0: np.ndarray  # sigma(phi0_t), (N, n, d)
     dsigma0: np.ndarray  # (N, n, d, n)
-    d2sigma0: np.ndarray  # (N, n, d, n, n)
     dbeta_eps0: np.ndarray  # (N, n)
-    d2beta_eps0: np.ndarray  # (N, n)
-    dbeta_y_eps0: np.ndarray  # (N, n, n)
-    d2beta_y0: np.ndarray  # (N, n, n, n)
+    Q: tuple  # 2 x (n_steps, n, n, n)
+    P: tuple  # 2 x (n_steps, n, n)
+    D: tuple  # 2 x (n_steps, n)
 
     @property
     def grid(self) -> TimeGrid:
@@ -82,32 +89,31 @@ class ExpansionContext:
 
 
 def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> ExpansionContext:
-    phi0 = compute_phi0(field_spec, gamma)
-    flow = linear_flow(gamma, phi0, field_spec)
-    omL, omR = _omega_increments(field_spec, phi0.values, gamma.increments(), gamma.grid.dt)
-    y = phi0.values
     f = field_spec
-    if f.batched:
-        sigma0 = f.sigma_at(y)
-        dsigma0 = f.dsigma_at(y)
-        d2sigma0 = f.d2sigma_at(y)
-        dbeta_eps0 = f.dbeta_eps_at(0.0, y)
-        d2beta_eps0 = f.d2beta_eps_at(0.0, y)
-        dbeta_y_eps0 = f.dbeta_y_eps_at(0.0, y)
-        d2beta_y0 = f.d2beta_y_at(0.0, y)
-    else:
-        sigma0 = np.stack([f.sigma_at(v) for v in y])
-        dsigma0 = np.stack([f.dsigma_at(v) for v in y])
-        d2sigma0 = np.stack([f.d2sigma_at(v) for v in y])
-        dbeta_eps0 = np.stack([f.dbeta_eps_at(0.0, v) for v in y])
-        d2beta_eps0 = np.stack([f.d2beta_eps_at(0.0, v) for v in y])
-        dbeta_y_eps0 = np.stack([f.dbeta_y_eps_at(0.0, v) for v in y])
-        d2beta_y0 = np.stack([f.d2beta_y_at(0.0, v) for v in y])
+    phi0 = compute_phi0(f, gamma)
+    y = phi0.values
+    dgam = gamma.increments()
+    dt = gamma.grid.dt
+    omL, omR = _omega_increments(f, y, dgam, dt)
+
+    def along(at):
+        return at(y) if f.batched else np.stack([at(v) for v in y])
+
+    d2sigma0 = along(f.d2sigma_at)
+    d2beta_y0 = along(lambda v: f.d2beta_y_at(0.0, v))
+    dbeta_y_eps0 = along(lambda v: f.dbeta_y_eps_at(0.0, v))
+
+    def per_step(sl):
+        Q = np.einsum("iajbc,ij->iabc", d2sigma0[sl], dgam) + d2beta_y0[sl] * dt[:, None, None, None]
+        return Q, dbeta_y_eps0[sl] * dt[:, None, None]
+
+    (QL, PL), (QR, PR) = per_step(slice(None, -1)), per_step(slice(1, None))
     return ExpansionContext(
-        field=field_spec, gamma=gamma, phi0=phi0, flow=flow, omL=omL, omR=omR,
-        sigma0=sigma0, dsigma0=dsigma0, d2sigma0=d2sigma0,
-        dbeta_eps0=dbeta_eps0, d2beta_eps0=d2beta_eps0,
-        dbeta_y_eps0=dbeta_y_eps0, d2beta_y0=d2beta_y0,
+        field=f, gamma=gamma, phi0=phi0, omL=omL, omR=omR,
+        sigma0=along(f.sigma_at), dsigma0=along(f.dsigma_at),
+        dbeta_eps0=along(lambda v: f.dbeta_eps_at(0.0, v)),
+        Q=(QL, QR), P=(PL, PR),
+        D=_dt_sources(along(lambda v: f.d2beta_eps_at(0.0, v)), dt),
     )
 
 
@@ -125,6 +131,42 @@ def _endpoint_sources(integrand: np.ndarray, increments: np.ndarray):
 def _dt_sources(values: np.ndarray, dt: np.ndarray):
     """Source increments of a dt-integrand given by grid values (..., N, n)."""
     return values[..., :-1, :] * dt[:, None], values[..., 1:, :] * dt[:, None]
+
+
+def _at_steps(spec: str, coef: tuple, *zs: np.ndarray):
+    """Contract (left, right) per-step coefficients with the values of the
+    paths ``zs`` (..., N, n) at the left and right endpoint of each step."""
+    cL, cR = coef
+    return (
+        np.einsum(spec, cL, *(z[..., :-1, :] for z in zs)),
+        np.einsum(spec, cR, *(z[..., 1:, :] for z in zs)),
+    )
+
+
+def _lin_sources(ctx: ExpansionContext, z: np.ndarray, dY: np.ndarray):
+    """Sources dsigma(phi0)<z, dY> of a path z (..., N, n) against step
+    increments dY (..., n_steps, d)."""
+    spec = "iajb,...ib,...ij->...ia"
+    return (
+        np.einsum(spec, ctx.dsigma0[:-1], z[..., :-1, :], dY),
+        np.einsum(spec, ctx.dsigma0[1:], z[..., 1:, :], dY),
+    )
+
+
+def _quad_sources(ctx: ExpansionContext, z1: np.ndarray, z2: np.ndarray):
+    """Sources Q<z1, z2> = d2sigma(phi0)<z1, z2, dgamma> + d2beta_y(phi0)<z1, z2> dt."""
+    return _at_steps("iabc,...ib,...ic->...ia", ctx.Q, z1, z2)
+
+
+def _eps_sources(ctx: ExpansionContext, z: np.ndarray):
+    """Sources P<z> + D/2 from the eps-derivatives of the drift."""
+    sL, sR = _at_steps("iab,...ib->...ia", ctx.P, z)
+    return sL + 0.5 * ctx.D[0], sR + 0.5 * ctx.D[1]
+
+
+def _sum_sources(*terms):
+    """Term-by-term sum of (srcL, srcR) pairs."""
+    return tuple(sum(side) for side in zip(*terms))
 
 
 def compute_chi(ctx: ExpansionContext, k) -> SampledPath:
@@ -152,27 +194,10 @@ def _chi_values(ctx: ExpansionContext, k_vals: np.ndarray) -> np.ndarray:
 def _psi_sources(ctx: ExpansionContext, chi_f: np.ndarray, chi_k: np.ndarray,
                  df: np.ndarray, dk: np.ndarray):
     """Polarized second-derivative sources, halved (see compute_psi)."""
-    dgam = ctx.gamma.increments()
-    dt = ctx.grid.dt
-
-    def at(idx_chi_f, idx_chi_k, sl):
-        s = np.einsum(
-            "iajb,...ib,...ij->...ia", ctx.dsigma0[sl], idx_chi_f, dk
-        )
-        s = s + np.einsum(
-            "iajb,...ib,...ij->...ia", ctx.dsigma0[sl], idx_chi_k, df
-        )
-        s = s + np.einsum(
-            "iajbc,...ib,...ic,ij->...ia", ctx.d2sigma0[sl], idx_chi_f, idx_chi_k, dgam
-        )
-        s = s + np.einsum(
-            "iabc,...ib,...ic,i->...ia", ctx.d2beta_y0[sl], idx_chi_f, idx_chi_k, dt
-        )
-        return 0.5 * s
-
-    sL = at(chi_f[..., :-1, :], chi_k[..., :-1, :], slice(None, -1))
-    sR = at(chi_f[..., 1:, :], chi_k[..., 1:, :], slice(1, None))
-    return sL, sR
+    sL, sR = _sum_sources(
+        _lin_sources(ctx, chi_f, dk), _lin_sources(ctx, chi_k, df), _quad_sources(ctx, chi_f, chi_k)
+    )
+    return 0.5 * sL, 0.5 * sR
 
 
 def compute_psi(ctx: ExpansionContext, f, k) -> SampledPath:
@@ -211,22 +236,10 @@ def compute_phi1(ctx: ExpansionContext, driver) -> SampledPath:
 
 
 def _phi2_sources(ctx: ExpansionContext, phi1: np.ndarray, dX: np.ndarray):
-    dgam = ctx.gamma.increments()
-    dt = ctx.grid.dt
-
-    def at(p1, sl):
-        s = np.einsum("iajb,...ib,...ij->...ia", ctx.dsigma0[sl], p1, dX)
-        s = s + 0.5 * np.einsum(
-            "iajbc,...ib,...ic,ij->...ia", ctx.d2sigma0[sl], p1, p1, dgam
-        )
-        s = s + 0.5 * np.einsum(
-            "iabc,...ib,...ic,i->...ia", ctx.d2beta_y0[sl], p1, p1, dt
-        )
-        s = s + np.einsum("iab,...ib,i->...ia", ctx.dbeta_y_eps0[sl], p1, dt)
-        s = s + 0.5 * ctx.d2beta_eps0[sl] * dt[:, None]
-        return s
-
-    return at(phi1[..., :-1, :], slice(None, -1)), at(phi1[..., 1:, :], slice(1, None))
+    """Sources ds<phi1, dX> + Q<phi1, phi1>/2 + P<phi1> + D/2."""
+    return _sum_sources(
+        _lin_sources(ctx, phi1, dX), _quad_sources(ctx, phi1, 0.5 * phi1), _eps_sources(ctx, phi1)
+    )
 
 
 def compute_phi2(ctx: ExpansionContext, driver) -> SampledPath:
@@ -238,26 +251,13 @@ def compute_phi2(ctx: ExpansionContext, driver) -> SampledPath:
 
 
 def _theta2_sources(ctx: ExpansionContext, theta1: np.ndarray, chi: np.ndarray, dX: np.ndarray):
-    dgam = ctx.gamma.increments()
-    dt = ctx.grid.dt
-
-    def at(th, ch, sl):
-        s = np.einsum("iajb,...ib,...ij->...ia", ctx.dsigma0[sl], th, dX)
-        s = s + 0.5 * np.einsum(
-            "iajbc,...ib,...ic,ij->...ia", ctx.d2sigma0[sl], th, th, dgam
-        )
-        s = s + np.einsum(
-            "iajbc,...ib,...ic,ij->...ia", ctx.d2sigma0[sl], th, ch, dgam
-        )
-        s = s + 0.5 * np.einsum("iabc,...ib,...ic,i->...ia", ctx.d2beta_y0[sl], th, th, dt)
-        s = s + np.einsum("iabc,...ib,...ic,i->...ia", ctx.d2beta_y0[sl], th, ch, dt)
-        s = s + np.einsum("iab,...ib,i->...ia", ctx.dbeta_y_eps0[sl], th + ch, dt)
-        s = s + 0.5 * ctx.d2beta_eps0[sl] * dt[:, None]
-        return s
-
-    sL = at(theta1[..., :-1, :], chi[..., :-1, :], slice(None, -1))
-    sR = at(theta1[..., 1:, :], chi[..., 1:, :], slice(1, None))
-    return sL, sR
+    """The phi2 sources without the quadratic chaos part Q<chi, chi>/2 and
+    ds<chi, dX>: ds<theta1, dX> + Q<theta1, theta1/2 + chi> + P<theta1 + chi> + D/2."""
+    return _sum_sources(
+        _lin_sources(ctx, theta1, dX),
+        _quad_sources(ctx, theta1, 0.5 * theta1 + chi),
+        _eps_sources(ctx, theta1 + chi),
+    )
 
 
 def compute_theta2(ctx: ExpansionContext, driver) -> SampledPath:

@@ -12,6 +12,7 @@ from roughlaplace.fbm import HurstParams, cm_basis, cm_map, substream
 from roughlaplace.functionals import constant_field, endpoint_quadratic, tanh_field, zero_functional
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.hessian import det2, hessian_matrix, hs_tail, log_det2, r_forms, v_forms
+from roughlaplace.odes import linear_flow
 from roughlaplace.taylor import compute_chi, compute_psi, expansion_context
 from roughlaplace.variation import pvar_exact
 
@@ -76,12 +77,13 @@ class TestRForms:
         # the exact integration-by-parts inner path agrees with the direct
         # left-point Young evaluation of int d[M^{-1} sigma] f at grid tolerance
         f, _ = fk257
-        Minv_sig = np.einsum("tab,tbd->tad", ctx257.flow.Minv, ctx257.sigma0)
+        flow = linear_flow(ctx257.gamma, ctx257.phi0, ctx257.field)
+        Minv_sig = np.einsum("tab,tbd->tad", flow.Minv, ctx257.sigma0)
         dG = np.diff(Minv_sig, axis=0)
         inner = np.vstack(
             [np.zeros((1, 2)), np.cumsum(np.einsum("iad,id->ia", dG, f.values[:-1]), axis=0)]
         )
-        g_direct = np.einsum("tab,tb->ta", ctx257.flow.M, inner)
+        g_direct = np.einsum("tab,tb->ta", flow.M, inner)
         g_ibp = (
             np.einsum("iab,ib->ia", ctx257.sigma0, f.values)
             - compute_chi(ctx257, f).values

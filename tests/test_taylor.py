@@ -356,3 +356,98 @@ class TestRemainderSlopes:
             pert = heun_controlled(field, g, np.diff(Z, axis=0), np.zeros(2), 0.5, True)
             ratios.append(np.abs(pert - base).max() / delta)
         assert max(ratios) / min(ratios) < 2.0
+
+
+def _explicit_sources(ctx):
+    """The source formulas written out term by term over the raw coefficient
+    tensors along phi0: the oracle for the shared source assembly."""
+    f, y = ctx.field, ctx.phi0.values
+    ds, d2s = f.dsigma_at(y), f.d2sigma_at(y)
+    d2b, dbye, d2be = f.d2beta_y_at(0.0, y), f.dbeta_y_eps_at(0.0, y), f.d2beta_eps_at(0.0, y)
+    dgam, dt = ctx.gamma.increments(), ctx.grid.dt
+    L, R = (slice(None, -1), slice(None, -1)), (slice(1, None), slice(1, None))
+
+    def pair(at, *zs):
+        return tuple(at(sl, *(z[..., zl, :] for z in zs)) for sl, zl in (L, R))
+
+    def lin(sl, z, dY):
+        return np.einsum("iajb,...ib,...ij->...ia", ds[sl], z, dY)
+
+    def quad(sl, z1, z2):
+        s = np.einsum("iajbc,...ib,...ic,ij->...ia", d2s[sl], z1, z2, dgam)
+        return s + np.einsum("iabc,...ib,...ic,i->...ia", d2b[sl], z1, z2, dt)
+
+    def eps(sl, z):
+        return np.einsum("iab,...ib,i->...ia", dbye[sl], z, dt) + 0.5 * d2be[sl] * dt[:, None]
+
+    def psi(chi_f, chi_k, df, dk):
+        return pair(lambda sl, cf, ck: 0.5 * (
+            lin(sl, cf, dk) + lin(sl, ck, df) + quad(sl, cf, ck)), chi_f, chi_k)
+
+    def phi2(phi1, dX):
+        return pair(lambda sl, p1: lin(sl, p1, dX) + 0.5 * quad(sl, p1, p1) + eps(sl, p1), phi1)
+
+    def theta2(theta1, chi, dX):
+        return pair(lambda sl, th, ch: (
+            lin(sl, th, dX) + 0.5 * quad(sl, th, th) + quad(sl, th, ch) + eps(sl, th + ch)
+        ), theta1, chi)
+
+    def v_forms(chi_f, chi_k, df, dk):
+        v1 = pair(lambda sl, cf, ck: lin(sl, cf, dk) + lin(sl, ck, df), chi_f, chi_k)
+        return v1, pair(quad, chi_f, chi_k)
+
+    def r_forms(f_vals, chi_f, dk):
+        g1 = np.einsum("iab,...ib->...ia", ctx.sigma0, f_vals)
+        return pair(lambda sl, g: lin(sl, g, dk), g1), pair(lambda sl, g: lin(sl, g, dk), g1 - chi_f)
+
+    return psi, phi2, theta2, v_forms, r_forms
+
+
+class TestSourceAssembly:
+    """Every source built from the two shared primitives equals the explicit
+    einsum formula over the raw coefficient tensors."""
+
+    @staticmethod
+    def _close(got, want):
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1e-300)
+
+    @pytest.mark.parametrize("nd", [(2, 2), (1, 1)])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_matches_explicit_formulas(self, nd, batch):
+        from roughlaplace.hessian import r_forms, v_forms
+        from roughlaplace.taylor import (
+            _chi_values, _phi2_sources, _psi_sources, _theta1_values, _theta2_sources,
+        )
+
+        n, d = nd
+        g = TimeGrid.uniform(129)
+        rng = np.random.default_rng(17)
+        field = tanh_field(n, d, coef_seed=4)
+        ctx = expansion_context(field, random_smooth_path(g, d, rng, scale=0.4))
+
+        def direction():
+            if batch is None:
+                return random_smooth_path(g, d, rng).values
+            return np.stack([random_smooth_path(g, d, rng).values for _ in range(batch)])
+
+        f_vals, k_vals = direction(), direction()
+        df, dk = np.diff(f_vals, axis=-2), np.diff(k_vals, axis=-2)
+        chi_f, chi_k = _chi_values(ctx, f_vals), _chi_values(ctx, k_vals)
+        theta1 = _theta1_values(ctx)
+        psi, phi2, theta2, v_ref, r_ref = _explicit_sources(ctx)
+
+        self._close(_psi_sources(ctx, chi_f, chi_k, df, dk), psi(chi_f, chi_k, df, dk))
+        self._close(_phi2_sources(ctx, chi_f + theta1, df), phi2(chi_f + theta1, df))
+        th = np.broadcast_to(theta1, chi_f.shape)
+        self._close(_theta2_sources(ctx, th, chi_f, df), theta2(th, chi_f, df))
+
+        # v_forms and r_forms take one direction pair: compare member by member
+        s1, s2 = v_ref(chi_f, chi_k, df, dk)
+        r1, r2 = r_ref(f_vals, chi_f, dk)
+        for b in [...] if batch is None else range(batch):
+            V1, V2 = v_forms(ctx, f_vals[b], k_vals[b])
+            self._close((V1.values, V2.values), (ctx.solve(*s1)[b], ctx.solve(*s2)[b]))
+            R1, R2 = r_forms(ctx, f_vals[b], k_vals[b])
+            self._close((R1.values, R2.values), (ctx.solve(*r1)[b], ctx.solve(*r2)[b]))
