@@ -268,17 +268,17 @@ class _KernelQuadrature:
         self.scale = _volterra_scale(H)
 
     def apply(self, grid: TimeGrid, h_eval) -> np.ndarray:
-        """Values of (U h) on the grid; ``h_eval(times)`` -> (len(times), d)."""
-        out = None
-        for i, t in enumerate(grid.points):
-            if t == 0.0:
-                continue
-            hv = np.atleast_2d(h_eval(t * self.x))
-            acc = np.einsum("m,m,md->d", self.w, self.F, hv)
-            if out is None:
-                out = np.zeros((len(grid), hv.shape[1]))
-            out[i] = t ** (self.H + 0.5) * self.scale * acc
-        return out
+        """Values of (U h) on the grid; ``h_eval(times)`` -> (len(times), k).
+
+        ``h_eval`` is called once, on the quadrature nodes of every grid point
+        together; the value at t = 0 is 0.
+        """
+        t = grid.points
+        hv = np.asarray(h_eval(np.outer(t, self.x).ravel()), dtype=float)
+        acc = np.einsum("m,m,tmk->tk", self.w, self.F, hv.reshape(len(t), len(self.x), -1))
+        # scalar powers keep libm's rounding (numpy's vectorized power may differ by an ulp)
+        pre = np.array([ti ** (self.H + 0.5) * self.scale for ti in t])
+        return np.where(t[:, None] > 0.0, pre[:, None] * acc, 0.0)
 
 
 _quad_cache: dict = {}
@@ -290,19 +290,16 @@ def _kernel_quadrature(H: float) -> _KernelQuadrature:
     return _quad_cache[H]
 
 
+def _cosine_design(ts, n_modes: int) -> np.ndarray:
+    """Cosine modes at the times ``ts``: columns 1 and sqrt(2) cos(n pi t)."""
+    basis = np.cos(np.outer(np.atleast_1d(ts), np.arange(n_modes) * math.pi))
+    basis[:, 1:] *= math.sqrt(2.0)
+    return basis
+
+
 def _cosine_eval(coeffs: np.ndarray):
     """h(t) = c_0 + sum_n c_n sqrt(2) cos(n pi t), per coordinate."""
-    n_modes, d = coeffs.shape
-
-    def h_eval(ts):
-        ts = np.atleast_1d(ts)
-        basis = np.empty((len(ts), n_modes))
-        basis[:, 0] = 1.0
-        for n in range(1, n_modes):
-            basis[:, n] = math.sqrt(2.0) * np.cos(n * math.pi * ts)
-        return basis @ coeffs
-
-    return h_eval
+    return lambda ts: _cosine_design(ts, coeffs.shape[0]) @ coeffs
 
 
 @dataclass
@@ -381,18 +378,18 @@ def cm_basis(H: float, grid: TimeGrid, n_modes: int, d: int) -> list:
     by unitarity.  Returned in mode-major order: (mode 0, coord 0), (mode 0,
     coord 1), ..., (mode 1, coord 0), ...
     """
-    quad = _kernel_quadrature(H)
+    images = _kernel_quadrature(H).apply(grid, lambda ts: _cosine_design(ts, n_modes))
+    hurst = HurstParams.default(H)
     out = []
     for n in range(n_modes):
         for i in range(d):
             coeffs = np.zeros((n_modes, d))
             coeffs[n, i] = 1.0
-            vals = quad.apply(grid, _cosine_eval(coeffs))
+            vals = np.zeros((len(grid), d))
+            vals[:, i] = images[:, n]
             out.append(
                 CameronMartinVector(
-                    coeffs=coeffs,
-                    induced_path=SampledPath(grid, vals),
-                    hurst=HurstParams.default(H),
+                    coeffs=coeffs, induced_path=SampledPath(grid, vals), hurst=hurst
                 )
             )
     return out
