@@ -255,6 +255,8 @@ class _KernelQuadrature:
     times the hypergeometric factor.
     """
 
+    block = 32  # grid points per h_eval call in apply: keeps the node arrays small
+
     def __init__(self, H: float, n_nodes: int = 96):
         self.H = H
         alpha = H - 0.5
@@ -270,15 +272,19 @@ class _KernelQuadrature:
     def apply(self, grid: TimeGrid, h_eval) -> np.ndarray:
         """Values of (U h) on the grid; ``h_eval(times)`` -> (len(times), k).
 
-        ``h_eval`` is called once, on the quadrature nodes of every grid point
-        together; the value at t = 0 is 0.
+        ``h_eval`` is called on the quadrature nodes of ``block`` grid points
+        at a time; the value at t = 0 is 0.
         """
         t = grid.points
-        hv = np.asarray(h_eval(np.outer(t, self.x).ravel()), dtype=float)
-        acc = np.einsum("m,m,tmk->tk", self.w, self.F, hv.reshape(len(t), len(self.x), -1))
+        acc = []
+        for lo in range(0, len(t), self.block):
+            tb = t[lo:lo + self.block]
+            hv = np.asarray(h_eval(np.outer(tb, self.x).ravel()), dtype=float)
+            hv = hv.reshape(len(tb), len(self.x), -1)
+            acc.append(np.einsum("m,m,tmk->tk", self.w, self.F, hv))
         # scalar powers keep libm's rounding (numpy's vectorized power may differ by an ulp)
         pre = np.array([ti ** (self.H + 0.5) * self.scale for ti in t])
-        return np.where(t[:, None] > 0.0, pre[:, None] * acc, 0.0)
+        return np.where(t[:, None] > 0.0, pre[:, None] * np.concatenate(acc), 0.0)
 
 
 _quad_cache: dict = {}
@@ -292,7 +298,8 @@ def _kernel_quadrature(H: float) -> _KernelQuadrature:
 
 def _cosine_design(ts, n_modes: int) -> np.ndarray:
     """Cosine modes at the times ``ts``: columns 1 and sqrt(2) cos(n pi t)."""
-    basis = np.cos(np.outer(np.atleast_1d(ts), np.arange(n_modes) * math.pi))
+    basis = np.outer(np.atleast_1d(ts), np.arange(n_modes) * math.pi)
+    np.cos(basis, out=basis)
     basis[:, 1:] *= math.sqrt(2.0)
     return basis
 

@@ -28,7 +28,6 @@ from .taylor import (
     _lin_sources,
     _psi_sources,
     _quad_sources,
-    _sum_sources,
 )
 from .variation import pvar_exact
 
@@ -56,10 +55,8 @@ def v_forms(ctx: ExpansionContext, f, k):
     k_vals = _as_values(ctx, k)
     chi_f = _chi_values(ctx, f_vals)
     chi_k = _chi_values(ctx, k_vals)
-    s1 = _sum_sources(
-        _lin_sources(ctx, chi_f, np.diff(k_vals, axis=-2)),
-        _lin_sources(ctx, chi_k, np.diff(f_vals, axis=-2)),
-    )
+    s1 = _lin_sources(ctx, chi_f, np.diff(k_vals, axis=-2))
+    s1 = _lin_sources(ctx, chi_k, np.diff(f_vals, axis=-2), out=s1)
     V1 = SampledPath(ctx.grid, ctx.solve(*s1))
     V2 = SampledPath(ctx.grid, ctx.solve(*_quad_sources(ctx, chi_f, chi_k)))
     return V1, V2

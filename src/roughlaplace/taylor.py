@@ -104,8 +104,8 @@ def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> Expans
     dbeta_y_eps0 = along(lambda v: f.dbeta_y_eps_at(0.0, v))
 
     def per_step(sl):
-        Q = np.einsum("iajbc,ij->iabc", d2sigma0[sl], dgam) + d2beta_y0[sl] * dt[:, None, None, None]
-        return Q, dbeta_y_eps0[sl] * dt[:, None, None]
+        Q = np.einsum("iajbc,ij->iabc", d2sigma0[sl], dgam)
+        return Q + d2beta_y0[sl] * dt[:, None, None, None], dbeta_y_eps0[sl] * dt[:, None, None]
 
     (QL, PL), (QR, PR) = per_step(slice(None, -1)), per_step(slice(1, None))
     return ExpansionContext(
@@ -133,40 +133,57 @@ def _dt_sources(values: np.ndarray, dt: np.ndarray):
     return values[..., :-1, :] * dt[:, None], values[..., 1:, :] * dt[:, None]
 
 
-def _at_steps(spec: str, coef: tuple, *zs: np.ndarray):
-    """Contract (left, right) per-step coefficients with the values of the
-    paths ``zs`` (..., N, n) at the left and right endpoint of each step."""
-    cL, cR = coef
-    return (
-        np.einsum(spec, cL, *(z[..., :-1, :] for z in zs)),
-        np.einsum(spec, cR, *(z[..., 1:, :] for z in zs)),
-    )
+def _bilinear(C: np.ndarray, u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
+    """Per-step contraction sum_{p,q} C[i, a, p, q] u[..., i, p] v[..., i, q],
+    added in place into ``out`` when given.
+
+    ``C``: (n_steps, n, P, Q); ``u``, ``v``: (..., n_steps, P), (..., n_steps, Q).
+    The loop runs over the small coefficient axes only; for the n, d of a
+    desk-scale run it beats a three-operand einsum about twofold.
+    """
+    for p in range(C.shape[2]):
+        for q in range(C.shape[3]):
+            term = C[:, :, p, q] * (u[..., p] * v[..., q])[..., None]
+            if out is None:
+                out = term
+            else:
+                out += term
+            del term  # free it before the next one is built
+    return out
 
 
-def _lin_sources(ctx: ExpansionContext, z: np.ndarray, dY: np.ndarray):
+def _lin_sources(ctx: ExpansionContext, z: np.ndarray, dY: np.ndarray, out=(None, None)):
     """Sources dsigma(phi0)<z, dY> of a path z (..., N, n) against step
-    increments dY (..., n_steps, d)."""
-    spec = "iajb,...ib,...ij->...ia"
+    increments dY (..., n_steps, d), added into the pair ``out`` when given."""
     return (
-        np.einsum(spec, ctx.dsigma0[:-1], z[..., :-1, :], dY),
-        np.einsum(spec, ctx.dsigma0[1:], z[..., 1:, :], dY),
+        _bilinear(ctx.dsigma0[:-1], dY, z[..., :-1, :], out[0]),
+        _bilinear(ctx.dsigma0[1:], dY, z[..., 1:, :], out[1]),
     )
 
 
-def _quad_sources(ctx: ExpansionContext, z1: np.ndarray, z2: np.ndarray):
-    """Sources Q<z1, z2> = d2sigma(phi0)<z1, z2, dgamma> + d2beta_y(phi0)<z1, z2> dt."""
-    return _at_steps("iabc,...ib,...ic->...ia", ctx.Q, z1, z2)
+def _quad_sources(ctx: ExpansionContext, z1: np.ndarray, z2: np.ndarray, out=(None, None)):
+    """Sources Q<z1, z2> = d2sigma(phi0)<z1, z2, dgamma> + d2beta_y(phi0)<z1, z2> dt,
+    added into the pair ``out`` when given."""
+    QL, QR = ctx.Q
+    return (
+        _bilinear(QL, z1[..., :-1, :], z2[..., :-1, :], out[0]),
+        _bilinear(QR, z1[..., 1:, :], z2[..., 1:, :], out[1]),
+    )
 
 
-def _eps_sources(ctx: ExpansionContext, z: np.ndarray):
-    """Sources P<z> + D/2 from the eps-derivatives of the drift."""
-    sL, sR = _at_steps("iab,...ib->...ia", ctx.P, z)
-    return sL + 0.5 * ctx.D[0], sR + 0.5 * ctx.D[1]
+def _eps_sources(ctx: ExpansionContext, z: np.ndarray, out):
+    """Adds the sources P<z> + D/2 from the drift's eps-derivatives into ``out``."""
+    for o, P, D, zk in zip(out, ctx.P, ctx.D, (z[..., :-1, :], z[..., 1:, :])):
+        o += np.einsum("iab,...ib->...ia", P, zk)
+        o += 0.5 * D
+    return out
 
 
-def _sum_sources(*terms):
-    """Term-by-term sum of (srcL, srcR) pairs."""
-    return tuple(sum(side) for side in zip(*terms))
+def _halve(src):
+    """Halves a (srcL, srcR) pair in place (exact: a power-of-two scale)."""
+    for side in src:
+        side *= 0.5
+    return src
 
 
 def compute_chi(ctx: ExpansionContext, k) -> SampledPath:
@@ -194,10 +211,9 @@ def _chi_values(ctx: ExpansionContext, k_vals: np.ndarray) -> np.ndarray:
 def _psi_sources(ctx: ExpansionContext, chi_f: np.ndarray, chi_k: np.ndarray,
                  df: np.ndarray, dk: np.ndarray):
     """Polarized second-derivative sources, halved (see compute_psi)."""
-    sL, sR = _sum_sources(
-        _lin_sources(ctx, chi_f, dk), _lin_sources(ctx, chi_k, df), _quad_sources(ctx, chi_f, chi_k)
-    )
-    return 0.5 * sL, 0.5 * sR
+    src = _lin_sources(ctx, chi_f, dk)
+    src = _lin_sources(ctx, chi_k, df, out=src)
+    return _halve(_quad_sources(ctx, chi_f, chi_k, out=src))
 
 
 def compute_psi(ctx: ExpansionContext, f, k) -> SampledPath:
@@ -236,10 +252,10 @@ def compute_phi1(ctx: ExpansionContext, driver) -> SampledPath:
 
 
 def _phi2_sources(ctx: ExpansionContext, phi1: np.ndarray, dX: np.ndarray):
-    """Sources ds<phi1, dX> + Q<phi1, phi1>/2 + P<phi1> + D/2."""
-    return _sum_sources(
-        _lin_sources(ctx, phi1, dX), _quad_sources(ctx, phi1, 0.5 * phi1), _eps_sources(ctx, phi1)
-    )
+    """Sources Q<phi1, phi1>/2 + ds<phi1, dX> + P<phi1> + D/2."""
+    src = _halve(_quad_sources(ctx, phi1, phi1))
+    src = _lin_sources(ctx, phi1, dX, out=src)
+    return _eps_sources(ctx, phi1, out=src)
 
 
 def compute_phi2(ctx: ExpansionContext, driver) -> SampledPath:
@@ -252,12 +268,10 @@ def compute_phi2(ctx: ExpansionContext, driver) -> SampledPath:
 
 def _theta2_sources(ctx: ExpansionContext, theta1: np.ndarray, chi: np.ndarray, dX: np.ndarray):
     """The phi2 sources without the quadratic chaos part Q<chi, chi>/2 and
-    ds<chi, dX>: ds<theta1, dX> + Q<theta1, theta1/2 + chi> + P<theta1 + chi> + D/2."""
-    return _sum_sources(
-        _lin_sources(ctx, theta1, dX),
-        _quad_sources(ctx, theta1, 0.5 * theta1 + chi),
-        _eps_sources(ctx, theta1 + chi),
-    )
+    ds<chi, dX>: Q<theta1, theta1/2 + chi> + ds<theta1, dX> + P<theta1 + chi> + D/2."""
+    src = _quad_sources(ctx, theta1, 0.5 * theta1 + chi)
+    src = _lin_sources(ctx, theta1, dX, out=src)
+    return _eps_sources(ctx, theta1 + chi, out=src)
 
 
 def compute_theta2(ctx: ExpansionContext, driver) -> SampledPath:
