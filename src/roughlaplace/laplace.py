@@ -315,7 +315,8 @@ def mc_laplace(
     integrand picks up the change-of-measure density
     exp(-eta/eps - ||gamma||^2/(2 eps^2)) with eta the exact first-chaos
     pairing of gamma with the driver; both estimators are unbiased for the
-    same quantity.  Returns a list of (eps, J_hat, se, n) rows.
+    same quantity.  Each sample batch is drawn once and shared by every eps.
+    Returns a list of (eps, J_hat, se, n) rows.
     """
     G = G or one_functional()
     if use_shift and gamma_cm is None:
@@ -329,10 +330,7 @@ def mc_laplace(
     g_terms = np.empty((len(eps_list), n_samples))
     for lo in range(0, n_samples, batch):
         hi = min(lo + batch, n_samples)
-        if use_shift:
-            vals, eta = gen.batch(lo, hi)
-        else:
-            vals, eta = gen.batch(lo, hi), 0.0
+        vals, eta = gen.batch(lo, hi) if use_shift else (gen.batch(lo, hi), 0.0)
         for e, eps in enumerate(eps_list):
             Z = eps * vals + gamma_vals
             sol = heun_controlled(

@@ -365,10 +365,10 @@ def _explicit_sources(ctx):
     ds, d2s = f.dsigma_at(y), f.d2sigma_at(y)
     d2b, dbye, d2be = f.d2beta_y_at(0.0, y), f.dbeta_y_eps_at(0.0, y), f.d2beta_eps_at(0.0, y)
     dgam, dt = ctx.gamma.increments(), ctx.grid.dt
-    L, R = (slice(None, -1), slice(None, -1)), (slice(1, None), slice(1, None))
+    ends = (slice(None, -1), slice(1, None))  # left and right endpoint of each step
 
     def pair(at, *zs):
-        return tuple(at(sl, *(z[..., zl, :] for z in zs)) for sl, zl in (L, R))
+        return tuple(at(sl, *(z[..., sl, :] for z in zs)) for sl in ends)
 
     def lin(sl, z, dY):
         return np.einsum("iajb,...ib,...ij->...ia", ds[sl], z, dY)
@@ -446,7 +446,8 @@ class TestSourceAssembly:
         # v_forms and r_forms take one direction pair: compare member by member
         s1, s2 = v_ref(chi_f, chi_k, df, dk)
         r1, r2 = r_ref(f_vals, chi_f, dk)
-        for b in [...] if batch is None else range(batch):
+        members = [Ellipsis] if batch is None else range(batch)
+        for b in members:
             V1, V2 = v_forms(ctx, f_vals[b], k_vals[b])
             self._close((V1.values, V2.values), (ctx.solve(*s1)[b], ctx.solve(*s2)[b]))
             R1, R2 = r_forms(ctx, f_vals[b], k_vals[b])
