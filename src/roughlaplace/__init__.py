@@ -26,6 +26,7 @@ from .roughpath import (
     djp_seminorm,
     lift,
     pair,
+    running_signature,
     scale_rough,
     shift,
     xi_norm,

@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from .laplace import (
     minimize_F_Lambda,
     short_time_transform,
 )
-from .roughpath import chen_residual, lift, roughpath_to_csv, scale_rough
+from .roughpath import chen_residual, lift, roughpath_to_csv, running_signature, scale_plan
 from .taylor import expansion_context, solve_rde, taylor_remainder_slope
 from .variation import cosine_pvar, pvar_exact
 
@@ -154,9 +156,19 @@ class RunContext:
         self.workers = workers
         self.plots = plots
         self.artifacts: list = []
+        self.timings: dict = {}
 
     def declare(self, *names):
         self.artifacts.extend(names)
+
+    @contextmanager
+    def stage(self, name: str):
+        """Time the enclosed block; the manifest reports it under ``timings``."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.timings[name] = time.perf_counter() - t0
 
     def manifest(self, status: str):
         doc = {
@@ -166,6 +178,7 @@ class RunContext:
             "config_hash": self.cfg.config_hash(),
             "seed": self.cfg.seed,
             "artifacts": self.artifacts,
+            "timings": self.timings,
             "version": __version__,
         }
         _write(self.out, "manifest.json", json.dumps(doc, indent=2, sort_keys=True))
@@ -370,6 +383,22 @@ def run_laplace(rc: RunContext):
     )
 
 
+# Paths per running-signature block in scale-test: the stacked block stays
+# small next to the sampled ensemble, so peak memory does not grow with it.
+_SCALE_BLOCK = 256
+
+
+def _endpoint_areas(paths, m: int, factor: float) -> np.ndarray:
+    """Level-2 area 0.5 (A[0, 1] - A[1, 0]) of A = factor * S^2_{0,m} per path,
+    from running signatures over blocks of ``_SCALE_BLOCK`` paths."""
+    out = np.empty(len(paths))
+    for b in range(0, len(paths), _SCALE_BLOCK):
+        values = np.stack([p.values for p in paths[b:b + _SCALE_BLOCK]])
+        A = factor * running_signature(values, 2)[1][:, m]
+        out[b:b + len(values)] = 0.5 * (A[:, 0, 1] - A[:, 1, 0])
+    return out
+
+
 def run_scale_test(rc: RunContext):
     from scipy.stats import ks_2samp
 
@@ -378,21 +407,16 @@ def run_scale_test(rc: RunContext):
     rc.declare("scale_test.json")
     rc.manifest("started")
     c = cfg.extras.get("c", 0.5)
-    level = cfg.extras.get("level", 2)
+    m, factor = scale_plan(grid, c, cfg.H)
     d = max(cfg.d, 2)
-    e1 = sample_fbm_ensemble(grid, cfg.H, d, cfg.n_samples, cfg.seed)
-    e2 = sample_fbm_ensemble(grid, cfg.H, d, cfg.n_samples, cfg.seed + 1)
-
-    def area(paths, scale_first):
-        out = np.empty(len(paths))
-        for i, p in enumerate(paths):
-            X = lift(p, level)
-            if scale_first:
-                X = scale_rough(X, c, cfg.H)
-            out[i] = 0.5 * (X.inc2[0, -1, 0, 1] - X.inc2[0, -1, 1, 0])
-        return out
-
-    ks = ks_2samp(area(e1, True), area(e2, False))
+    with rc.stage("sample_s"):
+        e1 = sample_fbm_ensemble(grid, cfg.H, d, cfg.n_samples, cfg.seed)
+        e2 = sample_fbm_ensemble(grid, cfg.H, d, cfg.n_samples, cfg.seed + 1)
+    with rc.stage("signature_s"):
+        scaled = _endpoint_areas(e1, m, factor[1])
+        plain = _endpoint_areas(e2, grid.n_steps, 1.0)
+    with rc.stage("ks_s"):
+        ks = ks_2samp(scaled, plain)
     _write(
         rc.out, "scale_test.json",
         json.dumps(
@@ -458,8 +482,8 @@ SCHEMA_DOC = """# Artifact schemas
 
 Every run directory contains `manifest.json` (written before any artifact):
 config echo, sha256-based `config_hash` over all number-affecting fields,
-declared artifact list, and a `status` that is `complete` only when every
-declared artifact exists.
+declared artifact list, a `status` that is `complete` only when every
+declared artifact exists, and `timings`: wall seconds per timed stage.
 
 ## simulate
 - `samples.csv`: columns `sample_id,t,x1..xd`; one row per grid point per sample.

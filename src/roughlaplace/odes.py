@@ -216,15 +216,22 @@ def solve_young_ode(
     return SampledPath(driver.grid, coarse, meta={"error_estimate": err})
 
 
-def _omega_increments(field: VectorFieldSpec, phi0: np.ndarray, dgamma: np.ndarray, dt: np.ndarray):
+def _omega_increments(field: VectorFieldSpec, phi0: np.ndarray, dgamma: np.ndarray, dt: np.ndarray,
+                      ds: np.ndarray | None = None, db: np.ndarray | None = None):
     """Generator increments dOmega_i over each step, evaluated at both step
-    endpoints (same increment, left/right coefficient values)."""
-    ds = field.dsigma_at(phi0) if field.batched else np.stack([field.dsigma_at(y) for y in phi0])
-    db = (
-        field.dbeta_y_at(0.0, phi0)
-        if field.batched
-        else np.stack([field.dbeta_y_at(0.0, y) for y in phi0])
-    )
+    endpoints (same increment, left/right coefficient values).
+
+    ``ds`` and ``db`` are dsigma and d_y beta(0, .) along ``phi0``, shapes
+    (N, n, d, n) and (N, n, n); each is evaluated here when not given.
+    """
+    if ds is None:
+        ds = field.dsigma_at(phi0) if field.batched else np.stack([field.dsigma_at(y) for y in phi0])
+    if db is None:
+        db = (
+            field.dbeta_y_at(0.0, phi0)
+            if field.batched
+            else np.stack([field.dbeta_y_at(0.0, y) for y in phi0])
+        )
     omL = np.einsum("iajb,ij->iab", ds[:-1], dgamma) + db[:-1] * dt[:, None, None]
     omR = np.einsum("iajb,ij->iab", ds[1:], dgamma) + db[1:] * dt[:, None, None]
     return omL, omR

@@ -29,7 +29,9 @@ __all__ = [
     "djp_seminorm",
     "shift",
     "pair",
+    "scale_plan",
     "scale_rough",
+    "running_signature",
     "roughpath_to_csv",
     "roughpath_from_csv",
 ]
@@ -91,49 +93,104 @@ def _outer3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
 
 
+def _cumulants(x: np.ndarray, level: int) -> tuple:
+    """Running sums along the grid axis of ``x`` (shape (..., N, d)), zero at
+    the first grid point:
+
+        P_j = sum_{u<j} x_u (x) dx_u,  Q_j = sum_{u<j} dx_u^{(x)2} / 2,
+
+    and at level 3 E_j = sum_{u<j} (P + Q)_u (x) dx_u,
+    G_j = sum_{u<j} x_u (x) dx_u^{(x)2} / 2, T_j = sum_{u<j} dx_u^{(x)3} / 6.
+    Returns (P, Q, P + Q) or (P, Q, P + Q, E, G, T).
+    """
+    ax = x.ndim - 2
+    dx = np.diff(x, axis=ax)
+
+    def running(terms):
+        out = np.zeros(x.shape[:-1] + terms.shape[ax + 1:])
+        np.cumsum(terms, axis=ax, out=out[(slice(None),) * ax + (slice(1, None),)])
+        return out
+
+    P = running(_outer(x[..., :-1, :], dx))
+    Q = running(0.5 * _outer(dx, dx))
+    PQ = P + Q
+    if level == 2:
+        return P, Q, PQ
+    E = running(np.einsum("...uab,...uc->...uabc", PQ[..., :-1, :, :], dx))
+    G = running(0.5 * _outer3(x[..., :-1, :], dx, dx))
+    T = running(_outer3(dx, dx, dx) / 6.0)
+    return P, Q, PQ, E, G, T
+
+
+def _chen_increments(x: np.ndarray, cum: tuple, s: slice) -> list:
+    """Increments X^k_{s,t} from the grid points selected by ``s`` to every
+    grid point t, shape (..., |s|, N) + (d,) * k, for the piecewise-linear
+    path ``x`` with cumulants ``cum`` from :func:`_cumulants`.
+
+    Chen's identity against the first grid point gives each level as a
+    difference of cumulants plus products of lower levels.  Entries with
+    t < s are not increments; :func:`lift` zeroes them.
+    """
+    P, Q, PQ = cum[:3]
+    xs = x[..., s, :]
+    inc1 = x[..., None, :, :] - xs[..., :, None, :]
+    inc2 = (
+        PQ[..., None, :, :, :] - PQ[..., s, None, :, :]
+        - np.einsum("...ia,...ijb->...ijab", xs, inc1)
+    )
+    if len(cum) == 3:
+        return [inc1, inc2]
+    E, G, T = cum[3:]
+
+    def diff(C):
+        return C[..., None, :, :, :, :] - C[..., s, None, :, :, :]
+
+    def base(C):
+        at_t = np.einsum("...ia,...jbc->...ijabc", xs, C)
+        at_s = np.einsum("...ia,...ibc->...iabc", xs, C[..., s, :, :])
+        return at_t - at_s[..., :, None, :, :, :]
+
+    inc3 = diff(E)
+    inc3 -= np.einsum("...iab,...ijc->...ijabc", PQ[..., s, :, :], inc1)
+    inc3 -= base(P)
+    inc3 += np.einsum("...ia,...ib,...ijc->...ijabc", xs, xs, inc1)
+    inc3 += diff(G)
+    inc3 -= base(Q)
+    inc3 += diff(T)
+    return [inc1, inc2, inc3]
+
+
 def lift(path: SampledPath, level: int = 2) -> RoughPath:
     """Iterated integrals of the piecewise-linear interpolant of ``path``.
 
     Per step the level-j tensor of a linear segment with increment v is
-    v^{tensor j} / j!; steps compose through Chen's identity.  All grid pairs
-    are filled via cumulative sums, so construction is O(N^2) in memory.
+    v^{tensor j} / j!; steps compose through Chen's identity.  The running
+    sums take O(N d^level) memory; filling every grid pair makes the
+    returned rough path O(N^2 d^level).  Use :func:`running_signature` when
+    only increments from the first grid point are needed.
     """
     if level not in (2, 3):
         raise ValueError("level must be 2 or 3")
     x = path.values
-    n, d = x.shape
-    dx = np.diff(x, axis=0)
-
-    inc1 = x[None, :, :] - x[:, None, :]
-
-    # cumulants: P_j = sum_{u<j} x_u (x) dx_u,  Q_j = sum_{u<j} dx (x) dx / 2
-    P = np.zeros((n, d, d))
-    P[1:] = np.cumsum(_outer(x[:-1], dx), axis=0)
-    Q = np.zeros((n, d, d))
-    Q[1:] = np.cumsum(0.5 * _outer(dx, dx), axis=0)
-    PQ = P + Q
-    inc2 = PQ[None, :] - PQ[:, None] - np.einsum("ia,ijb->ijab", x, inc1)
-
-    inc3 = None
-    if level == 3:
-        E = np.zeros((n, d, d, d))
-        E[1:] = np.cumsum(np.einsum("uab,uc->uabc", PQ[:-1], dx), axis=0)
-        G = np.zeros((n, d, d, d))
-        G[1:] = np.cumsum(0.5 * _outer3(x[:-1], dx, dx), axis=0)
-        T = np.zeros((n, d, d, d))
-        T[1:] = np.cumsum(_outer3(dx, dx, dx) / 6.0, axis=0)
-
-        inc3 = E[None, :] - E[:, None]
-        inc3 -= np.einsum("iab,ijc->ijabc", PQ, inc1)
-        inc3 -= np.einsum("ia,jbc->ijabc", x, P) - np.einsum("ia,ibc->iabc", x, P)[:, None]
-        inc3 += np.einsum("ia,ib,ijc->ijabc", x, x, inc1)
-        inc3 += G[None, :] - G[:, None]
-        inc3 -= np.einsum("ia,jbc->ijabc", x, Q) - np.einsum("ia,ibc->iabc", x, Q)[:, None]
-        inc3 += T[None, :] - T[:, None]
-
-    rp = RoughPath(grid=path.grid, level=level, inc1=inc1, inc2=inc2, inc3=inc3)
+    rp = RoughPath(path.grid, level, *_chen_increments(x, _cumulants(x, level), slice(None)))
     _zero_lower_triangle(rp)
     return rp
+
+
+def running_signature(values: np.ndarray, level: int = 2) -> list:
+    """Signature levels S^k_{0,j} of the piecewise-linear path from the first
+    grid point to every grid point j, for ``values`` of shape (..., N, d).
+
+    Returns ``level`` arrays of shape (..., N) + (d,) * k, k = 1..level; each
+    equals ``lift(path, level).inc{k}[0]`` bit for bit, in O(N d^level)
+    memory per path.
+    """
+    if level not in (2, 3):
+        raise ValueError("level must be 2 or 3")
+    x = np.asarray(values, dtype=float)
+    incs = _chen_increments(x, _cumulants(x, level), slice(0, 1))
+    ax = x.ndim - 2
+    return [inc.squeeze(axis=ax) for inc in incs]
 
 
 def _zero_lower_triangle(X: RoughPath):
@@ -407,31 +464,39 @@ def pair(X: RoughPath, k: SampledPath) -> RoughPath:
     return rp
 
 
-def scale_rough(X: RoughPath, c, H: float) -> RoughPath:
-    """Self-similarity rescaling ``(c^{-jH} X^j_{cs,ct})`` reindexed to [0,1].
+def scale_plan(grid: TimeGrid, c, H: float) -> tuple:
+    """Grid index m = c * n_steps of the rescaled horizon and the level
+    factors (c^{-H}, c^{-2H}, c^{-3H}) of the self-similarity rescaling.
 
     Requires a uniform grid with ``c * n_steps`` integral, so that every
     rescaled time lands on a grid point.
     """
-    if not X.grid.is_uniform():
+    if not grid.is_uniform():
         raise ValueError("scaling requires a uniform grid")
     frac = Fraction(c).limit_denominator(10**9)
     if not 0 < frac <= 1:
         raise ValueError("c must lie in (0, 1]")
-    n_steps = X.grid.n_steps
+    n_steps = grid.n_steps
     m = frac * n_steps
     if m.denominator != 1:
         raise ValueError(f"c = {c} is incompatible with a {n_steps}-step grid")
-    m = int(m)
-    grid = TimeGrid.uniform(m + 1)
     cH = float(c) ** (-H)
+    return int(m), (cH, cH**2, cH**3)
+
+
+def scale_rough(X: RoughPath, c, H: float) -> RoughPath:
+    """Self-similarity rescaling ``(c^{-jH} X^j_{cs,ct})`` reindexed to [0,1].
+
+    Requires a uniform grid with ``c * n_steps`` integral (:func:`scale_plan`).
+    """
+    m, factor = scale_plan(X.grid, c, H)
     sl = slice(0, m + 1)
-    inc3 = None if X.level == 2 else cH**3 * X.inc3[sl, sl]
+    inc3 = None if X.level == 2 else factor[2] * X.inc3[sl, sl]
     return RoughPath(
-        grid=grid,
+        grid=TimeGrid.uniform(m + 1),
         level=X.level,
-        inc1=cH * X.inc1[sl, sl],
-        inc2=cH**2 * X.inc2[sl, sl],
+        inc1=factor[0] * X.inc1[sl, sl],
+        inc2=factor[1] * X.inc2[sl, sl],
         inc3=inc3,
     )
 

@@ -94,11 +94,14 @@ def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> Expans
     y = phi0.values
     dgam = gamma.increments()
     dt = gamma.grid.dt
-    omL, omR = _omega_increments(f, y, dgam, dt)
 
     def along(at):
         return at(y) if f.batched else np.stack([at(v) for v in y])
 
+    dsigma0 = along(f.dsigma_at)
+    omL, omR = _omega_increments(
+        f, y, dgam, dt, ds=dsigma0, db=along(lambda v: f.dbeta_y_at(0.0, v))
+    )
     d2sigma0 = along(f.d2sigma_at)
     d2beta_y0 = along(lambda v: f.d2beta_y_at(0.0, v))
     dbeta_y_eps0 = along(lambda v: f.dbeta_y_eps_at(0.0, v))
@@ -110,7 +113,7 @@ def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> Expans
     (QL, PL), (QR, PR) = per_step(slice(None, -1)), per_step(slice(1, None))
     return ExpansionContext(
         field=f, gamma=gamma, phi0=phi0, omL=omL, omR=omR,
-        sigma0=along(f.sigma_at), dsigma0=along(f.dsigma_at),
+        sigma0=along(f.sigma_at), dsigma0=dsigma0,
         dbeta_eps0=along(lambda v: f.dbeta_eps_at(0.0, v)),
         Q=(QL, QR), P=(PL, PR),
         D=_dt_sources(along(lambda v: f.d2beta_eps_at(0.0, v)), dt),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from roughlaplace.cli import ExperimentConfig, main, run
+from roughlaplace.grids import TimeGrid
 
 
 def read(out_dir: Path, name: str) -> str:
@@ -150,6 +151,67 @@ def test_scale_test_run_small(tmp_path):
     res = json.loads(read(out, "scale_test.json"))
     assert 0.0 <= res["ks_statistic"] <= 1.0
     assert res["p_value"] > 0.001
+
+
+def test_scale_test_areas_match_per_path_lifts(tmp_path, monkeypatch):
+    # the blocked running-signature areas equal the dense per-path route
+    # scale_rough(lift(p, 2), c, H) bit for bit, across several blocks
+    import scipy.stats
+
+    import roughlaplace.cli as cli_mod
+    from roughlaplace.fbm import sample_fbm_ensemble
+    from roughlaplace.roughpath import lift, scale_rough
+
+    seen = []
+    ks_2samp = scipy.stats.ks_2samp
+
+    def capture(a, b):
+        seen.append((a, b))
+        return ks_2samp(a, b)
+
+    monkeypatch.setattr(scipy.stats, "ks_2samp", capture)
+    monkeypatch.setattr(cli_mod, "_SCALE_BLOCK", 24)
+    raw = {"kind": "scale-test", "H": 0.4, "grid_size": 33, "d": 2,
+           "n_samples": 64, "seed": 12, "c": 0.25}
+    cfg = ExperimentConfig.from_dict(raw)
+    out = run(cfg, tmp_path)
+    assert json.loads(read(out, "manifest.json"))["status"] == "complete"
+    (scaled, plain), = seen
+
+    def area(X):
+        return 0.5 * (X.inc2[0, -1, 0, 1] - X.inc2[0, -1, 1, 0])
+
+    grid = TimeGrid.uniform(33)
+    e1 = sample_fbm_ensemble(grid, 0.4, 2, 64, 12)
+    e2 = sample_fbm_ensemble(grid, 0.4, 2, 64, 13)
+    assert np.array_equal(scaled, [area(scale_rough(lift(p, 2), 0.25, 0.4)) for p in e1])
+    assert np.array_equal(plain, [area(lift(p, 2)) for p in e2])
+
+
+def test_scale_test_incompatible_c(tmp_path):
+    raw = {"kind": "scale-test", "H": 0.4, "grid_size": 33, "d": 2,
+           "n_samples": 8, "seed": 1, "c": 1 / 3}
+    with pytest.raises(ValueError, match=r"c = 0\.333.* 32-step grid"):
+        run(ExperimentConfig.from_dict(raw), tmp_path)
+
+
+def test_scale_test_manifest_timings(tmp_path):
+    raw = {"kind": "scale-test", "H": 0.4, "grid_size": 17, "d": 2,
+           "n_samples": 16, "seed": 3}
+    manifest = json.loads(read(run(ExperimentConfig.from_dict(raw), tmp_path), "manifest.json"))
+    assert set(manifest["timings"]) == {"sample_s", "signature_s", "ks_s"}
+    assert all(t >= 0.0 for t in manifest["timings"].values())
+
+
+def test_shipped_configs_validate():
+    from roughlaplace.cli import _RUNNERS
+
+    paths = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        assert cfg.validate() == [], path.name
+        assert cfg.kind in _RUNNERS, path.name
 
 
 def test_taylor_slope_run_small(tmp_path):

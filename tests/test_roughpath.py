@@ -11,6 +11,7 @@ from roughlaplace.roughpath import (
     lift,
     pair,
     roughpath_from_csv,
+    running_signature,
     roughpath_to_csv,
     scale_rough,
     shift,
@@ -79,6 +80,43 @@ class TestLift:
     def test_bad_level(self):
         with pytest.raises(ValueError):
             linear_lift(np.array([1.0]), level=4)
+
+
+class TestRunningSignature:
+    @staticmethod
+    def offset_path(n_pts, d, seed):
+        # random walk started away from the origin: x_0 != 0 exercises every
+        # base-point term of Chen's identity
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=(n_pts, d)).cumsum(axis=0) + rng.normal(size=d)
+        return SampledPath(TimeGrid.uniform(n_pts), vals)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("n_pts", [2, 17])
+    def test_equals_first_row_of_lift(self, d, level, n_pts):
+        path = self.offset_path(n_pts, d, seed=10 * d + n_pts)
+        assert np.all(path.values[0] != 0.0)
+        S = running_signature(path.values, level)
+        X = lift(path, level)
+        assert len(S) == level
+        for k, (s, inc) in enumerate(zip(S, X.levels()), start=1):
+            assert s.shape == (n_pts,) + (d,) * k
+            assert np.array_equal(s, inc[0])
+
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)])
+    @pytest.mark.parametrize("n_pts", [2, 9])
+    def test_batched_equals_per_path(self, lead, n_pts):
+        rng = np.random.default_rng(7)
+        vals = rng.normal(size=lead + (n_pts, 2)).cumsum(axis=-2)
+        S = running_signature(vals, 3)
+        for idx in np.ndindex(*lead):
+            for s, one in zip(S, running_signature(vals[idx], 3)):
+                assert np.array_equal(s[idx], one)
+
+    def test_bad_level(self):
+        with pytest.raises(ValueError):
+            running_signature(np.zeros((3, 2)), 4)
 
 
 class TestXiNorm:
