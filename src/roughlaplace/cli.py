@@ -316,14 +316,17 @@ def run_hessian(rc: RunContext):
     gamma_coeffs = np.asarray(
         cfg.extras.get("gamma_coeffs", [[0.2] * cfg.d, [0.3] * cfg.d]), dtype=float
     )
-    gamma = cm_map(gamma_coeffs, cfg.H, grid).induced_path
-    ctx = expansion_context(field_spec, gamma)
-    hm = hessian_matrix(functional, ctx, cfg.truncation, cfg.H)
+    with rc.stage("cm_s"):
+        gamma = cm_map(gamma_coeffs, cfg.H, grid).induced_path
+    with rc.stage("hessian_s"):
+        ctx = expansion_context(field_spec, gamma)
+        hm = hessian_matrix(functional, ctx, cfg.truncation, cfg.H)
     _write(rc.out, "hessian.csv", hm.to_csv())
     _write(rc.out, "hessian_meta.json", hm.meta_json())
     hp = cfg.hurst()
     N_list = cfg.extras.get("N_list", [8, 16, 32])
-    rep = hs_tail(ctx, N_list=N_list, d=1, hurst=hp)
+    with rc.stage("hs_tail_s"):
+        rep = hs_tail(ctx, N_list=N_list, d=1, hurst=hp)
     _write(
         rc.out, "hs_tail.csv",
         _csv(list(zip(rep.N_list, rep.partial_sums)), ["N", "partial_sum"]),
@@ -357,23 +360,27 @@ def run_laplace(rc: RunContext):
     field_spec = _field(cfg)
     functional = _functional(cfg)
     weight = _weight(cfg)
-    rep = minimize_F_Lambda(
-        functional, field_spec, cfg.H, grid, cfg.truncation,
-        OptConfig(seed=cfg.seed + 1),
-    )
-    rep = expansion_constants(
-        rep, functional, field_spec,
-        mc_samples=cfg.extras.get("alpha0_samples", 10_000),
-        seed=cfg.seed + 2, G=weight,
-        hessian_N=cfg.extras.get("hessian_N", 8),
-    )
-    table = mc_laplace(
-        functional, weight, field_spec, cfg.H, grid, cfg.eps_list,
-        cfg.n_samples, use_shift=cfg.extras.get("use_shift", True),
-        gamma_cm=rep.gamma, seed=cfg.seed + 3,
-    )
-    fit = expansion_fit(table, a=rep.F_Lambda_min, c=rep.c_coef,
-                        order=cfg.extras.get("fit_order", 2))
+    with rc.stage("minimize_s"):
+        rep = minimize_F_Lambda(
+            functional, field_spec, cfg.H, grid, cfg.truncation,
+            OptConfig(seed=cfg.seed + 1),
+        )
+    with rc.stage("constants_s"):
+        rep = expansion_constants(
+            rep, functional, field_spec,
+            mc_samples=cfg.extras.get("alpha0_samples", 10_000),
+            seed=cfg.seed + 2, G=weight,
+            hessian_N=cfg.extras.get("hessian_N", 8),
+        )
+    with rc.stage("mc_s"):
+        table = mc_laplace(
+            functional, weight, field_spec, cfg.H, grid, cfg.eps_list,
+            cfg.n_samples, use_shift=cfg.extras.get("use_shift", True),
+            gamma_cm=rep.gamma, seed=cfg.seed + 3,
+        )
+    with rc.stage("fit_s"):
+        fit = expansion_fit(table, a=rep.F_Lambda_min, c=rep.c_coef,
+                            order=cfg.extras.get("fit_order", 2))
     rep.fit = {**(rep.fit or {}), **fit}
     _write(rc.out, "mc_table.csv", _csv(table, ["eps", "J_hat", "se", "n"]))
     _write(rc.out, "report.json", json.dumps(rep.to_dict(), indent=2, sort_keys=True))
@@ -543,7 +550,7 @@ def main(argv=None) -> int:
         sp.add_argument("--out", type=str, default="runs", help="output root directory")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--workers", type=int, default=1,
-                        help="worker processes (numerics are invariant to this)")
+                        help="worker processes (accepted, not yet read)")
         sp.add_argument("--plots", action="store_true", help="emit SVG plots")
     sp = sub.add_parser("schema", help="write SCHEMA.md documenting artifact columns")
     sp.add_argument("--out", type=str, default="SCHEMA.md")

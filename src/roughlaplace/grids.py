@@ -17,8 +17,6 @@ __all__ = [
     "SampledPath",
     "path_to_csv",
     "path_from_csv",
-    "write_path_csv",
-    "read_path_csv",
 ]
 
 
@@ -166,12 +164,3 @@ def path_from_csv(text: str) -> SampledPath:
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     return SampledPath(TimeGrid(rows[:, 0]), rows[:, 1:])
 
-
-def write_path_csv(path: SampledPath, filename):
-    with open(filename, "w") as fh:
-        fh.write(path_to_csv(path))
-
-
-def read_path_csv(filename) -> SampledPath:
-    with open(filename) as fh:
-        return path_from_csv(fh.read())

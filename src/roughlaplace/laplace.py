@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbm import _STREAM_MC, _STREAM_OPT, CameronMartinVector, HurstParams, cm_basis, substream
+from .fbm import (
+    _STREAM_MC,
+    _STREAM_OPT,
+    CameronMartinVector,
+    FbmSampler,
+    HurstParams,
+    cm_basis,
+    substream,
+)
 from .functionals import FunctionalSpec, one_functional
 from .grids import SampledPath, TimeGrid
 from .hessian import hessian_matrix, log_det2
@@ -199,12 +207,12 @@ def expansion_constants(
     theta1 = _theta1_values(ctx)
     c_coef = float(functional.grad(ctx.phi0.values, theta1, grid))
 
-    gen = _FbmBatcher(grid, H, field_spec.d, seed)
+    gen = FbmSampler(grid, H, field_spec.d, seed, kind=_STREAM_MC)
 
     log_weights = np.empty(mc_samples)
     for lo in range(0, mc_samples, batch):
         hi = min(lo + batch, mc_samples)
-        X = gen.batch(lo, hi)
+        X, _ = gen.batch(lo, hi)
         chi = _chi_values(ctx, X)
         phi1 = chi + theta1
         sL, sR = _phi2_sources(ctx, phi1, np.diff(X, axis=-2))
@@ -243,58 +251,6 @@ def expansion_constants(
     return report
 
 
-class _FbmBatcher:
-    """Deterministic batched fBm generation, keyed by sample index.
-
-    With a Cameron-Martin vector attached, each sample also carries the exact
-    first-chaos pairing <gamma, X^1>: per independent coordinate the pairing
-    is one extra jointly Gaussian scalar with cross-covariance
-    E[eta_i X^i_t] = gamma^i_t and variance ||gamma^i||^2 (the reproducing
-    property, exact by unitarity through the L^2 preimage); eta sums the
-    coordinates.  Index-keyed streams keep results worker-invariant.
-    """
-
-    def __init__(self, grid, H, d, seed, gamma_cm: CameronMartinVector | None = None):
-        from .fbm import _cholesky_with_jitter, _cov_matrix
-
-        self.grid, self.d, self.seed = grid, d, seed
-        times = grid.points[1:]
-        self.m = len(times)
-        C = _cov_matrix(times, H)
-        self.with_pairing = gamma_cm is not None
-        if gamma_cm is None:
-            self.L = [_cholesky_with_jitter(C)] * d
-        else:
-            gvals = gamma_cm.induced_path.values
-            self.L = []
-            for i in range(d):
-                Cx = np.zeros((self.m + 1, self.m + 1))
-                Cx[: self.m, : self.m] = C
-                Cx[: self.m, self.m] = gvals[1:, i]
-                Cx[self.m, : self.m] = gvals[1:, i]
-                Cx[self.m, self.m] = float((gamma_cm.coeffs[:, i] ** 2).sum())
-                self.L.append(_cholesky_with_jitter(Cx))
-
-    def batch(self, lo: int, hi: int):
-        """Sample paths for indices [lo, hi); returns values or (values, eta)."""
-        n = hi - lo
-        k = self.m + (1 if self.with_pairing else 0)
-        Z = np.empty((n, k, self.d))
-        for s in range(n):
-            rng = substream(self.seed, _STREAM_MC, lo + s)
-            Z[s] = rng.standard_normal((k, self.d))
-        vals = np.zeros((n, self.m + 1, self.d))
-        eta = np.zeros(n)
-        for i in range(self.d):
-            raw = Z[:, :, i] @ self.L[i].T
-            vals[:, 1:, i] = raw[:, : self.m]
-            if self.with_pairing:
-                eta += raw[:, self.m]
-        if self.with_pairing:
-            return vals, eta
-        return vals
-
-
 def mc_laplace(
     functional: FunctionalSpec,
     G: FunctionalSpec | None,
@@ -321,7 +277,8 @@ def mc_laplace(
     G = G or one_functional()
     if use_shift and gamma_cm is None:
         raise ValueError("shifted sampling needs the minimizer gamma")
-    gen = _FbmBatcher(grid, H, field_spec.d, seed, gamma_cm if use_shift else None)
+    gen = FbmSampler(grid, H, field_spec.d, seed, kind=_STREAM_MC,
+                     gamma=gamma_cm if use_shift else None)
     norm_sq = gamma_cm.norm_sq() if use_shift else 0.0
     gamma_vals = gamma_cm.induced_path.values if use_shift else 0.0
 
@@ -330,7 +287,7 @@ def mc_laplace(
     g_terms = np.empty((len(eps_list), n_samples))
     for lo in range(0, n_samples, batch):
         hi = min(lo + batch, n_samples)
-        vals, eta = gen.batch(lo, hi) if use_shift else (gen.batch(lo, hi), 0.0)
+        vals, eta = gen.batch(lo, hi)
         for e, eps in enumerate(eps_list):
             Z = eps * vals + gamma_vals
             sol = heun_controlled(

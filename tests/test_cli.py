@@ -195,12 +195,17 @@ def test_scale_test_incompatible_c(tmp_path):
         run(ExperimentConfig.from_dict(raw), tmp_path)
 
 
+def assert_stage_timings(out, stages):
+    timings = json.loads(read(out, "manifest.json"))["timings"]
+    assert set(timings) == set(stages)
+    assert all(t >= 0.0 for t in timings.values())
+
+
 def test_scale_test_manifest_timings(tmp_path):
     raw = {"kind": "scale-test", "H": 0.4, "grid_size": 17, "d": 2,
            "n_samples": 16, "seed": 3}
-    manifest = json.loads(read(run(ExperimentConfig.from_dict(raw), tmp_path), "manifest.json"))
-    assert set(manifest["timings"]) == {"sample_s", "signature_s", "ks_s"}
-    assert all(t >= 0.0 for t in manifest["timings"].values())
+    out = run(ExperimentConfig.from_dict(raw), tmp_path)
+    assert_stage_timings(out, {"sample_s", "signature_s", "ks_s"})
 
 
 def test_shipped_configs_validate():
@@ -241,6 +246,7 @@ def test_laplace_run_small(tmp_path):
     table = read(out, "mc_table.csv").strip().splitlines()
     assert table[0] == "eps,J_hat,se,n"
     assert len(table) == 4
+    assert_stage_timings(out, {"minimize_s", "constants_s", "mc_s", "fit_s"})
 
 
 def test_hessian_run_small(tmp_path):
@@ -261,3 +267,4 @@ def test_hessian_run_small(tmp_path):
     # two truncations: one increment, no ratio, so no tail bound
     assert tail["increments"] == [tail["partial_sums"][1] - tail["partial_sums"][0]]
     assert tail["increment_ratios"] == [] and tail["tail_bound"] is None
+    assert_stage_timings(out, {"cm_s", "hessian_s", "hs_tail_s"})

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,12 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import hyp2f1
+from scipy.special import hyp2f1, roots_jacobi
 from scipy.stats import ks_2samp
 
 from roughlaplace.fbm import (
+    _SCHUR_RTOL,
+    _STREAM_FBM,
+    _STREAM_MC,
+    CameronMartinVector,
+    FbmSampler,
     HurstParams,
+    _cov_matrix,
     _hyp2f1_series,
+    _kernel_hyp2f1,
     _volterra_scale,
     cm_basis,
     cm_map,
@@ -22,7 +30,9 @@ from roughlaplace.fbm import (
     volterra_kernel,
     volterra_kernel_info,
 )
+from roughlaplace.functionals import constant_field, endpoint_quadratic
 from roughlaplace.grids import SampledPath, TimeGrid
+from roughlaplace.laplace import OptConfig, minimize_F_Lambda
 from roughlaplace.variation import pvar_exact
 
 
@@ -162,6 +172,33 @@ class TestVolterraKernel:
         val = (head + body) / p
         assert val == pytest.approx(fbm_cov(s, t, H), rel=1e-4)
 
+    @pytest.mark.parametrize("H", [0.26, 0.3, 1 / 3, 0.4, 0.45, 0.49])
+    def test_connection_formula_matches_scipy(self, H):
+        # the 96 Jacobi nodes of the Cameron-Martin quadrature, plus points
+        # on both sides of the x = 1/2 split between the two series
+        xs = (roots_jacobi(96, H - 0.5, H - 0.5)[0] + 1.0) / 2.0
+        xs = np.concatenate([xs, [1e-9, 0.01, 0.5 - 1e-12, 0.5, 0.5 + 1e-12, 0.99, 1 - 1e-9]])
+        # round-trip so that x and 1 - x are both exact: near x = 0 the
+        # factor x^{1-2H} turns the rounding of 1 - x into a 5e-13 change
+        xs = 1.0 - (1.0 - xs)
+        ours, n_terms = _kernel_hyp2f1(H, xs)
+        ref = hyp2f1(H - 0.5, 2 * H, H + 0.5, 1.0 - xs)
+        np.testing.assert_allclose(ours, ref, rtol=1e-13, atol=0.0)
+        assert n_terms <= 40
+
+    @pytest.mark.parametrize("H", [0.26, 0.4, 0.49])
+    def test_scalar_and_node_paths_agree(self, H):
+        xs = (roots_jacobi(96, H - 0.5, H - 0.5)[0] + 1.0) / 2.0
+        nodes, _ = _kernel_hyp2f1(H, xs)
+        for x, F in zip(xs, nodes):
+            scalar, _ = _kernel_hyp2f1(H, float(x))
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(F, rel=1e-14)
+        # volterra_kernel is the node value times its prefactor
+        t, s = 0.8, 0.8 * float(xs[10])
+        pre = _volterra_scale(H) * (t - s) ** (H - 0.5) * (t / s) ** (0.5 - H)
+        assert volterra_kernel(t, s, H) == pytest.approx(pre * nodes[10], rel=1e-14)
+
 
 class TestCmMap:
     def test_brownian_case(self):
@@ -290,3 +327,93 @@ def test_hyp2f1_series_consistency():
         for z in (0.0, 0.3, 0.9):
             ours, _ = _hyp2f1_series(a, b, c, z)
             assert ours == pytest.approx(float(hyp2f1(a, b, c, z)), rel=1e-12)
+
+
+class _AugmentedCholeskyOracle:
+    """The former batched sampler: per coordinate, the Cholesky factor of the
+    augmented covariance [[C, g_i], [g_i^T, ||gamma^i||^2]] applied to the
+    sample's m+1 normals; eta sums the last rows."""
+
+    def __init__(self, grid, H, d, seed, gamma):
+        self.d, self.seed = d, seed
+        self.m = len(grid.points) - 1
+        C = _cov_matrix(grid.points[1:], H)
+        g = gamma.induced_path.values
+        self.L = []
+        for i in range(d):
+            Cx = np.zeros((self.m + 1, self.m + 1))
+            Cx[: self.m, : self.m] = C
+            Cx[: self.m, self.m] = Cx[self.m, : self.m] = g[1:, i]
+            Cx[self.m, self.m] = float((gamma.coeffs[:, i] ** 2).sum())
+            self.L.append(np.linalg.cholesky(Cx))
+
+    def batch(self, lo, hi):
+        n, k = hi - lo, self.m + 1
+        Z = np.stack([substream(self.seed, _STREAM_MC, lo + j).standard_normal((k, self.d))
+                      for j in range(n)])
+        vals = np.zeros((n, self.m + 1, self.d))
+        eta = np.zeros(n)
+        for i in range(self.d):
+            raw = Z[:, :, i] @ self.L[i].T
+            vals[:, 1:, i] = raw[:, : self.m]
+            eta += raw[:, self.m]
+        return vals, eta
+
+
+class TestFbmSampler:
+    H = 0.4
+    grid = TimeGrid.uniform(65)
+
+    @pytest.fixture(scope="class")
+    def gamma(self):
+        # minimizer of the Gaussian case with linear term v = [0.4, -0.3]
+        F = endpoint_quadratic([[0.5, 0.1], [0.1, 0.3]], v=[0.4, -0.3])
+        field = constant_field([[1.0, 0.3], [-0.2, 0.8]])
+        return minimize_F_Lambda(F, field, self.H, self.grid, 4, OptConfig(restarts=1)).gamma
+
+    def test_pairing_matches_augmented_cholesky(self, gamma):
+        assert gamma.norm_sq() > 0.01
+        vals, eta = FbmSampler(self.grid, self.H, 2, 17, kind=_STREAM_MC, gamma=gamma).batch(3, 203)
+        ref_vals, ref_eta = _AugmentedCholeskyOracle(self.grid, self.H, 2, 17, gamma).batch(3, 203)
+        assert np.abs(vals - ref_vals).max() < 1e-12
+        assert np.abs(eta - ref_eta).max() < 1e-12
+
+    def test_zero_gamma_is_exact(self, caplog):
+        zero = CameronMartinVector(
+            coeffs=np.zeros((4, 2)), induced_path=SampledPath(self.grid, np.zeros((65, 2))),
+            hurst=HurstParams.default(self.H),
+        )
+        with caplog.at_level(logging.DEBUG, logger="roughlaplace.fbm"):
+            paired = FbmSampler(self.grid, self.H, 2, 9, kind=_STREAM_MC, gamma=zero)
+            vals, eta = paired.batch(0, 100)
+            plain, none = FbmSampler(self.grid, self.H, 2, 9, kind=_STREAM_MC).batch(0, 100)
+        assert none is None
+        assert np.array_equal(eta, np.zeros(100))
+        assert np.array_equal(vals, plain)
+        assert not any("jitter" in r.getMessage() for r in caplog.records)
+
+    def test_negative_schur_complement_rejected(self, gamma):
+        # grid values of gamma with a norm too small for them: s < 0 far
+        # beyond rounding
+        shrunk = CameronMartinVector(
+            coeffs=0.5 * gamma.coeffs, induced_path=gamma.induced_path, hurst=gamma.hurst,
+        )
+        with pytest.raises(ValueError, match="negative Schur complement"):
+            FbmSampler(self.grid, self.H, 2, 1, gamma=shrunk)
+        # within the rounding bound the complement is clamped to 0
+        g = gamma.induced_path.values[1:]
+        w = np.linalg.solve(np.linalg.cholesky(_cov_matrix(self.grid.points[1:], self.H)), g)
+        w_sq = (w**2).sum(axis=0)
+        coeffs = np.sqrt(w_sq * (1.0 - 0.5 * _SCHUR_RTOL))[None, :]
+        tight = CameronMartinVector(coeffs=coeffs, induced_path=gamma.induced_path, hurst=gamma.hurst)
+        assert np.array_equal(FbmSampler(self.grid, self.H, 2, 1, gamma=tight).pairing[-1], np.zeros(2))
+
+    def test_ensemble_is_per_sample_product(self):
+        n, d = 40, 3
+        ens = np.stack([p.values for p in sample_fbm_ensemble(self.grid, self.H, d, n, seed=5)])
+        L = np.linalg.cholesky(_cov_matrix(self.grid.points[1:], self.H))
+        for j in range(n):
+            z = substream(5, _STREAM_FBM, j).standard_normal((64, d))
+            ref = L @ z
+            assert np.abs(ens[j, 1:] - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.array_equal(ens[j, 0], np.zeros(d))
