@@ -18,7 +18,6 @@ from .variation import (
     pvar_exact,
     pvar_jogfree,
 )
-from .young import YoungResult, young_integral
 from .roughpath import (
     RoughPath,
     XiValue,
@@ -42,7 +41,7 @@ from .fbm import (
     sample_fbm_ensemble,
     volterra_kernel,
 )
-from .odes import DivergenceError, LinearFlow, VectorFieldSpec, linear_flow, solve_young_ode
+from .odes import DivergenceError, VectorFieldSpec
 from .functionals import (
     FunctionalSpec,
     constant_field,

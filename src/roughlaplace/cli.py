@@ -326,7 +326,7 @@ def run_hessian(rc: RunContext):
     hp = cfg.hurst()
     N_list = cfg.extras.get("N_list", [8, 16, 32])
     with rc.stage("hs_tail_s"):
-        rep = hs_tail(ctx, N_list=N_list, d=1, hurst=hp)
+        rep = hs_tail(ctx, N_list=N_list, hurst=hp)
     _write(
         rc.out, "hs_tail.csv",
         _csv(list(zip(rep.N_list, rep.partial_sums)), ["N", "partial_sum"]),

@@ -51,11 +51,6 @@ class FunctionalSpec:
     def grad_at(self, base: SampledPath, zs) -> np.ndarray:
         return np.asarray(self.grad(base.values, np.asarray(zs, dtype=float), base.grid))
 
-    def hess_at(self, base: SampledPath, z1, z2) -> np.ndarray:
-        return np.asarray(
-            self.hess(base.values, np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), base.grid)
-        )
-
 
 def zero_functional() -> FunctionalSpec:
     return FunctionalSpec(
@@ -175,7 +170,6 @@ def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
         dbeta_eps=zeros((n,)),
         d2beta_eps=zeros((n,)),
         dbeta_y_eps=zeros((n, n)),
-        batched=True,
         name="constant",
     )
 
@@ -280,7 +274,7 @@ def tanh_field(
         dsigma=dsigma, d2sigma=d2sigma,
         dbeta_y=dbeta_y, d2beta_y=d2beta_y,
         dbeta_eps=dbeta_eps, d2beta_eps=d2beta_eps, dbeta_y_eps=dbeta_y_eps,
-        batched=True, name="tanh",
+        name="tanh",
     )
 
 
@@ -305,7 +299,7 @@ def rotation_field(d: int, kappa: float = 1.0, scale: float = 0.5) -> VectorFiel
         y = np.asarray(y, dtype=float)
         return np.zeros(y.shape)
 
-    return VectorFieldSpec(n=2, d=d, sigma=sigma, beta=beta, batched=True, name="rotation")
+    return VectorFieldSpec(n=2, d=d, sigma=sigma, beta=beta, name="rotation")
 
 
 def fractional_drift_field(base: VectorFieldSpec, inv_H: float) -> VectorFieldSpec:
@@ -334,7 +328,7 @@ def fractional_drift_field(base: VectorFieldSpec, inv_H: float) -> VectorFieldSp
         dbeta_eps=zeros_n,  # 1/H > 2, so all low-order eps-derivatives vanish at 0
         d2beta_eps=zeros_n,
         dbeta_y_eps=lambda eps, y: np.zeros(np.asarray(y).shape[:-1] + (base.n, base.n)),
-        batched=base.batched, name=f"{base.name}+frac_drift",
+        name=f"{base.name}+frac_drift",
     )
 
 

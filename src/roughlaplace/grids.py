@@ -102,12 +102,6 @@ class SampledPath:
         return self.values.shape[1]
 
     @classmethod
-    def from_function(cls, grid: TimeGrid, f) -> "SampledPath":
-        """Sample ``f`` (scalar- or vector-valued callable of t) on ``grid``."""
-        vals = np.array([np.atleast_1d(f(t)) for t in grid.points], dtype=float)
-        return cls(grid, vals)
-
-    @classmethod
     def zero(cls, grid: TimeGrid, dim: int = 1) -> "SampledPath":
         return cls(grid, np.zeros((len(grid), dim)))
 

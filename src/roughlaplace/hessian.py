@@ -124,7 +124,6 @@ def hessian_matrix(
     ctx: ExpansionContext,
     N: int,
     H: float,
-    d: int | None = None,
 ) -> HessianMatrix:
     """Hessian of F composed with the Ito map at gamma, truncated to the
     Cameron-Martin images of the first N cosine modes:
@@ -138,7 +137,7 @@ def hessian_matrix(
     whose integrability is 1 + min eig > 0.  Entries use the polarized
     second-derivative solve, so the matrix inherits basis nesting exactly.
     """
-    d = ctx.field.d if d is None else d
+    d = ctx.field.d
     basis = cm_basis(H, ctx.grid, N, d)
     nb = len(basis)
     k_stack = np.stack([b.induced_path.values for b in basis])  # (nb, N, d)
@@ -190,7 +189,6 @@ class HSTailReport:
     partial_sums: list
     fitted_tail_exponent: float
     reference_exponent: float
-    diagonal_norms: list
     increments: list
     increment_ratios: list
     tail_bound: float | None
@@ -199,14 +197,14 @@ class HSTailReport:
 def hs_tail(
     ctx: ExpansionContext,
     N_list=(8, 16, 32, 64),
-    d: int = 1,
     hurst=None,
 ) -> HSTailReport:
     """Summability diagnostics for R1 over the interpolation-space basis.
 
-    Partial sums of ||R1<f_m, f_m'>||^2_{p-var} over m, m' <= N; the diagonal
-    decay ||R1<f_m, f_m>||^2 ~ (1+m)^{-(4/q - 2/p)} is fitted on a log-log
-    grid and compared with the window exponent.
+    Partial sums of ||R1<f_m, f_m'>||^2_{p-var} over m, m' <= N, with the
+    basis in the driver dimension ``ctx.field.d``; the diagonal decay
+    ||R1<f_m, f_m>||^2 ~ (1+m)^{-(4/q - 2/p)} is fitted on a log-log grid
+    and compared with the window exponent.
 
     The off-diagonal terms decay only like (1+m')^{-2(1/q - 1/p)} along the
     integrator index, an exponent the window's 1/q - 1/p > 1/2 keeps just
@@ -223,6 +221,7 @@ def hs_tail(
     p, q = hurst.p, hurst.q
     N_list = sorted(N_list)
     n_max = N_list[-1]
+    d = ctx.field.d
     basis = onb_interp(1.0 / q, n_max, d, ctx.grid)
     nb = len(basis)
     f_stack = np.stack([b.values for b in basis])  # (nb, N, d)
@@ -235,15 +234,14 @@ def hs_tail(
         for i in range(nb):
             norms[i, j] = pvar_exact(SampledPath(ctx.grid, vals[i]), p).value
 
-    per_d = d
     partial = []
     for N in N_list:
-        cut = (N + 1) * per_d
+        cut = (N + 1) * d
         partial.append(float((norms[:cut, :cut] ** 2).sum()))
 
     # diagonal decay on modes m in [4, n_max], coordinate 0
     modes = [m for m in range(4, n_max + 1)]
-    diag = [norms[m * per_d, m * per_d] ** 2 for m in modes]
+    diag = [norms[m * d, m * d] ** 2 for m in modes]
     if min(diag) > 0.0:
         x = np.log1p(np.asarray(modes, dtype=float))
         ylog = np.log(np.asarray(diag))
@@ -259,7 +257,6 @@ def hs_tail(
         partial_sums=partial,
         fitted_tail_exponent=float(coef[0]),
         reference_exponent=-(4.0 / q - 2.0 / p),
-        diagonal_norms=[float(v) for v in diag],
         increments=incr,
         increment_ratios=ratios,
         tail_bound=incr[-1] * rho / (1.0 - rho) if rho is not None and rho < 1.0 else None,

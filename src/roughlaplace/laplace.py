@@ -176,7 +176,6 @@ def minimize_F_Lambda(
         first_order_residual=residual,
         flags=flags,
     )
-    report.fit = None
     return report
 
 
@@ -291,8 +290,7 @@ def mc_laplace(
         for e, eps in enumerate(eps_list):
             Z = eps * vals + gamma_vals
             sol = heun_controlled(
-                field_spec, grid, np.diff(Z, axis=-2), np.zeros(field_spec.n),
-                eps_beta=eps, with_drift=True,
+                field_spec, grid, np.diff(Z, axis=-2), np.zeros(field_spec.n), eps_beta=eps
             )
             Fv = np.asarray(functional.value(sol, grid), dtype=float)
             log_terms[e, lo:hi] = -Fv / eps**2

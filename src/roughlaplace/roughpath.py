@@ -33,7 +33,6 @@ __all__ = [
     "scale_rough",
     "running_signature",
     "roughpath_to_csv",
-    "roughpath_from_csv",
 ]
 
 
@@ -72,9 +71,6 @@ class RoughPath:
         if self.level == 3:
             out.append(self.inc3)
         return out
-
-    def first_level_path(self) -> SampledPath:
-        return SampledPath(self.grid, self.inc1[0])
 
 
 @dataclass
@@ -515,26 +511,3 @@ def roughpath_to_csv(X: RoughPath) -> dict:
                 buf.write(f"{i},{j}," + ",".join(f"{v:.17g}" for v in flat) + "\n")
         out[lvl] = buf.getvalue()
     return out
-
-
-def roughpath_from_csv(texts: dict, grid: TimeGrid, dim: int) -> RoughPath:
-    n = len(grid)
-    arrays = {}
-    for lvl, text in texts.items():
-        lvl = int(lvl)
-        shape = (n, n) + (dim,) * lvl
-        arr = np.zeros(shape)
-        lines = text.strip().splitlines()[1:]
-        for ln in lines:
-            parts = ln.split(",")
-            i, j = int(parts[0]), int(parts[1])
-            arr[i, j] = np.array([float(v) for v in parts[2:]]).reshape((dim,) * lvl)
-        arrays[lvl] = arr
-    level = max(arrays)
-    return RoughPath(
-        grid=grid,
-        level=level,
-        inc1=arrays[1],
-        inc2=arrays[2],
-        inc3=arrays.get(3),
-    )

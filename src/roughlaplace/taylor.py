@@ -24,12 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import SampledPath, TimeGrid
-from .odes import (
-    VectorFieldSpec,
-    _omega_increments,
-    heun_controlled,
-    linear_perturbation_solve,
-)
+from .odes import VectorFieldSpec, heun_controlled, linear_perturbation_solve
 from .variation import coarsen_dyadic, pvar_exact
 
 __all__ = [
@@ -51,9 +46,7 @@ __all__ = [
 
 def compute_phi0(field_spec: VectorFieldSpec, gamma: SampledPath) -> SampledPath:
     """Base path: d phi0 = sigma(phi0) dgamma + beta(0, phi0) dt."""
-    vals = heun_controlled(
-        field_spec, gamma.grid, gamma.increments(), np.zeros(field_spec.n), 0.0, True
-    )
+    vals = heun_controlled(field_spec, gamma.grid, gamma.increments(), np.zeros(field_spec.n))
     return SampledPath(gamma.grid, vals)
 
 
@@ -63,9 +56,11 @@ class ExpansionContext:
     phi0 = Psi(gamma), the generator increments of dOmega, and the
     coefficients along phi0 that the sources are assembled from.
 
-    ``Q``, ``P`` and ``D`` are (left, right) pairs per step, contracted once
-    with the gamma-dependent increments: Q = d2sigma(phi0) dgamma +
-    d2beta_y(phi0) dt, P = d_eps d_y beta(phi0) dt, D = d2_eps beta(phi0) dt.
+    ``omL``/``omR`` and ``Q``, ``P``, ``D`` are the per-step values at the
+    left and right step endpoints, contracted once with the gamma-dependent
+    increments: dOmega = dsigma(phi0) dgamma + d_y beta(phi0) dt,
+    Q = d2sigma(phi0) dgamma + d2beta_y(phi0) dt, P = d_eps d_y beta(phi0) dt,
+    D = d2_eps beta(phi0) dt.
     """
 
     field: VectorFieldSpec
@@ -95,28 +90,24 @@ def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> Expans
     dgam = gamma.increments()
     dt = gamma.grid.dt
 
-    def along(at):
-        return at(y) if f.batched else np.stack([at(v) for v in y])
-
-    dsigma0 = along(f.dsigma_at)
-    omL, omR = _omega_increments(
-        f, y, dgam, dt, ds=dsigma0, db=along(lambda v: f.dbeta_y_at(0.0, v))
-    )
-    d2sigma0 = along(f.d2sigma_at)
-    d2beta_y0 = along(lambda v: f.d2beta_y_at(0.0, v))
-    dbeta_y_eps0 = along(lambda v: f.dbeta_y_eps_at(0.0, v))
+    dsigma0 = f.dsigma_at(y)
+    dbeta_y0 = f.dbeta_y_at(0.0, y)
+    d2sigma0 = f.d2sigma_at(y)
+    d2beta_y0 = f.d2beta_y_at(0.0, y)
+    dbeta_y_eps0 = f.dbeta_y_eps_at(0.0, y)
 
     def per_step(sl):
-        Q = np.einsum("iajbc,ij->iabc", d2sigma0[sl], dgam)
-        return Q + d2beta_y0[sl] * dt[:, None, None, None], dbeta_y_eps0[sl] * dt[:, None, None]
+        om = np.einsum("iajb,ij->iab", dsigma0[sl], dgam) + dbeta_y0[sl] * dt[:, None, None]
+        Q = np.einsum("iajbc,ij->iabc", d2sigma0[sl], dgam) + d2beta_y0[sl] * dt[:, None, None, None]
+        return om, Q, dbeta_y_eps0[sl] * dt[:, None, None]
 
-    (QL, PL), (QR, PR) = per_step(slice(None, -1)), per_step(slice(1, None))
+    (omL, QL, PL), (omR, QR, PR) = per_step(slice(None, -1)), per_step(slice(1, None))
     return ExpansionContext(
         field=f, gamma=gamma, phi0=phi0, omL=omL, omR=omR,
-        sigma0=along(f.sigma_at), dsigma0=dsigma0,
-        dbeta_eps0=along(lambda v: f.dbeta_eps_at(0.0, v)),
+        sigma0=f.sigma_at(y), dsigma0=dsigma0,
+        dbeta_eps0=f.dbeta_eps_at(0.0, y),
         Q=(QL, QR), P=(PL, PR),
-        D=_dt_sources(along(lambda v: f.d2beta_eps_at(0.0, v)), dt),
+        D=_dt_sources(f.d2beta_eps_at(0.0, y), dt),
     )
 
 
@@ -372,8 +363,7 @@ def solve_rde(
         if gam is not None:
             Z = Z + gam.values
         sol = heun_controlled(
-            field_spec, drv.grid, np.diff(Z, axis=0), np.zeros(field_spec.n),
-            eps_beta=eps, with_drift=True,
+            field_spec, drv.grid, np.diff(Z, axis=0), np.zeros(field_spec.n), eps_beta=eps
         )
         solutions[lev] = SampledPath(drv.grid, sol)
 
@@ -471,8 +461,7 @@ def taylor_remainder_slope(
         for ei, eps in enumerate(eps_list):
             Z = eps * batch + ctx.gamma.values
             sol = heun_controlled(
-                field_spec, ctx.grid, np.diff(Z, axis=-2), np.zeros(field_spec.n),
-                eps_beta=eps, with_drift=True,
+                field_spec, ctx.grid, np.diff(Z, axis=-2), np.zeros(field_spec.n), eps_beta=eps
             )
             rem = sol.copy()
             for k, term in enumerate(terms):

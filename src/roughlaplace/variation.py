@@ -39,14 +39,6 @@ class VariationResult:
     value: float
     optimal_partition: list
 
-    def partition_sum(self, weights: np.ndarray, p: float) -> float:
-        """Recompute ``(sum |increment|^p)^(1/p)`` along the stored partition."""
-        s = 0.0
-        pts = self.optimal_partition
-        for a, b in zip(pts[:-1], pts[1:]):
-            s = s + weights[a, b] ** p
-        return s ** (1.0 / p)
-
 
 def _increment_norms(values: np.ndarray, norm=None) -> np.ndarray:
     """Pairwise increment magnitudes ``|x_j - x_i|`` as an (N, N) array."""

@@ -23,3 +23,25 @@ def random_smooth_path(grid: TimeGrid, dim: int, rng, n_modes: int = 4, scale: f
             a, b = rng.normal(size=2) * scale / m
             vals[:, j] += a * np.sin(m * np.pi * t) + b * (np.cos(m * np.pi * t) - 1.0)
     return SampledPath(grid, vals)
+
+
+def linear_flow(ctx):
+    """Oracle M, M^{-1} for dM = dOmega M, M_0 = Id, from the context's
+    generator increments ``omL``/``omR``: the product of the Heun one-step
+    transfer matrices T_i = Id + (omL_i + omR_i + omR_i omL_i)/2 and of
+    their exact inverses, so M_t M^{-1}_t = Id holds to rounding while
+    M^{-1} still solves dM^{-1} = -M^{-1} dOmega to the scheme's order.
+    Returns the two (N, n, n) arrays.
+    """
+    n = ctx.field.n
+    N = len(ctx.grid)
+    eye = np.eye(n)
+    M = np.empty((N, n, n))
+    Minv = np.empty((N, n, n))
+    M[0] = eye
+    Minv[0] = eye
+    for i, (L, R) in enumerate(zip(ctx.omL, ctx.omR)):
+        T = eye + 0.5 * (L + R + R @ L)
+        M[i + 1] = T @ M[i]
+        Minv[i + 1] = Minv[i] @ np.linalg.inv(T)
+    return M, Minv

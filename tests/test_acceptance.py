@@ -230,7 +230,7 @@ def test_criterion_09_hs_diagnostics():
     field = tanh_field(1, 1, coef_seed=9, scale=0.5, drift_scale=0.4)
     gamma = cm_map(np.array([[0.2], [0.3]]), H, g).induced_path
     ctx = expansion_context(field, gamma)
-    rep = hs_tail(ctx, N_list=(8, 16, 32, 64), d=1, hurst=hp)
+    rep = hs_tail(ctx, N_list=(8, 16, 32, 64), hurst=hp)
     sums = np.asarray(rep.partial_sums)
     change = (sums[-1] - sums[-2]) / sums[-1]
     # The off-diagonal rows decay at the sharp summability rate
@@ -370,10 +370,10 @@ def test_criterion_15_short_time_law():
     frac = fractional_drift_field(base, 1.0 / H)
     XV = np.stack([p.values for p in sample_fbm_ensemble(g, H, 1, n, seed=1015)])
     XY = np.stack([p.values for p in sample_fbm_ensemble(g, H, 1, n, seed=2015)])
-    solV = heun_controlled(frac, g, np.diff(XV, axis=-2), np.zeros(1), eps_beta=1.0, with_drift=True)
+    solV = heun_controlled(frac, g, np.diff(XV, axis=-2), np.zeros(1), eps_beta=1.0)
     V_T = solV[:, g.index_of(T), 0]
     eps = T**H
-    solY = heun_controlled(frac, g, eps * np.diff(XY, axis=-2), np.zeros(1), eps_beta=eps, with_drift=True)
+    solY = heun_controlled(frac, g, eps * np.diff(XY, axis=-2), np.zeros(1), eps_beta=eps)
     Y_1 = solY[:, -1, 0]
     ks = ks_2samp(V_T, Y_1)
     ok = ks.pvalue > 0.01

@@ -268,3 +268,25 @@ def test_hessian_run_small(tmp_path):
     assert tail["increments"] == [tail["partial_sums"][1] - tail["partial_sums"][0]]
     assert tail["increment_ratios"] == [] and tail["tail_bound"] is None
     assert_stage_timings(out, {"cm_s", "hessian_s", "hs_tail_s"})
+
+
+@pytest.mark.parametrize("field_name", ["tanh", "rotation"])
+def test_hessian_run_two_dim(tmp_path, field_name):
+    # n = d = 2: the Hessian basis and the hs_tail basis both take d from
+    # the field; rotation has finite-difference derivatives only
+    raw = {
+        "kind": "hessian", "H": 0.4, "grid_size": 65, "n": 2, "d": 2,
+        "seed": 6, "truncation": 3, "field_name": field_name,
+        "functional_name": "endpoint_quadratic",
+        "functional_params": {"Q": [[0.4, 0.1], [0.1, 0.3]]},
+        "N_list": [2, 4],
+    }
+    out = run(ExperimentConfig.from_dict(raw), tmp_path)
+    A = np.array([[float(v) for v in row.split(",")]
+                  for row in read(out, "hessian.csv").strip().splitlines()])
+    assert A.shape == (6, 6)
+    assert np.all(np.isfinite(A)) and np.abs(A - A.T).max() < 1e-10
+    assert json.loads(read(out, "hessian_meta.json"))["dim"] == 2
+    tail = json.loads(read(out, "hs_tail.json"))
+    assert 0.0 < tail["partial_sums"][0] <= tail["partial_sums"][1]
+    assert json.loads(read(out, "manifest.json"))["status"] == "complete"

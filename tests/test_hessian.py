@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_smooth_path
+from conftest import linear_flow, random_smooth_path
 from roughlaplace.fbm import HurstParams, cm_basis, cm_map, substream
-from roughlaplace.functionals import constant_field, endpoint_quadratic, tanh_field, zero_functional
+from roughlaplace.functionals import (
+    _FIELD_BUILDERS,
+    constant_field,
+    endpoint_quadratic,
+    make_field,
+    tanh_field,
+    zero_functional,
+)
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.hessian import det2, hessian_matrix, hs_tail, log_det2, r_forms, v_forms
-from roughlaplace.odes import linear_flow
 from roughlaplace.taylor import compute_chi, compute_psi, expansion_context
 from roughlaplace.variation import pvar_exact
 
@@ -77,13 +83,13 @@ class TestRForms:
         # the exact integration-by-parts inner path agrees with the direct
         # left-point Young evaluation of int d[M^{-1} sigma] f at grid tolerance
         f, _ = fk257
-        flow = linear_flow(ctx257.gamma, ctx257.phi0, ctx257.field)
-        Minv_sig = np.einsum("tab,tbd->tad", flow.Minv, ctx257.sigma0)
+        M, Minv = linear_flow(ctx257)
+        Minv_sig = np.einsum("tab,tbd->tad", Minv, ctx257.sigma0)
         dG = np.diff(Minv_sig, axis=0)
         inner = np.vstack(
             [np.zeros((1, 2)), np.cumsum(np.einsum("iad,id->ia", dG, f.values[:-1]), axis=0)]
         )
-        g_direct = np.einsum("tab,tb->ta", flow.M, inner)
+        g_direct = np.einsum("tab,tb->ta", M, inner)
         g_ibp = (
             np.einsum("iab,ib->ia", ctx257.sigma0, f.values)
             - compute_chi(ctx257, f).values
@@ -156,7 +162,7 @@ class TestHessianMatrix:
         field, gamma, g = ctx257.field, ctx257.gamma, ctx257.grid
 
         def FPsi(path_vals):
-            sol = heun_controlled(field, g, np.diff(path_vals, axis=0), np.zeros(2), 0.0, True)
+            sol = heun_controlled(field, g, np.diff(path_vals, axis=0), np.zeros(2))
             return float(F.value(sol, g))
 
         h = 1e-3  # symmetric mixed difference: O(h^2) truncation
@@ -210,12 +216,26 @@ class TestHessianMatrix:
         assert (total[-1] - total[15]) / total[-1] < 0.1 or total[-1] < 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(_FIELD_BUILDERS))
+def test_every_field_builds_context_and_hessian(name):
+    # each shipped field, analytic or finite-difference derivatives, runs
+    # through the expansion context and a small Hessian on whole paths
+    g = TimeGrid.uniform(33)
+    field = make_field(name, {"n": 2, "d": 2})
+    gamma = cm_map(np.array([[0.2, 0.1], [0.3, -0.2]]), 0.4, g).induced_path
+    ctx = expansion_context(field, gamma)
+    assert ctx.omL.shape == (32, 2, 2) and ctx.Q[0].shape == (32, 2, 2, 2)
+    hm = hessian_matrix(endpoint_quadratic(0.3 * np.eye(2)), ctx, 2, H=0.4)
+    assert hm.A.shape == (4, 4)
+    assert np.all(np.isfinite(hm.A)) and np.abs(hm.A - hm.A.T).max() < 1e-12
+
+
 class TestHsTail:
     def test_constant_sigma_all_zero(self):
         g = TimeGrid.uniform(129)
         field = constant_field(np.ones((1, 1)))
         ctx = expansion_context(field, SampledPath(g, np.zeros((129, 1))))
-        rep = hs_tail(ctx, N_list=(2, 4), d=1, hurst=HurstParams.default(0.4))
+        rep = hs_tail(ctx, N_list=(2, 4), hurst=HurstParams.default(0.4))
         assert max(rep.partial_sums) == 0.0
         assert rep.increments == [0.0]
         assert rep.increment_ratios == [] and rep.tail_bound is None
@@ -227,7 +247,7 @@ class TestHsTail:
         field = tanh_field(1, 1, coef_seed=9, scale=0.5, drift_scale=0.4)
         gamma = cm_map(np.array([[0.2], [0.3]]), H, g).induced_path
         ctx = expansion_context(field, gamma)
-        rep = hs_tail(ctx, N_list=(4, 8, 16), d=1, hurst=hp)
+        rep = hs_tail(ctx, N_list=(4, 8, 16), hurst=hp)
         assert rep.partial_sums[0] <= rep.partial_sums[1] <= rep.partial_sums[2]
         assert rep.reference_exponent == pytest.approx(-(4 / hp.q - 2 / hp.p))
 
@@ -249,7 +269,7 @@ class TestHsTail:
         gamma = cm_map(np.array([[0.2], [0.3]]), H, g).induced_path
         ctx = expansion_context(field, gamma)
         # uneven steps: the increment over 2 -> 10 exceeds the one over 1 -> 2
-        rep = hs_tail(ctx, N_list=(1, 2, 10), d=1, hurst=hp)
+        rep = hs_tail(ctx, N_list=(1, 2, 10), hurst=hp)
         assert rep.increment_ratios[0] > 1.0
         assert rep.tail_bound is None
 

@@ -59,7 +59,6 @@ class TestSolveRde:
             n=1, d=1,
             sigma=lambda y: np.ones(np.shape(y) + (1,)),
             beta=lambda e, y: np.asarray(y, dtype=float),
-            batched=True,
         )
         x = SampledPath(g, np.sin(2 * np.pi * g.points))
         eps = 0.7
@@ -94,7 +93,7 @@ class TestSolveRde:
         ens = sample_fbm_ensemble(g, H, d, n_mc, seed=300)
         drv = np.stack([p.values for p in ens])
         sol = heun_controlled(
-            field, g, eps * np.diff(drv, axis=-2), np.zeros(n), eps_beta=eps, with_drift=True
+            field, g, eps * np.diff(drv, axis=-2), np.zeros(n), eps_beta=eps
         )
         Y1 = sol[:, -1, :]
 
@@ -195,7 +194,7 @@ class TestPsi:
         k = SampledPath(g, np.stack([0.3 * g.points**2, 0.4 * np.sin(2 * g.points)], axis=1))
 
         def itomap(path):
-            return heun_controlled(field, g, np.diff(path.values, axis=0), np.zeros(2), 0.0, True)
+            return heun_controlled(field, g, np.diff(path.values, axis=0), np.zeros(2), 0.0)
 
         h = 1e-3
         num = (
@@ -236,7 +235,7 @@ class TestFirstOrder:
 
         def phi_eps(eps):
             Z = eps * driver513.values + gamma.values
-            return heun_controlled(field, g, np.diff(Z, axis=0), np.zeros(2), eps, True)
+            return heun_controlled(field, g, np.diff(Z, axis=0), np.zeros(2), eps)
 
         h = 1e-4
         num = (phi_eps(h) - phi_eps(0.0)) / h
@@ -283,7 +282,7 @@ class TestSecondOrder:
 
         def phi_eps(eps):
             Z = eps * driver513.values + gamma.values
-            return heun_controlled(field, g, np.diff(Z, axis=0), np.zeros(2), eps, True)
+            return heun_controlled(field, g, np.diff(Z, axis=0), np.zeros(2), eps)
 
         p1 = compute_phi1(ctx513, driver513).values
         p2 = compute_phi2(ctx513, driver513).values
@@ -348,12 +347,12 @@ class TestRemainderSlopes:
         bump = random_smooth_path(g, 2, rng)
         base = heun_controlled(
             field, g, np.diff(0.5 * driver513.values + gamma.values, axis=0),
-            np.zeros(2), 0.5, True,
+            np.zeros(2), 0.5,
         )
         ratios = []
         for delta in (1e-2, 1e-3, 1e-4):
             Z = 0.5 * (driver513.values + delta * bump.values) + gamma.values
-            pert = heun_controlled(field, g, np.diff(Z, axis=0), np.zeros(2), 0.5, True)
+            pert = heun_controlled(field, g, np.diff(Z, axis=0), np.zeros(2), 0.5)
             ratios.append(np.abs(pert - base).max() / delta)
         assert max(ratios) / min(ratios) < 2.0
 
