@@ -8,7 +8,7 @@ verification of the small-parameter expansion of
 E[G(Y) exp(-F(Y)/eps^2)].
 """
 
-from .grids import SampledPath, TimeGrid, path_from_csv, path_to_csv
+from .grids import SampledPath, TimeGrid, path_to_csv
 from .variation import (
     VariationResult,
     besov_norm,

@@ -4,7 +4,8 @@ One JSON config fully determines a run; the manifest (written before any
 artifact) echoes the config, its hash, and the declared artifact list, and is
 rewritten with status "complete" only after every artifact exists.  Numbers
 never depend on the worker count: all randomness flows through per-sample
-counter-based streams.
+counter-based streams, and the laplace kind splits its Monte Carlo samples
+and optimizer restarts into blocks fixed by the config alone.
 """
 from __future__ import annotations
 
@@ -180,6 +181,7 @@ class RunContext:
             "artifacts": self.artifacts,
             "timings": self.timings,
             "version": __version__,
+            "workers": self.workers,
         }
         _write(self.out, "manifest.json", json.dumps(doc, indent=2, sort_keys=True))
 
@@ -363,20 +365,20 @@ def run_laplace(rc: RunContext):
     with rc.stage("minimize_s"):
         rep = minimize_F_Lambda(
             functional, field_spec, cfg.H, grid, cfg.truncation,
-            OptConfig(seed=cfg.seed + 1),
+            OptConfig(seed=cfg.seed + 1), workers=rc.workers,
         )
     with rc.stage("constants_s"):
         rep = expansion_constants(
             rep, functional, field_spec,
             mc_samples=cfg.extras.get("alpha0_samples", 10_000),
             seed=cfg.seed + 2, G=weight,
-            hessian_N=cfg.extras.get("hessian_N", 8),
+            hessian_N=cfg.extras.get("hessian_N", 8), workers=rc.workers,
         )
     with rc.stage("mc_s"):
         table = mc_laplace(
             functional, weight, field_spec, cfg.H, grid, cfg.eps_list,
             cfg.n_samples, use_shift=cfg.extras.get("use_shift", True),
-            gamma_cm=rep.gamma, seed=cfg.seed + 3,
+            gamma_cm=rep.gamma, seed=cfg.seed + 3, workers=rc.workers,
         )
     with rc.stage("fit_s"):
         fit = expansion_fit(table, a=rep.F_Lambda_min, c=rep.c_coef,
@@ -470,6 +472,8 @@ def run(cfg: ExperimentConfig, out_root, workers: int = 1, plots: bool = False) 
     errors = cfg.validate()
     if errors:
         raise ValueError("invalid config:\n  " + "\n  ".join(errors))
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     out_dir = Path(out_root) / f"{cfg.kind}-{cfg.config_hash()}"
     out_dir.mkdir(parents=True, exist_ok=True)
     rc = RunContext(cfg, out_dir, workers=workers, plots=plots)
@@ -490,7 +494,8 @@ SCHEMA_DOC = """# Artifact schemas
 Every run directory contains `manifest.json` (written before any artifact):
 config echo, sha256-based `config_hash` over all number-affecting fields,
 declared artifact list, a `status` that is `complete` only when every
-declared artifact exists, and `timings`: wall seconds per timed stage.
+declared artifact exists, `timings`: wall seconds per timed stage, and
+`workers`: the worker processes the run was given.
 
 ## simulate
 - `samples.csv`: columns `sample_id,t,x1..xd`; one row per grid point per sample.
@@ -550,7 +555,9 @@ def main(argv=None) -> int:
         sp.add_argument("--out", type=str, default="runs", help="output root directory")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--workers", type=int, default=1,
-                        help="worker processes (accepted, not yet read)")
+                        help="worker processes for the laplace kind's Monte Carlo "
+                             "blocks and optimizer restarts (forked; numbers do "
+                             "not depend on it)")
         sp.add_argument("--plots", action="store_true", help="emit SVG plots")
     sp = sub.add_parser("schema", help="write SCHEMA.md documenting artifact columns")
     sp.add_argument("--out", type=str, default="SCHEMA.md")

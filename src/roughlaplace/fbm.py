@@ -1,10 +1,11 @@
 """Fractional Brownian motion, its Volterra kernel, and the Cameron-Martin map.
 
 Simulation is exact at grid scale: dense Cholesky of the true covariance,
-with one counter-based RNG stream per sample index so ensembles reproduce
-independently of worker count.  The Cameron-Martin space is handled through
-L^2 preimages under the Volterra operator U, whose unitarity defines the
-inner product; no reproducing kernel is ever evaluated.
+with one counter-based RNG stream per sample index, so a sample's draws do
+not depend on the batch or the worker process that draws it.  The
+Cameron-Martin space is handled through L^2 preimages under the Volterra
+operator U, whose unitarity defines the inner product; no reproducing kernel
+is ever evaluated.
 """
 from __future__ import annotations
 
@@ -40,8 +41,10 @@ _STREAM_OPT = 3
 def substream(seed: int, kind: int, index: int) -> np.random.Generator:
     """Independent counter-based stream for (seed, kind, index).
 
-    Streams are separated in the Philox counter's high words, so per-sample
-    draws are identical no matter how samples are distributed over workers.
+    Streams are separated in the Philox counter's high words, [0, 0, index,
+    kind], so per-sample draws are identical no matter how samples are split
+    into batches or spread over worker processes.  :class:`FbmSampler` draws
+    the same streams by resetting one generator; this is their reference.
     """
     counter = (int(index) << 128) + (int(kind) << 192)
     return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
@@ -125,7 +128,10 @@ class FbmSampler:
     One Cholesky factor L of the grid covariance C serves every coordinate
     and batch (C is positive definite, so no jitter is ever added); sample j
     draws its normals from the Philox stream ``substream(seed, kind, j)``, so
-    its numbers do not depend on how the indices are split into batches.
+    its numbers do not depend on how the indices are split into batches or
+    over worker processes.  The streams come from one generator whose state
+    is reset to each sample's counter, at about half the cost of a new
+    generator per sample; so a sampler must not be shared between threads.
 
     With a Cameron-Martin vector ``gamma`` attached, each sample also carries
     the first-chaos pairing eta = <gamma, X> = sum_i eta_i.  Per coordinate,
@@ -148,8 +154,12 @@ class FbmSampler:
     def __init__(self, grid: TimeGrid, H: float, d: int, seed: int,
                  kind: int = _STREAM_FBM, gamma: CameronMartinVector | None = None):
         times = grid.points[1:]
-        self.m, self.d, self.seed, self.kind = len(times), d, seed, kind
+        self.m, self.d = len(times), d
         self.L = np.linalg.cholesky(_cov_matrix(times, H))
+        # stream 0's generator and state; batch() rewrites the state's
+        # counter word 2 with each sample index (word 3 holds the kind)
+        self._rng = substream(seed, kind, 0)
+        self._state = self._rng.bit_generator.state
         self.pairing = None
         if gamma is not None:
             w = np.linalg.solve(self.L, gamma.induced_path.values[1:])
@@ -171,8 +181,11 @@ class FbmSampler:
         row, and their pairings eta (None without ``gamma``)."""
         k = self.m if self.pairing is None else self.m + 1
         Z = np.empty((hi - lo, k, self.d))
+        bits, state = self._rng.bit_generator, self._state
         for j in range(hi - lo):
-            Z[j] = substream(self.seed, self.kind, lo + j).standard_normal((k, self.d))
+            state["state"]["counter"][2] = lo + j
+            bits.state = state
+            self._rng.standard_normal(out=Z[j])
         vals = np.zeros((hi - lo, self.m + 1, self.d))
         vals[:, 1:] = np.matmul(self.L, Z[:, : self.m])
         if self.pairing is None:

@@ -16,7 +16,6 @@ __all__ = [
     "TimeGrid",
     "SampledPath",
     "path_to_csv",
-    "path_from_csv",
 ]
 
 
@@ -149,12 +148,4 @@ def path_to_csv(path: SampledPath) -> str:
     for t, row in zip(path.grid.points, path.values):
         buf.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
     return buf.getvalue()
-
-
-def path_from_csv(text: str) -> SampledPath:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("t,"):
-        raise ValueError("missing 't,x1,...' header")
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return SampledPath(TimeGrid(rows[:, 0]), rows[:, 1:])
 

@@ -88,6 +88,57 @@ class LaplaceReport:
         }
 
 
+# The block function of a pool worker; set by the initializer in forked
+# workers only, never in the calling process.
+_block_fn = None
+
+
+def _init_block_worker(fn):
+    """Pool initializer: bind the block function in a forked worker."""
+    global _block_fn
+    _block_fn = fn
+
+
+def _run_block(block):
+    return _block_fn(block)
+
+
+def _map_blocks(fn, blocks, workers: int = 1) -> list:
+    """``[fn(b) for b in blocks]``, in block order, over up to ``workers``
+    processes.
+
+    With one worker, or one block, this is the plain loop and starts no
+    process.  Otherwise the blocks go to a pool of forked workers; ``fn``
+    reaches them through the pool's initializer, which fork passes on
+    without pickling, so ``fn`` may be a closure over unpicklable state
+    (vector-field lambdas, samplers).  Only blocks and results are pickled.
+    An exception raised by ``fn`` in a worker is re-raised here with its
+    type, after the blocks not yet started are cancelled; a worker that
+    dies raises ``BrokenProcessPool`` (``multiprocessing.Pool.map`` would
+    wait for it forever).  The result is the plain loop's whenever
+    ``fn(b)`` depends on b alone, which is why callers fix their blocks
+    independently of ``workers``.  A forked child holds only the forking
+    thread, so the caller must run no threads of its own (OpenBLAS stops
+    and restarts its thread pool around a fork); the fork start method
+    needs Linux or macOS.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    blocks = list(blocks)
+    n_proc = min(workers, len(blocks))
+    if n_proc <= 1:
+        return [fn(b) for b in blocks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(n_proc, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_block_worker, initargs=(fn,))
+    try:
+        return list(pool.map(_run_block, blocks))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _gamma_from_coeffs(coeffs: np.ndarray, basis) -> SampledPath:
     flat = coeffs.reshape(-1)
     vals = np.einsum("a,atd->td", flat, np.stack([b.induced_path.values for b in basis]))
@@ -101,13 +152,17 @@ def minimize_F_Lambda(
     grid: TimeGrid,
     N: int,
     opt: OptConfig | None = None,
+    workers: int = 1,
 ) -> LaplaceReport:
     """Minimize F(Psi(gamma)) + ||gamma||^2/2 over the truncated CM basis.
 
     Gradient descent with backtracking line search; the gradient component
     along e_a is c_a + grad F(phi0)<chi(e_a)> (orthonormality plus the
     first-order identity).  Multiple restarts probe uniqueness of the
-    minimizer; disagreement beyond tolerance is flagged, not fatal.
+    minimizer; disagreement beyond tolerance is flagged, not fatal.  Every
+    start point is drawn before any descent, and the restarts run over
+    ``workers`` processes (:func:`_map_blocks`), so the result does not
+    depend on ``workers``.
     """
     opt = opt or OptConfig()
     d = field_spec.d
@@ -124,11 +179,11 @@ def minimize_F_Lambda(
         value = float(functional.value(ctx.phi0.values, grid)) + 0.5 * float(
             (coeffs**2).sum()
         )
-        return value, gradient, ctx
+        return value, gradient
 
     def descend(c0: np.ndarray):
         c = c0.copy()
-        val, grad, ctx = objective_grad(c)
+        val, grad = objective_grad(c)
         for _ in range(opt.max_iters):
             gnorm = float(np.abs(grad).max())
             if gnorm < opt.grad_tol:
@@ -136,27 +191,23 @@ def minimize_F_Lambda(
             step = opt.step0
             while step > 1e-14:
                 cand = c - step * grad
-                v2, g2, ctx2 = objective_grad(cand)
+                v2, g2 = objective_grad(cand)
                 if v2 <= val - opt.armijo * step * float((grad**2).sum()):
-                    c, val, grad, ctx = cand, v2, g2, ctx2
+                    c, val, grad = cand, v2, g2
                     break
                 step *= opt.backtrack
             else:
                 break
-        return c, val, grad, ctx
+        return c, val, grad
 
     flags = []
     rng = substream(opt.seed, _STREAM_OPT, 0)
-    best = None
-    solutions = []
-    for r in range(max(1, opt.restarts)):
-        c0 = np.zeros(nb) if r == 0 else opt.init_scale * rng.standard_normal(nb)
-        c, val, grad, ctx = descend(c0)
-        solutions.append((val, c))
-        if best is None or val < best[1]:
-            best = (c, val, grad, ctx)
-    c, val, grad, ctx = best
-    spread = max(abs(v - val) for v, _ in solutions)
+    starts = [np.zeros(nb)] + [
+        opt.init_scale * rng.standard_normal(nb) for _ in range(max(1, opt.restarts) - 1)
+    ]
+    solutions = _map_blocks(descend, starts, workers)
+    c, val, grad = min(solutions, key=lambda sol: sol[1])  # first of equal values
+    spread = max(abs(v - val) for _, v, _ in solutions)
     if spread > opt.restart_tol * max(1.0, abs(val)):
         flags.append(
             f"restarts disagree by {spread:.3e}: minimizer may not be unique"
@@ -188,6 +239,7 @@ def expansion_constants(
     G: FunctionalSpec | None = None,
     hessian_N: int = 8,
     batch: int = 2048,
+    workers: int = 1,
 ) -> LaplaceReport:
     """Fill in the expansion constants of the Laplace asymptotics.
 
@@ -197,6 +249,9 @@ def expansion_constants(
     has constant sigma and no drift the expectation is a Gaussian quadratic
     functional and the Carleman-Fredholm closed form applies; the truncated
     Hessian eigenvalues provide that cross-check value in ``fit['det2_closed_form']``.
+    The sample blocks [lo, lo + batch) run over ``workers`` processes
+    (:func:`_map_blocks`); the blocks, and so the numbers, do not depend on
+    ``workers``.
     """
     gamma_path = report.gamma.induced_path
     H = report.gamma.hurst.H
@@ -208,18 +263,17 @@ def expansion_constants(
 
     gen = FbmSampler(grid, H, field_spec.d, seed, kind=_STREAM_MC)
 
-    log_weights = np.empty(mc_samples)
-    for lo in range(0, mc_samples, batch):
-        hi = min(lo + batch, mc_samples)
-        X, _ = gen.batch(lo, hi)
+    def block(lo):
+        X, _ = gen.batch(lo, min(lo + batch, mc_samples))
         chi = _chi_values(ctx, X)
         phi1 = chi + theta1
         sL, sR = _phi2_sources(ctx, phi1, np.diff(X, axis=-2))
         phi2 = ctx.solve(sL, sR)
         gF = functional.grad(ctx.phi0.values, phi2, grid)
         hF = functional.hess(ctx.phi0.values, phi1, phi1, grid)
-        log_weights[lo:hi] = -(np.asarray(gF) + 0.5 * np.asarray(hF))
+        return -(np.asarray(gF) + 0.5 * np.asarray(hF))
 
+    log_weights = np.concatenate(_map_blocks(block, range(0, mc_samples, batch), workers))
     w = np.exp(log_weights)
     g0 = 1.0 if G is None else float(G.value(ctx.phi0.values, grid))
     alpha0 = g0 * float(w.mean())
@@ -262,6 +316,7 @@ def mc_laplace(
     gamma_cm: CameronMartinVector | None = None,
     seed: int = 31,
     batch: int = 2048,
+    workers: int = 1,
 ):
     """Monte Carlo of E[G(Y^eps) exp(-F(Y^eps)/eps^2)] for each eps.
 
@@ -270,8 +325,10 @@ def mc_laplace(
     integrand picks up the change-of-measure density
     exp(-eta/eps - ||gamma||^2/(2 eps^2)) with eta the exact first-chaos
     pairing of gamma with the driver; both estimators are unbiased for the
-    same quantity.  Each sample batch is drawn once and shared by every eps.
-    Returns a list of (eps, J_hat, se, n) rows.
+    same quantity.  Each sample batch [lo, lo + batch) is drawn once and
+    shared by every eps; the batches run over ``workers`` processes
+    (:func:`_map_blocks`) and do not depend on ``workers``, so neither do the
+    numbers.  Returns a list of (eps, J_hat, se, n) rows.
     """
     G = G or one_functional()
     if use_shift and gamma_cm is None:
@@ -282,21 +339,26 @@ def mc_laplace(
     gamma_vals = gamma_cm.induced_path.values if use_shift else 0.0
 
     eps_list = list(eps_list)
-    log_terms = np.empty((len(eps_list), n_samples))
-    g_terms = np.empty((len(eps_list), n_samples))
-    for lo in range(0, n_samples, batch):
-        hi = min(lo + batch, n_samples)
-        vals, eta = gen.batch(lo, hi)
+
+    def block(lo):
+        vals, eta = gen.batch(lo, min(lo + batch, n_samples))
+        log_t = np.empty((len(eps_list), len(vals)))
+        g_t = np.empty((len(eps_list), len(vals)))
         for e, eps in enumerate(eps_list):
             Z = eps * vals + gamma_vals
             sol = heun_controlled(
                 field_spec, grid, np.diff(Z, axis=-2), np.zeros(field_spec.n), eps_beta=eps
             )
             Fv = np.asarray(functional.value(sol, grid), dtype=float)
-            log_terms[e, lo:hi] = -Fv / eps**2
-            g_terms[e, lo:hi] = np.asarray(G.value(sol, grid), dtype=float)
+            log_t[e] = -Fv / eps**2
+            g_t[e] = np.asarray(G.value(sol, grid), dtype=float)
             if use_shift:
-                log_terms[e, lo:hi] -= eta / eps + norm_sq / (2.0 * eps**2)
+                log_t[e] -= eta / eps + norm_sq / (2.0 * eps**2)
+        return log_t, g_t
+
+    parts = _map_blocks(block, range(0, n_samples, batch), workers)
+    log_terms = np.concatenate([p[0] for p in parts], axis=1)
+    g_terms = np.concatenate([p[1] for p in parts], axis=1)
     rows = []
     for eps, lt, gt in zip(eps_list, log_terms, g_terms):
         # log-domain guard against overflow: factor out the max exponent

@@ -28,7 +28,8 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """State magnitude crossed the runaway guard of a bounded-field model."""
+    """State magnitude crossed the runaway guard of a bounded-field model, or
+    the state is no longer finite."""
 
 
 # Outer step of a derivative that differences a difference.  Rounding in the
@@ -134,10 +135,11 @@ class VectorFieldSpec:
         return (4.0 * d2 - d1) / 3.0
 
     def check_guard(self, y):
-        if np.max(np.abs(y)) > self.guard:
-            raise DivergenceError(
-                f"|y| exceeded {self.guard:.1e}; the C_b model makes this a bug indicator"
-            )
+        peak = np.max(np.abs(y))
+        if not peak <= self.guard:  # true for NaN too, which compares False
+            what = (f"|y| exceeded {self.guard:.1e}" if np.isfinite(peak)
+                    else f"the state is not finite (max |y| = {peak})")
+            raise DivergenceError(f"{what}; the C_b model makes this a bug indicator")
 
 
 def heun_controlled(

@@ -139,9 +139,32 @@ class TestMain:
         assert rc == 2
         assert "1/q" in capsys.readouterr().err
 
-    def test_workers_flag_accepted(self, tmp_path):
-        rc = main(["kappa", "--out", str(tmp_path), "--workers", "4"])
-        assert rc == 0
+    def test_workers_give_identical_laplace_artifacts(self, tmp_path, capsys):
+        # 4200 samples make three Monte Carlo blocks of the default 2048, and
+        # five restarts run in the pool as well
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "kind": "laplace", "H": 0.4, "grid_size": 33, "n": 2, "d": 2, "seed": 4,
+            "eps_list": [0.6, 0.5, 0.4], "truncation": 4, "n_samples": 4200,
+            "field_name": "constant", "field_params": {"S": [[1.0, 0.3], [-0.2, 0.8]]},
+            "functional_name": "endpoint_quadratic",
+            "functional_params": {"Q": [[0.5, 0.1], [0.1, 0.3]], "v": [0.4, -0.3]},
+            "alpha0_samples": 4200, "hessian_N": 4,
+        }))
+        outs = []
+        for w in (1, 2):
+            rc = main(["laplace", "--config", str(cfg_path), "--out", str(tmp_path / f"w{w}"),
+                       "--workers", str(w)])
+            assert rc == 0
+            outs.append(Path(capsys.readouterr().out.strip()))
+        for name in ("report.json", "mc_table.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert json.loads(read(outs[1], "manifest.json"))["workers"] == 2
+
+    def test_workers_below_one_exit_code(self, tmp_path, capsys):
+        rc = main(["kappa", "--out", str(tmp_path), "--workers", "0"])
+        assert rc == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
 
 
 def test_scale_test_run_small(tmp_path):

@@ -408,6 +408,23 @@ class TestFbmSampler:
         tight = CameronMartinVector(coeffs=coeffs, induced_path=gamma.induced_path, hurst=gamma.hurst)
         assert np.array_equal(FbmSampler(self.grid, self.H, 2, 1, gamma=tight).pairing[-1], np.zeros(2))
 
+    @pytest.mark.parametrize("kind", [_STREAM_FBM, _STREAM_MC])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_batch_draws_substreams(self, gamma, kind, paired):
+        # the reset generator draws exactly the per-index substream normals,
+        # also after other indices have been drawn
+        sampler = FbmSampler(self.grid, self.H, 2, 23, kind=kind, gamma=gamma if paired else None)
+        sampler.batch(100, 103)
+        vals, eta = sampler.batch(5, 45)
+        k = 65 if paired else 64
+        Z = np.stack([substream(23, kind, j).standard_normal((k, 2)) for j in range(5, 45)])
+        assert np.array_equal(vals[:, 0], np.zeros((40, 2)))
+        assert np.array_equal(vals[:, 1:], np.matmul(sampler.L, Z[:, :64]))
+        if paired:
+            assert np.array_equal(eta, np.einsum("nkd,kd->n", Z, sampler.pairing))
+        else:
+            assert eta is None
+
     def test_ensemble_is_per_sample_product(self):
         n, d = 40, 3
         ens = np.stack([p.values for p in sample_fbm_ensemble(self.grid, self.H, d, n, seed=5)])

@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from roughlaplace.grids import SampledPath, TimeGrid, path_from_csv, path_to_csv
+from roughlaplace.grids import SampledPath, TimeGrid, path_to_csv
 
 
 def test_grid_validation():
@@ -45,9 +47,9 @@ def test_csv_roundtrip_lossless():
     g = TimeGrid(np.array([0.0, 1 / 3, 0.7071067811865476, 1.0]))
     vals = np.array([[0.0, 1e-17], [np.pi, -2 / 3], [1e300, 5e-124], [-1.0, 3.3]])
     p = SampledPath(g, vals)
-    q = path_from_csv(path_to_csv(p))
-    assert np.array_equal(q.values, p.values)
-    assert np.array_equal(q.grid.points, g.points)
+    rows = np.loadtxt(io.StringIO(path_to_csv(p)), delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 1:], p.values)
+    assert np.array_equal(rows[:, 0], g.points)
 
 
 def test_csv_header():
@@ -55,5 +57,3 @@ def test_csv_header():
     p = SampledPath(g, np.zeros((3, 2)))
     text = path_to_csv(p)
     assert text.splitlines()[0] == "t,x1,x2"
-    with pytest.raises(ValueError):
-        path_from_csv("a,b\n1,2\n")

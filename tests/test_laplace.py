@@ -1,4 +1,9 @@
+import copy
+import dataclasses
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from roughlaplace.functionals import (
 from roughlaplace.grids import TimeGrid
 from roughlaplace.laplace import (
     OptConfig,
+    _map_blocks,
     expansion_constants,
     expansion_fit,
     kappa_ladder,
@@ -23,6 +29,7 @@ from roughlaplace.laplace import (
     minimize_F_Lambda,
     short_time_transform,
 )
+from roughlaplace.odes import DivergenceError
 
 H_TEST = 0.4
 GRID = TimeGrid.uniform(129)
@@ -161,6 +168,78 @@ class TestMcLaplace:
         t1 = mc_laplace(F, None, field, H_TEST, GRID, [0.5], 500, batch=100, **kw)
         t2 = mc_laplace(F, None, field, H_TEST, GRID, [0.5], 500, batch=77, **kw)
         assert t1[0][1] == t2[0][1]  # batch split cannot change numbers
+
+
+class TestWorkers:
+    """workers = 2 runs the blocks in forked processes; every number must be
+    the one workers = 1 gives.  A small grid and batch 128 give several
+    blocks per call."""
+
+    grid = TimeGrid.uniform(33)
+    field = constant_field(S_TEST)
+    F = endpoint_quadratic([[0.5, 0.1], [0.1, 0.3]], v=[0.4, -0.3])
+
+    def minimize(self, workers):
+        return minimize_F_Lambda(self.F, self.field, H_TEST, self.grid, 4,
+                                 OptConfig(restarts=3), workers=workers)
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return self.minimize(1)
+
+    def test_minimize(self, report):
+        pooled = self.minimize(2)
+        assert np.array_equal(pooled.gamma.coeffs, report.gamma.coeffs)
+        assert pooled.F_Lambda_min == report.F_Lambda_min
+        assert pooled.first_order_residual == report.first_order_residual
+        assert pooled.flags == report.flags
+
+    def test_expansion_constants(self, report):
+        one, two = (
+            expansion_constants(copy.deepcopy(report), self.F, self.field, mc_samples=600,
+                                seed=3, hessian_N=4, batch=128, workers=w)
+            for w in (1, 2)
+        )
+        assert (two.c_coef, two.alpha0, two.alpha0_se) == (one.c_coef, one.alpha0, one.alpha0_se)
+        assert two.fit == one.fit
+
+    def test_mc_laplace(self, report):
+        one, two = (
+            mc_laplace(self.F, None, self.field, H_TEST, self.grid, [0.5, 0.3], 600,
+                       use_shift=True, gamma_cm=report.gamma, seed=8, batch=128, workers=w)
+            for w in (1, 2)
+        )
+        assert two == one
+
+    def test_worker_error_reaches_caller(self, report):
+        tight = dataclasses.replace(self.field, guard=0.5)
+        with pytest.raises(DivergenceError, match="exceeded"):
+            mc_laplace(self.F, None, tight, H_TEST, self.grid, [0.5], 600, use_shift=True,
+                       gamma_cm=report.gamma, seed=8, batch=128, workers=2)
+
+    def test_dead_worker_raises(self):
+        def die_on_two(b):
+            if b == 2:
+                os._exit(1)
+            return b
+
+        with pytest.raises(BrokenProcessPool):
+            _map_blocks(die_on_two, range(4), 2)
+
+    def test_one_worker_starts_no_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        assert _map_blocks(lambda b: b * b, range(4), 1) == [0, 1, 4, 9]
+        table = mc_laplace(self.F, None, self.field, H_TEST, self.grid, [0.5], 300, batch=128)
+        assert len(table) == 1
+        # one block needs no pool either
+        assert _map_blocks(lambda b: -b, [3], 2) == [-3]
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            _map_blocks(abs, [1, 2], 0)
 
 
 class TestExpansionFit:

@@ -71,6 +71,14 @@ class TestHeunControlled:
         with pytest.raises(DivergenceError):
             solve(explode, SampledPath(g, g.points), np.zeros(1))
 
+    def test_non_finite_state_raises(self):
+        # a NaN state compares False with the guard, yet must raise
+        g = TimeGrid.uniform(9)
+        inc = np.full((8, 1), 0.1)
+        inc[3] = np.nan
+        with pytest.raises(DivergenceError, match="not finite"):
+            heun_controlled(constant_field([[1.0]]), g, inc, np.zeros(1))
+
 
 class TestLinearFlow:
     """The flow M, M^{-1} of the shared homogeneous part, through the
