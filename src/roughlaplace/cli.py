@@ -275,9 +275,11 @@ def run_rde(rc: RunContext):
     rc.declare("solution.csv", "ladder.json")
     rc.manifest("started")
     field_spec = _field(cfg)
-    driver = sample_fbm_ensemble(grid, cfg.H, cfg.d, 1, cfg.seed)[0]
+    with rc.stage("sample_s"):
+        driver = sample_fbm_ensemble(grid, cfg.H, cfg.d, 1, cfg.seed)[0]
     eps = cfg.eps_list[0] if cfg.eps_list else 1.0
-    sol = solve_rde(field_spec, eps, driver)
+    with rc.stage("solve_s"):
+        sol = solve_rde(field_spec, eps, driver)
     _write(rc.out, "solution.csv", path_to_csv(sol))
     _write(rc.out, "ladder.json", json.dumps(sol.meta, indent=2, sort_keys=True))
 
@@ -292,13 +294,15 @@ def run_taylor_slope(rc: RunContext):
         cfg.extras.get("gamma_coeffs", [[0.2] * cfg.d, [0.3] * cfg.d]), dtype=float
     )
     gamma = cm_map(gamma_coeffs, cfg.H, grid).induced_path
-    drivers = sample_fbm_ensemble(grid, cfg.H, cfg.d, cfg.n_samples, cfg.seed)
+    with rc.stage("sample_s"):
+        drivers = sample_fbm_ensemble(grid, cfg.H, cfg.d, cfg.n_samples, cfg.seed)
     hp = cfg.hurst()
     reports = {}
     for m in (1, 2):
-        reports[f"m{m}"] = taylor_remainder_slope(
-            field_spec, gamma, drivers, m, eps_list=cfg.eps_list or None, p=hp.p
-        )
+        with rc.stage(f"slope_m{m}_s"):
+            reports[f"m{m}"] = taylor_remainder_slope(
+                field_spec, gamma, drivers, m, eps_list=cfg.eps_list or None, p=hp.p
+            )
     _write(rc.out, "slopes.json", json.dumps(reports, indent=2, sort_keys=True))
     for m in (1, 2):
         rep = reports[f"m{m}"]
@@ -514,7 +518,8 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
 
 ## rde
 - `solution.csv`: first-level solution path, `t,y1..yn`.
-- `ladder.json`: dyadic convergence ladder (levels, diffs, ratio, cauchy flag).
+- `ladder.json`: dyadic convergence ladder (levels, diffs, ratio,
+  observed_order = log2 of the last two diffs' ratio or null, cauchy flag).
 
 ## taylor-slope
 - `slopes.json`: per order m in {1,2}: eps list, ensemble-mean remainder

@@ -134,14 +134,18 @@ def integral_quadratic(Q, v=None, c0: float = 0.0) -> FunctionalSpec:
 
 
 def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
-    """sigma(y) = S constant; optional linear drift beta(eps, y) = B y."""
+    """sigma(y) = S constant; optional linear drift beta(eps, y) = B y.
+
+    ``sigma`` and ``dbeta_y`` return read-only broadcast views of S and B,
+    not copies.
+    """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     n, d = S.shape
     B = None if beta_matrix is None else np.asarray(beta_matrix, dtype=float)
 
     def sigma(y):
         y = np.asarray(y, dtype=float)
-        return np.broadcast_to(S, y.shape[:-1] + (n, d)).copy()
+        return np.broadcast_to(S, y.shape[:-1] + (n, d))
 
     def beta(eps, y):
         y = np.asarray(y, dtype=float)
@@ -156,7 +160,7 @@ def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
         dbeta_y = zeros((n, n))
     else:
         def dbeta_y(eps, y):
-            return np.broadcast_to(B, np.asarray(y).shape[:-1] + (n, n)).copy()
+            return np.broadcast_to(B, np.asarray(y).shape[:-1] + (n, n))
 
     return VectorFieldSpec(
         n=n,

@@ -21,6 +21,7 @@ import numpy as np
 from .fbm import cm_basis, onb_interp
 from .functionals import FunctionalSpec
 from .grids import SampledPath
+from .odes import _matvec
 from .taylor import (
     ExpansionContext,
     _as_values,
@@ -64,7 +65,7 @@ def v_forms(ctx: ExpansionContext, f, k):
 
 def _sigma0_times(ctx: ExpansionContext, f_vals: np.ndarray) -> np.ndarray:
     """sigma(phi0_s) f_s, batched: (..., N, n)."""
-    return np.einsum("iab,...ib->...ia", ctx.sigma0, f_vals)
+    return _matvec(ctx.sigma0, f_vals)
 
 
 def _r1_values(ctx: ExpansionContext, f_vals: np.ndarray, dk: np.ndarray) -> np.ndarray:

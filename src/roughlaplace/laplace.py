@@ -139,10 +139,9 @@ def _map_blocks(fn, blocks, workers: int = 1) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _gamma_from_coeffs(coeffs: np.ndarray, basis) -> SampledPath:
-    flat = coeffs.reshape(-1)
-    vals = np.einsum("a,atd->td", flat, np.stack([b.induced_path.values for b in basis]))
-    return SampledPath(basis[0].induced_path.grid, vals)
+def _gamma_from_coeffs(coeffs: np.ndarray, k_stack: np.ndarray, grid: TimeGrid) -> SampledPath:
+    """The path sum_a c_a k_a from the stacked basis paths ``k_stack`` (nb, N, d)."""
+    return SampledPath(grid, np.einsum("a,atd->td", coeffs.reshape(-1), k_stack))
 
 
 def minimize_F_Lambda(
@@ -171,7 +170,7 @@ def minimize_F_Lambda(
     nb = len(basis)
 
     def objective_grad(coeffs: np.ndarray):
-        gamma = _gamma_from_coeffs(coeffs, basis)
+        gamma = _gamma_from_coeffs(coeffs, k_stack, grid)
         ctx = expansion_context(field_spec, gamma)
         chi_all = _chi_values(ctx, k_stack)
         gF = functional.grad(ctx.phi0.values, chi_all, grid)
@@ -218,7 +217,7 @@ def minimize_F_Lambda(
 
     gamma_cm = CameronMartinVector(
         coeffs=c.reshape(nb // d, d),
-        induced_path=_gamma_from_coeffs(c, basis),
+        induced_path=_gamma_from_coeffs(c, k_stack, grid),
         hurst=HurstParams.default(H),
     )
     report = LaplaceReport(

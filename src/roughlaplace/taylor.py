@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import SampledPath, TimeGrid
-from .odes import VectorFieldSpec, heun_controlled, linear_perturbation_solve
+from .odes import VectorFieldSpec, _matvec, heun_controlled, linear_perturbation_solve
 from .variation import coarsen_dyadic, pvar_exact
 
 __all__ = [
@@ -117,9 +117,8 @@ def _endpoint_sources(integrand: np.ndarray, increments: np.ndarray):
     ``integrand``: (..., N, n, d) values, ``increments``: (..., n_steps, d).
     Returns (srcL, srcR) of shape (..., n_steps, n).
     """
-    sL = np.einsum("...iab,...ib->...ia", integrand[..., :-1, :, :], increments)
-    sR = np.einsum("...iab,...ib->...ia", integrand[..., 1:, :, :], increments)
-    return sL, sR
+    return (_matvec(integrand[..., :-1, :, :], increments),
+            _matvec(integrand[..., 1:, :, :], increments))
 
 
 def _dt_sources(values: np.ndarray, dt: np.ndarray):
@@ -168,7 +167,7 @@ def _quad_sources(ctx: ExpansionContext, z1: np.ndarray, z2: np.ndarray, out=(No
 def _eps_sources(ctx: ExpansionContext, z: np.ndarray, out):
     """Adds the sources P<z> + D/2 from the drift's eps-derivatives into ``out``."""
     for o, P, D, zk in zip(out, ctx.P, ctx.D, (z[..., :-1, :], z[..., 1:, :])):
-        o += np.einsum("iab,...ib->...ia", P, zk)
+        _matvec(P, zk, out=o)
         o += 0.5 * D
     return out
 
@@ -346,6 +345,9 @@ def solve_rde(
     extrapolates the two finest levels, and attaches the convergence ladder in
     ``meta['ladder']``.  A ladder ratio above 0.9 marks a non-Cauchy ladder
     (``meta['cauchy'] = False``); the extrapolated result is still returned.
+    ``meta['ladder']['observed_order']`` is log2 of the ratio of the last two
+    level differences, or None when it is undefined; the extrapolation does
+    not read it yet and assumes order 2.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -386,6 +388,11 @@ def solve_rde(
         # worst non-Cauchy signature, not a converged ladder
         ratio = 0.0 if diffs[-1] == 0.0 else math.inf
     cauchy = ratio <= 0.9
+    # the convergence order the last two differences show; undefined when
+    # there are fewer than two or either vanishes
+    observed_order = None
+    if len(diffs) >= 2 and diffs[-2] > 0.0 and diffs[-1] > 0.0:
+        observed_order = math.log2(diffs[-2] / diffs[-1])
 
     fine = solutions[levels[-1]]
     out_vals = fine.values.copy()
@@ -402,7 +409,8 @@ def solve_rde(
         )
         out_vals = out_vals + interp
     meta = {
-        "ladder": {"levels": levels, "diffs": diffs, "ratio": ratio},
+        "ladder": {"levels": levels, "diffs": diffs, "ratio": ratio,
+                   "observed_order": observed_order},
         "cauchy": cauchy,
     }
     return SampledPath(fine.grid, out_vals, meta=meta)

@@ -77,9 +77,10 @@ class TestRuns:
                "seed": 5, "eps_list": [0.5]}
         out = run(ExperimentConfig.from_dict(raw), tmp_path)
         ladder = json.loads(read(out, "ladder.json"))
-        assert "ladder" in ladder
+        assert "ladder" in ladder and "observed_order" in ladder["ladder"]
         sol = read(out, "solution.csv")
         assert sol.splitlines()[0] == "t,x1,x2"
+        assert_stage_timings(out, {"sample_s", "solve_s"})
 
     def test_invalid_config_rejected(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"kind": "simulate", "grid_size": 1})
@@ -250,6 +251,7 @@ def test_taylor_slope_run_small(tmp_path):
     slopes = json.loads(read(out, "slopes.json"))
     assert 1.5 <= slopes["m1"]["slope"] <= 2.5
     assert 2.4 <= slopes["m2"]["slope"] <= 3.6
+    assert_stage_timings(out, {"sample_s", "slope_m1_s", "slope_m2_s"})
 
 
 def test_laplace_run_small(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,15 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import linear_flow, random_smooth_path
-from roughlaplace.functionals import constant_field, tanh_field
+from roughlaplace.functionals import constant_field, endpoint_quadratic, tanh_field
 from roughlaplace.grids import SampledPath, TimeGrid
-from roughlaplace.odes import DivergenceError, VectorFieldSpec, heun_controlled
+from roughlaplace.hessian import hessian_matrix
+from roughlaplace.odes import (
+    DivergenceError,
+    VectorFieldSpec,
+    heun_controlled,
+    linear_perturbation_solve,
+)
 from roughlaplace.taylor import expansion_context
 
 
@@ -78,6 +85,112 @@ class TestHeunControlled:
         inc[3] = np.nan
         with pytest.raises(DivergenceError, match="not finite"):
             heun_controlled(constant_field([[1.0]]), g, inc, np.zeros(1))
+
+
+def two_stage_solve(omL, omR, srcL, srcR):
+    """Oracle: the linear solve's Heun step in its two-stage form,
+    s1 = omL z + srcL, s2 = omR (z + s1) + srcR, z <- z + (s1 + s2)/2."""
+    n_steps, n = omL.shape[0], omL.shape[-1]
+    lead = srcL.shape[:-2]
+    z = np.zeros(lead + (n,))
+    out = np.empty(lead + (n_steps + 1, n))
+    out[..., 0, :] = 0.0
+    for i in range(n_steps):
+        s1 = np.einsum("ab,...b->...a", omL[i], z) + srcL[..., i, :]
+        s2 = np.einsum("ab,...b->...a", omR[i], z + s1) + srcR[..., i, :]
+        z = z + 0.5 * (s1 + s2)
+        out[..., i + 1, :] = z
+    return out
+
+
+class TestLinearPerturbationSolve:
+    """The affine step map z <- T z + b against the two-stage Heun step."""
+
+    @staticmethod
+    def _ctx(field, n_points=129, seed=8):
+        g = TimeGrid.uniform(n_points)
+        rng = np.random.default_rng(seed)
+        return expansion_context(field, random_smooth_path(g, field.d, rng))
+
+    @staticmethod
+    def _sources(ctx, lead, seed):
+        rng = np.random.default_rng(seed)
+        shape = lead + (ctx.grid.n_steps, ctx.field.n)
+        return rng.normal(size=shape) * 0.1, rng.normal(size=shape) * 0.1
+
+    @pytest.mark.parametrize("nd", [(2, 2), (1, 1)])
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+    def test_matches_two_stage_step(self, nd, lead):
+        ctx = self._ctx(tanh_field(*nd, coef_seed=4))
+        assert np.abs(ctx.omL).max() > 0.0  # a nonzero generator
+        sL, sR = self._sources(ctx, lead, seed=1)
+        got = linear_perturbation_solve(ctx.omL, ctx.omR, sL, sR)
+        want = two_stage_solve(ctx.omL, ctx.omR, sL, sR)
+        assert got.shape == want.shape == lead + (len(ctx.grid), nd[0])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+    def test_zero_generator_bit_identical(self, lead):
+        ctx = self._ctx(constant_field([[1.0, 0.3], [-0.2, 0.8]]))
+        assert np.abs(ctx.omL).max() == 0.0 and np.abs(ctx.omR).max() == 0.0
+        sL, sR = self._sources(ctx, lead, seed=2)
+        got = linear_perturbation_solve(ctx.omL, ctx.omR, sL, sR)
+        assert np.array_equal(got, two_stage_solve(ctx.omL, ctx.omR, sL, sR))
+
+    def test_linear_in_sources(self):
+        ctx = self._ctx(tanh_field(2, 2, coef_seed=4))
+        a, b = self._sources(ctx, (3,), seed=3), self._sources(ctx, (3,), seed=4)
+
+        def solve(src):
+            return linear_perturbation_solve(ctx.omL, ctx.omR, *src)
+
+        combo = tuple(2.5 * x - 0.75 * y for x, y in zip(a, b))
+        want = 2.5 * solve(a) - 0.75 * solve(b)
+        assert np.abs(solve(combo) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def read_only_outputs(field):
+    """The same field with every evaluator returning a read-only array."""
+
+    def frozen(fn):
+        def wrapped(*args):
+            out = np.array(fn(*args), dtype=float)
+            out.setflags(write=False)
+            return out
+        return wrapped
+
+    names = ("sigma", "beta", "dsigma", "d2sigma", "dbeta_y", "d2beta_y",
+             "dbeta_eps", "d2beta_eps", "dbeta_y_eps")
+    return dataclasses.replace(field, **{k: frozen(getattr(field, k)) for k in names})
+
+
+@pytest.mark.parametrize("field", [tanh_field(2, 2, coef_seed=6),
+                                   constant_field([[1.0, 0.3], [-0.2, 0.8]])],
+                         ids=["tanh", "constant"])
+def test_read_only_evaluator_outputs(field):
+    # evaluator outputs are read-only to callers: no solver writes into them
+    g = TimeGrid.uniform(65)
+    rng = np.random.default_rng(4)
+    gamma = random_smooth_path(g, 2, rng)
+    frozen = read_only_outputs(field)
+    assert not frozen.sigma_at(np.zeros(2)).flags.writeable
+    inc = random_smooth_path(g, 2, rng).increments()
+
+    def outputs(f):
+        y = heun_controlled(f, g, inc, np.zeros(2), eps_beta=0.3)
+        ctx = expansion_context(f, gamma)
+        hm = hessian_matrix(endpoint_quadratic([[0.5, 0.1], [0.1, 0.3]]), ctx, 3, 0.4)
+        return y, ctx.phi0.values, hm.A
+
+    for got, want in zip(outputs(frozen), outputs(field)):
+        assert np.array_equal(got, want)
+
+
+def test_constant_field_returns_views():
+    f = constant_field([[1.0, 0.3], [-0.2, 0.8]], beta_matrix=[[0.1, 0.0], [0.0, -0.2]])
+    ys = np.zeros((7, 2))
+    for out in (f.sigma(ys), f.dbeta_y(0.0, ys)):
+        assert not out.flags.writeable and out.shape[0] == 7
 
 
 class TestLinearFlow:

@@ -75,6 +75,32 @@ class TestSolveRde:
         assert "ladder" in sol.meta and len(sol.meta["ladder"]["diffs"]) == 2
         assert sol.meta["cauchy"]
 
+    def test_observed_order(self, ctx513, driver513):
+        # log2 of the last two level differences; a smooth driver shows Heun's 2
+        sol = solve_rde(ctx513.field, 0.5, SampledPath(TimeGrid.dyadic(9), driver513.values))
+        ladder = sol.meta["ladder"]
+        d1, d2 = ladder["diffs"]
+        assert ladder["observed_order"] == math.log2(d1 / d2)
+        assert 1.7 < ladder["observed_order"] < 2.3
+
+    def test_observed_order_undefined(self, ctx513):
+        g = TimeGrid.dyadic(7)
+        x = random_smooth_path(g, 2, np.random.default_rng(0))
+        # a zero driver without drift: every level is exact, both differences vanish
+        exact = solve_rde(constant_field(np.eye(2)), 0.3, SampledPath(g, np.zeros((len(g), 2))))
+        assert exact.meta["ladder"]["diffs"] == [0.0, 0.0]
+        # one difference only
+        short = solve_rde(ctx513.field, 0.3, x, ladder_depth=1)
+        assert len(short.meta["ladder"]["diffs"]) == 1
+        # a vanishing earlier difference: a driftless field along a sawtooth,
+        # whose coarsenings below the top level are flat
+        vals = np.zeros((len(g), 2))
+        vals[1::2, 0] = 1.0
+        saw = solve_rde(tanh_field(2, 2, coef_seed=5, drift_scale=0.0), 0.5, SampledPath(g, vals))
+        assert saw.meta["ladder"]["diffs"][0] == 0.0
+        for sol in (exact, short, saw):
+            assert sol.meta["ladder"]["observed_order"] is None
+
     def test_non_cauchy_flagged(self, ctx513):
         # sawtooth driver: every dyadic coarsening below the top level is
         # flat, so the ladder cannot be Cauchy; result still returned
@@ -451,3 +477,34 @@ class TestSourceAssembly:
             self._close((V1.values, V2.values), (ctx.solve(*s1)[b], ctx.solve(*s2)[b]))
             R1, R2 = r_forms(ctx, f_vals[b], k_vals[b])
             self._close((R1.values, R2.values), (ctx.solve(*r1)[b], ctx.solve(*r2)[b]))
+
+    @pytest.mark.parametrize("nd", [(2, 2), (1, 1), (2, 3)])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_small_axis_contractions(self, nd, lead):
+        # the endpoint, sigma0-times and eps sources against their einsum forms
+        from roughlaplace.hessian import _sigma0_times
+        from roughlaplace.taylor import _endpoint_sources, _eps_sources
+
+        n, d = nd
+        g = TimeGrid.uniform(65)
+        rng = np.random.default_rng(23)
+        ctx = expansion_context(tanh_field(n, d, coef_seed=4),
+                                random_smooth_path(g, d, rng, scale=0.4))
+        f_vals = rng.normal(size=lead + (len(g), d))
+        dk = np.diff(f_vals, axis=-2)
+        ends = (slice(None, -1), slice(1, None))
+        self._close(
+            _endpoint_sources(ctx.sigma0, dk),
+            [np.einsum("...iab,...ib->...ia", ctx.sigma0[sl], dk) for sl in ends],
+        )
+        self._close(
+            (_sigma0_times(ctx, f_vals),),
+            (np.einsum("iab,...ib->...ia", ctx.sigma0, f_vals),),
+        )
+        z = rng.normal(size=lead + (len(g), n))
+        base = [rng.normal(size=lead + (g.n_steps, n)) for _ in ends]
+        want = [
+            b + np.einsum("iab,...ib->...ia", P, z[..., sl, :]) + 0.5 * D
+            for b, P, D, sl in zip(base, ctx.P, ctx.D, ends)
+        ]
+        self._close(_eps_sources(ctx, z, out=[b.copy() for b in base]), want)
