@@ -98,14 +98,9 @@ class ExperimentConfig:
             errors.append("n_samples must be positive")
         if self.kind != "kappa":
             try:
-                hp = self.hurst()
+                self.hurst()
             except ValueError as e:
                 errors.append(str(e))
-            else:
-                if hp.H < 0.5:
-                    for name, ok in hp.window_checks():
-                        if not ok:
-                            errors.append(f"parameter window violated: {name}")
         return errors
 
     def numeric_dict(self) -> dict:
@@ -151,11 +146,10 @@ def _csv(rows, header) -> str:
 
 
 class RunContext:
-    def __init__(self, cfg: ExperimentConfig, out_dir: Path, workers: int = 1, plots: bool = False):
+    def __init__(self, cfg: ExperimentConfig, out_dir: Path, workers: int = 1):
         self.cfg = cfg
         self.out = out_dir
         self.workers = workers
-        self.plots = plots
         self.artifacts: list = []
         self.timings: dict = {}
 
@@ -185,43 +179,20 @@ class RunContext:
         }
         _write(self.out, "manifest.json", json.dumps(doc, indent=2, sort_keys=True))
 
-    def maybe_plot(self, name: str, xs, ys_dict, xlabel: str, ylabel: str, logx=False, logy=False):
-        if not self.plots:
-            return
-        try:
-            import matplotlib
-            matplotlib.use("Agg")
-            import matplotlib.pyplot as plt
-        except ImportError as e:
-            raise RuntimeError("plots require matplotlib (install extras: plots)") from e
-        fig, ax = plt.subplots(figsize=(5, 3.4))
-        for label, ys in ys_dict.items():
-            ax.plot(xs, ys, marker="o", ms=3, label=label)
-        if logx:
-            ax.set_xscale("log")
-        if logy:
-            ax.set_yscale("log")
-        ax.set_xlabel(xlabel)
-        ax.set_ylabel(ylabel)
-        if len(ys_dict) > 1:
-            ax.legend(fontsize=8)
-        fig.tight_layout()
-        fig.savefig(self.out / name, format="svg")
-        plt.close(fig)
-        self.declare(name)
-
 
 def run_simulate(rc: RunContext):
     cfg = rc.cfg
     grid = TimeGrid.uniform(cfg.grid_size)
     rc.declare("samples.csv", "summary.json")
     rc.manifest("started")
-    paths = sample_fbm_ensemble(grid, cfg.H, cfg.d, cfg.n_samples, cfg.seed)
-    lines = ["sample_id,t," + ",".join(f"x{j+1}" for j in range(cfg.d))]
-    for sid, p in enumerate(paths):
-        for t, row in zip(grid.points, p.values):
-            lines.append(f"{sid}," + ",".join(f"{v:.17g}" for v in (t, *row)))
-    _write(rc.out, "samples.csv", "\n".join(lines) + "\n")
+    with rc.stage("sample_s"):
+        paths = sample_fbm_ensemble(grid, cfg.H, cfg.d, cfg.n_samples, cfg.seed)
+    with rc.stage("csv_s"):
+        lines = ["sample_id,t," + ",".join(f"x{j+1}" for j in range(cfg.d))]
+        for sid, p in enumerate(paths):
+            for t, row in zip(grid.points, p.values):
+                lines.append(f"{sid}," + ",".join(f"{v:.17g}" for v in (t, *row)))
+        _write(rc.out, "samples.csv", "\n".join(lines) + "\n")
     arr = np.stack([p.values for p in paths])
     i, j = len(grid) // 4, 3 * len(grid) // 4
     inc = arr[:, j] - arr[:, i]
@@ -243,12 +214,16 @@ def run_lift(rc: RunContext):
     names = [f"rough_level{j}.csv" for j in range(1, level + 1)]
     rc.declare("driver.csv", *names, "chen.json")
     rc.manifest("started")
-    path = sample_fbm_ensemble(grid, cfg.H, cfg.d, 1, cfg.seed)[0]
+    with rc.stage("sample_s"):
+        path = sample_fbm_ensemble(grid, cfg.H, cfg.d, 1, cfg.seed)[0]
     _write(rc.out, "driver.csv", path_to_csv(path))
-    X = lift(path, level)
+    with rc.stage("lift_s"):
+        X = lift(path, level)
     for j, text in roughpath_to_csv(X).items():
         _write(rc.out, f"rough_level{j}.csv", text)
-    _write(rc.out, "chen.json", json.dumps({"chen_residual": chen_residual(X)}))
+    with rc.stage("chen_s"):
+        residual = chen_residual(X)
+    _write(rc.out, "chen.json", json.dumps({"chen_residual": residual}))
 
 
 def run_pvar(rc: RunContext):
@@ -256,13 +231,14 @@ def run_pvar(rc: RunContext):
     rc.declare("cosine_pvar.csv")
     rc.manifest("started")
     rows = []
-    for nmode in range(1, cfg.extras.get("n_max", 16) + 1):
-        for p in cfg.extras.get("p_list", [1.5, 2.0, 3.5]):
-            grid = TimeGrid(np.linspace(0.0, 1.0, nmode + 1))
-            path = SampledPath(grid, np.cos(nmode * math.pi * grid.points) - 1.0)
-            dp = pvar_exact(path, p).value
-            closed = cosine_pvar(nmode, p)
-            rows.append((nmode, float(p), closed, dp, abs(dp - closed)))
+    with rc.stage("pvar_s"):
+        for nmode in range(1, cfg.extras.get("n_max", 16) + 1):
+            for p in cfg.extras.get("p_list", [1.5, 2.0, 3.5]):
+                grid = TimeGrid(np.linspace(0.0, 1.0, nmode + 1))
+                path = SampledPath(grid, np.cos(nmode * math.pi * grid.points) - 1.0)
+                dp = pvar_exact(path, p).value
+                closed = cosine_pvar(nmode, p)
+                rows.append((nmode, float(p), closed, dp, abs(dp - closed)))
     _write(
         rc.out, "cosine_pvar.csv",
         _csv(rows, ["n", "p", "closed_form", "dp_value", "difference"]),
@@ -304,12 +280,6 @@ def run_taylor_slope(rc: RunContext):
                 field_spec, gamma, drivers, m, eps_list=cfg.eps_list or None, p=hp.p
             )
     _write(rc.out, "slopes.json", json.dumps(reports, indent=2, sort_keys=True))
-    for m in (1, 2):
-        rep = reports[f"m{m}"]
-        rc.maybe_plot(
-            f"slope_m{m}.svg", rep["eps_list"], {"remainder": rep["norms"]},
-            "eps", "p-var norm", logx=True, logy=True,
-        )
 
 
 def run_hessian(rc: RunContext):
@@ -352,10 +322,6 @@ def run_hessian(rc: RunContext):
             indent=2, sort_keys=True,
         ),
     )
-    rc.maybe_plot(
-        "hs_partial_sums.svg", rep.N_list, {"partial sum": rep.partial_sums},
-        "N", "sum of squared norms",
-    )
 
 
 def run_laplace(rc: RunContext):
@@ -390,10 +356,6 @@ def run_laplace(rc: RunContext):
     rep.fit = {**(rep.fit or {}), **fit}
     _write(rc.out, "mc_table.csv", _csv(table, ["eps", "J_hat", "se", "n"]))
     _write(rc.out, "report.json", json.dumps(rep.to_dict(), indent=2, sort_keys=True))
-    rc.maybe_plot(
-        "expansion_fit.svg", [r[0] for r in table],
-        {"rescaled J": fit["rescaled_values"]}, "eps", "J exp(a/eps^2 + c/eps)",
-    )
 
 
 # Paths per running-signature block in scale-test: the stacked block stays
@@ -445,12 +407,13 @@ def run_kappa(rc: RunContext):
     rc.declare("kappa.csv")
     rc.manifest("started")
     count = cfg.extras.get("count", 9)
-    ladder = kappa_ladder(cfg.H, count)
-    st = short_time_transform(cfg.extras.get("T", 0.25), cfg.H)
-    rows = [
-        (i, float(k), float(st.order_exponent(k)))
-        for i, k in enumerate(ladder.indices)
-    ]
+    with rc.stage("ladder_s"):
+        ladder = kappa_ladder(cfg.H, count)
+        st = short_time_transform(cfg.extras.get("T", 0.25), cfg.H)
+        rows = [
+            (i, float(k), float(st.order_exponent(k)))
+            for i, k in enumerate(ladder.indices)
+        ]
     _write(rc.out, "kappa.csv", _csv(rows, ["index", "kappa", "short_time_exponent"]))
 
 
@@ -467,7 +430,7 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, out_root, workers: int = 1, plots: bool = False) -> Path:
+def run(cfg: ExperimentConfig, out_root, workers: int = 1) -> Path:
     """Validate, create the hashed output directory, and execute the experiment.
 
     The manifest is written first (status "started", artifacts declared) and
@@ -480,7 +443,7 @@ def run(cfg: ExperimentConfig, out_root, workers: int = 1, plots: bool = False) 
         raise ValueError(f"workers must be at least 1, got {workers}")
     out_dir = Path(out_root) / f"{cfg.kind}-{cfg.config_hash()}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    rc = RunContext(cfg, out_dir, workers=workers, plots=plots)
+    rc = RunContext(cfg, out_dir, workers=workers)
     try:
         _RUNNERS[cfg.kind](rc)
     except Exception:
@@ -502,30 +465,40 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
 `workers`: the worker processes the run was given.
 
 ## simulate
+- timings: `sample_s` (fBm ensemble), `csv_s` (formatting and writing
+  `samples.csv`).
 - `samples.csv`: columns `sample_id,t,x1..xd`; one row per grid point per sample.
 - `summary.json`: increment variance at the quartile pair vs `|t-s|^(2H)`,
   endpoint second moment.
 
 ## lift
+- timings: `sample_s` (driver), `lift_s` (all-pairs level-j increments),
+  `chen_s` (Chen defect).
 - `driver.csv`: `t,x1..xd` (17 significant digits).
 - `rough_level{j}.csv`: columns `i,j,v0..` with the flattened level-j tensor
   for each grid pair i <= j.
 - `chen.json`: max Chen defect over grid triples.
 
 ## pvar
+- timings: `pvar_s` (the p-variation programs over the cosine corpus).
 - `cosine_pvar.csv`: columns `n,p,closed_form,dp_value,difference` for the
   cosine corpus.
 
 ## rde
+- timings: `sample_s` (driver), `solve_s` (dyadic ladder of solves).
 - `solution.csv`: first-level solution path, `t,y1..yn`.
 - `ladder.json`: dyadic convergence ladder (levels, diffs, ratio,
   observed_order = log2 of the last two diffs' ratio or null, cauchy flag).
 
 ## taylor-slope
+- timings: `sample_s` (drivers), `slope_m1_s`, `slope_m2_s` (remainder
+  slopes of order 1 and 2).
 - `slopes.json`: per order m in {1,2}: eps list, ensemble-mean remainder
   norms, fitted slope, r_squared.
 
 ## hessian
+- timings: `cm_s` (gamma), `hessian_s` (expansion context and Hessian),
+  `hs_tail_s` (Hilbert-Schmidt partial sums).
 - `hessian.csv`: dense symmetric truncated Hessian matrix (no header).
 - `hessian_meta.json`: basis name, truncation, Hurst, gamma hash (CRC-32 of
   the gamma sample bytes).
@@ -535,15 +508,19 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
   reference tail exponents.
 
 ## laplace
+- timings: `minimize_s`, `constants_s`, `mc_s`, `fit_s`.
 - `mc_table.csv`: columns `eps,J_hat,se,n`.
 - `report.json`: minimizer coefficients, F_Lambda, residual, c, alpha0 with
   SE, Hessian minimum eigenvalue, fit record, flags.
 
 ## scale-test
+- timings: `sample_s` (both ensembles), `signature_s` (endpoint areas),
+  `ks_s` (KS test).
 - `scale_test.json`: KS statistic and p-value of the scaled-vs-plain
   level-2 antisymmetric (area) statistic.
 
 ## kappa
+- timings: `ladder_s` (kappa ladder and short-time exponents).
 - `kappa.csv`: columns `index,kappa,short_time_exponent` (exponent = kappa*H).
 """
 
@@ -563,7 +540,6 @@ def main(argv=None) -> int:
                         help="worker processes for the laplace kind's Monte Carlo "
                              "blocks and optimizer restarts (forked; numbers do "
                              "not depend on it)")
-        sp.add_argument("--plots", action="store_true", help="emit SVG plots")
     sp = sub.add_parser("schema", help="write SCHEMA.md documenting artifact columns")
     sp.add_argument("--out", type=str, default="SCHEMA.md")
 
@@ -585,7 +561,7 @@ def main(argv=None) -> int:
         raw["seed"] = args.seed
     try:
         cfg = ExperimentConfig.from_dict(raw)
-        out_dir = run(cfg, args.out, workers=args.workers, plots=args.plots)
+        out_dir = run(cfg, args.out, workers=args.workers)
     except (ValueError, RuntimeError) as e:
         print(str(e), file=sys.stderr)
         return 2

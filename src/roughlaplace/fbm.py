@@ -418,46 +418,18 @@ class CameronMartinVector:
         return float((a[:n] * b[:n]).sum())
 
 
-def cm_map(h, H: float, grid: TimeGrid | None = None) -> CameronMartinVector:
-    """Cameron-Martin path ``k_t = int_0^t K^H(t,s) h_s ds`` on the grid.
-
-    ``h`` is either an (n_modes, d) array of cosine coefficients or a
-    SampledPath of h itself (piecewise-linearly interpolated under the
-    quadrature).
+def cm_map(h, H: float, grid: TimeGrid) -> CameronMartinVector:
+    """Cameron-Martin path ``k_t = int_0^t K^H(t,s) h_s ds`` on the grid, for
+    ``h`` given by an (n_modes, d) array of cosine coefficients.
     """
     params = HurstParams.default(H)
-    if isinstance(h, SampledPath):
-        if grid is None:
-            grid = h.grid
-        hp = h
-
-        def h_eval(ts):
-            return np.stack([np.interp(ts, hp.grid.points, hp.values[:, j]) for j in range(hp.dim)], axis=-1)
-
-        # project onto the cosine modes so the preimage record stays exact
-        n_modes = min(len(hp.grid) // 2, 129)
-        coeffs = _cosine_coeffs(hp, n_modes)
-    else:
-        coeffs = np.atleast_2d(np.asarray(h, dtype=float))
-        if coeffs.ndim != 2:
-            raise ValueError("coefficients must be (n_modes, d)")
-        if grid is None:
-            raise ValueError("a grid is required when h is given by coefficients")
-        h_eval = _cosine_eval(coeffs)
-    vals = _kernel_quadrature(H).apply(grid, h_eval)
+    coeffs = np.atleast_2d(np.asarray(h, dtype=float))
+    if coeffs.ndim != 2:
+        raise ValueError("coefficients must be (n_modes, d)")
+    vals = _kernel_quadrature(H).apply(grid, _cosine_eval(coeffs))
     return CameronMartinVector(
         coeffs=coeffs, induced_path=SampledPath(grid, vals), hurst=params
     )
-
-
-def _cosine_coeffs(h: SampledPath, n_modes: int) -> np.ndarray:
-    t = h.grid.points
-    coeffs = np.empty((n_modes, h.dim))
-    coeffs[0] = np.trapezoid(h.values, t, axis=0)
-    for n in range(1, n_modes):
-        w = math.sqrt(2.0) * np.cos(n * math.pi * t)
-        coeffs[n] = np.trapezoid(h.values * w[:, None], t, axis=0)
-    return coeffs
 
 
 def cm_basis(H: float, grid: TimeGrid, n_modes: int, d: int) -> list:

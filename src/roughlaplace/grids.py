@@ -100,10 +100,6 @@ class SampledPath:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def zero(cls, grid: TimeGrid, dim: int = 1) -> "SampledPath":
-        return cls(grid, np.zeros((len(grid), dim)))
-
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
 

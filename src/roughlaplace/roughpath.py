@@ -1,13 +1,18 @@
 """Level-1/2/3 geometric rough paths over a grid.
 
-Rough paths here are lifts of piecewise-linear representatives (or images of
-such lifts under shift, pairing and scaling), stored as dense two-parameter
-increment arrays for all grid pairs.  Chen's identity then becomes a direct
-array check and the two-parameter variation programs reuse the grid DP.
+Every rough path is formed one way: first its running levels S^k_{0,t} from
+the first grid point, in O(N D^k), then the increments for all grid pairs by
+one Chen expansion, X_{s,t} = S_{0,s}^{-1} (x) S_{0,t}.  The running levels
+are the signature of the piecewise-linear interpolant for :func:`lift`, and
+for :func:`pair` the first row of X, the running signature of k and one
+running sum per mixed word; :func:`shift` folds the pairing's running levels
+onto x + k.  The dense two-parameter arrays make Chen's identity a direct
+array check (:func:`chen_residual`) and let the variation programs reuse the
+grid DP.
 
-Within a grid step every path is read as linear; the cross integrals of the
-shift and pairing use that reading, which makes them exact for polygonal
-inputs and Young-consistent in general.
+Within a grid step the cross integrals of the shift and pairing read k as
+linear and take X's own step increments, which makes them exact for
+polygonal inputs and Young-consistent in general.
 """
 from __future__ import annotations
 
@@ -81,119 +86,95 @@ class XiValue:
     per_level: list
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., :, None] * b[..., None, :]
+def _otimes(a: np.ndarray, b: np.ndarray, ka: int = 1, kb: int = 1) -> np.ndarray:
+    """Tensor product of the last ``ka`` axes of ``a`` with the last ``kb``
+    axes of ``b``; the leading axes broadcast."""
+    return (a[(...,) + (slice(None),) * ka + (None,) * kb]
+            * b[(...,) + (None,) * ka + (slice(None),) * kb])
 
 
-def _outer3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return a[..., :, None, None] * b[..., None, :, None] * c[..., None, None, :]
+def _running(terms: np.ndarray, ax: int = 0) -> np.ndarray:
+    """Running sums of per-step ``terms`` along axis ``ax``: one more grid
+    point than steps, zero at the first."""
+    shape = list(terms.shape)
+    shape[ax] += 1
+    out = np.zeros(shape)
+    np.cumsum(terms, axis=ax, out=out[(slice(None),) * ax + (slice(1, None),)])
+    return out
 
 
-def _cumulants(x: np.ndarray, level: int) -> tuple:
-    """Running sums along the grid axis of ``x`` (shape (..., N, d)), zero at
-    the first grid point:
+def _expand(S: list) -> list:
+    """Increments for every grid pair from running levels ``S[k-1] = S^k_{0,t}``
+    of shape (N,) + (D,) * k, by Chen's identity X_{s,t} = S_{0,s}^{-1} (x) S_{0,t}
+    solved level by level:
 
-        P_j = sum_{u<j} x_u (x) dx_u,  Q_j = sum_{u<j} dx_u^{(x)2} / 2,
+        X^1_{s,t} = S^1_t - S^1_s,
+        X^k_{s,t} = S^k_t - S^k_s - sum_{0<j<k} S^j_s (x) X^{k-j}_{s,t}.
 
-    and at level 3 E_j = sum_{u<j} (P + Q)_u (x) dx_u,
-    G_j = sum_{u<j} x_u (x) dx_u^{(x)2} / 2, T_j = sum_{u<j} dx_u^{(x)3} / 6.
-    Returns (P, Q, P + Q) or (P, Q, P + Q, E, G, T).
+    Entries with t < s are zeroed.
     """
-    ax = x.ndim - 2
-    dx = np.diff(x, axis=ax)
-
-    def running(terms):
-        out = np.zeros(x.shape[:-1] + terms.shape[ax + 1:])
-        np.cumsum(terms, axis=ax, out=out[(slice(None),) * ax + (slice(1, None),)])
-        return out
-
-    P = running(_outer(x[..., :-1, :], dx))
-    Q = running(0.5 * _outer(dx, dx))
-    PQ = P + Q
-    if level == 2:
-        return P, Q, PQ
-    E = running(np.einsum("...uab,...uc->...uabc", PQ[..., :-1, :, :], dx))
-    G = running(0.5 * _outer3(x[..., :-1, :], dx, dx))
-    T = running(_outer3(dx, dx, dx) / 6.0)
-    return P, Q, PQ, E, G, T
-
-
-def _chen_increments(x: np.ndarray, cum: tuple, s: slice) -> list:
-    """Increments X^k_{s,t} from the grid points selected by ``s`` to every
-    grid point t, shape (..., |s|, N) + (d,) * k, for the piecewise-linear
-    path ``x`` with cumulants ``cum`` from :func:`_cumulants`.
-
-    Chen's identity against the first grid point gives each level as a
-    difference of cumulants plus products of lower levels.  Entries with
-    t < s are not increments; :func:`lift` zeroes them.
-    """
-    P, Q, PQ = cum[:3]
-    xs = x[..., s, :]
-    inc1 = x[..., None, :, :] - xs[..., :, None, :]
-    inc2 = (
-        PQ[..., None, :, :, :] - PQ[..., s, None, :, :]
-        - np.einsum("...ia,...ijb->...ijab", xs, inc1)
-    )
-    if len(cum) == 3:
-        return [inc1, inc2]
-    E, G, T = cum[3:]
-
-    def diff(C):
-        return C[..., None, :, :, :, :] - C[..., s, None, :, :, :]
-
-    def base(C):
-        at_t = np.einsum("...ia,...jbc->...ijabc", xs, C)
-        at_s = np.einsum("...ia,...ibc->...iabc", xs, C[..., s, :, :])
-        return at_t - at_s[..., :, None, :, :, :]
-
-    inc3 = diff(E)
-    inc3 -= np.einsum("...iab,...ijc->...ijabc", PQ[..., s, :, :], inc1)
-    inc3 -= base(P)
-    inc3 += np.einsum("...ia,...ib,...ijc->...ijabc", xs, xs, inc1)
-    inc3 += diff(G)
-    inc3 -= base(Q)
-    inc3 += diff(T)
-    return [inc1, inc2, inc3]
+    base = [s[:, None] for s in S]
+    out = []
+    for k, Sk in enumerate(S, start=1):
+        inc = Sk[None] - base[k - 1]
+        for j in range(1, k):
+            inc -= _otimes(base[j - 1], out[k - j - 1], j, k - j)
+        out.append(inc)
+    lower = np.tril(np.ones((len(S[0]),) * 2, dtype=bool), k=-1)
+    for inc in out:
+        inc[lower] = 0.0
+    return out
 
 
 def lift(path: SampledPath, level: int = 2) -> RoughPath:
-    """Iterated integrals of the piecewise-linear interpolant of ``path``.
-
-    Per step the level-j tensor of a linear segment with increment v is
-    v^{tensor j} / j!; steps compose through Chen's identity.  The running
-    sums take O(N d^level) memory; filling every grid pair makes the
-    returned rough path O(N^2 d^level).  Use :func:`running_signature` when
-    only increments from the first grid point are needed.
+    """Iterated integrals of the piecewise-linear interpolant of ``path``:
+    the Chen expansion of its :func:`running_signature` to every grid pair,
+    O(N^2 d^level) memory.  Use :func:`running_signature` when only
+    increments from the first grid point are needed.
     """
-    if level not in (2, 3):
-        raise ValueError("level must be 2 or 3")
-    x = path.values
-    rp = RoughPath(path.grid, level, *_chen_increments(x, _cumulants(x, level), slice(None)))
-    _zero_lower_triangle(rp)
-    return rp
+    return RoughPath(path.grid, level, *_expand(running_signature(path.values, level)))
 
 
 def running_signature(values: np.ndarray, level: int = 2) -> list:
     """Signature levels S^k_{0,j} of the piecewise-linear path from the first
     grid point to every grid point j, for ``values`` of shape (..., N, d).
 
-    Returns ``level`` arrays of shape (..., N) + (d,) * k, k = 1..level; each
-    equals ``lift(path, level).inc{k}[0]`` bit for bit, in O(N d^level)
-    memory per path.
+    Per step the level-k tensor of a linear segment with increment v is
+    v^{(x)k} / k!.  With the running sums from the first grid point
+
+        P_j = sum_{u<j} x_u (x) dx_u,  Q_j = sum_{u<j} dx_u^{(x)2} / 2,
+        E_j = sum_{u<j} (P + Q)_u (x) dx_u,
+        G_j = sum_{u<j} x_u (x) dx_u^{(x)2} / 2,  T_j = sum_{u<j} dx_u^{(x)3} / 6,
+
+    Chen's identity against the first point x_0 gives S^1 = x - x_0,
+    S^2 = P + Q - x_0 (x) S^1 and
+    S^3 = E - x_0 (x) P + x_0 (x) x_0 (x) S^1 + G - x_0 (x) Q + T.
+
+    Returns ``level`` arrays of shape (..., N) + (d,) * k, k = 1..level, in
+    O(N d^level) memory per path.
     """
     if level not in (2, 3):
         raise ValueError("level must be 2 or 3")
     x = np.asarray(values, dtype=float)
-    incs = _chen_increments(x, _cumulants(x, level), slice(0, 1))
     ax = x.ndim - 2
-    return [inc.squeeze(axis=ax) for inc in incs]
-
-
-def _zero_lower_triangle(X: RoughPath):
-    n = len(X.grid)
-    mask = np.tril(np.ones((n, n), dtype=bool), k=-1)
-    for arr in X.levels():
-        arr[mask] = 0.0
+    dx = np.diff(x, axis=ax)
+    x0, xu = x[..., :1, :], x[..., :-1, :]
+    P = _running(_otimes(xu, dx), ax)
+    Q = _running(0.5 * _otimes(dx, dx), ax)
+    PQ = P + Q
+    S1 = x - x0
+    S2 = PQ - _otimes(x0, S1)
+    if level == 2:
+        return [S1, S2]
+    E = _running(_otimes(PQ[..., :-1, :, :], dx, 2), ax)
+    G = _running(0.5 * _otimes(_otimes(xu, dx), dx, 2), ax)
+    T = _running(_otimes(_otimes(dx, dx), dx, 2) / 6.0, ax)
+    S3 = E - _otimes(x0, P, 1, 2)
+    S3 += _otimes(_otimes(x0, x0), S1, 2)
+    S3 += G
+    S3 -= _otimes(x0, Q, 1, 2)
+    S3 += T
+    return [S1, S2, S3]
 
 
 def chen_residual(X: RoughPath) -> float:
@@ -280,184 +261,86 @@ def djp_seminorm(
 # ---------------------------------------------------------------------------
 # shift and pairing
 #
-# Mixed iterated integrals over the words {x,k}^2 and {x,k}^3 computed as
-# Young integrals, with the within-step linear reading supplying the 1/2,
-# 1/3, 1/6 step corrections (exact for polygonal inputs).  The (k,x,x) word
-# uses the integration-by-parts rewriting through dX^2.
+# The running levels of the pair (x, k) from the first grid point: the pure
+# blocks are X's first row and k's running signature; each mixed word is one
+# running sum of Chen step terms, with k read as linear within a step and
+# X's own step increments X^2_{u,u+1} (exact for polygonal inputs,
+# Young-consistent in general).  The (k,x,x) word goes through integration
+# by parts, int (k - k_0) (x) dX^2 - int J (x) dx with J = int dk (x) x, so
+# that every sum pairs a q-variation factor with a p-variation one.  The
+# shift is the pairing folded onto x + k; the fold is linear, so it
+# commutes with the Chen expansion and happens on the running levels.
 # ---------------------------------------------------------------------------
 
 
-def _cross_words(X: RoughPath, k_vals: np.ndarray, want_level3: bool) -> dict:
-    x = X.inc1[0]  # first-level path started at the first grid value offset 0
-    n, d = x.shape
-    dk_all = np.diff(k_vals, axis=0)
-    dx_all = np.diff(x, axis=0)
-    dkm = k_vals.shape[1]
+def _pair_running(X: RoughPath, k: SampledPath) -> list:
+    """Running levels Z^j_{0,t} of the concatenated path (x, k), shape
+    (N,) + (d + e,) * j for j = 1..X.level."""
+    if len(k.grid) != len(X.grid) or not np.allclose(k.grid.points, X.grid.points):
+        raise ValueError("k must live on the rough path's grid")
+    n, d, e = len(X.grid), X.dim, k.dim
+    steps = np.arange(n - 1)
+    x, X2, X2s = X.inc1[0], X.inc2[0], X.inc2[steps, steps + 1]
+    K = running_signature(k.values, X.level)
+    kv = K[0]
+    dx, dk = np.diff(x, axis=0), np.diff(kv, axis=0)
+    xu, ku = x[:-1], kv[:-1]
+    xk = _running(_otimes(xu, dk) + 0.5 * _otimes(dx, dk))
+    kx = _running(_otimes(ku, dx) + 0.5 * _otimes(dk, dx))
+    blocks = {"x": x, "k": kv, "xx": X2, "kk": K[1], "xk": xk, "kx": kx}
+    if X.level == 3:
+        def word(W, a, da, db, dc):
+            # sum_u W_u (x) dc + a_u (x) db (x) dc / 2 + da (x) db (x) dc / 6
+            return _running(_otimes(W[:-1], dc, 2) + 0.5 * _otimes(_otimes(a, db), dc, 2)
+                            + _otimes(_otimes(da, db), dc, 2) / 6.0)
 
-    out = {}
-    I_xk = np.zeros((n, n, d, dkm))
-    I_kx = np.zeros((n, n, dkm, d))
-    for u in range(n - 1):
-        dxu, dku = dx_all[u], dk_all[u]
-        xi = x[u] - x[: u + 1]  # (i, d) for i <= u
-        ki = k_vals[u] - k_vals[: u + 1]
-        I_xk[: u + 1, u + 1] = (
-            I_xk[: u + 1, u] + _outer(xi, dku) + 0.5 * _outer(dxu, dku)
+        J = _running(_otimes(dk, xu) + 0.5 * _otimes(dk, dx))
+        blocks.update(
+            xxx=X.inc3[0],
+            kkk=K[2],
+            xxk=_running(_otimes(X2[:-1], dk, 2) + 0.5 * _otimes(_otimes(xu, dx), dk, 2)
+                         + _otimes(X2s, dk, 2) / 3.0),
+            xkx=word(xk, xu, dx, dk, dx),
+            xkk=word(xk, xu, dx, dk, dk),
+            kxk=word(kx, ku, dk, dx, dk),
+            kkx=word(K[1], ku, dk, dk, dx),
+            kxx=_running(_otimes(ku, np.diff(X2, axis=0), 1, 2)
+                         + (2.0 / 3.0) * _otimes(dk, X2s, 1, 2)
+                         - _otimes(J[:-1], dx, 2) - _otimes(_otimes(dk, dx), dx, 2) / 6.0),
         )
-        I_kx[: u + 1, u + 1] = (
-            I_kx[: u + 1, u] + _outer(ki, dxu) + 0.5 * _outer(dku, dxu)
-        )
-    out["xk"] = I_xk
-    out["kx"] = I_kx
-    if not want_level3:
-        return out
+    span = {"x": slice(0, d), "k": slice(d, d + e)}
+    Z = []
+    for j in range(1, X.level + 1):
+        Zj = np.zeros((n,) + (d + e,) * j)
+        for w, arr in blocks.items():
+            if len(w) == j:
+                Zj[(slice(None),) + tuple(span[c] for c in w)] = arr
+        Z.append(Zj)
+    return Z
 
-    K = lift(SampledPath(X.grid, k_vals), level=3)
-    shapes = {
-        "xxk": (d, d, dkm),
-        "xkx": (d, dkm, d),
-        "kxx": (dkm, d, d),
-        "xkk": (d, dkm, dkm),
-        "kxk": (dkm, d, dkm),
-        "kkx": (dkm, dkm, d),
-    }
-    words = {w: np.zeros((n, n) + s) for w, s in shapes.items()}
-    # running inner integral of dk (x) (x - x_i) for the (k,x,x) rewriting
-    J = np.zeros((n, n, dkm, d))
-    term2 = np.zeros((n, n, dkm, d, d))
 
-    for u in range(n - 1):
-        dxu, dku = dx_all[u], dk_all[u]
-        sl = slice(0, u + 1)
-        xi = x[u] - x[sl]
-        ki = k_vals[u] - k_vals[sl]
-        X2_step = X.inc2[u, u + 1]
-        X2_base = X.inc2[sl, u]
-        K2_base = K.inc2[sl, u]
-
-        # (x,x,k): int X^2_{i,.} (x) dk
-        words["xxk"][sl, u + 1] = (
-            words["xxk"][sl, u]
-            + np.einsum("iab,c->iabc", X2_base, dku)
-            + 0.5 * _outer3(xi, dxu, dku)
-            + np.einsum("ab,c->abc", X2_step, dku) / 3.0
-        )
-        # (x,k,x): nested through I_xk
-        words["xkx"][sl, u + 1] = (
-            words["xkx"][sl, u]
-            + np.einsum("iab,c->iabc", I_xk[sl, u], dxu)
-            + 0.5 * _outer3(xi, dku, dxu)
-            + _outer3(dxu, dku, dxu) / 6.0
-        )
-        # (x,k,k): nested through I_xk
-        words["xkk"][sl, u + 1] = (
-            words["xkk"][sl, u]
-            + np.einsum("iab,c->iabc", I_xk[sl, u], dku)
-            + 0.5 * _outer3(xi, dku, dku)
-            + _outer3(dxu, dku, dku) / 6.0
-        )
-        # (k,x,k): nested through I_kx
-        words["kxk"][sl, u + 1] = (
-            words["kxk"][sl, u]
-            + np.einsum("iab,c->iabc", I_kx[sl, u], dku)
-            + 0.5 * _outer3(ki, dxu, dku)
-            + _outer3(dku, dxu, dku) / 6.0
-        )
-        # (k,k,x): nested through K^2
-        words["kkx"][sl, u + 1] = (
-            words["kkx"][sl, u]
-            + np.einsum("iab,c->iabc", K2_base, dxu)
-            + 0.5 * _outer3(ki, dku, dxu)
-            + _outer3(dku, dku, dxu) / 6.0
-        )
-        # (k,x,x) via the rewriting  int (k-k_i)(x)dX^2  -  int [int dk(x)(x-x_i)](x)dx
-        term1_step = (
-            np.einsum("ia,bc->iabc", ki, X2_step)
-            + _outer3(ki, xi, dxu)
-            + 0.5 * _outer3(dku, xi, dxu)
-            + 2.0 / 3.0 * np.einsum("a,bc->abc", dku, X2_step)
-        )
-        term2_step = (
-            np.einsum("iab,c->iabc", J[sl, u], dxu)
-            + 0.5 * _outer3(dku, xi, dxu)
-            + _outer3(dku, dxu, dxu) / 6.0
-        )
-        term2[sl, u + 1] = term2[sl, u] + term2_step
-        words["kxx"][sl, u + 1] = words["kxx"][sl, u] + term1_step - term2_step
-        J[sl, u + 1] = J[sl, u] + _outer(dku, xi) + 0.5 * _outer(dku, dxu)
-
-    out.update(words)
-    out["K"] = K
-    return out
+def pair(X: RoughPath, k: SampledPath) -> RoughPath:
+    """Rough path over the concatenated path (x, k) with block components:
+    the Chen expansion of :func:`_pair_running`.  Pure blocks are X^j and
+    K^j; mixed blocks are the Young cross integrals word by word."""
+    return RoughPath(X.grid, X.level, *_expand(_pair_running(X, k)))
 
 
 def shift(X: RoughPath, k: SampledPath) -> RoughPath:
-    """Rough path over x + k: cross terms by Young integration word by word.
+    """Rough path over x + k: the pairing's blocks summed, T_k X^j = sum over
+    words in {x,k}^j.
 
     ``k`` must have finite q-variation with 1/p + 1/q > 1 for the ambient
     roughness p (caller-asserted).
     """
-    if len(k.grid) != len(X.grid) or not np.allclose(k.grid.points, X.grid.points):
-        raise ValueError("shift path must live on the rough path's grid")
     if k.dim != X.dim:
         raise ValueError("shift path dimension must match the rough path")
-    want3 = X.level == 3
-    words = _cross_words(X, k.values, want3)
-    K = words["K"] if want3 else lift(k, level=X.level)
-
-    inc1 = X.inc1 + K.inc1
-    inc2 = X.inc2 + K.inc2 + words["xk"] + words["kx"]
-    inc3 = None
-    if want3:
-        inc3 = X.inc3 + K.inc3
-        for w in ("xxk", "xkx", "kxx", "xkk", "kxk", "kkx"):
-            inc3 = inc3 + words[w]
-    rp = RoughPath(grid=X.grid, level=X.level, inc1=inc1, inc2=inc2, inc3=inc3)
-    _zero_lower_triangle(rp)
-    return rp
-
-
-def pair(X: RoughPath, k: SampledPath) -> RoughPath:
-    """Rough path over the concatenated path (x, k) with block components.
-
-    Pure blocks are X^j and K^j; mixed level-2 blocks are the Young cross
-    integrals; mixed level-3 blocks follow the word decompositions, with the
-    (k,x,x) word through the integration-by-parts identity.
-    """
-    if len(k.grid) != len(X.grid) or not np.allclose(k.grid.points, X.grid.points):
-        raise ValueError("paired path must live on the rough path's grid")
-    want3 = X.level == 3
-    words = _cross_words(X, k.values, want3)
-    K = words["K"] if want3 else lift(k, level=X.level)
-    n = len(X.grid)
-    d, e = X.dim, k.dim
-    D = d + e
-    sx, sk = slice(0, d), slice(d, D)
-
-    inc1 = np.zeros((n, n, D))
-    inc1[..., sx] = X.inc1
-    inc1[..., sk] = K.inc1
-
-    inc2 = np.zeros((n, n, D, D))
-    inc2[..., sx, sx] = X.inc2
-    inc2[..., sk, sk] = K.inc2
-    inc2[..., sx, sk] = words["xk"]
-    inc2[..., sk, sx] = words["kx"]
-
-    inc3 = None
-    if want3:
-        inc3 = np.zeros((n, n, D, D, D))
-        inc3[..., sx, sx, sx] = X.inc3
-        inc3[..., sk, sk, sk] = K.inc3
-        inc3[..., sx, sx, sk] = words["xxk"]
-        inc3[..., sx, sk, sx] = words["xkx"]
-        inc3[..., sk, sx, sx] = words["kxx"]
-        inc3[..., sx, sk, sk] = words["xkk"]
-        inc3[..., sk, sx, sk] = words["kxk"]
-        inc3[..., sk, sk, sx] = words["kkx"]
-    rp = RoughPath(grid=X.grid, level=X.level, inc1=inc1, inc2=inc2, inc3=inc3)
-    _zero_lower_triangle(rp)
-    return rp
+    d = X.dim
+    folded = []
+    for j, Zj in enumerate(_pair_running(X, k), start=1):
+        blocks = Zj.reshape((len(Zj),) + (2, d) * j)
+        folded.append(blocks.sum(axis=tuple(range(1, 2 * j, 2))))
+    return RoughPath(X.grid, X.level, *_expand(folded))
 
 
 def scale_plan(grid: TimeGrid, c, H: float) -> tuple:

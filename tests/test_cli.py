@@ -48,6 +48,7 @@ class TestRuns:
         manifest = json.loads(read(out, "manifest.json"))
         assert manifest["status"] == "complete"
         assert "kappa.csv" in manifest["artifacts"]
+        assert_stage_timings(out, {"ladder_s"})
 
     def test_pvar_corpus(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"kind": "pvar", "n_max": 6})
@@ -55,6 +56,7 @@ class TestRuns:
         rows = read(out, "cosine_pvar.csv").strip().splitlines()[1:]
         diffs = [float(r.split(",")[4]) for r in rows]
         assert max(diffs) < 1e-12
+        assert_stage_timings(out, {"pvar_s"})
 
     def test_determinism_byte_identical(self, tmp_path):
         raw = {"kind": "simulate", "H": 0.4, "grid_size": 33, "d": 1,
@@ -63,6 +65,7 @@ class TestRuns:
         out2 = run(ExperimentConfig.from_dict(raw), tmp_path / "b")
         assert read(out1, "samples.csv") == read(out2, "samples.csv")
         assert read(out1, "summary.json") == read(out2, "summary.json")
+        assert_stage_timings(out1, {"sample_s", "csv_s"})
 
     def test_lift_artifacts(self, tmp_path):
         raw = {"kind": "lift", "H": 0.4, "grid_size": 17, "d": 2, "seed": 3}
@@ -71,6 +74,7 @@ class TestRuns:
         assert chen["chen_residual"] < 1e-10
         assert (out / "rough_level1.csv").exists()
         assert (out / "rough_level2.csv").exists()
+        assert_stage_timings(out, {"sample_s", "lift_s", "chen_s"})
 
     def test_rde_run(self, tmp_path):
         raw = {"kind": "rde", "H": 0.4, "grid_size": 65, "n": 2, "d": 2,

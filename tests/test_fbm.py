@@ -259,12 +259,6 @@ class TestCmMap:
             vals.append(pvar_exact(k, 1.2).value)
         assert vals[1] == pytest.approx(vals[0], rel=1e-3)
 
-    def test_sampled_h_input(self):
-        g = TimeGrid.uniform(65)
-        hp = SampledPath(g, np.ones((65, 1)))
-        cm = cm_map(hp, 0.5)
-        assert np.abs(cm.induced_path.values[:, 0] - g.points).max() < 1e-6
-
 
 class TestOnbInterp:
     def test_constant_member(self):

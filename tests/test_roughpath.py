@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from conftest import random_smooth_path
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.roughpath import (
+    RoughPath,
     chen_residual,
     djp_seminorm,
     lift,
@@ -240,6 +242,99 @@ class TestShiftPair:
         k_bad = SampledPath(TimeGrid.uniform(17), np.zeros(17))
         with pytest.raises(ValueError):
             shift(X, k_bad)
+
+
+def step_word_rows(X, k, s):
+    """Words of the pair (x, k) from grid index s to every t >= s, summed step
+    by step with the within-step formulas (k linear in a step, X's own step
+    increments, (k,x,x) by integration by parts); no Chen expansion.
+    Returns {word: (N - s, ...) array} for the mixed and pure-k words."""
+    o = lambda *a: functools.reduce(np.multiply.outer, a)  # noqa: E731
+    kv = k.values
+    d, e = X.dim, kv.shape[1]
+    dims = {"x": d, "k": e}
+    names = ["k", "kk", "xk", "kx"]
+    if X.level == 3:
+        names += ["kkk", "xxk", "xkx", "xkk", "kxk", "kkx", "kxx", "J"]
+    cur = {w: np.zeros(tuple(dims[c] for c in w.replace("J", "kx"))) for w in names}
+    rows = [cur]
+    for u in range(s, len(X.grid) - 1):
+        xi, ki = X.inc1[s, u], kv[u] - kv[s]
+        dx, dk = X.inc1[u, u + 1], kv[u + 1] - kv[u]
+        X2b, X2s = X.inc2[s, u], X.inc2[u, u + 1]
+        nxt = {
+            "k": ki + dk,
+            "kk": cur["kk"] + o(ki, dk) + o(dk, dk) / 2,
+            "xk": cur["xk"] + o(xi, dk) + o(dx, dk) / 2,
+            "kx": cur["kx"] + o(ki, dx) + o(dk, dx) / 2,
+        }
+        if X.level == 3:
+            nxt.update(
+                kkk=cur["kkk"] + o(cur["kk"], dk) + o(ki, dk, dk) / 2 + o(dk, dk, dk) / 6,
+                xxk=cur["xxk"] + o(X2b, dk) + o(xi, dx, dk) / 2 + o(X2s, dk) / 3,
+                xkx=cur["xkx"] + o(cur["xk"], dx) + o(xi, dk, dx) / 2 + o(dx, dk, dx) / 6,
+                xkk=cur["xkk"] + o(cur["xk"], dk) + o(xi, dk, dk) / 2 + o(dx, dk, dk) / 6,
+                kxk=cur["kxk"] + o(cur["kx"], dk) + o(ki, dx, dk) / 2 + o(dk, dx, dk) / 6,
+                kkx=cur["kkx"] + o(cur["kk"], dx) + o(ki, dk, dx) / 2 + o(dk, dk, dx) / 6,
+                kxx=cur["kxx"] + o(ki, X2s) + o(ki, xi, dx) + o(dk, xi, dx) / 2
+                + 2 / 3 * o(dk, X2s) - o(cur["J"], dx) - o(dk, xi, dx) / 2 - o(dk, dx, dx) / 6,
+                J=cur["J"] + o(dk, xi) + o(dk, dx) / 2,
+            )
+        cur = nxt
+        rows.append(cur)
+    return {w: np.stack([r[w] for r in rows]) for w in names if w != "J"}
+
+
+class TestNonPolygonal:
+    """Shift and pairing of a rough path that satisfies Chen but is not the
+    lift of its own polygon: a fine lift restricted to every other point."""
+
+    @staticmethod
+    def restricted_lift(level):
+        rng = np.random.default_rng(11)
+        fine = TimeGrid.uniform(129)
+        X = lift(SampledPath(fine, 0.1 * rng.normal(size=(129, 2)).cumsum(axis=0)), level)
+        sl = slice(0, 129, 2)
+        Xc = RoughPath(TimeGrid(fine.points[sl]), level, *[a[sl, sl] for a in X.levels()])
+        k = SampledPath(Xc.grid, 0.05 * rng.normal(size=(65, 2)).cumsum(axis=0))
+        return Xc, k
+
+    @staticmethod
+    def oracle_rows(X, k, s):
+        """Row s of the pairing, levels 1..X.level, blocks assembled from the
+        pure-x increments and :func:`step_word_rows`."""
+        words = step_word_rows(X, k, s)
+        words.update(x=X.inc1[s, s:], xx=X.inc2[s, s:])
+        if X.level == 3:
+            words["xxx"] = X.inc3[s, s:]
+        span = {"x": slice(0, 2), "k": slice(2, 4)}
+        out = []
+        for j in range(1, X.level + 1):
+            Zj = np.zeros((len(X.grid) - s,) + (4,) * j)
+            for w, arr in words.items():
+                if len(w) == j:
+                    Zj[(slice(None),) + tuple(span[c] for c in w)] = arr
+            out.append(Zj)
+        return out
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_not_a_polygon_lift(self, level):
+        X, _ = self.restricted_lift(level)
+        poly = lift(SampledPath(X.grid, X.inc1[0]), level)
+        assert np.abs(X.inc2 - poly.inc2).max() > 1e-2
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_pair_and_shift_match_step_sums(self, level):
+        X, k = self.restricted_lift(level)
+        P, S = pair(X, k), shift(X, k)
+        for s in (0, 5, 31):
+            for j, want in enumerate(self.oracle_rows(X, k, s), start=1):
+                scale = np.abs(want).max()
+                assert np.abs(P.levels()[j - 1][s, s:] - want).max() < 1e-12 * scale
+                folded = want.reshape((len(want),) + (2, 2) * j).sum(axis=tuple(range(1, 2 * j, 2)))
+                assert np.abs(S.levels()[j - 1][s, s:] - folded).max() < 1e-12 * np.abs(folded).max()
+        assert chen_residual(P) < 1e-12
+        assert chen_residual(S) < 1e-12
 
 
 class TestScale:
