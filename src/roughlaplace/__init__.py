@@ -11,18 +11,14 @@ E[G(Y) exp(-F(Y)/eps^2)].
 from .grids import SampledPath, TimeGrid, path_to_csv
 from .variation import (
     VariationResult,
-    besov_norm,
     cosine_pvar,
     dyadic_approx,
-    holder_norm,
     pvar_exact,
-    pvar_jogfree,
 )
 from .roughpath import (
     RoughPath,
     XiValue,
     chen_residual,
-    djp_seminorm,
     lift,
     pair,
     running_signature,

@@ -219,8 +219,9 @@ def run_lift(rc: RunContext):
     _write(rc.out, "driver.csv", path_to_csv(path))
     with rc.stage("lift_s"):
         X = lift(path, level)
-    for j, text in roughpath_to_csv(X).items():
-        _write(rc.out, f"rough_level{j}.csv", text)
+    with rc.stage("csv_s"):
+        for j, text in roughpath_to_csv(X).items():
+            _write(rc.out, f"rough_level{j}.csv", text)
     with rc.stage("chen_s"):
         residual = chen_residual(X)
     _write(rc.out, "chen.json", json.dumps({"chen_residual": residual}))
@@ -472,8 +473,9 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
   endpoint second moment.
 
 ## lift
-- timings: `sample_s` (driver), `lift_s` (all-pairs level-j increments),
-  `chen_s` (Chen defect).
+- timings: `sample_s` (the fBm path), `lift_s` (running levels from the
+  first grid point), `csv_s` (all-pairs Chen expansion, formatting and
+  writing `rough_level{j}.csv`), `chen_s` (Chen defect).
 - `driver.csv`: `t,x1..xd` (17 significant digits).
 - `rough_level{j}.csv`: columns `i,j,v0..` with the flattened level-j tensor
   for each grid pair i <= j.

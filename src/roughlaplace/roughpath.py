@@ -1,14 +1,17 @@
-"""Level-1/2/3 geometric rough paths over a grid.
+"""Level-1/2/3 geometric rough paths over a grid, stored as running levels.
 
-Every rough path is formed one way: first its running levels S^k_{0,t} from
-the first grid point, in O(N D^k), then the increments for all grid pairs by
-one Chen expansion, X_{s,t} = S_{0,s}^{-1} (x) S_{0,t}.  The running levels
-are the signature of the piecewise-linear interpolant for :func:`lift`, and
-for :func:`pair` the first row of X, the running signature of k and one
-running sum per mixed word; :func:`shift` folds the pairing's running levels
-onto x + k.  The dense two-parameter arrays make Chen's identity a direct
-array check (:func:`chen_residual`) and let the variation programs reuse the
-grid DP.
+A rough path on a grid is a multiplicative functional, fixed by its running
+levels S^k_{0,t} from the first grid point: O(N D^k) memory.  Every increment
+follows from them by Chen's identity, X_{s,t} = S_{0,s}^{-1} (x) S_{0,t},
+solved level by level on demand (:meth:`RoughPath.increment`); only
+:meth:`RoughPath.levels` expands all grid pairs, for the readers that need
+them (:func:`xi_norm`'s grid DP and :func:`roughpath_to_csv`).  The running
+levels are the signature of the piecewise-linear interpolant for
+:func:`lift`, and for :func:`pair` X's own running levels, the running
+signature of k and one running sum per mixed word; :func:`shift` folds the
+pairing's running levels onto x + k, and :func:`scale_rough` scales and
+truncates them.  Chen's identity thus holds by construction, and
+:func:`chen_residual` checks that the one Chen solve is right to rounding.
 
 Within a grid step the cross integrals of the shift and pairing read k as
 linear and take X's own step increments, which makes them exact for
@@ -17,7 +20,7 @@ polygonal inputs and Young-consistent in general.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +34,6 @@ __all__ = [
     "lift",
     "chen_residual",
     "xi_norm",
-    "djp_seminorm",
     "shift",
     "pair",
     "scale_plan",
@@ -43,38 +45,57 @@ __all__ = [
 
 @dataclass
 class RoughPath:
-    """Two-parameter increments ``X^j_{s,t}`` for levels 1..level on a grid.
+    """Rough path on a grid, stored as its running levels for levels 1..level.
 
-    ``inc1[i, j]`` is the level-1 increment between grid indices ``i <= j``
-    (entries below the diagonal are zero), and similarly for ``inc2`` and,
-    when ``level == 3``, ``inc3``.
+    ``running[k-1]`` has shape (N,) + (d,) * k and holds S^k_{0,t}, the
+    level-k increment from the first grid point to every grid point (zero at
+    the first).  Increments between other grid points come from
+    :meth:`increment`.
     """
 
     grid: TimeGrid
     level: int
-    inc1: np.ndarray
-    inc2: np.ndarray
-    inc3: np.ndarray | None = None
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
+    running: list
 
     def __post_init__(self):
         if self.level not in (2, 3):
             raise ValueError("level must be 2 or 3")
-        n = len(self.grid)
-        d = self.inc1.shape[-1]
-        if self.inc1.shape != (n, n, d) or self.inc2.shape != (n, n, d, d):
-            raise ValueError("increment arrays do not match the grid/dimension")
-        if self.level == 3 and (self.inc3 is None or self.inc3.shape != (n, n, d, d, d)):
-            raise ValueError("level-3 increments missing or misshaped")
+        n, d = len(self.grid), self.dim
+        want = [(n,) + (d,) * k for k in range(1, self.level + 1)]
+        if [S.shape for S in self.running] != want:
+            raise ValueError("running levels do not match the grid/dimension/level")
 
     @property
     def dim(self) -> int:
-        return self.inc1.shape[-1]
+        return self.running[0].shape[-1]
 
-    def levels(self):
-        out = [self.inc1, self.inc2]
-        if self.level == 3:
-            out.append(self.inc3)
+    def increment(self, s, t) -> list:
+        """Increments X^k_{s,t}, k = 1..level, for grid indices ``s`` and
+        ``t`` (integers or index arrays that broadcast), by Chen's identity
+        X_{s,t} = S_{0,s}^{-1} (x) S_{0,t} solved level by level:
+
+            X^1_{s,t} = S^1_t - S^1_s,
+            X^k_{s,t} = S^k_t - S^k_s - sum_{0<j<k} S^j_s (x) X^{k-j}_{s,t}.
+
+        Each level has shape broadcast(s, t) + (d,) * k.  Nothing is zeroed:
+        for t < s the result is the inverse-path increment.
+        """
+        out = []
+        for k, Sk in enumerate(self.running, start=1):
+            inc = Sk[t] - Sk[s]
+            for j in range(1, k):
+                inc -= _otimes(self.running[j - 1][s], out[k - j - 1], j, k - j)
+            out.append(inc)
+        return out
+
+    def levels(self) -> list:
+        """All-pairs increments ``X^k[s, t]``, shape (N, N) + (d,) * k, with
+        the entries below the diagonal (t < s) zeroed: O(N^2 d^level) memory."""
+        idx = np.arange(len(self.grid))
+        out = self.increment(idx[:, None], idx[None, :])
+        lower = idx[:, None] > idx[None, :]
+        for inc in out:
+            inc[lower] = 0.0
         return out
 
 
@@ -103,36 +124,10 @@ def _running(terms: np.ndarray, ax: int = 0) -> np.ndarray:
     return out
 
 
-def _expand(S: list) -> list:
-    """Increments for every grid pair from running levels ``S[k-1] = S^k_{0,t}``
-    of shape (N,) + (D,) * k, by Chen's identity X_{s,t} = S_{0,s}^{-1} (x) S_{0,t}
-    solved level by level:
-
-        X^1_{s,t} = S^1_t - S^1_s,
-        X^k_{s,t} = S^k_t - S^k_s - sum_{0<j<k} S^j_s (x) X^{k-j}_{s,t}.
-
-    Entries with t < s are zeroed.
-    """
-    base = [s[:, None] for s in S]
-    out = []
-    for k, Sk in enumerate(S, start=1):
-        inc = Sk[None] - base[k - 1]
-        for j in range(1, k):
-            inc -= _otimes(base[j - 1], out[k - j - 1], j, k - j)
-        out.append(inc)
-    lower = np.tril(np.ones((len(S[0]),) * 2, dtype=bool), k=-1)
-    for inc in out:
-        inc[lower] = 0.0
-    return out
-
-
 def lift(path: SampledPath, level: int = 2) -> RoughPath:
     """Iterated integrals of the piecewise-linear interpolant of ``path``:
-    the Chen expansion of its :func:`running_signature` to every grid pair,
-    O(N^2 d^level) memory.  Use :func:`running_signature` when only
-    increments from the first grid point are needed.
-    """
-    return RoughPath(path.grid, level, *_expand(running_signature(path.values, level)))
+    the rough path whose running levels are its :func:`running_signature`."""
+    return RoughPath(path.grid, level, running_signature(path.values, level))
 
 
 def running_signature(values: np.ndarray, level: int = 2) -> list:
@@ -178,28 +173,22 @@ def running_signature(values: np.ndarray, level: int = 2) -> list:
 
 
 def chen_residual(X: RoughPath) -> float:
-    """Max defect of ``X_{s,t} = X_{s,u} (x) X_{u,t}`` over grid triples s<=u<=t."""
+    """Max defect of ``X_{s,t} = X_{s,u} (x) X_{u,t}`` over grid triples
+    s <= u <= t, every factor from :meth:`RoughPath.increment`."""
     n = len(X.grid)
     res = 0.0
     for u in range(n):
-        a1 = X.inc1[: u + 1, u]  # (i, d) for i <= u
-        b1 = X.inc1[u, u:]  # (j, d) for j >= u
-        d2 = (
-            X.inc2[: u + 1, u:]
-            - X.inc2[: u + 1, u][:, None]
-            - X.inc2[u, u:][None, :]
-            - np.einsum("ia,jb->ijab", a1, b1)
-        )
-        res = max(res, float(np.abs(d2).max()))
-        if X.level == 3:
-            d3 = (
-                X.inc3[: u + 1, u:]
-                - X.inc3[: u + 1, u][:, None]
-                - X.inc3[u, u:][None, :]
-                - np.einsum("iab,jc->ijabc", X.inc2[: u + 1, u], b1)
-                - np.einsum("ia,jbc->ijabc", a1, X.inc2[u, u:])
-            )
-            res = max(res, float(np.abs(d3).max()))
+        s, t = np.arange(u + 1), np.arange(u, n)
+        a = X.increment(s, u)  # X_{s,u}, (u+1, ...)
+        b = X.increment(u, t)  # X_{u,t}, (n-u, ...)
+        full = X.increment(s[:, None], t[None, :])
+        for k in range(2, X.level + 1):
+            d = full[k - 1]
+            d -= a[k - 1][:, None]
+            d -= b[k - 1][None, :]
+            for j in range(k - 1, 0, -1):
+                d -= _otimes(a[j - 1][:, None], b[k - j - 1][None, :], j, k - j)
+            res = max(res, float(np.abs(d).max()))
     return res
 
 
@@ -225,51 +214,18 @@ def xi_norm(X: RoughPath, p: float) -> XiValue:
     return XiValue(value=float(sum(per)), per_level=per)
 
 
-def djp_seminorm(
-    X: RoughPath,
-    Y: RoughPath | None,
-    j: int,
-    p: float,
-    gamma: float,
-    n_max: int,
-) -> float:
-    """Truncated dyadic seminorm
-
-        ( sum_{n=1}^{n_max} n^gamma sum_{l=1}^{2^n} |X^j - Y^j|^{p/j}
-          over increments ((l-1)/2^n, l/2^n) )^{j/p}
-
-    with Y = 0 allowed.  The grid must contain all dyadic points up to level
-    ``n_max``.
-    """
-    if gamma <= p - 1:
-        raise ValueError("need gamma > p - 1")
-    if j > X.level:
-        raise ValueError(f"rough path has no level {j}")
-    arrX = X.levels()[j - 1]
-    arrY = None if Y is None else Y.levels()[j - 1]
-    total = 0.0
-    for n in range(1, n_max + 1):
-        idx = [X.grid.index_of(l / 2**n) for l in range(2**n + 1)]
-        diffs = []
-        for a, b in zip(idx[:-1], idx[1:]):
-            v = arrX[a, b] if arrY is None else arrX[a, b] - arrY[a, b]
-            diffs.append(np.sqrt((v * v).sum()))
-        total += n**gamma * np.sum(np.asarray(diffs) ** (p / j))
-    return float(total ** (j / p))
-
-
 # ---------------------------------------------------------------------------
 # shift and pairing
 #
 # The running levels of the pair (x, k) from the first grid point: the pure
-# blocks are X's first row and k's running signature; each mixed word is one
-# running sum of Chen step terms, with k read as linear within a step and
-# X's own step increments X^2_{u,u+1} (exact for polygonal inputs,
+# blocks are X's running levels and k's running signature; each mixed word
+# is one running sum of Chen step terms, with k read as linear within a step
+# and X's own step increments X^2_{u,u+1} (exact for polygonal inputs,
 # Young-consistent in general).  The (k,x,x) word goes through integration
 # by parts, int (k - k_0) (x) dX^2 - int J (x) dx with J = int dk (x) x, so
 # that every sum pairs a q-variation factor with a p-variation one.  The
-# shift is the pairing folded onto x + k; the fold is linear, so it
-# commutes with the Chen expansion and happens on the running levels.
+# shift is the pairing's running levels folded onto x + k; the fold is
+# linear, so it commutes with Chen's identity.
 # ---------------------------------------------------------------------------
 
 
@@ -280,7 +236,8 @@ def _pair_running(X: RoughPath, k: SampledPath) -> list:
         raise ValueError("k must live on the rough path's grid")
     n, d, e = len(X.grid), X.dim, k.dim
     steps = np.arange(n - 1)
-    x, X2, X2s = X.inc1[0], X.inc2[0], X.inc2[steps, steps + 1]
+    x, X2 = X.running[:2]
+    X2s = X.increment(steps, steps + 1)[1]
     K = running_signature(k.values, X.level)
     kv = K[0]
     dx, dk = np.diff(x, axis=0), np.diff(kv, axis=0)
@@ -296,7 +253,7 @@ def _pair_running(X: RoughPath, k: SampledPath) -> list:
 
         J = _running(_otimes(dk, xu) + 0.5 * _otimes(dk, dx))
         blocks.update(
-            xxx=X.inc3[0],
+            xxx=X.running[2],
             kkk=K[2],
             xxk=_running(_otimes(X2[:-1], dk, 2) + 0.5 * _otimes(_otimes(xu, dx), dk, 2)
                          + _otimes(X2s, dk, 2) / 3.0),
@@ -320,10 +277,10 @@ def _pair_running(X: RoughPath, k: SampledPath) -> list:
 
 
 def pair(X: RoughPath, k: SampledPath) -> RoughPath:
-    """Rough path over the concatenated path (x, k) with block components:
-    the Chen expansion of :func:`_pair_running`.  Pure blocks are X^j and
-    K^j; mixed blocks are the Young cross integrals word by word."""
-    return RoughPath(X.grid, X.level, *_expand(_pair_running(X, k)))
+    """Rough path over the concatenated path (x, k) with block components,
+    running levels :func:`_pair_running`.  Pure blocks are X^j and K^j; mixed
+    blocks are the Young cross integrals word by word."""
+    return RoughPath(X.grid, X.level, _pair_running(X, k))
 
 
 def shift(X: RoughPath, k: SampledPath) -> RoughPath:
@@ -340,7 +297,7 @@ def shift(X: RoughPath, k: SampledPath) -> RoughPath:
     for j, Zj in enumerate(_pair_running(X, k), start=1):
         blocks = Zj.reshape((len(Zj),) + (2, d) * j)
         folded.append(blocks.sum(axis=tuple(range(1, 2 * j, 2))))
-    return RoughPath(X.grid, X.level, *_expand(folded))
+    return RoughPath(X.grid, X.level, folded)
 
 
 def scale_plan(grid: TimeGrid, c, H: float) -> tuple:
@@ -369,15 +326,8 @@ def scale_rough(X: RoughPath, c, H: float) -> RoughPath:
     Requires a uniform grid with ``c * n_steps`` integral (:func:`scale_plan`).
     """
     m, factor = scale_plan(X.grid, c, H)
-    sl = slice(0, m + 1)
-    inc3 = None if X.level == 2 else factor[2] * X.inc3[sl, sl]
-    return RoughPath(
-        grid=TimeGrid.uniform(m + 1),
-        level=X.level,
-        inc1=factor[0] * X.inc1[sl, sl],
-        inc2=factor[1] * X.inc2[sl, sl],
-        inc3=inc3,
-    )
+    running = [f * S[: m + 1] for f, S in zip(factor, X.running)]
+    return RoughPath(TimeGrid.uniform(m + 1), X.level, running)
 
 
 def roughpath_to_csv(X: RoughPath) -> dict:

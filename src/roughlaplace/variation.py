@@ -1,4 +1,4 @@
-"""Variation, Hölder and Besov norms on sampled paths, plus dyadic coarsening.
+"""Grid p-variation of sampled paths, plus dyadic coarsening.
 
 p-variation is taken over sub-partitions of the sample grid.  For paths that
 are piecewise monotone between samples (cosines sampled at extrema, dyadic
@@ -24,10 +24,7 @@ __all__ = [
     "VariationResult",
     "pvar_exact",
     "pvar_backbone",
-    "pvar_jogfree",
     "cosine_pvar",
-    "holder_norm",
-    "besov_norm",
     "dyadic_approx",
 ]
 
@@ -129,36 +126,6 @@ def pvar_exact(path: SampledPath, p: float, norm=None) -> VariationResult:
     return pvar_backbone(_increment_norms(values, norm), p)
 
 
-def pvar_jogfree(extrema_values, p: float) -> float:
-    """p-variation of a jog-free path from its values at the extrema.
-
-    The sequence must start at 0, alternate strictly between local maxima and
-    minima, and every interior extremum must be a forward extremum (no later
-    value exceeds a maximum / undercuts a minimum).  Violations are rejected:
-    the closed form ``(sum |x_{s_i} - x_{s_{i-1}}|^p)^(1/p)`` does not apply.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    x = np.asarray(extrema_values, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need a 1-d sequence with at least two values")
-    if x[0] != 0.0:
-        raise ValueError("jog-free paths start at 0")
-    d = np.diff(x)
-    if np.any(d == 0.0):
-        raise ValueError("not jog-free: repeated value between extrema")
-    if np.any(d[:-1] * d[1:] >= 0.0):
-        raise ValueError("not jog-free: values do not alternate at extrema")
-    for i in range(1, x.size - 1):
-        tail = x[i:]
-        is_max = x[i] > x[i - 1]
-        if is_max and x[i] < tail.max():
-            raise ValueError(f"not jog-free: index {i} is not a forward maximum")
-        if not is_max and x[i] > tail.min():
-            raise ValueError(f"not jog-free: index {i} is not a forward minimum")
-    return float((np.abs(d) ** p).sum() ** (1.0 / p))
-
-
 def cosine_pvar(n: int, p: float) -> float:
     """p-variation of ``cos(n pi t) - 1`` on [0,1]: exactly ``2 n^(1/p)``."""
     if n < 1 or int(n) != n:
@@ -166,83 +133,6 @@ def cosine_pvar(n: int, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return 2.0 * float(n) ** (1.0 / p)
-
-
-def holder_norm(path: SampledPath, alpha: float) -> float:
-    """``|k_0| + max_{s<t} |k_t - k_s| / (t - s)^alpha`` over grid pairs."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0,1)")
-    t = path.grid.points
-    gaps = t[None, :] - t[:, None]
-    norms = _increment_norms(path.values)
-    iu = np.triu_indices(len(t), k=1)
-    ratio = norms[iu] / gaps[iu] ** alpha
-    return float(np.linalg.norm(path.values[0]) + ratio.max())
-
-
-def besov_norm(path: SampledPath, delta: float, p: float) -> float:
-    """Fractional Sobolev (Besov) norm
-
-        ||k||_{L^p} + ( iint |k_t - k_s|^p / |t-s|^(1 + delta p) ds dt )^(1/p)
-
-    by trapezoidal quadrature on the grid product.  Cells within one step of
-    the diagonal are integrated in closed form with the local chord slope
-    standing in for the increment ratio (the integrand's diagonal limit),
-    which keeps the integrable singularity's bias controlled.
-    """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0,1)")
-    if p <= 1:
-        raise ValueError("p must be > 1")
-    t = path.grid.points
-    v = path.values
-    n = len(t)
-    if n < 3:
-        raise ValueError("grid too coarse for the double integral")
-
-    mag = np.sqrt((v * v).sum(axis=1))
-    lp = float(np.trapezoid(mag**p, t) ** (1.0 / p))
-
-    a = p - 1.0 - delta * p  # |t-s|^a is the residual weight, a > -1
-
-    def psi(u):
-        return np.abs(u) ** (a + 2.0) / ((a + 1.0) * (a + 2.0))
-
-    # corner values of the integrand, diagonal untouched (masked below)
-    norms = _increment_norms(v)
-    gaps = np.abs(t[None, :] - t[:, None])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = norms**p / gaps ** (1.0 + delta * p)
-    np.fill_diagonal(g, 0.0)
-
-    total = 0.0
-    band = np.zeros((n - 1, n - 1), dtype=bool)
-    idx = np.arange(n - 1)
-    for off in (-1, 0, 1):
-        sel = (idx + off >= 0) & (idx + off < n - 1)
-        band[idx[sel], idx[sel] + off] = True
-
-    # far cells: 2-d trapezoid from the four corners
-    cw_s = np.diff(t)
-    corner = 0.25 * (g[:-1, :-1] + g[1:, :-1] + g[:-1, 1:] + g[1:, 1:])
-    area = cw_s[:, None] * cw_s[None, :]
-    total += float((corner * area)[~band].sum())
-
-    # band cells: chord slope times the exact cell integral of |t-s|^a
-    for i in range(n - 1):
-        for j in (i - 1, i, i + 1):
-            if not 0 <= j <= n - 2:
-                continue
-            lo, hi = min(i, j), max(i, j)
-            chord = (v[hi + 1] - v[lo]) / (t[hi + 1] - t[lo])
-            speed = np.sqrt((chord * chord).sum())
-            x0, x1, y0, y1 = t[i], t[i + 1], t[j], t[j + 1]
-            cell = -(psi(y1 - x1) - psi(y0 - x1) - psi(y1 - x0) + psi(y0 - x0))
-            total += speed**p * cell
-
-    if not np.isfinite(total):
-        raise ValueError("Besov double integral is not finite on this input")
-    return lp + float(total ** (1.0 / p))
 
 
 def dyadic_approx(path: SampledPath, m: int) -> SampledPath:

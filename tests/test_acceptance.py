@@ -151,10 +151,10 @@ def test_criterion_06_scale_invariance():
     s_scaled = np.empty(n)
     s_plain = np.empty(n)
     for i in range(n):
-        Xs = scale_rough(lift(e1[i], 2), c, H)
-        s_scaled[i] = 0.5 * (Xs.inc2[0, -1, 0, 1] - Xs.inc2[0, -1, 1, 0])
-        Xp = lift(e2[i], 2)
-        s_plain[i] = 0.5 * (Xp.inc2[0, -1, 0, 1] - Xp.inc2[0, -1, 1, 0])
+        Xs = scale_rough(lift(e1[i], 2), c, H).increment(0, -1)[1]
+        s_scaled[i] = 0.5 * (Xs[0, 1] - Xs[1, 0])
+        Xp = lift(e2[i], 2).increment(0, -1)[1]
+        s_plain[i] = 0.5 * (Xp[0, 1] - Xp[1, 0])
     ks = ks_2samp(s_scaled, s_plain)
     ok = ks.pvalue > 0.01
     report("06 lift scale invariance", ok, f"two-sample KS p = {ks.pvalue:.3f}")

@@ -74,7 +74,7 @@ class TestRuns:
         assert chen["chen_residual"] < 1e-10
         assert (out / "rough_level1.csv").exists()
         assert (out / "rough_level2.csv").exists()
-        assert_stage_timings(out, {"sample_s", "lift_s", "chen_s"})
+        assert_stage_timings(out, {"sample_s", "lift_s", "csv_s", "chen_s"})
 
     def test_rde_run(self, tmp_path):
         raw = {"kind": "rde", "H": 0.4, "grid_size": 65, "n": 2, "d": 2,
@@ -207,7 +207,8 @@ def test_scale_test_areas_match_per_path_lifts(tmp_path, monkeypatch):
     (scaled, plain), = seen
 
     def area(X):
-        return 0.5 * (X.inc2[0, -1, 0, 1] - X.inc2[0, -1, 1, 0])
+        X2 = X.increment(0, -1)[1]
+        return 0.5 * (X2[0, 1] - X2[1, 0])
 
     grid = TimeGrid.uniform(33)
     e1 = sample_fbm_ensemble(grid, 0.4, 2, 64, 12)

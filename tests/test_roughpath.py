@@ -1,6 +1,7 @@
 import functools
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.roughpath import (
     RoughPath,
     chen_residual,
-    djp_seminorm,
     lift,
     pair,
     running_signature,
@@ -31,11 +31,12 @@ class TestLift:
     def test_linear_path_closed_form(self):
         v = np.array([1.0, -2.0])
         X = linear_lift(v)
-        assert np.allclose(X.inc2[0, -1], 0.5 * np.outer(v, v), atol=1e-14)
+        _, X2, X3 = X.increment(0, -1)
+        assert np.allclose(X2, 0.5 * np.outer(v, v), atol=1e-14)
         want3 = np.einsum("a,b,c->abc", v, v, v) / 6.0
-        assert np.allclose(X.inc3[0, -1], want3, atol=1e-14)
+        assert np.allclose(X3, want3, atol=1e-14)
         # sub-interval scaling (t-s)^j / j!
-        assert np.allclose(X.inc2[2, 4], 0.25**2 / 2 * np.outer(v, v), atol=1e-15)
+        assert np.allclose(X.increment(2, 4)[1], 0.25**2 / 2 * np.outer(v, v), atol=1e-15)
 
     def test_chen_residual_of_lift(self):
         rng = np.random.default_rng(0)
@@ -43,40 +44,46 @@ class TestLift:
         X = lift(random_smooth_path(g, 2, rng), 3)
         assert chen_residual(X) < 1e-12
 
-    def test_chen_detects_corruption(self):
-        v = np.array([0.5, 1.0])
-        X = linear_lift(v, level=2)
-        X.inc2[0, 4, 0, 1] += 0.1
+    def test_chen_detects_corruption(self, monkeypatch):
+        # one (s, t) = (0, 4) level-2 increment off by 0.1 wherever it is formed
+        increment = RoughPath.increment
+
+        def corrupted(self, s, t):
+            out = increment(self, s, t)
+            hit = (np.asarray(s) == 0) & (np.asarray(t) == 4)
+            out[1][hit, 0, 1] += 0.1
+            return out
+
+        X = linear_lift(np.array([0.5, 1.0]), level=2)
+        monkeypatch.setattr(RoughPath, "increment", corrupted)
         assert chen_residual(X) >= 0.1 - 1e-9
 
     def test_circle_area(self):
         g = TimeGrid.uniform(513)
         t = g.points
         circ = SampledPath(g, np.stack([np.cos(2 * np.pi * t) - 1, np.sin(2 * np.pi * t)], axis=1))
-        X = lift(circ, 2)
-        anti = 0.5 * (X.inc2[0, -1] - X.inc2[0, -1].T)
+        X2 = lift(circ, 2).increment(0, -1)[1]
+        anti = 0.5 * (X2 - X2.T)
         # signed enclosed area of the unit circle loop: +-pi off-diagonal
         assert anti[0, 1] == pytest.approx(math.pi, rel=1e-3)
 
     def test_shuffle_symmetric_part(self):
         rng = np.random.default_rng(1)
         g = TimeGrid.uniform(17)
-        X = lift(random_smooth_path(g, 2, rng), 2)
-        sym = 0.5 * (X.inc2 + np.swapaxes(X.inc2, -1, -2))
-        outer = 0.5 * np.einsum("ija,ijb->ijab", X.inc1, X.inc1)
+        X1, X2 = lift(random_smooth_path(g, 2, rng), 2).levels()
+        sym = 0.5 * (X2 + np.swapaxes(X2, -1, -2))
+        outer = 0.5 * np.einsum("ija,ijb->ijab", X1, X1)
         assert np.abs(sym - outer).max() < 1e-10
 
     def test_dp_continuity_smoke(self):
         # lifts of dyadic approximations converge level-wise to the lift
         g = TimeGrid.uniform(257)
         path = SampledPath(g, np.stack([np.sin(2 * np.pi * g.points), g.points**2], axis=1))
-        X = lift(path, 2)
+        X = lift(path, 2).levels()
         errs = []
         for m in (2, 4, 6):
-            Xm = lift(dyadic_approx(path, m), 2)
-            errs.append(
-                max(np.abs(Xm.inc1 - X.inc1).max(), np.abs(Xm.inc2 - X.inc2).max())
-            )
+            Xm = lift(dyadic_approx(path, m), 2).levels()
+            errs.append(max(np.abs(a - b).max() for a, b in zip(Xm, X)))
         assert errs[0] > errs[1] > errs[2]
 
     def test_bad_level(self):
@@ -105,6 +112,32 @@ class TestRunningSignature:
         for k, (s, inc) in enumerate(zip(S, X.levels()), start=1):
             assert s.shape == (n_pts,) + (d,) * k
             assert np.array_equal(s, inc[0])
+
+    @staticmethod
+    def step_exponential_product(values, level):
+        """Running levels as the ordered truncated tensor product of the step
+        exponentials exp(dx_u) = 1 + v + v(x)v/2 + v(x)v(x)v/6, multiplied
+        left to right from the identity."""
+        o = np.multiply.outer
+        S = [np.zeros((values.shape[1],) * k) for k in range(1, level + 1)]
+        rows = [S]
+        for v in np.diff(values, axis=0):
+            E = [v, o(v, v) / 2, o(o(v, v), v) / 6][:level]
+            S = [S[k - 1] + E[k - 1] + sum(o(S[j - 1], E[k - j - 1]) for j in range(1, k))
+                 for k in range(1, level + 1)]
+            rows.append(S)
+        return [np.stack([r[k] for r in rows]) for k in range(level)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("n_pts", [2, 17])
+    def test_equals_step_exponential_product(self, d, level, n_pts):
+        path = self.offset_path(n_pts, d, seed=10 * d + n_pts)
+        assert np.all(path.values[0] != 0.0)
+        S = running_signature(path.values, level)
+        for s, want in zip(S, self.step_exponential_product(path.values, level)):
+            assert s.shape == want.shape
+            assert np.abs(s - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("lead", [(4,), (2, 3)])
     @pytest.mark.parametrize("n_pts", [2, 9])
@@ -142,35 +175,6 @@ class TestXiNorm:
         assert b == pytest.approx(c * a, rel=1e-10)
 
 
-class TestDjp:
-    def test_zero_for_equal(self):
-        X = linear_lift(np.array([1.0, 0.5]), n_pts=9, level=2)
-        assert djp_seminorm(X, X, 1, 2.5, gamma=2.0, n_max=2) == 0.0
-
-    def test_hand_value_two_terms(self):
-        g = TimeGrid.uniform(5)
-        path = SampledPath(g, np.array([0.0, 1.0, 0.5, 2.0, 1.0]))
-        X = lift(path, 2)
-        d1 = abs(path.values[2, 0] - path.values[0, 0])
-        d2 = abs(path.values[4, 0] - path.values[2, 0])
-        want = (1.0**2.0 * (d1**2.5 + d2**2.5)) ** (1 / 2.5)
-        got = djp_seminorm(X, None, 1, 2.5, gamma=2.0, n_max=1)
-        assert got == pytest.approx(want, rel=1e-14)
-
-    def test_monotone_in_nmax(self):
-        rng = np.random.default_rng(4)
-        g = TimeGrid.dyadic(4)
-        X = lift(random_smooth_path(g, 1, rng), 2)
-        vals = [djp_seminorm(X, None, 1, 2.5, gamma=2.0, n_max=n) for n in (1, 2, 3, 4)]
-        assert all(a <= b + 1e-15 for a, b in zip(vals[:-1], vals[1:]))
-
-    def test_missing_dyadics(self):
-        g = TimeGrid(np.array([0.0, 0.3, 1.0]))
-        X = lift(SampledPath(g, np.array([0.0, 1.0, 0.5])), 2)
-        with pytest.raises(ValueError):
-            djp_seminorm(X, None, 1, 2.5, gamma=2.0, n_max=2)
-
-
 class TestShiftPair:
     def test_shift_zero(self, smooth_pair):
         x, k = smooth_pair
@@ -194,7 +198,7 @@ class TestShiftPair:
             k.values[None, :, :] - k.values[:, None, :]
         )
         want = np.triu(np.ones((33, 33)))[:, :, None] * want
-        assert np.abs(Z.inc1 - want).max() < 1e-14
+        assert np.abs(Z.levels()[0] - want).max() < 1e-14
 
     def test_shift_inverse(self, smooth_pair):
         x, k = smooth_pair
@@ -210,11 +214,12 @@ class TestShiftPair:
     def test_pair_with_zero(self, smooth_pair):
         x, k = smooth_pair
         X = lift(x, 3)
-        P = pair(X, SampledPath(k.grid, np.zeros((33, 1))))
-        assert np.abs(P.inc1[..., :2] - X.inc1).max() < 1e-15
-        assert np.abs(P.inc2[..., :2, :2] - X.inc2).max() < 1e-15
-        assert np.abs(P.inc2[..., 2, :]).max() == 0.0
-        assert np.abs(P.inc3[..., :2, :2, :2] - X.inc3).max() < 1e-15
+        P1, P2, P3 = pair(X, SampledPath(k.grid, np.zeros((33, 1)))).levels()
+        X1, X2, X3 = X.levels()
+        assert np.abs(P1[..., :2] - X1).max() < 1e-15
+        assert np.abs(P2[..., :2, :2] - X2).max() < 1e-15
+        assert np.abs(P2[..., 2, :]).max() == 0.0
+        assert np.abs(P3[..., :2, :2, :2] - X3).max() < 1e-15
 
     def test_pair_matches_lift_of_concat(self, smooth_pair):
         x, k = smooth_pair
@@ -231,10 +236,11 @@ class TestShiftPair:
     def test_pair_projection(self, smooth_pair):
         x, k = smooth_pair
         X = lift(x, 3)
-        P = pair(X, k)
-        assert np.abs(P.inc1[..., :2] - X.inc1).max() == 0.0
-        assert np.abs(P.inc2[..., :2, :2] - X.inc2).max() < 1e-10
-        assert np.abs(P.inc3[..., :2, :2, :2] - X.inc3).max() < 1e-10
+        P1, P2, P3 = pair(X, k).levels()
+        X1, X2, X3 = X.levels()
+        assert np.abs(P1[..., :2] - X1).max() == 0.0
+        assert np.abs(P2[..., :2, :2] - X2).max() < 1e-10
+        assert np.abs(P3[..., :2, :2, :2] - X3).max() < 1e-10
 
     def test_grid_mismatch(self, smooth_pair):
         x, _ = smooth_pair
@@ -258,10 +264,11 @@ def step_word_rows(X, k, s):
         names += ["kkk", "xxk", "xkx", "xkk", "kxk", "kkx", "kxx", "J"]
     cur = {w: np.zeros(tuple(dims[c] for c in w.replace("J", "kx"))) for w in names}
     rows = [cur]
+    X1, X2 = X.levels()[:2]
     for u in range(s, len(X.grid) - 1):
-        xi, ki = X.inc1[s, u], kv[u] - kv[s]
-        dx, dk = X.inc1[u, u + 1], kv[u + 1] - kv[u]
-        X2b, X2s = X.inc2[s, u], X.inc2[u, u + 1]
+        xi, ki = X1[s, u], kv[u] - kv[s]
+        dx, dk = X1[u, u + 1], kv[u + 1] - kv[u]
+        X2b, X2s = X2[s, u], X2[u, u + 1]
         nxt = {
             "k": ki + dk,
             "kk": cur["kk"] + o(ki, dk) + o(dk, dk) / 2,
@@ -294,8 +301,7 @@ class TestNonPolygonal:
         rng = np.random.default_rng(11)
         fine = TimeGrid.uniform(129)
         X = lift(SampledPath(fine, 0.1 * rng.normal(size=(129, 2)).cumsum(axis=0)), level)
-        sl = slice(0, 129, 2)
-        Xc = RoughPath(TimeGrid(fine.points[sl]), level, *[a[sl, sl] for a in X.levels()])
+        Xc = RoughPath(TimeGrid(fine.points[::2]), level, [S[::2] for S in X.running])
         k = SampledPath(Xc.grid, 0.05 * rng.normal(size=(65, 2)).cumsum(axis=0))
         return Xc, k
 
@@ -304,9 +310,7 @@ class TestNonPolygonal:
         """Row s of the pairing, levels 1..X.level, blocks assembled from the
         pure-x increments and :func:`step_word_rows`."""
         words = step_word_rows(X, k, s)
-        words.update(x=X.inc1[s, s:], xx=X.inc2[s, s:])
-        if X.level == 3:
-            words["xxx"] = X.inc3[s, s:]
+        words.update(zip(["x", "xx", "xxx"], (a[s, s:] for a in X.levels())))
         span = {"x": slice(0, 2), "k": slice(2, 4)}
         out = []
         for j in range(1, X.level + 1):
@@ -320,8 +324,8 @@ class TestNonPolygonal:
     @pytest.mark.parametrize("level", [2, 3])
     def test_not_a_polygon_lift(self, level):
         X, _ = self.restricted_lift(level)
-        poly = lift(SampledPath(X.grid, X.inc1[0]), level)
-        assert np.abs(X.inc2 - poly.inc2).max() > 1e-2
+        poly = lift(SampledPath(X.grid, X.running[0]), level)
+        assert np.abs(X.levels()[1] - poly.levels()[1]).max() > 1e-2
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_pair_and_shift_match_step_sums(self, level):
@@ -342,14 +346,14 @@ class TestScale:
         x, _ = smooth_pair
         X = lift(x, 2)
         S = scale_rough(X, 1, 0.4)
-        assert np.abs(S.inc2 - X.inc2).max() == 0.0
+        assert np.abs(S.levels()[1] - X.levels()[1]).max() == 0.0
 
     def test_linear_path_substitution(self):
         v = np.array([2.0, 1.0])
         X = linear_lift(v, n_pts=33, level=2)
         S = scale_rough(X, 0.5, 0.5)
         # level-1 increment over [0,1] becomes 2^(1/2) * v * (1/2)
-        assert np.allclose(S.inc1[0, -1], v / math.sqrt(2), atol=1e-14)
+        assert np.allclose(S.increment(0, -1)[0], v / math.sqrt(2), atol=1e-14)
 
     def test_chen_preserved(self, smooth_pair):
         x, _ = smooth_pair
@@ -360,6 +364,25 @@ class TestScale:
         x, _ = smooth_pair  # 32 steps
         with pytest.raises(ValueError):
             scale_rough(lift(x, 2), 1 / 3, 0.4)
+
+
+def test_constructors_store_running_levels_only():
+    # no constructor allocates an (N, N, ...) array: at N = 513, level 3 the
+    # dense level-3 pairing alone would take 513^2 * 4^3 * 8 B = 135 MB
+    rng = np.random.default_rng(12)
+    g = TimeGrid.uniform(513)
+    x = SampledPath(g, 0.1 * rng.normal(size=(513, 2)).cumsum(axis=0))
+    k = SampledPath(g, 0.05 * rng.normal(size=(513, 2)).cumsum(axis=0))
+    X = lift(x, 3)
+    for build in (lambda: lift(x, 3), lambda: pair(X, k), lambda: shift(X, k),
+                  lambda: scale_rough(X, 0.5, 0.4)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def test_csv_roundtrip(smooth_pair):

@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.variation import (
     _increment_norms,
-    besov_norm,
     coarsen_dyadic,
     cosine_pvar,
     dyadic_approx,
-    holder_norm,
     pvar_backbone,
     pvar_exact,
-    pvar_jogfree,
 )
 
 
@@ -204,33 +201,6 @@ class TestTurningPointReduction:
         assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
 
 
-class TestJogFree:
-    def test_cosine_closed_form(self):
-        # alternating (0,-2,0,-2,...) with n jumps
-        for n in (1, 3, 8):
-            vals = np.cos(n * math.pi * np.linspace(0, 1, n + 1)) - 1.0
-            assert pvar_jogfree(vals, 3.0) == pytest.approx(2 * n ** (1 / 3), rel=1e-14)
-
-    def test_single_increment(self):
-        assert pvar_jogfree([0.0, -1.7], 2.7) == pytest.approx(1.7)
-
-    def test_agrees_with_pvar_exact(self):
-        # shrinking alternating envelope: every extremum is a forward extremum
-        vals = np.array([0.0, 3.0, -2.0, 2.0, -1.0, 0.5])
-        g = TimeGrid.uniform(len(vals))
-        assert pvar_jogfree(vals, 2.2) == pytest.approx(
-            pvar_exact(SampledPath(g, vals), 2.2).value, rel=1e-12
-        )
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            pvar_jogfree([0.0, 1.0, 2.0], 2.0)  # no alternation
-        with pytest.raises(ValueError):
-            pvar_jogfree([0.0, 1.0, 0.5, 2.0], 2.0)  # 1.0 not a forward max
-        with pytest.raises(ValueError):
-            pvar_jogfree([0.1, 1.0, -1.0], 2.0)  # does not start at 0
-
-
 class TestCosinePvar:
     def test_values(self):
         assert cosine_pvar(1, 2.0) == pytest.approx(2.0)
@@ -246,69 +216,6 @@ class TestCosinePvar:
     def test_validation(self):
         with pytest.raises(ValueError):
             cosine_pvar(0, 2.0)
-
-
-class TestHolder:
-    def test_linear_path(self):
-        g = TimeGrid.uniform(33)
-        assert holder_norm(SampledPath(g, g.points), 0.5) == pytest.approx(1.0)
-
-    def test_constant_path(self):
-        g = TimeGrid.uniform(9)
-        assert holder_norm(SampledPath(g, np.full(9, -2.5)), 0.3) == pytest.approx(2.5)
-
-    def test_brute_force(self):
-        rng = np.random.default_rng(5)
-        g = TimeGrid.uniform(17)
-        path = SampledPath(g, rng.standard_normal((17, 2)))
-        alpha = 0.4
-        best = max(
-            np.linalg.norm(path.values[j] - path.values[i])
-            / (g.points[j] - g.points[i]) ** alpha
-            for i in range(17)
-            for j in range(i + 1, 17)
-        )
-        want = np.linalg.norm(path.values[0]) + best
-        assert holder_norm(path, alpha) == pytest.approx(want, rel=1e-14)
-
-
-class TestBesov:
-    def test_constant_path(self):
-        g = TimeGrid.uniform(17)
-        assert besov_norm(SampledPath(g, np.full(17, 3.0)), 0.4, 2.0) == pytest.approx(3.0, rel=1e-12)
-
-    def test_linear_closed_form(self):
-        # k_t = t, delta = 0.4, p = 2: sqrt(1/3) + sqrt(2/(1.2*2.2))
-        g = TimeGrid.uniform(257)
-        got = besov_norm(SampledPath(g, g.points), 0.4, 2.0)
-        want = math.sqrt(1 / 3) + math.sqrt(2.0 / (1.2 * 2.2))
-        assert got == pytest.approx(want, rel=1e-4)
-
-    def test_refinement_consistency(self):
-        for npts in (129,):
-            g1 = TimeGrid.uniform(npts)
-            g2 = TimeGrid.uniform(2 * npts - 1)
-            f = lambda t: np.sin(2 * np.pi * t) + t**2
-            b1 = besov_norm(SampledPath(g1, f(g1.points)), 0.45, 2.0)
-            b2 = besov_norm(SampledPath(g2, f(g2.points)), 0.45, 2.0)
-            assert abs(b2 - b1) / b1 < 0.01
-
-    @given(st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3))
-    @settings(max_examples=20, deadline=None)
-    def test_homogeneity(self, c):
-        g = TimeGrid.uniform(33)
-        path = SampledPath(g, np.sin(3 * g.points))
-        a = besov_norm(path, 0.4, 2.0)
-        b = besov_norm(c * path, 0.4, 2.0)
-        assert b == pytest.approx(abs(c) * a, rel=1e-10)
-
-    def test_parameter_validation(self):
-        g = TimeGrid.uniform(9)
-        p = SampledPath(g, g.points)
-        with pytest.raises(ValueError):
-            besov_norm(p, 1.2, 2.0)
-        with pytest.raises(ValueError):
-            besov_norm(p, 0.4, 1.0)
 
 
 class TestDyadicApprox:
