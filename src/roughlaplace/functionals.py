@@ -7,6 +7,7 @@ all of state space.  All evaluators broadcast over leading batch axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -137,15 +138,20 @@ def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
     """sigma(y) = S constant; optional linear drift beta(eps, y) = B y.
 
     ``sigma`` and ``dbeta_y`` return read-only broadcast views of S and B,
-    not copies.
+    not copies; ``sigma`` builds one view per leading shape of y and returns
+    it again on every later call with that shape (the Heun stages call it
+    once per stage with the same shape).
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     n, d = S.shape
     B = None if beta_matrix is None else np.asarray(beta_matrix, dtype=float)
 
+    @lru_cache(maxsize=32)
+    def sigma_view(lead):
+        return np.broadcast_to(S, lead + (n, d))
+
     def sigma(y):
-        y = np.asarray(y, dtype=float)
-        return np.broadcast_to(S, y.shape[:-1] + (n, d))
+        return sigma_view(np.shape(y)[:-1])
 
     def beta(eps, y):
         y = np.asarray(y, dtype=float)

@@ -27,8 +27,8 @@ from .taylor import (
     _as_values,
     _chi_values,
     _lin_sources,
-    _psi_sources,
     _quad_sources,
+    costate,
 )
 from .variation import pvar_exact
 
@@ -135,8 +135,15 @@ def hessian_matrix(
     the second Frechet derivative of the Ito map) into the full derivative,
     so entries agree with second differences of F(Psi(.)) and the quadratic
     form z -> z' A z / 2 in the basis coordinates is the Gaussian exponent
-    whose integrability is 1 + min eig > 0.  Entries use the polarized
-    second-derivative solve, so the matrix inherits basis nesting exactly.
+    whose integrability is 1 + min eig > 0.
+
+    The chi(e_a) are one batched forward solve, read as paths by grad^2 F.
+    The psi part is never solved: grad F<2 psi(e_a, e_b)> is the co-state
+    pairing of the unhalved polarized sources ds<chi_a, dk_b> +
+    ds<chi_b, dk_a> + Q<chi_a, chi_b> (:class:`roughlaplace.taylor.CoState`),
+    i.e. L + L^T + C K^T with L = dk . lin_covector(chi)^T and
+    K = quad_apply(chi), three (nb x N n)(N n x nb) products.  Entries are
+    per-pair sums, so the matrix inherits basis nesting exactly.
     """
     d = ctx.field.d
     basis = cm_basis(H, ctx.grid, N, d)
@@ -148,17 +155,11 @@ def hessian_matrix(
         ctx.phi0.values, chi_all[:, None], chi_all[None, :], ctx.grid
     )
 
-    # psi on all pairs in one batched solve
-    dk_stack = np.diff(k_stack, axis=-2)
-    sL, sR = _psi_sources(
-        ctx,
-        np.broadcast_to(chi_all[:, None], (nb, nb) + chi_all.shape[1:]),
-        np.broadcast_to(chi_all[None, :], (nb, nb) + chi_all.shape[1:]),
-        np.broadcast_to(dk_stack[:, None], (nb, nb) + dk_stack.shape[1:]),
-        np.broadcast_to(dk_stack[None, :], (nb, nb) + dk_stack.shape[1:]),
-    )
-    psi_all = ctx.solve(sL, sR)
-    grad_part = functional.grad(ctx.phi0.values, 2.0 * psi_all, ctx.grid)
+    cs = costate(ctx, functional)
+    dk = np.diff(k_stack, axis=-2).reshape(nb, -1)
+    lin = dk @ cs.lin_covector(chi_all).reshape(nb, -1).T
+    chi_flat = chi_all.reshape(nb, -1)
+    grad_part = lin + lin.T + chi_flat @ cs.quad_apply(chi_all).reshape(nb, -1).T
 
     A = np.asarray(grad_part + hess_part, dtype=float)
     A = 0.5 * (A + A.T)

@@ -29,8 +29,9 @@ from .hessian import hessian_matrix, log_det2
 from .odes import VectorFieldSpec, heun_controlled
 from .taylor import (
     _chi_values,
-    _phi2_sources,
+    _dt_sources,
     _theta1_values,
+    costate,
     expansion_context,
 )
 
@@ -72,6 +73,10 @@ class LaplaceReport:
     hessian_min_eig: float | None = None
     fit: dict | None = None
     flags: list = field(default_factory=list)
+    # per restart (start order): accepted descent steps, rejected line-search
+    # candidates and final objective value; and the largest distance of a
+    # final value from the minimum
+    optimizer: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -85,6 +90,7 @@ class LaplaceReport:
             "hessian_min_eig": self.hessian_min_eig,
             "fit": self.fit,
             "flags": self.flags,
+            "optimizer": self.optimizer,
         }
 
 
@@ -157,8 +163,12 @@ def minimize_F_Lambda(
 
     Gradient descent with backtracking line search; the gradient component
     along e_a is c_a + grad F(phi0)<chi(e_a)> (orthonormality plus the
-    first-order identity).  Multiple restarts probe uniqueness of the
-    minimizer; disagreement beyond tolerance is flagged, not fatal.  Every
+    first-order identity), read through the co-state of the evaluation's
+    context as one product of the basis increments with sigma(phi0)^T mu
+    (:meth:`roughlaplace.taylor.CoState.chi`), with no chi solve.  Multiple
+    restarts probe uniqueness of the minimizer; disagreement beyond
+    tolerance is flagged, not fatal, and ``report.optimizer`` records each
+    restart's iterations, backtracks and final value with their spread.  Every
     start point is drawn before any descent, and the restarts run over
     ``workers`` processes (:func:`_map_blocks`), so the result does not
     depend on ``workers``.
@@ -167,14 +177,13 @@ def minimize_F_Lambda(
     d = field_spec.d
     basis = cm_basis(H, grid, N, d)
     k_stack = np.stack([b.induced_path.values for b in basis])  # (nb, N, d)
+    dk_stack = np.diff(k_stack, axis=-2)
     nb = len(basis)
 
     def objective_grad(coeffs: np.ndarray):
         gamma = _gamma_from_coeffs(coeffs, k_stack, grid)
         ctx = expansion_context(field_spec, gamma)
-        chi_all = _chi_values(ctx, k_stack)
-        gF = functional.grad(ctx.phi0.values, chi_all, grid)
-        gradient = coeffs + np.asarray(gF, dtype=float)
+        gradient = coeffs + costate(ctx, functional).chi(dk_stack)
         value = float(functional.value(ctx.phi0.values, grid)) + 0.5 * float(
             (coeffs**2).sum()
         )
@@ -183,6 +192,7 @@ def minimize_F_Lambda(
     def descend(c0: np.ndarray):
         c = c0.copy()
         val, grad = objective_grad(c)
+        iterations = backtracks = 0
         for _ in range(opt.max_iters):
             gnorm = float(np.abs(grad).max())
             if gnorm < opt.grad_tol:
@@ -193,11 +203,13 @@ def minimize_F_Lambda(
                 v2, g2 = objective_grad(cand)
                 if v2 <= val - opt.armijo * step * float((grad**2).sum()):
                     c, val, grad = cand, v2, g2
+                    iterations += 1
                     break
                 step *= opt.backtrack
+                backtracks += 1
             else:
                 break
-        return c, val, grad
+        return c, val, grad, iterations, backtracks
 
     flags = []
     rng = substream(opt.seed, _STREAM_OPT, 0)
@@ -205,8 +217,8 @@ def minimize_F_Lambda(
         opt.init_scale * rng.standard_normal(nb) for _ in range(max(1, opt.restarts) - 1)
     ]
     solutions = _map_blocks(descend, starts, workers)
-    c, val, grad = min(solutions, key=lambda sol: sol[1])  # first of equal values
-    spread = max(abs(v - val) for _, v, _ in solutions)
+    c, val, grad, _, _ = min(solutions, key=lambda sol: sol[1])  # first of equal values
+    spread = max(abs(sol[1] - val) for sol in solutions)
     if spread > opt.restart_tol * max(1.0, abs(val)):
         flags.append(
             f"restarts disagree by {spread:.3e}: minimizer may not be unique"
@@ -225,6 +237,12 @@ def minimize_F_Lambda(
         F_Lambda_min=val,
         first_order_residual=residual,
         flags=flags,
+        optimizer={
+            "iterations": [sol[3] for sol in solutions],
+            "backtracks": [sol[4] for sol in solutions],
+            "values": [sol[1] for sol in solutions],
+            "spread": spread,
+        },
     )
     return report
 
@@ -244,7 +262,11 @@ def expansion_constants(
 
     a = F(phi0) + ||gamma||^2/2 (already minimized); c = grad F(phi0)<theta1>;
     alpha0 = G(phi0) E[ exp(-grad F(phi0)<phi2(X)> - grad^2 F(phi0)<phi1, phi1>/2) ]
-    by Monte Carlo over driver samples, with standard error.  When the field
+    by Monte Carlo over driver samples, with standard error.  c and every
+    grad F(phi0)<phi2(X)> come from the context's co-state
+    (:class:`roughlaplace.taylor.CoState`): phi2 is never solved, and each
+    sample block runs one forward solve, chi(X), for the path phi1 that
+    grad^2 F reads.  When the field
     has constant sigma and no drift the expectation is a Gaussian quadratic
     functional and the Carleman-Fredholm closed form applies; the truncated
     Hessian eigenvalues provide that cross-check value in ``fit['det2_closed_form']``.
@@ -257,20 +279,18 @@ def expansion_constants(
     grid = gamma_path.grid
     ctx = expansion_context(field_spec, gamma_path)
 
+    cs = costate(ctx, functional)
+    c_coef = float(cs.pair(*_dt_sources(ctx.dbeta_eps0, grid.dt)))
     theta1 = _theta1_values(ctx)
-    c_coef = float(functional.grad(ctx.phi0.values, theta1, grid))
 
     gen = FbmSampler(grid, H, field_spec.d, seed, kind=_STREAM_MC)
 
     def block(lo):
         X, _ = gen.batch(lo, min(lo + batch, mc_samples))
-        chi = _chi_values(ctx, X)
-        phi1 = chi + theta1
-        sL, sR = _phi2_sources(ctx, phi1, np.diff(X, axis=-2))
-        phi2 = ctx.solve(sL, sR)
-        gF = functional.grad(ctx.phi0.values, phi2, grid)
+        phi1 = _chi_values(ctx, X) + theta1
+        gF = cs.phi2(phi1, np.diff(X, axis=-2))
         hF = functional.hess(ctx.phi0.values, phi1, phi1, grid)
-        return -(np.asarray(gF) + 0.5 * np.asarray(hF))
+        return -(gF + 0.5 * np.asarray(hF))
 
     log_weights = np.concatenate(_map_blocks(block, range(0, mc_samples, batch), workers))
     w = np.exp(log_weights)

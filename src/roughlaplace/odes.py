@@ -11,6 +11,13 @@ matrix product and one addition.  The map is exactly linear in the sources,
 so additivity identities between perturbation terms hold to rounding, not
 just to discretization order.  The flow M, M^{-1} of the homogeneous part is
 never formed: the solve is its variation-of-constants formula.
+
+:func:`linear_perturbation_costate` reads that formula backwards: for a
+covector path g it sweeps lambda_i = g_i + T_i^T lambda_{i+1} once and
+returns per-step weights with sum_j g_j . z_j = sum_i muL_i . srcL_i +
+muR_i . srcR_i for every source pair, so a consumer that reads solves only
+through one fixed covector (grad F(phi0) in the expansion) needs no solve
+at all (Giles & Glasserman, "Smoking adjoints", Risk 2006).
 """
 from __future__ import annotations
 
@@ -26,6 +33,7 @@ __all__ = [
     "DivergenceError",
     "heun_controlled",
     "linear_perturbation_solve",
+    "linear_perturbation_costate",
 ]
 
 
@@ -203,6 +211,11 @@ def _matvec(C: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _step_maps(omL: np.ndarray, omR: np.ndarray) -> np.ndarray:
+    """The Heun step maps T_i = I + (omL_i + omR_i + omR_i omL_i) / 2, (n_steps, n, n)."""
+    return np.eye(omL.shape[-1]) + 0.5 * (omL + omR + omR @ omL)
+
+
 def linear_perturbation_solve(
     omL: np.ndarray,
     omR: np.ndarray,
@@ -231,7 +244,7 @@ def linear_perturbation_solve(
     is bit-identical to it.
     """
     n_steps, n = omL.shape[0], omL.shape[-1]
-    T = np.eye(n) + 0.5 * (omL + omR + omR @ omL)
+    T = _step_maps(omL, omR)
     lead = srcL.shape[:-2]
     out = np.empty(lead + (n_steps + 1, n))
     out[..., 0, :] = 0.0
@@ -246,3 +259,29 @@ def linear_perturbation_solve(
         z += flat[:, i, :]
         flat[:, i, :] = z
     return out
+
+
+def linear_perturbation_costate(omL: np.ndarray, omR: np.ndarray, g: np.ndarray):
+    """Source weights (muL, muR), each (n_steps, n), of the covector path
+    ``g`` (N, n) read through :func:`linear_perturbation_solve`:
+
+        sum_j g_j . z_j = sum_i muL_i . srcL_i + muR_i . srcR_i
+
+    for the solution z of every source pair.  With z_{i+1} = T_i z_i + b_i
+    and z_0 = 0 the left side is sum_i lambda_{i+1} . b_i for the co-state
+
+        lambda_{N-1} = g_{N-1},   lambda_i = g_i + T_i^T lambda_{i+1},
+
+    and b_i = ((I + omR_i) srcL_i + srcR_i) / 2 gives
+    muL_i = (I + omR_i)^T lambda_{i+1} / 2 and muR_i = lambda_{i+1} / 2.
+    One backward sweep of one n-vector; the identity reassociates the
+    solve's sums, so it holds to rounding.
+    """
+    T = _step_maps(omL, omR)
+    lam = np.empty(omL.shape[:-1])  # lam[i] = lambda_{i+1}
+    cur = g[-1]
+    for i in range(len(T) - 1, -1, -1):
+        lam[i] = cur
+        cur = g[i] + cur @ T[i]
+    muR = 0.5 * lam
+    return _matvec(np.swapaxes(omR, -1, -2), muR, out=muR.copy()), muR

@@ -174,17 +174,17 @@ def running_signature(values: np.ndarray, level: int = 2) -> list:
 
 def chen_residual(X: RoughPath) -> float:
     """Max defect of ``X_{s,t} = X_{s,u} (x) X_{u,t}`` over grid triples
-    s <= u <= t, every factor from :meth:`RoughPath.increment`."""
-    n = len(X.grid)
+    s <= u <= t, every factor from one all-pairs expansion
+    (:meth:`RoughPath.levels`, whose entries are :meth:`RoughPath.increment`'s):
+    per middle point u the blocks X_{s,u} = L[:u+1, u], X_{u,t} = L[u, u:]
+    and X_{s,t} = L[:u+1, u:]."""
+    L = X.levels()
     res = 0.0
-    for u in range(n):
-        s, t = np.arange(u + 1), np.arange(u, n)
-        a = X.increment(s, u)  # X_{s,u}, (u+1, ...)
-        b = X.increment(u, t)  # X_{u,t}, (n-u, ...)
-        full = X.increment(s[:, None], t[None, :])
+    for u in range(len(X.grid)):
+        a = [Lk[: u + 1, u] for Lk in L]  # X_{s,u}, (u+1, ...)
+        b = [Lk[u, u:] for Lk in L]  # X_{u,t}, (n-u, ...)
         for k in range(2, X.level + 1):
-            d = full[k - 1]
-            d -= a[k - 1][:, None]
+            d = L[k - 1][: u + 1, u:] - a[k - 1][:, None]
             d -= b[k - 1][None, :]
             for j in range(k - 1, 0, -1):
                 d -= _otimes(a[j - 1][:, None], b[k - j - 1][None, :], j, k - j)

@@ -14,21 +14,40 @@ Their sources are sums of two primitives over the coefficients along phi0:
 ds(phi0)<z, dY> against a path's increments (``_lin_sources``) and the
 per-step Q<z1, z2> (``_quad_sources``), with Q contracted with dgamma and dt
 once per context, plus the drift's eps-derivatives for phi2 and theta2.
+
+Where a term is read only through z -> grad F(phi0)<z> it is not solved.
+:func:`costate` sweeps the context's step maps backwards once for grad F
+and :class:`CoState` contracts the resulting source weights with the same
+coefficient tables (ds(phi0), Q, P, D), so grad F<chi(k)> (the minimizer's
+gradient), grad F<theta1> (c), grad F<phi2(X)> (the alpha0 weights) and
+grad F<2 psi(e_a, e_b)> (the Hessian) are contractions of their inputs.
+Everything that reads a term as a path -- ``compute_*``, ``taylor_bundle``,
+``taylor_remainder_slope``, ``v_forms``, ``r_forms``, ``hs_tail``, and
+phi1 under grad^2 F -- keeps the forward solve.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .grids import SampledPath, TimeGrid
-from .odes import VectorFieldSpec, _matvec, heun_controlled, linear_perturbation_solve
+from .odes import (
+    VectorFieldSpec,
+    _matvec,
+    heun_controlled,
+    linear_perturbation_costate,
+    linear_perturbation_solve,
+)
 from .variation import coarsen_dyadic, pvar_exact
 
 __all__ = [
     "ExpansionContext",
+    "CoState",
+    "costate",
     "TaylorBundle",
     "expansion_context",
     "solve_rde",
@@ -177,6 +196,102 @@ def _halve(src):
     for side in src:
         side *= 0.5
     return src
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over the last two axes of a * b; the leading axes broadcast."""
+    return np.einsum("...ij,...ij->...", a, b)
+
+
+def _onto_points(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per-step tables read at the left (z_i) and right (z_{i+1}) step
+    endpoints, summed onto the grid points: (n_steps, ...) -> (N, ...)."""
+    out = np.zeros((left.shape[0] + 1,) + left.shape[1:])
+    out[:-1] += left
+    out[1:] += right
+    return out
+
+
+@dataclass
+class CoState:
+    """grad F(phi0) read backwards through every solve of one context:
+
+        grad F(phi0)<ctx.solve(srcL, srcR)> = sum_i muL_i . srcL_i + muR_i . srcR_i
+
+    (:func:`roughlaplace.odes.linear_perturbation_costate`).  The weights are
+    contracted once with the coefficients the sources are built from, so a
+    term read only through grad F costs one contraction of its inputs and
+    no solve:
+
+        grad F<chi(k)>              = sum_i dk_i . chi_covector_i,
+        grad F<solve(ds<z, dY>)>    = sum_i dY_i . lin_covector(z)_i,
+        grad F<solve(Q<z1, z2>)>    = sum_j z1_j . quad_apply(z2)_j.
+    """
+
+    ctx: ExpansionContext
+    muL: np.ndarray  # (n_steps, n)
+    muR: np.ndarray  # (n_steps, n)
+
+    def pair(self, srcL: np.ndarray, srcR: np.ndarray) -> np.ndarray:
+        """grad F(phi0)<ctx.solve(srcL, srcR)>, batched over leading axes."""
+        return _dot(srcL, self.muL) + _dot(srcR, self.muR)
+
+    def _contract(self, tables: tuple, subscripts: str) -> tuple:
+        """(muL, muR) contracted with the left and right per-step tables."""
+        return tuple(np.einsum(subscripts, mu, C) for mu, C in zip((self.muL, self.muR), tables))
+
+    @cached_property
+    def chi_covector(self) -> np.ndarray:
+        """sigma(phi0_i)^T muL_i + sigma(phi0_{i+1})^T muR_i, (n_steps, d)."""
+        s = self.ctx.sigma0
+        return sum(self._contract((s[:-1], s[1:]), "ia,iap->ip"))
+
+    @cached_property
+    def _lin(self) -> tuple:
+        ds = self.ctx.dsigma0
+        return self._contract((ds[:-1], ds[1:]), "ia,iapq->ipq")
+
+    @cached_property
+    def _quad(self) -> np.ndarray:
+        return _onto_points(*self._contract(self.ctx.Q, "ia,iapq->ipq"))
+
+    def chi(self, dk: np.ndarray) -> np.ndarray:
+        """grad F(phi0)<chi(k)> from the increments dk (..., n_steps, d)."""
+        return _dot(dk, self.chi_covector)
+
+    def lin_covector(self, z: np.ndarray) -> np.ndarray:
+        """(..., n_steps, d): mu_i . ds(phi0)<z, .> at both step endpoints."""
+        linL, linR = self._lin
+        return _matvec(linL, z[..., :-1, :]) + _matvec(linR, z[..., 1:, :])
+
+    def quad_apply(self, z: np.ndarray) -> np.ndarray:
+        """(..., N, n): mu . Q<., z> summed onto the grid points."""
+        return _matvec(self._quad, z)
+
+    def phi2(self, phi1: np.ndarray, dX: np.ndarray) -> np.ndarray:
+        """grad F(phi0)<phi2(X)> from phi1 (..., N, n) and dX (..., n_steps, d):
+        the co-state pairing of the phi2 sources Q<phi1, phi1>/2 +
+        ds<phi1, dX> + P<phi1> + D/2.  A term whose contracted table is
+        identically 0 is skipped: for ``constant_field`` every one is, and
+        the result is exactly 0."""
+        out = np.full(phi1.shape[:-2], 0.5 * float(self.pair(*self.ctx.D)))
+        eps = _onto_points(*self._contract(self.ctx.P, "ia,iab->ib"))
+        if self._quad.any() or eps.any():
+            out += _dot(phi1, 0.5 * self.quad_apply(phi1) + eps)
+        if any(t.any() for t in self._lin):
+            out += _dot(dX, self.lin_covector(phi1))
+        return out
+
+
+def costate(ctx: ExpansionContext, functional) -> CoState:
+    """The co-state of grad F(phi0) on the context: g from one batched
+    ``functional.grad`` call on the N n unit directions (grad is linear),
+    then one backward sweep."""
+    N, n = ctx.phi0.values.shape
+    units = np.eye(N * n).reshape(N * n, N, n)
+    g = np.asarray(functional.grad(ctx.phi0.values, units, ctx.grid), dtype=float)
+    muL, muR = linear_perturbation_costate(ctx.omL, ctx.omR, g.reshape(N, n))
+    return CoState(ctx, muL, muR)
 
 
 def compute_chi(ctx: ExpansionContext, k) -> SampledPath:

@@ -45,3 +45,20 @@ def linear_flow(ctx):
         M[i + 1] = T @ M[i]
         Minv[i + 1] = Minv[i] @ np.linalg.inv(T)
     return M, Minv
+
+
+def gaussian_oracle(S, Q, v):
+    """Exact Laplace constants of the Gaussian case: constant sigma = S, no
+    drift, y_0 = 0 and F(y) = <y_1, Q y_1>/2 + <v, y_1>.  Then y_1 = S X_1
+    with X_1 standard normal, so with B = S^T Q S and w = S^T v
+
+        J(eps) = det(I + B)^{-1/2} exp(w^T (I + B)^{-1} w / (2 eps^2))
+
+    exactly: a = -w^T (I + B)^{-1} w / 2, c = 0 and alpha0 = det(I + B)^{-1/2}.
+    Returns (a, c, alpha0).
+    """
+    S, Q, v = (np.asarray(x, dtype=float) for x in (S, Q, v))
+    B = S.T @ (0.5 * (Q + Q.T)) @ S
+    w = S.T @ v
+    IB = np.eye(len(B)) + B
+    return -0.5 * float(w @ np.linalg.solve(IB, w)), 0.0, float(np.linalg.det(IB)) ** -0.5

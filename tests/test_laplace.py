@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gaussian_oracle
 from roughlaplace.fbm import cm_basis
 from roughlaplace.functionals import (
     constant_field,
@@ -88,6 +89,23 @@ class TestMinimize:
                 cp[a] += h
                 assert F_Lambda(cp) >= base - 1e-12
 
+    def test_optimizer_counts(self):
+        # F = 0: the start at 0 is already stationary; from a random start
+        # the unit step lands on the minimizer 0 at once, no backtrack
+        field = constant_field(S_TEST)
+        rep = minimize_F_Lambda(zero_functional(), field, H_TEST, GRID, 4, OptConfig(restarts=3))
+        opt = rep.optimizer
+        assert opt["iterations"] == [0, 1, 1]
+        assert opt["backtracks"] == [0, 0, 0]
+        assert opt["values"] == [0.0, 0.0, 0.0] and opt["spread"] == 0.0
+
+    def test_optimizer_record(self, gaussian_linear_report):
+        opt = gaussian_linear_report.optimizer
+        assert len(opt["iterations"]) == len(opt["backtracks"]) == len(opt["values"]) == 3
+        assert min(opt["iterations"]) >= 1 and min(opt["backtracks"]) >= 0
+        assert min(opt["values"]) == gaussian_linear_report.F_Lambda_min
+        assert opt["spread"] == max(v - min(opt["values"]) for v in opt["values"])
+
     def test_truncation_refinement_stable(self):
         field = constant_field(S_TEST)
         F = endpoint_linear(V_TEST)
@@ -125,6 +143,39 @@ class TestExpansionConstants:
         rep = minimize_F_Lambda(F, field, H_TEST, GRID, 6, OptConfig(restarts=2))
         rep = expansion_constants(rep, F, field, mc_samples=2000, seed=11, hessian_N=6)
         assert rep.alpha0 > 0
+
+
+class TestGaussianOracle:
+    """Criterion 13's case against its exact constants (conftest.gaussian_oracle):
+    a = -0.0839897, c = 0, alpha0 = 0.733128."""
+
+    S = np.array([[1.0, 0.3], [-0.2, 0.8]])
+    Q = np.array([[0.5, 0.1], [0.1, 0.3]])
+    v = np.array([0.4, -0.3])
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        F, field = endpoint_quadratic(self.Q, v=self.v), constant_field(self.S)
+        rep = minimize_F_Lambda(F, field, H_TEST, TimeGrid.uniform(257), 16, OptConfig(restarts=1))
+        return expansion_constants(rep, F, field, mc_samples=8192, seed=1013, hessian_N=16)
+
+    def test_oracle_values(self):
+        a, c, alpha0 = gaussian_oracle(self.S, self.Q, self.v)
+        assert a == pytest.approx(-0.0839897, abs=5e-8)
+        assert alpha0 == pytest.approx(0.733128, abs=5e-7)
+
+    def test_a_within_truncation_floor(self, report):
+        # the truncated minimum lies above the exact one by the N = 16 floor
+        # of the cosine basis, measured at 5.57e-5 (257 points, H = 0.4)
+        a, _, _ = gaussian_oracle(self.S, self.Q, self.v)
+        assert 0.0 < report.F_Lambda_min - a < 6e-5
+
+    def test_c_is_zero(self, report):
+        assert report.c_coef == 0.0
+
+    def test_alpha0_within_3_se(self, report):
+        _, _, alpha0 = gaussian_oracle(self.S, self.Q, self.v)
+        assert abs(report.alpha0 - alpha0) < 3 * report.alpha0_se
 
 
 class TestMcLaplace:
@@ -193,6 +244,7 @@ class TestWorkers:
         assert pooled.F_Lambda_min == report.F_Lambda_min
         assert pooled.first_order_residual == report.first_order_residual
         assert pooled.flags == report.flags
+        assert pooled.optimizer == report.optimizer
 
     def test_expansion_constants(self, report):
         one, two = (

@@ -191,6 +191,11 @@ def test_constant_field_returns_views():
     ys = np.zeros((7, 2))
     for out in (f.sigma(ys), f.dbeta_y(0.0, ys)):
         assert not out.flags.writeable and out.shape[0] == 7
+    # sigma keeps one view per leading shape: a repeated call returns it again
+    again = f.sigma(np.ones((7, 2)))
+    assert again is f.sigma(ys) and not again.flags.writeable
+    assert np.array_equal(again, np.broadcast_to(f.sigma(np.zeros(2)), (7, 2, 2)))
+    assert f.sigma(np.zeros((3, 7, 2))).shape == (3, 7, 2, 2)
 
 
 class TestLinearFlow:

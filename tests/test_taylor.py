@@ -508,3 +508,121 @@ class TestSourceAssembly:
             for b, P, D, sl in zip(base, ctx.P, ctx.D, ends)
         ]
         self._close(_eps_sources(ctx, z, out=[b.copy() for b in base]), want)
+
+
+class TestCostate:
+    """Every grad F(phi0)<.> the co-state answers equals the forward solve
+    followed by ``functional.grad``, to rounding (the sums are reassociated)."""
+
+    REL = 1e-13
+    CASES = [(nd, fname) for nd in [(2, 2), (1, 1)] for fname in ["endpoint", "integral"]]
+
+    @staticmethod
+    def _setup(nd, fname):
+        from roughlaplace.functionals import endpoint_quadratic, integral_quadratic
+        from roughlaplace.taylor import costate
+
+        n, d = nd
+        g = TimeGrid.uniform(129)
+        rng = np.random.default_rng(31)
+        ctx = expansion_context(tanh_field(n, d, coef_seed=5),
+                                random_smooth_path(g, d, rng, scale=0.4))
+        Q = np.full((n, n), 0.1) + 0.3 * np.eye(n)
+        v = np.linspace(0.4, -0.3, n)
+        F = (endpoint_quadratic if fname == "endpoint" else integral_quadratic)(Q, v)
+        X = np.stack([random_smooth_path(g, d, rng).values for _ in range(3)])
+        return ctx, F, costate(ctx, F), X
+
+    def _close(self, got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= self.REL * np.abs(want).max()
+
+    @pytest.mark.parametrize("nd,fname", CASES)
+    def test_phi2_weights(self, nd, fname):
+        from roughlaplace.taylor import _chi_values, _phi2_sources, _theta1_values
+
+        ctx, F, cs, X = self._setup(nd, fname)
+        dX = np.diff(X, axis=-2)
+        phi1 = _chi_values(ctx, X) + _theta1_values(ctx)
+        want = F.grad(ctx.phi0.values, ctx.solve(*_phi2_sources(ctx, phi1, dX)), ctx.grid)
+        self._close(cs.phi2(phi1, dX), want)
+
+    @pytest.mark.parametrize("nd,fname", CASES)
+    def test_c(self, nd, fname):
+        from roughlaplace.taylor import _dt_sources, _theta1_values
+
+        ctx, F, cs, _ = self._setup(nd, fname)
+        want = F.grad(ctx.phi0.values, _theta1_values(ctx), ctx.grid)
+        self._close(cs.pair(*_dt_sources(ctx.dbeta_eps0, ctx.grid.dt)), want)
+
+    @pytest.mark.parametrize("nd,fname", CASES)
+    def test_minimizer_gradient(self, nd, fname):
+        from roughlaplace.fbm import cm_basis
+        from roughlaplace.taylor import _chi_values
+
+        ctx, F, cs, _ = self._setup(nd, fname)
+        k = np.stack([b.induced_path.values for b in cm_basis(0.4, ctx.grid, 6, nd[1])])
+        want = F.grad(ctx.phi0.values, _chi_values(ctx, k), ctx.grid)
+        self._close(cs.chi(np.diff(k, axis=-2)), want)
+
+    @pytest.mark.parametrize("nd,fname", CASES)
+    def test_hessian_psi_part(self, nd, fname):
+        from roughlaplace.fbm import cm_basis
+        from roughlaplace.hessian import hessian_matrix
+        from roughlaplace.taylor import _chi_values, _psi_sources
+
+        ctx, F, _, _ = self._setup(nd, fname)
+        N = 4
+        k = np.stack([b.induced_path.values for b in cm_basis(0.4, ctx.grid, N, nd[1])])
+        chi, dk = _chi_values(ctx, k), np.diff(k, axis=-2)
+        nb = len(k)
+        pairs = [np.broadcast_to(z[:, None], (nb,) + z.shape) for z in (chi, dk)]
+        swapped = [np.swapaxes(z, 0, 1) for z in pairs]
+        psi = ctx.solve(*_psi_sources(ctx, pairs[0], swapped[0], pairs[1], swapped[1]))
+        want = F.grad(ctx.phi0.values, 2.0 * psi, ctx.grid)
+        hess = F.hess(ctx.phi0.values, chi[:, None], chi[None, :], ctx.grid)
+        got = hessian_matrix(F, ctx, N, H=0.4).A - 0.5 * (hess + hess.T)
+        self._close(got, 0.5 * (want + want.T))
+
+    def test_mc_block_solves_once(self, monkeypatch):
+        # each Monte Carlo block solves chi(X) only; besides the blocks the
+        # call solves theta1 once and the Hessian's chi(e_a) once
+        import roughlaplace.taylor as taylor
+        from roughlaplace.functionals import endpoint_quadratic
+        from roughlaplace.laplace import OptConfig, expansion_constants, minimize_F_Lambda
+
+        g = TimeGrid.uniform(65)
+        field = tanh_field(2, 2, coef_seed=5)
+        F = endpoint_quadratic(0.3 * np.eye(2), v=[0.4, -0.3])
+        rep = minimize_F_Lambda(F, field, 0.4, g, 3, OptConfig(restarts=1))
+        calls = []
+        solve = taylor.linear_perturbation_solve
+
+        def counted(*args):
+            calls.append(args[2].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(taylor, "linear_perturbation_solve", counted)
+        expansion_constants(rep, F, field, mc_samples=300, seed=3, hessian_N=3, batch=100)
+        assert len(calls) == 3 + 2
+        assert sum(s[:-2] == (100,) for s in calls) == 3
+
+    def test_hessian_memory(self):
+        import tracemalloc
+
+        from roughlaplace.functionals import endpoint_quadratic
+        from roughlaplace.hessian import hessian_matrix
+
+        g = TimeGrid.uniform(257)
+        ctx = expansion_context(tanh_field(2, 2, coef_seed=5), random_smooth_path(
+            g, 2, np.random.default_rng(4), scale=0.4))
+        F = endpoint_quadratic(0.3 * np.eye(2), v=[0.4, -0.3])
+        tracemalloc.start()
+        try:
+            hm = hessian_matrix(F, ctx, 64, H=0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hm.A.shape == (128, 128)
+        assert peak < 16e6
