@@ -513,7 +513,9 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
 - timings: `minimize_s`, `constants_s`, `mc_s`, `fit_s`.
 - `mc_table.csv`: columns `eps,J_hat,se,n`.
 - `report.json`: minimizer coefficients, F_Lambda, residual, c, alpha0 with
-  SE, Hessian minimum eigenvalue, fit record, flags, and `optimizer`: per
+  SE, Hessian minimum eigenvalue, fit record (with `hessian_eigs`, and
+  `det2_closed_form` only where theta1 and every phi2 table vanish, as for
+  constant sigma), flags, and `optimizer`: per
   restart in start order `iterations` (accepted descent steps), `backtracks`
   (rejected line-search candidates) and final `values`, and their `spread`
   (largest distance of a final value from the minimum).

@@ -58,8 +58,8 @@ def v_forms(ctx: ExpansionContext, f, k):
     chi_k = _chi_values(ctx, k_vals)
     s1 = _lin_sources(ctx, chi_f, np.diff(k_vals, axis=-2))
     s1 = _lin_sources(ctx, chi_k, np.diff(f_vals, axis=-2), out=s1)
-    V1 = SampledPath(ctx.grid, ctx.solve(*s1))
-    V2 = SampledPath(ctx.grid, ctx.solve(*_quad_sources(ctx, chi_f, chi_k)))
+    V1 = SampledPath(ctx.grid, ctx.solve(s1))
+    V2 = SampledPath(ctx.grid, ctx.solve(_quad_sources(ctx, chi_f, chi_k)))
     return V1, V2
 
 
@@ -70,7 +70,7 @@ def _sigma0_times(ctx: ExpansionContext, f_vals: np.ndarray) -> np.ndarray:
 
 def _r1_values(ctx: ExpansionContext, f_vals: np.ndarray, dk: np.ndarray) -> np.ndarray:
     """R1<f,k> = M int M^{-1} ds< sigma(phi0) f_s, dk_s >, batched."""
-    return ctx.solve(*_lin_sources(ctx, _sigma0_times(ctx, f_vals), dk))
+    return ctx.solve(_lin_sources(ctx, _sigma0_times(ctx, f_vals), dk))
 
 
 def r_forms(ctx: ExpansionContext, f, k):
@@ -88,7 +88,7 @@ def r_forms(ctx: ExpansionContext, f, k):
     dk = np.diff(_as_values(ctx, k), axis=-2)
     R1 = _r1_values(ctx, f_vals, dk)
     g = _sigma0_times(ctx, f_vals) - _chi_values(ctx, f_vals)
-    R2 = ctx.solve(*_lin_sources(ctx, g, dk))
+    R2 = ctx.solve(_lin_sources(ctx, g, dk))
     return SampledPath(ctx.grid, R1), SampledPath(ctx.grid, R2)
 
 

@@ -29,7 +29,6 @@ from .hessian import hessian_matrix, log_det2
 from .odes import VectorFieldSpec, heun_controlled
 from .taylor import (
     _chi_values,
-    _dt_sources,
     _theta1_values,
     costate,
     expansion_context,
@@ -164,7 +163,7 @@ def minimize_F_Lambda(
     Gradient descent with backtracking line search; the gradient component
     along e_a is c_a + grad F(phi0)<chi(e_a)> (orthonormality plus the
     first-order identity), read through the co-state of the evaluation's
-    context as one product of the basis increments with sigma(phi0)^T mu
+    context as one product of the basis increments with B_sigma^T lambda
     (:meth:`roughlaplace.taylor.CoState.chi`), with no chi solve.  Multiple
     restarts probe uniqueness of the minimizer; disagreement beyond
     tolerance is flagged, not fatal, and ``report.optimizer`` records each
@@ -266,10 +265,12 @@ def expansion_constants(
     grad F(phi0)<phi2(X)> come from the context's co-state
     (:class:`roughlaplace.taylor.CoState`): phi2 is never solved, and each
     sample block runs one forward solve, chi(X), for the path phi1 that
-    grad^2 F reads.  When the field
-    has constant sigma and no drift the expectation is a Gaussian quadratic
-    functional and the Carleman-Fredholm closed form applies; the truncated
-    Hessian eigenvalues provide that cross-check value in ``fit['det2_closed_form']``.
+    grad^2 F reads.  When theta1 and every phi2 table of the context vanish
+    (:meth:`roughlaplace.taylor.ExpansionContext.linear_in_driver`, e.g.
+    constant sigma and no drift) the exponent is a Gaussian quadratic form
+    and the Carleman-Fredholm closed form G(phi0) prod (1 + mu)^(-1/2) over
+    the truncated Hessian eigenvalues mu applies; only then is that
+    cross-check value written to ``fit['det2_closed_form']``.
     The sample blocks [lo, lo + batch) run over ``workers`` processes
     (:func:`_map_blocks`); the blocks, and so the numbers, do not depend on
     ``workers``.
@@ -280,7 +281,7 @@ def expansion_constants(
     ctx = expansion_context(field_spec, gamma_path)
 
     cs = costate(ctx, functional)
-    c_coef = float(cs.pair(*_dt_sources(ctx.dbeta_eps0, grid.dt)))
+    c_coef = float(cs.pair(ctx.b_theta1))
     theta1 = _theta1_values(ctx)
 
     gen = FbmSampler(grid, H, field_spec.d, seed, kind=_STREAM_MC)
@@ -312,10 +313,10 @@ def expansion_constants(
         report.flags.append(
             f"nondegeneracy violated: 1 + min Hessian eigenvalue = {1.0 + eigs.min():.3e} <= 0"
         )
-    if 1.0 + eigs.min() > 0:
+    if 1.0 + eigs.min() > 0 and ctx.linear_in_driver():
         # E[exp(-Q)] for the Gaussian quadratic part: prod (1+mu)^(-1/2)
         # written through det2: det2(Id + 2B)^(-1/2) e^{-tr B} with B = A/2
-        extras["det2_closed_form"] = math.exp(
+        extras["det2_closed_form"] = g0 * math.exp(
             -0.5 * (log_det2(eigs, 1.0) + eigs.sum())
         )
     extras["hessian_eigs"] = eigs.tolist()

@@ -5,19 +5,21 @@ dy = sigma(y) dk + beta(eps, y) dt and -- through
 :func:`linear_perturbation_solve` -- every inhomogeneous linear equation
 sharing the homogeneous part  dz = [grad sigma(phi0)<z, dgamma> +
 grad beta0(phi0)<z>] dt + source.  For that linear equation a Heun step is
-one affine map z <- T z + b, with T built once from the generator increments
-and b from the sources of all steps at once, so the step loop is one small
-matrix product and one addition.  The map is exactly linear in the sources,
-so additivity identities between perturbation terms hold to rounding, not
-just to discretization order.  The flow M, M^{-1} of the homogeneous part is
-never formed: the solve is its variation-of-constants formula.
+one affine map z_{i+1} = T_i z_i + b_i: T from the generator increments
+(:func:`_step_maps`), and b the source's two stage values folded by the
+stage weights (:func:`_stage_fold`, the one place that knows them).  The
+solve takes T and b only, so its step loop is one small matrix product and
+one addition, and it is exactly linear in b: additivity identities between
+perturbation terms hold to rounding, not just to discretization order.  The
+flow M, M^{-1} of the homogeneous part is never formed: the solve is its
+variation-of-constants formula z = M int M^{-1} dS.
 
 :func:`linear_perturbation_costate` reads that formula backwards: for a
-covector path g it sweeps lambda_i = g_i + T_i^T lambda_{i+1} once and
-returns per-step weights with sum_j g_j . z_j = sum_i muL_i . srcL_i +
-muR_i . srcR_i for every source pair, so a consumer that reads solves only
-through one fixed covector (grad F(phi0) in the expansion) needs no solve
-at all (Giles & Glasserman, "Smoking adjoints", Risk 2006).
+covector path g it sweeps Lambda_j = g_j + T_j^T Lambda_{j+1} once and
+returns one co-state lambda with sum_j g_j . z_j = sum_i lambda_i . b_i for
+every b, so a consumer that reads solves only through one fixed covector
+(grad F(phi0) in the expansion) needs no solve at all (Giles & Glasserman,
+"Smoking adjoints", Risk 2006).
 """
 from __future__ import annotations
 
@@ -216,42 +218,34 @@ def _step_maps(omL: np.ndarray, omR: np.ndarray) -> np.ndarray:
     return np.eye(omL.shape[-1]) + 0.5 * (omL + omR + omR @ omL)
 
 
-def linear_perturbation_solve(
-    omL: np.ndarray,
-    omR: np.ndarray,
-    srcL: np.ndarray,
-    srcR: np.ndarray,
-) -> np.ndarray:
-    """Heun solve of dz = dOmega z + dSource, z_0 = 0; linear in the sources.
-
-    ``omL/omR``: (n_steps, n, n) generator increments at the step endpoints.
-    ``srcL/srcR``: (..., n_steps, n) source increments (leading axes batch).
-    Returns z of shape (..., n_steps + 1, n).  The Heun step
-
-        s1 = omL z + srcL,   s2 = omR (z + s1) + srcR,
-        z <- z + (s1 + s2) / 2
-
-    is applied as the affine map z <- T z + b with
-
-        T = I + (omL + omR + omR omL) / 2,   b = (srcL + srcR + omR srcL) / 2,
-
-    T formed per step and b for all steps before the loop, in the output
-    array, whose step i the loop then overwrites with z_i.  The scheme is
-    second-order consistent and exactly additive in (srcL, srcR): difference
-    identities between perturbation solves hold to rounding.  Against the
-    two-stage form the map only reassociates sums; where Omega = 0 (constant
-    sigma, no linear drift) T = I and b = (srcL + srcR) / 2, and the result
-    is bit-identical to it.
+def _stage_fold(omR: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Stage-weighted tables (1/2 (I + omR_i) left_i, 1/2 right_i) of a source
+    with values ``left`` and ``right`` at the left and right step endpoints:
+    the step z <- T z + b takes b_i = [(I + omR_i) left_i + right_i] / 2,
+    their sum.  Tables (n_steps, n, ...) take omR on their first non-step
+    axis; one that acts on z_i or z_{i+1} keeps its two parts.  This is the
+    only place that knows the Heun stage weights.
     """
-    n_steps, n = omL.shape[0], omL.shape[-1]
-    T = _step_maps(omL, omR)
-    lead = srcL.shape[:-2]
-    out = np.empty(lead + (n_steps + 1, n))
+    lw = left + (omR @ left.reshape(left.shape[:2] + (-1,))).reshape(left.shape)
+    return 0.5 * lw, 0.5 * right
+
+
+def linear_perturbation_solve(T: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve z_{i+1} = T_i z_i + b_i, z_0 = 0: the Heun discretization of
+    dz = dOmega z + dSource with the step maps ``T`` (n_steps, n, n) of
+    :func:`_step_maps` and the per-step inhomogeneity ``b`` (..., n_steps, n)
+    of :func:`_stage_fold` (leading axes batch).  Returns z of shape
+    (..., n_steps + 1, n).
+
+    The solve is exactly linear in b, so difference identities between
+    perturbation solves hold to rounding.  Against the two-stage Heun step
+    the affine map only reassociates sums; where Omega = 0 (constant sigma,
+    no linear drift) T = I and the result is bit-identical to it.
+    """
+    n_steps, n = T.shape[0], T.shape[-1]
+    out = np.empty(b.shape[:-2] + (n_steps + 1, n))
     out[..., 0, :] = 0.0
-    b = out[..., 1:, :]
-    np.add(srcL, srcR, out=b)
-    _matvec(omR, srcL, out=b)
-    b *= 0.5
+    out[..., 1:, :] = b
     flat = out.reshape((-1, n_steps + 1, n))
     z = np.zeros((flat.shape[0], n))
     for i in range(1, n_steps + 1):
@@ -261,27 +255,23 @@ def linear_perturbation_solve(
     return out
 
 
-def linear_perturbation_costate(omL: np.ndarray, omR: np.ndarray, g: np.ndarray):
-    """Source weights (muL, muR), each (n_steps, n), of the covector path
-    ``g`` (N, n) read through :func:`linear_perturbation_solve`:
+def linear_perturbation_costate(T: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The co-state lambda (n_steps, n) of the covector path ``g`` (N, n)
+    read through :func:`linear_perturbation_solve`:
 
-        sum_j g_j . z_j = sum_i muL_i . srcL_i + muR_i . srcR_i
+        sum_j g_j . z_j = sum_i lambda_i . b_i
 
-    for the solution z of every source pair.  With z_{i+1} = T_i z_i + b_i
-    and z_0 = 0 the left side is sum_i lambda_{i+1} . b_i for the co-state
+    for the solution z of every inhomogeneity b.  With z_{i+1} = T_i z_i + b_i
+    and z_0 = 0, row i is the value at grid point i + 1 of the sweep
 
-        lambda_{N-1} = g_{N-1},   lambda_i = g_i + T_i^T lambda_{i+1},
+        Lambda_{N-1} = g_{N-1},   Lambda_j = g_j + T_j^T Lambda_{j+1}.
 
-    and b_i = ((I + omR_i) srcL_i + srcR_i) / 2 gives
-    muL_i = (I + omR_i)^T lambda_{i+1} / 2 and muR_i = lambda_{i+1} / 2.
     One backward sweep of one n-vector; the identity reassociates the
     solve's sums, so it holds to rounding.
     """
-    T = _step_maps(omL, omR)
-    lam = np.empty(omL.shape[:-1])  # lam[i] = lambda_{i+1}
+    lam = np.empty((len(T), g.shape[-1]))
     cur = g[-1]
     for i in range(len(T) - 1, -1, -1):
         lam[i] = cur
         cur = g[i] + cur @ T[i]
-    muR = 0.5 * lam
-    return _matvec(np.swapaxes(omR, -1, -2), muR, out=muR.copy()), muR
+    return lam

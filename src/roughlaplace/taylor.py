@@ -9,17 +9,19 @@ All perturbation terms (chi, psi, phi1, theta1, phi2, theta2 and the Hessian
 forms built on them) are inhomogeneous linear equations with one shared
 homogeneous part; they all route through
 :func:`roughlaplace.odes.linear_perturbation_solve`, whose exact linearity in
-the sources makes identities like theta1 = phi1 - chi hold to rounding.
-Their sources are sums of two primitives over the coefficients along phi0:
-ds(phi0)<z, dY> against a path's increments (``_lin_sources``) and the
-per-step Q<z1, z2> (``_quad_sources``), with Q contracted with dgamma and dt
-once per context, plus the drift's eps-derivatives for phi2 and theta2.
+the inhomogeneity b makes identities like theta1 = phi1 - chi hold to
+rounding.  :func:`expansion_context` folds the Heun stage weights into the
+coefficient tables along phi0 once, so every source is one b: chi's is
+``B_sigma`` dk, theta1's is ``b_theta1``, and the others are sums of two
+primitives over the (left, right) table pairs, ds(phi0)<z, dY> against a
+path's increments (``_lin_sources``) and the per-step Q<z1, z2>
+(``_quad_sources``), plus the drift's eps-derivatives for phi2 and theta2.
 
 Where a term is read only through z -> grad F(phi0)<z> it is not solved.
 :func:`costate` sweeps the context's step maps backwards once for grad F
-and :class:`CoState` contracts the resulting source weights with the same
-coefficient tables (ds(phi0), Q, P, D), so grad F<chi(k)> (the minimizer's
-gradient), grad F<theta1> (c), grad F<phi2(X)> (the alpha0 weights) and
+and :class:`CoState` contracts the one co-state lambda with the same tables
+(B_sigma, ds, Q, P, b_D), so grad F<chi(k)> (the minimizer's gradient),
+grad F<theta1> (c), grad F<phi2(X)> (the alpha0 weights) and
 grad F<2 psi(e_a, e_b)> (the Hessian) are contractions of their inputs.
 Everything that reads a term as a path -- ``compute_*``, ``taylor_bundle``,
 ``taylor_remainder_slope``, ``v_forms``, ``r_forms``, ``hs_tail``, and
@@ -38,6 +40,8 @@ from .grids import SampledPath, TimeGrid
 from .odes import (
     VectorFieldSpec,
     _matvec,
+    _stage_fold,
+    _step_maps,
     heun_controlled,
     linear_perturbation_costate,
     linear_perturbation_solve,
@@ -72,14 +76,15 @@ def compute_phi0(field_spec: VectorFieldSpec, gamma: SampledPath) -> SampledPath
 @dataclass
 class ExpansionContext:
     """Everything the linear perturbation equations share: the base path
-    phi0 = Psi(gamma), the generator increments of dOmega, and the
-    coefficients along phi0 that the sources are assembled from.
-
-    ``omL``/``omR`` and ``Q``, ``P``, ``D`` are the per-step values at the
-    left and right step endpoints, contracted once with the gamma-dependent
-    increments: dOmega = dsigma(phi0) dgamma + d_y beta(phi0) dt,
-    Q = d2sigma(phi0) dgamma + d2beta_y(phi0) dt, P = d_eps d_y beta(phi0) dt,
-    D = d2_eps beta(phi0) dt.
+    phi0 = Psi(gamma), the Heun step maps T, and the coefficient tables along
+    phi0 with the stage weights (:func:`roughlaplace.odes._stage_fold`)
+    folded in, so every source is one inhomogeneity b of ``solve``: chi's is
+    ``B_sigma`` dk and theta1's is ``b_theta1``; ``ds`` (dsigma(phi0)), ``Q``
+    (d2sigma(phi0) dgamma + d2beta_y(phi0) dt) and ``P`` (d_eps d_y beta(phi0)
+    dt) are (left, right) pairs acting on z_i and z_{i+1}; ``b_D`` folds
+    D = d2_eps beta(phi0) dt.  ``omL``/``omR`` are the endpoint values of
+    dOmega = dsigma(phi0) dgamma + d_y beta(phi0) dt that T and the folds
+    are built from.
     """
 
     field: VectorFieldSpec
@@ -87,19 +92,27 @@ class ExpansionContext:
     phi0: SampledPath
     omL: np.ndarray
     omR: np.ndarray
+    T: np.ndarray  # (n_steps, n, n)
     sigma0: np.ndarray  # sigma(phi0_t), (N, n, d)
-    dsigma0: np.ndarray  # (N, n, d, n)
-    dbeta_eps0: np.ndarray  # (N, n)
+    B_sigma: np.ndarray  # (n_steps, n, d)
+    ds: tuple  # 2 x (n_steps, n, d, n)
     Q: tuple  # 2 x (n_steps, n, n, n)
     P: tuple  # 2 x (n_steps, n, n)
-    D: tuple  # 2 x (n_steps, n)
+    b_theta1: np.ndarray  # (n_steps, n)
+    b_D: np.ndarray  # (n_steps, n)
 
     @property
     def grid(self) -> TimeGrid:
         return self.gamma.grid
 
-    def solve(self, srcL: np.ndarray, srcR: np.ndarray) -> np.ndarray:
-        return linear_perturbation_solve(self.omL, self.omR, srcL, srcR)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return linear_perturbation_solve(self.T, b)
+
+    def linear_in_driver(self) -> bool:
+        """True when theta1 and every phi2 table vanish (e.g. constant sigma
+        and a drift linear in y): then phi1 = chi(X) is linear in the driver
+        and phi2 = 0."""
+        return not any(t.any() for t in (*self.ds, *self.Q, *self.P, self.b_theta1, self.b_D))
 
 
 def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> ExpansionContext:
@@ -109,40 +122,29 @@ def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> Expans
     dgam = gamma.increments()
     dt = gamma.grid.dt
 
+    sigma0 = f.sigma_at(y)
     dsigma0 = f.dsigma_at(y)
     dbeta_y0 = f.dbeta_y_at(0.0, y)
     d2sigma0 = f.d2sigma_at(y)
     d2beta_y0 = f.d2beta_y_at(0.0, y)
     dbeta_y_eps0 = f.dbeta_y_eps_at(0.0, y)
+    dbeta_eps0 = f.dbeta_eps_at(0.0, y)
+    d2beta_eps0 = f.d2beta_eps_at(0.0, y)
 
     def per_step(sl):
         om = np.einsum("iajb,ij->iab", dsigma0[sl], dgam) + dbeta_y0[sl] * dt[:, None, None]
         Q = np.einsum("iajbc,ij->iabc", d2sigma0[sl], dgam) + d2beta_y0[sl] * dt[:, None, None, None]
-        return om, Q, dbeta_y_eps0[sl] * dt[:, None, None]
+        return (om, sigma0[sl], dsigma0[sl], Q, dbeta_y_eps0[sl] * dt[:, None, None],
+                dbeta_eps0[sl] * dt[:, None], d2beta_eps0[sl] * dt[:, None])
 
-    (omL, QL, PL), (omR, QR, PR) = per_step(slice(None, -1)), per_step(slice(1, None))
+    left, right = per_step(slice(None, -1)), per_step(slice(1, None))
+    omL, omR = left[0], right[0]
+    sig, ds, Q, P, th, D = (_stage_fold(omR, l, r) for l, r in zip(left[1:], right[1:]))
     return ExpansionContext(
-        field=f, gamma=gamma, phi0=phi0, omL=omL, omR=omR,
-        sigma0=f.sigma_at(y), dsigma0=dsigma0,
-        dbeta_eps0=f.dbeta_eps_at(0.0, y),
-        Q=(QL, QR), P=(PL, PR),
-        D=_dt_sources(f.d2beta_eps_at(0.0, y), dt),
+        field=f, gamma=gamma, phi0=phi0, omL=omL, omR=omR, T=_step_maps(omL, omR),
+        sigma0=sigma0, B_sigma=np.add(*sig), ds=ds, Q=Q, P=P,
+        b_theta1=np.add(*th), b_D=np.add(*D),
     )
-
-
-def _endpoint_sources(integrand: np.ndarray, increments: np.ndarray):
-    """Source increments from endpoint integrand values against step increments.
-
-    ``integrand``: (..., N, n, d) values, ``increments``: (..., n_steps, d).
-    Returns (srcL, srcR) of shape (..., n_steps, n).
-    """
-    return (_matvec(integrand[..., :-1, :, :], increments),
-            _matvec(integrand[..., 1:, :, :], increments))
-
-
-def _dt_sources(values: np.ndarray, dt: np.ndarray):
-    """Source increments of a dt-integrand given by grid values (..., N, n)."""
-    return values[..., :-1, :] * dt[:, None], values[..., 1:, :] * dt[:, None]
 
 
 def _bilinear(C: np.ndarray, u: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
@@ -164,38 +166,29 @@ def _bilinear(C: np.ndarray, u: np.ndarray, v: np.ndarray, out=None) -> np.ndarr
     return out
 
 
-def _lin_sources(ctx: ExpansionContext, z: np.ndarray, dY: np.ndarray, out=(None, None)):
-    """Sources dsigma(phi0)<z, dY> of a path z (..., N, n) against step
-    increments dY (..., n_steps, d), added into the pair ``out`` when given."""
-    return (
-        _bilinear(ctx.dsigma0[:-1], dY, z[..., :-1, :], out[0]),
-        _bilinear(ctx.dsigma0[1:], dY, z[..., 1:, :], out[1]),
-    )
+def _lin_sources(ctx: ExpansionContext, z: np.ndarray, dY: np.ndarray, out=None):
+    """Inhomogeneity of the sources dsigma(phi0)<z, dY> of a path z (..., N, n)
+    against step increments dY (..., n_steps, d), added into ``out`` when given."""
+    dsL, dsR = ctx.ds
+    out = _bilinear(dsL, dY, z[..., :-1, :], out)
+    return _bilinear(dsR, dY, z[..., 1:, :], out)
 
 
-def _quad_sources(ctx: ExpansionContext, z1: np.ndarray, z2: np.ndarray, out=(None, None)):
-    """Sources Q<z1, z2> = d2sigma(phi0)<z1, z2, dgamma> + d2beta_y(phi0)<z1, z2> dt,
-    added into the pair ``out`` when given."""
+def _quad_sources(ctx: ExpansionContext, z1: np.ndarray, z2: np.ndarray, out=None):
+    """Inhomogeneity of the sources Q<z1, z2> = d2sigma(phi0)<z1, z2, dgamma> +
+    d2beta_y(phi0)<z1, z2> dt, added into ``out`` when given."""
     QL, QR = ctx.Q
-    return (
-        _bilinear(QL, z1[..., :-1, :], z2[..., :-1, :], out[0]),
-        _bilinear(QR, z1[..., 1:, :], z2[..., 1:, :], out[1]),
-    )
+    out = _bilinear(QL, z1[..., :-1, :], z2[..., :-1, :], out)
+    return _bilinear(QR, z1[..., 1:, :], z2[..., 1:, :], out)
 
 
 def _eps_sources(ctx: ExpansionContext, z: np.ndarray, out):
-    """Adds the sources P<z> + D/2 from the drift's eps-derivatives into ``out``."""
-    for o, P, D, zk in zip(out, ctx.P, ctx.D, (z[..., :-1, :], z[..., 1:, :])):
-        _matvec(P, zk, out=o)
-        o += 0.5 * D
+    """Adds the inhomogeneity of P<z> + D/2, the drift's eps-derivatives, into ``out``."""
+    PL, PR = ctx.P
+    _matvec(PL, z[..., :-1, :], out=out)
+    _matvec(PR, z[..., 1:, :], out=out)
+    out += 0.5 * ctx.b_D
     return out
-
-
-def _halve(src):
-    """Halves a (srcL, srcR) pair in place (exact: a power-of-two scale)."""
-    for side in src:
-        side *= 0.5
-    return src
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,10 +209,10 @@ def _onto_points(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 class CoState:
     """grad F(phi0) read backwards through every solve of one context:
 
-        grad F(phi0)<ctx.solve(srcL, srcR)> = sum_i muL_i . srcL_i + muR_i . srcR_i
+        grad F(phi0)<ctx.solve(b)> = sum_i lam_i . b_i
 
-    (:func:`roughlaplace.odes.linear_perturbation_costate`).  The weights are
-    contracted once with the coefficients the sources are built from, so a
+    (:func:`roughlaplace.odes.linear_perturbation_costate`).  The co-state is
+    contracted once with the tables the inhomogeneities are built from, so a
     term read only through grad F costs one contraction of its inputs and
     no solve:
 
@@ -229,27 +222,24 @@ class CoState:
     """
 
     ctx: ExpansionContext
-    muL: np.ndarray  # (n_steps, n)
-    muR: np.ndarray  # (n_steps, n)
+    lam: np.ndarray  # (n_steps, n)
 
-    def pair(self, srcL: np.ndarray, srcR: np.ndarray) -> np.ndarray:
-        """grad F(phi0)<ctx.solve(srcL, srcR)>, batched over leading axes."""
-        return _dot(srcL, self.muL) + _dot(srcR, self.muR)
+    def pair(self, b: np.ndarray) -> np.ndarray:
+        """grad F(phi0)<ctx.solve(b)>, batched over leading axes."""
+        return _dot(b, self.lam)
 
     def _contract(self, tables: tuple, subscripts: str) -> tuple:
-        """(muL, muR) contracted with the left and right per-step tables."""
-        return tuple(np.einsum(subscripts, mu, C) for mu, C in zip((self.muL, self.muR), tables))
+        """lam contracted with the left and right per-step tables."""
+        return tuple(np.einsum(subscripts, self.lam, C) for C in tables)
 
     @cached_property
     def chi_covector(self) -> np.ndarray:
-        """sigma(phi0_i)^T muL_i + sigma(phi0_{i+1})^T muR_i, (n_steps, d)."""
-        s = self.ctx.sigma0
-        return sum(self._contract((s[:-1], s[1:]), "ia,iap->ip"))
+        """B_sigma_i^T lam_i, (n_steps, d)."""
+        return np.einsum("ia,iap->ip", self.lam, self.ctx.B_sigma)
 
     @cached_property
     def _lin(self) -> tuple:
-        ds = self.ctx.dsigma0
-        return self._contract((ds[:-1], ds[1:]), "ia,iapq->ipq")
+        return self._contract(self.ctx.ds, "ia,iapq->ipq")
 
     @cached_property
     def _quad(self) -> np.ndarray:
@@ -260,12 +250,12 @@ class CoState:
         return _dot(dk, self.chi_covector)
 
     def lin_covector(self, z: np.ndarray) -> np.ndarray:
-        """(..., n_steps, d): mu_i . ds(phi0)<z, .> at both step endpoints."""
+        """(..., n_steps, d): lam_i . ds(phi0)<z, .> at both step endpoints."""
         linL, linR = self._lin
         return _matvec(linL, z[..., :-1, :]) + _matvec(linR, z[..., 1:, :])
 
     def quad_apply(self, z: np.ndarray) -> np.ndarray:
-        """(..., N, n): mu . Q<., z> summed onto the grid points."""
+        """(..., N, n): lam . Q<., z> summed onto the grid points."""
         return _matvec(self._quad, z)
 
     def phi2(self, phi1: np.ndarray, dX: np.ndarray) -> np.ndarray:
@@ -274,7 +264,7 @@ class CoState:
         ds<phi1, dX> + P<phi1> + D/2.  A term whose contracted table is
         identically 0 is skipped: for ``constant_field`` every one is, and
         the result is exactly 0."""
-        out = np.full(phi1.shape[:-2], 0.5 * float(self.pair(*self.ctx.D)))
+        out = np.full(phi1.shape[:-2], 0.5 * float(self.pair(self.ctx.b_D)))
         eps = _onto_points(*self._contract(self.ctx.P, "ia,iab->ib"))
         if self._quad.any() or eps.any():
             out += _dot(phi1, 0.5 * self.quad_apply(phi1) + eps)
@@ -290,8 +280,7 @@ def costate(ctx: ExpansionContext, functional) -> CoState:
     N, n = ctx.phi0.values.shape
     units = np.eye(N * n).reshape(N * n, N, n)
     g = np.asarray(functional.grad(ctx.phi0.values, units, ctx.grid), dtype=float)
-    muL, muR = linear_perturbation_costate(ctx.omL, ctx.omR, g.reshape(N, n))
-    return CoState(ctx, muL, muR)
+    return CoState(ctx, linear_perturbation_costate(ctx.T, g.reshape(N, n)))
 
 
 def compute_chi(ctx: ExpansionContext, k) -> SampledPath:
@@ -311,9 +300,7 @@ def _as_values(ctx: ExpansionContext, k) -> np.ndarray:
 
 
 def _chi_values(ctx: ExpansionContext, k_vals: np.ndarray) -> np.ndarray:
-    dk = np.diff(k_vals, axis=-2)
-    sL, sR = _endpoint_sources(ctx.sigma0, dk)
-    return ctx.solve(sL, sR)
+    return ctx.solve(_matvec(ctx.B_sigma, np.diff(k_vals, axis=-2)))
 
 
 def _psi_sources(ctx: ExpansionContext, chi_f: np.ndarray, chi_k: np.ndarray,
@@ -321,7 +308,9 @@ def _psi_sources(ctx: ExpansionContext, chi_f: np.ndarray, chi_k: np.ndarray,
     """Polarized second-derivative sources, halved (see compute_psi)."""
     src = _lin_sources(ctx, chi_f, dk)
     src = _lin_sources(ctx, chi_k, df, out=src)
-    return _halve(_quad_sources(ctx, chi_f, chi_k, out=src))
+    src = _quad_sources(ctx, chi_f, chi_k, out=src)
+    src *= 0.5
+    return src
 
 
 def compute_psi(ctx: ExpansionContext, f, k) -> SampledPath:
@@ -336,15 +325,12 @@ def compute_psi(ctx: ExpansionContext, f, k) -> SampledPath:
     k_vals = _as_values(ctx, k)
     chi_f = _chi_values(ctx, f_vals)
     chi_k = _chi_values(ctx, k_vals)
-    sL, sR = _psi_sources(
-        ctx, chi_f, chi_k, np.diff(f_vals, axis=-2), np.diff(k_vals, axis=-2)
-    )
-    return SampledPath(ctx.grid, ctx.solve(sL, sR))
+    b = _psi_sources(ctx, chi_f, chi_k, np.diff(f_vals, axis=-2), np.diff(k_vals, axis=-2))
+    return SampledPath(ctx.grid, ctx.solve(b))
 
 
 def _theta1_values(ctx: ExpansionContext) -> np.ndarray:
-    sL, sR = _dt_sources(ctx.dbeta_eps0, ctx.grid.dt)
-    return ctx.solve(sL, sR)
+    return ctx.solve(ctx.b_theta1)
 
 
 def compute_theta1(ctx: ExpansionContext) -> SampledPath:
@@ -361,7 +347,8 @@ def compute_phi1(ctx: ExpansionContext, driver) -> SampledPath:
 
 def _phi2_sources(ctx: ExpansionContext, phi1: np.ndarray, dX: np.ndarray):
     """Sources Q<phi1, phi1>/2 + ds<phi1, dX> + P<phi1> + D/2."""
-    src = _halve(_quad_sources(ctx, phi1, phi1))
+    src = _quad_sources(ctx, phi1, phi1)
+    src *= 0.5
     src = _lin_sources(ctx, phi1, dX, out=src)
     return _eps_sources(ctx, phi1, out=src)
 
@@ -370,8 +357,8 @@ def compute_phi2(ctx: ExpansionContext, driver) -> SampledPath:
     """Second Taylor term: the linear equation with sources assembled from phi1."""
     X_vals = _as_values(ctx, driver)
     phi1 = _chi_values(ctx, X_vals) + _theta1_values(ctx)
-    sL, sR = _phi2_sources(ctx, phi1, np.diff(X_vals, axis=-2))
-    return SampledPath(ctx.grid, ctx.solve(sL, sR))
+    b = _phi2_sources(ctx, phi1, np.diff(X_vals, axis=-2))
+    return SampledPath(ctx.grid, ctx.solve(b))
 
 
 def _theta2_sources(ctx: ExpansionContext, theta1: np.ndarray, chi: np.ndarray, dX: np.ndarray):
@@ -388,8 +375,8 @@ def compute_theta2(ctx: ExpansionContext, driver) -> SampledPath:
     X_vals = _as_values(ctx, driver)
     chi = _chi_values(ctx, X_vals)
     theta1 = np.broadcast_to(_theta1_values(ctx), chi.shape)
-    sL, sR = _theta2_sources(ctx, theta1, chi, np.diff(X_vals, axis=-2))
-    return SampledPath(ctx.grid, ctx.solve(sL, sR))
+    b = _theta2_sources(ctx, theta1, chi, np.diff(X_vals, axis=-2))
+    return SampledPath(ctx.grid, ctx.solve(b))
 
 
 @dataclass
@@ -413,12 +400,9 @@ def taylor_bundle(ctx: ExpansionContext, driver: SampledPath) -> TaylorBundle:
     chi = _chi_values(ctx, X_vals)
     theta1 = _theta1_values(ctx)
     phi1 = chi + theta1
-    sL, sR = _psi_sources(ctx, chi, chi, dX, dX)
-    psi = ctx.solve(sL, sR)
-    sL, sR = _theta2_sources(ctx, np.broadcast_to(theta1, chi.shape), chi, dX)
-    theta2 = ctx.solve(sL, sR)
-    sL, sR = _phi2_sources(ctx, phi1, dX)
-    phi2 = ctx.solve(sL, sR)
+    psi = ctx.solve(_psi_sources(ctx, chi, chi, dX, dX))
+    theta2 = ctx.solve(_theta2_sources(ctx, np.broadcast_to(theta1, chi.shape), chi, dX))
+    phi2 = ctx.solve(_phi2_sources(ctx, phi1, dX))
     g = ctx.grid
     return TaylorBundle(
         phi0=ctx.phi0,
@@ -578,8 +562,7 @@ def taylor_remainder_slope(
         phi1 = chi + theta1
         terms = [np.broadcast_to(ctx.phi0.values, phi1.shape), phi1]
         if m == 2:
-            sL, sR = _phi2_sources(ctx, phi1, np.diff(batch, axis=-2))
-            terms.append(ctx.solve(sL, sR))
+            terms.append(ctx.solve(_phi2_sources(ctx, phi1, np.diff(batch, axis=-2))))
         rems = np.empty((len(eps_list), n_drv, len(ctx.grid), field_spec.n))
         for ei, eps in enumerate(eps_list):
             Z = eps * batch + ctx.gamma.values

@@ -47,6 +47,16 @@ def linear_flow(ctx):
     return M, Minv
 
 
+def heun_fold(ctx, srcL, srcR):
+    """Oracle for the inhomogeneity b of one Heun step of the context's linear
+    equation, from the source's values srcL, srcR (..., n_steps, n) at the
+    left and right step endpoints: the two-stage step s1 = omL z + srcL,
+    s2 = omR (z + s1) + srcR, z <- z + (s1 + s2)/2 is z <- T z + b with
+    b = (srcL + srcR + omR srcL)/2.
+    """
+    return 0.5 * (srcL + srcR + np.einsum("iab,...ib->...ia", ctx.omR, srcL))
+
+
 def gaussian_oracle(S, Q, v):
     """Exact Laplace constants of the Gaussian case: constant sigma = S, no
     drift, y_0 = 0 and F(y) = <y_1, Q y_1>/2 + <v, y_1>.  Then y_1 = S X_1

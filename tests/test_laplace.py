@@ -143,11 +143,27 @@ class TestExpansionConstants:
         rep = minimize_F_Lambda(F, field, H_TEST, GRID, 6, OptConfig(restarts=2))
         rep = expansion_constants(rep, F, field, mc_samples=2000, seed=11, hessian_N=6)
         assert rep.alpha0 > 0
+        # theta1 and the phi2 tables do not vanish: no closed form is written
+        assert "det2_closed_form" not in rep.fit
+
+    def test_det2_closed_form_carries_G(self):
+        # the closed form is G(phi0) prod (1 + mu)^(-1/2), weighted as alpha0 is
+        field = constant_field(S_TEST)
+        F = endpoint_quadratic(np.array([[0.5, 0.1], [0.1, 0.3]]))
+        rep = minimize_F_Lambda(F, field, H_TEST, GRID, 4, OptConfig(restarts=1))
+        G = dataclasses.replace(one_functional(), value=lambda v, g: np.full(v.shape[:-2], 2.0))
+        plain, weighted = (
+            expansion_constants(copy.deepcopy(rep), F, field, mc_samples=200, seed=3,
+                                hessian_N=4, G=g)
+            for g in (None, G)
+        )
+        assert weighted.fit["det2_closed_form"] == 2.0 * plain.fit["det2_closed_form"]
+        assert weighted.alpha0 == 2.0 * plain.alpha0
 
 
 class TestGaussianOracle:
     """Criterion 13's case against its exact constants (conftest.gaussian_oracle):
-    a = -0.0839897, c = 0, alpha0 = 0.733128."""
+    a = -0.0839897, c = 0, alpha0 = 0.733128, and J(eps) itself."""
 
     S = np.array([[1.0, 0.3], [-0.2, 0.8]])
     Q = np.array([[0.5, 0.1], [0.1, 0.3]])
@@ -176,6 +192,19 @@ class TestGaussianOracle:
     def test_alpha0_within_3_se(self, report):
         _, _, alpha0 = gaussian_oracle(self.S, self.Q, self.v)
         assert abs(report.alpha0 - alpha0) < 3 * report.alpha0_se
+
+    def test_J_within_3_se(self, report):
+        # shifted sampling around the truncated minimizer is unbiased for the
+        # exact J(eps) = alpha0 exp(-a/eps^2); eps = 0.01 puts -a/eps^2 near
+        # 840, past math.exp's range (ROADMAP item 2)
+        a, _, alpha0 = gaussian_oracle(self.S, self.Q, self.v)
+        F, field = endpoint_quadratic(self.Q, v=self.v), constant_field(self.S)
+        grid = report.gamma.induced_path.grid
+        table = mc_laplace(F, None, field, H_TEST, grid, [0.1, 0.05, 0.02], 4096,
+                           use_shift=True, gamma_cm=report.gamma, seed=31)
+        for eps, J, se, _ in table:
+            scale = math.exp(a / eps**2)
+            assert abs(J * scale - alpha0) < 3 * se * scale
 
 
 class TestMcLaplace:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import linear_flow, random_smooth_path
+from conftest import heun_fold, linear_flow, random_smooth_path
 from roughlaplace.functionals import constant_field, endpoint_quadratic, tanh_field
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.hessian import hessian_matrix
@@ -124,7 +124,7 @@ class TestLinearPerturbationSolve:
         ctx = self._ctx(tanh_field(*nd, coef_seed=4))
         assert np.abs(ctx.omL).max() > 0.0  # a nonzero generator
         sL, sR = self._sources(ctx, lead, seed=1)
-        got = linear_perturbation_solve(ctx.omL, ctx.omR, sL, sR)
+        got = linear_perturbation_solve(ctx.T, heun_fold(ctx, sL, sR))
         want = two_stage_solve(ctx.omL, ctx.omR, sL, sR)
         assert got.shape == want.shape == lead + (len(ctx.grid), nd[0])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -134,7 +134,7 @@ class TestLinearPerturbationSolve:
         ctx = self._ctx(constant_field([[1.0, 0.3], [-0.2, 0.8]]))
         assert np.abs(ctx.omL).max() == 0.0 and np.abs(ctx.omR).max() == 0.0
         sL, sR = self._sources(ctx, lead, seed=2)
-        got = linear_perturbation_solve(ctx.omL, ctx.omR, sL, sR)
+        got = linear_perturbation_solve(ctx.T, heun_fold(ctx, sL, sR))
         assert np.array_equal(got, two_stage_solve(ctx.omL, ctx.omR, sL, sR))
 
     def test_linear_in_sources(self):
@@ -142,7 +142,7 @@ class TestLinearPerturbationSolve:
         a, b = self._sources(ctx, (3,), seed=3), self._sources(ctx, (3,), seed=4)
 
         def solve(src):
-            return linear_perturbation_solve(ctx.omL, ctx.omR, *src)
+            return linear_perturbation_solve(ctx.T, heun_fold(ctx, *src))
 
         combo = tuple(2.5 * x - 0.75 * y for x, y in zip(a, b))
         want = 2.5 * solve(a) - 0.75 * solve(b)
