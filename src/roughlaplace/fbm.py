@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -403,7 +403,6 @@ class CameronMartinVector:
     coeffs: np.ndarray
     induced_path: SampledPath
     hurst: HurstParams
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -439,6 +438,8 @@ def cm_basis(H: float, grid: TimeGrid, n_modes: int, d: int) -> list:
     by unitarity.  Returned in mode-major order: (mode 0, coord 0), (mode 0,
     coord 1), ..., (mode 1, coord 0), ...
     """
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     images = _kernel_quadrature(H).apply(grid, lambda ts: _cosine_design(ts, n_modes))
     hurst = HurstParams.default(H)
     out = []

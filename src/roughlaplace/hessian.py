@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fbm import cm_basis, onb_interp
+from .fbm import HurstParams, cm_basis, onb_interp
 from .functionals import FunctionalSpec
 from .grids import SampledPath
 from .odes import _matvec
@@ -199,7 +199,8 @@ class HSTailReport:
 def hs_tail(
     ctx: ExpansionContext,
     N_list=(8, 16, 32, 64),
-    hurst=None,
+    *,
+    hurst: HurstParams,
 ) -> HSTailReport:
     """Summability diagnostics for R1 over the interpolation-space basis.
 
@@ -218,8 +219,6 @@ def hs_tail(
     the geometric tail bound, so a reader can see what share of the
     Hilbert-Schmidt sum the last partial sum covers.
     """
-    if hurst is None:
-        raise ValueError("hs_tail needs the HurstParams for (p, q)")
     p, q = hurst.p, hurst.q
     N_list = sorted(N_list)
     n_max = N_list[-1]

@@ -275,6 +275,8 @@ def expansion_constants(
     (:func:`_map_blocks`); the blocks, and so the numbers, do not depend on
     ``workers``.
     """
+    if mc_samples < 2:
+        raise ValueError(f"mc_samples must be at least 2 for a standard error, got {mc_samples}")
     gamma_path = report.gamma.induced_path
     H = report.gamma.hurst.H
     grid = gamma_path.grid
@@ -305,9 +307,8 @@ def expansion_constants(
     if alpha0_se > 0.2 * abs(alpha0):
         report.flags.append("MC variance explosion: relative SE above 20%")
 
-    hm = hessian_matrix(functional, ctx, hessian_N, H)
-    report.hessian_min_eig = hm.min_eigenvalue()
-    eigs = hm.eigenvalues()
+    eigs = hessian_matrix(functional, ctx, hessian_N, H).eigenvalues()
+    report.hessian_min_eig = float(eigs.min())
     extras = {}
     if 1.0 + eigs.min() <= 0:
         report.flags.append(
@@ -350,6 +351,8 @@ def mc_laplace(
     (:func:`_map_blocks`) and do not depend on ``workers``, so neither do the
     numbers.  Returns a list of (eps, J_hat, se, n) rows.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     G = G or one_functional()
     if use_shift and gamma_cm is None:
         raise ValueError("shifted sampling needs the minimizer gamma")

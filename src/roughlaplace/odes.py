@@ -167,17 +167,16 @@ def heun_controlled(
 ) -> np.ndarray:
     """Heun steps for dy = sigma(y) dZ + beta(eps, y) dt along given increments.
 
-    ``driver_increments`` has shape (n_steps, d) or (batch, n_steps, d); the
-    returned array matches ((batch,) N, n).
+    ``driver_increments`` has shape (..., n_steps, d), leading axes batch;
+    the returned array is (..., N, n).
     """
     inc = np.asarray(driver_increments, dtype=float)
-    batched = inc.ndim == 3
     n_steps = inc.shape[-2]
     if n_steps != grid.n_steps:
         raise ValueError("driver increments do not match the grid")
     dt = grid.dt
-    y = np.broadcast_to(np.asarray(y0, dtype=float), (inc.shape[0], field.n) if batched else (field.n,)).copy()
-    out = np.empty(((inc.shape[0],) if batched else ()) + (len(grid), field.n))
+    y = np.broadcast_to(np.asarray(y0, dtype=float), inc.shape[:-2] + (field.n,)).copy()
+    out = np.empty(inc.shape[:-2] + (len(grid), field.n))
     out[..., 0, :] = y
 
     def rhs(yv, dz, h):

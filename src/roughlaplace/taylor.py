@@ -1,9 +1,12 @@
 """RDE solving along piecewise-linear representatives and the perturbation
 terms of the small-parameter expansion around a Cameron-Martin path.
 
-``solve_rde`` realizes the continuity theorem at desk scale: it solves along
-the driver's dyadic coarsenings at three consecutive levels, attaches the
-resulting convergence ladder, and returns the Richardson extrapolation.
+``solve_rde`` and ``taylor_remainder_slope`` realize the continuity theorem
+at desk scale on one dyadic ladder: the driver restricted to coarser levels
+(:func:`roughlaplace.variation.restrict_dyadic`), one Heun solve per level
+(``_level_solve``) and one Richardson step (``_richardson``, the only place
+order 2 is assumed), interpolated onto the fine grid by ``solve_rde`` and
+added on the coarse grid by ``taylor_remainder_slope``.
 
 All perturbation terms (chi, psi, phi1, theta1, phi2, theta2 and the Hessian
 forms built on them) are inhomogeneous linear equations with one shared
@@ -46,7 +49,7 @@ from .odes import (
     linear_perturbation_costate,
     linear_perturbation_solve,
 )
-from .variation import coarsen_dyadic, pvar_exact
+from .variation import dyadic_level, pvar_exact, restrict_dyadic
 
 __all__ = [
     "ExpansionContext",
@@ -418,16 +421,32 @@ def taylor_bundle(ctx: ExpansionContext, driver: SampledPath) -> TaylorBundle:
 
 
 # ---------------------------------------------------------------------------
-# full RDE solve with the dyadic ladder
+# the dyadic ladder: full RDE solves along restricted drivers
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_level_of(grid: TimeGrid) -> int:
-    n = grid.n_steps
-    level = int(round(math.log2(n)))
-    if 2**level != n or not grid.is_uniform():
-        raise ValueError("solve_rde expects a uniform dyadic grid")
-    return level
+def _level_grid(grid: TimeGrid, level: int) -> TimeGrid:
+    """The level-``level`` dyadic grid; the top level keeps ``grid`` itself."""
+    return grid if level == dyadic_level(grid) else TimeGrid.dyadic(level)
+
+
+def _level_solve(field_spec: VectorFieldSpec, eps: float, X: np.ndarray,
+                 gamma: Optional[np.ndarray], grid: TimeGrid, level: int) -> np.ndarray:
+    """Heun solve of dY = sigma(Y) dZ + beta(eps, Y) dt on ``_level_grid``
+    along Z = eps X + gamma restricted to dyadic level ``level``, for samples
+    X (..., len(grid), d) (leading axes batch) and gamma (len(grid), d) or
+    None on the caller's uniform dyadic ``grid``: Y (..., 2**level + 1, n)."""
+    Z = eps * restrict_dyadic(X, grid, level)
+    if gamma is not None:
+        Z = Z + restrict_dyadic(gamma, grid, level)
+    return heun_controlled(field_spec, _level_grid(grid, level), np.diff(Z, axis=-2),
+                           np.zeros(field_spec.n), eps_beta=eps)
+
+
+def _richardson(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """The Richardson correction on the coarse grid from solutions on two
+    consecutive dyadic levels: the one place the ladder assumes order 2."""
+    return (fine[..., ::2, :] - coarse) / 3.0
 
 
 def solve_rde(
@@ -440,7 +459,7 @@ def solve_rde(
     """First-level RDE solution d Y = sigma(Y)(eps dX + dgamma) + beta(eps, Y) dt.
 
     Solves along the piecewise-linear representatives of the driver at dyadic
-    levels m-ladder_depth..m (coarsenings of the given samples), Richardson-
+    levels m-ladder_depth..m (restrictions of the given samples), Richardson-
     extrapolates the two finest levels, and attaches the convergence ladder in
     ``meta['ladder']``.  A ladder ratio above 0.9 marks a non-Cauchy ladder
     (``meta['cauchy'] = False``); the extrapolated result is still returned.
@@ -450,34 +469,17 @@ def solve_rde(
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    top = _dyadic_level_of(driver_path.grid)
-    depth = min(ladder_depth, top)
-    levels = list(range(top - depth, top + 1))
+    if ladder_depth < 0:
+        raise ValueError(f"ladder_depth must be nonnegative, got {ladder_depth}")
+    grid = driver_path.grid
+    top = dyadic_level(grid)
+    levels = list(range(top - min(ladder_depth, top), top + 1))
+    gam = None if gamma is None else gamma.values
+    sols = [_level_solve(field_spec, eps, driver_path.values, gam, grid, lev) for lev in levels]
 
-    solutions = {}
-    for lev in levels:
-        drv = coarsen_dyadic(driver_path, lev) if lev < top else driver_path
-        gam = None
-        if gamma is not None:
-            gam = coarsen_dyadic(gamma, lev) if lev < top else gamma
-        Z = eps * drv.values
-        if gam is not None:
-            Z = Z + gam.values
-        sol = heun_controlled(
-            field_spec, drv.grid, np.diff(Z, axis=0), np.zeros(field_spec.n), eps_beta=eps
-        )
-        solutions[lev] = SampledPath(drv.grid, sol)
-
-    base = solutions[levels[0]].grid
-    on_base = {}
-    for lev, sol in solutions.items():
-        idx = [sol.grid.index_of(t) for t in base.points]
-        on_base[lev] = sol.values[idx]
-
-    diffs = [
-        float(np.abs(on_base[b] - on_base[a]).max())
-        for a, b in zip(levels[:-1], levels[1:])
-    ]
+    on_base = [restrict_dyadic(sol, TimeGrid.dyadic(lev), levels[0])
+               for lev, sol in zip(levels, sols)]
+    diffs = [float(np.abs(b - a).max()) for a, b in zip(on_base[:-1], on_base[1:])]
     if len(diffs) < 2:
         ratio = 0.0
     elif diffs[-2] > 0:
@@ -493,26 +495,19 @@ def solve_rde(
     if len(diffs) >= 2 and diffs[-2] > 0.0 and diffs[-1] > 0.0:
         observed_order = math.log2(diffs[-2] / diffs[-1])
 
-    fine = solutions[levels[-1]]
-    out_vals = fine.values.copy()
+    out_vals = sols[-1]
     if len(levels) >= 2:
-        prev = solutions[levels[-2]]
-        idx = [fine.grid.index_of(t) for t in prev.grid.points]
-        correction = (fine.values[idx] - prev.values) / 3.0
-        interp = np.stack(
-            [
-                np.interp(fine.grid.points, prev.grid.points, correction[:, j])
-                for j in range(correction.shape[1])
-            ],
-            axis=1,
+        coarse_pts = TimeGrid.dyadic(levels[-2]).points
+        correction = _richardson(sols[-1], sols[-2])
+        out_vals = out_vals + np.stack(
+            [np.interp(grid.points, coarse_pts, c) for c in correction.T], axis=1
         )
-        out_vals = out_vals + interp
     meta = {
         "ladder": {"levels": levels, "diffs": diffs, "ratio": ratio,
                    "observed_order": observed_order},
         "cauchy": cauchy,
     }
-    return SampledPath(fine.grid, out_vals, meta=meta)
+    return SampledPath(grid, out_vals, meta=meta)
 
 
 def taylor_remainder_slope(
@@ -528,8 +523,8 @@ def taylor_remainder_slope(
     For each driver the remainder phi^(eps) - sum_{k<=m} eps^k phi^k is formed
     per dyadic level (nonlinear and linear solves on the same level, so the
     expansion cancellation is exact at each level) and Richardson-extrapolated
-    across the two finest levels; the fit runs on ensemble geometric means of
-    the p-variation norms.
+    across the two finest levels onto the coarser one; the fit runs on
+    ensemble geometric means of the p-variation norms there.
     """
     if m not in (1, 2):
         raise ValueError("remainder order m must be 1 or 2")
@@ -539,52 +534,31 @@ def taylor_remainder_slope(
     if len(eps_list) < 4:
         raise ValueError("need at least 4 eps values for a slope fit")
 
-    top = _dyadic_level_of(gamma.grid)
-    levels = [top - 1, top]
-    ctxs = {}
-    for lev in levels:
-        gam = coarsen_dyadic(gamma, lev) if lev < top else gamma
-        ctxs[lev] = expansion_context(field_spec, gam)
-
-    n_drv = len(drivers)
-    # remainders per level, batched over the driver ensemble
-    rem_by_level = {}
-    for lev in levels:
-        ctx = ctxs[lev]
-        batch = np.stack(
-            [
-                (coarsen_dyadic(drv, lev) if lev < top else drv).values
-                for drv in drivers
-            ]
-        )  # (n_drv, N, d)
-        chi = _chi_values(ctx, batch)
-        theta1 = _theta1_values(ctx)
-        phi1 = chi + theta1
+    grid = gamma.grid
+    top = dyadic_level(grid)
+    X = np.stack([drv.values for drv in drivers])  # (n_drv, N, d)
+    rems = []  # per level: remainders (n_eps, n_drv, N_level, n)
+    for lev in (top - 1, top):
+        X_lev = restrict_dyadic(X, grid, lev)
+        ctx = expansion_context(
+            field_spec, SampledPath(_level_grid(grid, lev), restrict_dyadic(gamma.values, grid, lev))
+        )
+        phi1 = _chi_values(ctx, X_lev) + _theta1_values(ctx)
         terms = [np.broadcast_to(ctx.phi0.values, phi1.shape), phi1]
         if m == 2:
-            terms.append(ctx.solve(_phi2_sources(ctx, phi1, np.diff(batch, axis=-2))))
-        rems = np.empty((len(eps_list), n_drv, len(ctx.grid), field_spec.n))
+            terms.append(ctx.solve(_phi2_sources(ctx, phi1, np.diff(X_lev, axis=-2))))
+        rem = np.empty((len(eps_list),) + phi1.shape)
         for ei, eps in enumerate(eps_list):
-            Z = eps * batch + ctx.gamma.values
-            sol = heun_controlled(
-                field_spec, ctx.grid, np.diff(Z, axis=-2), np.zeros(field_spec.n), eps_beta=eps
-            )
-            rem = sol.copy()
+            rem[ei] = _level_solve(field_spec, eps, X, gamma.values, grid, lev)
             for k, term in enumerate(terms):
-                rem -= eps**k * term
-            rems[ei] = rem
-        rem_by_level[lev] = rems
+                rem[ei] -= eps**k * term
+        rems.append(rem)
 
-    fine_grid = ctxs[levels[1]].grid
-    idx = [fine_grid.index_of(t) for t in ctxs[levels[0]].grid.points]
-    extr = rem_by_level[levels[1]][:, :, idx] + (
-        rem_by_level[levels[1]][:, :, idx] - rem_by_level[levels[0]]
-    ) / 3.0
-    log_norms = np.zeros((len(eps_list), n_drv))
-    for ei in range(len(eps_list)):
-        for di in range(n_drv):
-            path = SampledPath(ctxs[levels[0]].grid, extr[ei, di])
-            log_norms[ei, di] = math.log(pvar_exact(path, p).value)
+    coarse, fine = rems
+    extr = fine[..., ::2, :] + _richardson(fine, coarse)
+    coarse_grid = TimeGrid.dyadic(top - 1)
+    log_norms = np.array([[math.log(pvar_exact(SampledPath(coarse_grid, path), p).value)
+                           for path in per_eps] for per_eps in extr])
 
     mean_log = log_norms.mean(axis=1)
     x = np.log(np.asarray(eps_list))

@@ -26,6 +26,9 @@ __all__ = [
     "pvar_backbone",
     "cosine_pvar",
     "dyadic_approx",
+    "dyadic_level",
+    "restrict_dyadic",
+    "coarsen_dyadic",
 ]
 
 
@@ -152,12 +155,30 @@ def dyadic_approx(path: SampledPath, m: int) -> SampledPath:
     return SampledPath(path.grid, out)
 
 
+def dyadic_level(grid: TimeGrid) -> int:
+    """The level m of a uniform grid of 2**m steps; ValueError for any other grid."""
+    level = grid.n_steps.bit_length() - 1
+    if grid.n_steps != 2**level or not grid.is_uniform():
+        uneven = "" if grid.is_uniform() else "unequal "
+        raise ValueError(f"expected a uniform dyadic grid, got {grid.n_steps} {uneven}steps")
+    return level
+
+
+def restrict_dyadic(values: np.ndarray, grid: TimeGrid, level: int) -> np.ndarray:
+    """The samples (..., 2**level + 1, dim) of ``values`` (..., len(grid), dim)
+    on dyadic level ``level``: every 2**(m - level)-th sample of the level-m
+    uniform dyadic ``grid``, as a strided view.  Leading axes batch."""
+    top = dyadic_level(grid)
+    if not 0 <= level <= top:
+        raise ValueError(f"level must lie in [0, {top}], got {level}")
+    return values[..., :: 2 ** (top - level), :]
+
+
 def coarsen_dyadic(path: SampledPath, level: int) -> SampledPath:
-    """Restrict a path on a dyadic grid to the coarser dyadic grid 2**level.
+    """Restrict a path on a uniform dyadic grid to the coarser dyadic grid
+    2**level (:func:`restrict_dyadic`).
 
     Unlike :func:`dyadic_approx` this drops the intermediate samples instead
     of resampling, so the result lives on the coarse grid.
     """
-    grid = TimeGrid.dyadic(level)
-    idx = [path.grid.index_of(t) for t in grid.points]
-    return SampledPath(grid, path.values[idx])
+    return SampledPath(TimeGrid.dyadic(level), restrict_dyadic(path.values, path.grid, level))

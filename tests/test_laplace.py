@@ -207,6 +207,29 @@ class TestGaussianOracle:
             assert abs(J * scale - alpha0) < 3 * se * scale
 
 
+class TestDegenerateInputs:
+    """Fewer than two samples or an empty basis fail with a named reason,
+    not a NaN standard error or an empty-stack error."""
+
+    def test_mc_one_sample(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            mc_laplace(zero_functional(), None, constant_field(S_TEST), H_TEST, GRID, [0.5], 1)
+
+    def test_alpha0_one_sample(self, gaussian_linear_report):
+        with pytest.raises(ValueError, match="mc_samples"):
+            expansion_constants(copy.deepcopy(gaussian_linear_report), endpoint_linear(V_TEST),
+                                constant_field(S_TEST), mc_samples=1)
+
+    def test_zero_truncation(self):
+        with pytest.raises(ValueError, match="n_modes"):
+            minimize_F_Lambda(endpoint_linear(V_TEST), constant_field(S_TEST), H_TEST, GRID, 0)
+
+    def test_zero_hessian_modes(self, gaussian_linear_report):
+        with pytest.raises(ValueError, match="n_modes"):
+            expansion_constants(copy.deepcopy(gaussian_linear_report), endpoint_linear(V_TEST),
+                                constant_field(S_TEST), mc_samples=2, hessian_N=0)
+
+
 class TestMcLaplace:
     def test_trivial_is_one(self):
         field = constant_field(S_TEST)

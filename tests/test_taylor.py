@@ -144,6 +144,41 @@ class TestSolveRde:
         assert np.all(np.abs(Y1.var(axis=0) - Y.var(axis=0)) < 3 * se_var)
 
 
+class TestDyadicLadder:
+    """solve_rde against direct Heun solves along the stride-restricted
+    driver Z = eps X + gamma, bit for bit."""
+
+    def _direct(self, field, eps, X, gamma, level, top):
+        stride = 2 ** (top - level)
+        Z = eps * X.values[::stride] + gamma.values[::stride]
+        return heun_controlled(field, TimeGrid.dyadic(level), np.diff(Z, axis=0),
+                               np.zeros(field.n), eps_beta=eps)
+
+    def test_coarse_points_and_ladder(self, ctx513):
+        top, eps = 7, 0.4
+        g = TimeGrid.dyadic(top)
+        X = random_smooth_path(g, 2, np.random.default_rng(8))
+        gamma = SampledPath(g, ctx513.gamma.values[::4])
+        sol = solve_rde(ctx513.field, eps, X, gamma=gamma)
+        Y0, Y1, Y2 = (self._direct(ctx513.field, eps, X, gamma, lev, top)
+                      for lev in (top - 2, top - 1, top))
+        # Richardson on the coarse grid, where the interpolation is exact
+        want = Y2[::2] + (Y2[::2] - Y1) / 3.0
+        assert np.array_equal(sol.values[::2], want)
+        ladder = sol.meta["ladder"]
+        assert ladder["levels"] == [top - 2, top - 1, top]
+        assert ladder["diffs"] == [float(np.abs(Y1[::2] - Y0).max()),
+                                   float(np.abs(Y2[::4] - Y1[::2]).max())]
+
+    def test_rejects_bad_inputs(self, ctx513):
+        g = TimeGrid.uniform(100)
+        with pytest.raises(ValueError, match="uniform dyadic"):
+            solve_rde(ctx513.field, 0.5, SampledPath(g, np.zeros((100, 2))))
+        g = TimeGrid.dyadic(4)
+        with pytest.raises(ValueError, match="ladder_depth"):
+            solve_rde(ctx513.field, 0.5, SampledPath(g, np.zeros((17, 2))), ladder_depth=-1)
+
+
 class TestPhi0:
     def test_zero_inputs(self):
         g = TimeGrid.uniform(65)

@@ -14,6 +14,7 @@ from roughlaplace.variation import (
     dyadic_approx,
     pvar_backbone,
     pvar_exact,
+    restrict_dyadic,
 )
 
 
@@ -252,3 +253,30 @@ class TestDyadicApprox:
         c = coarsen_dyadic(path, 2)
         assert len(c.grid) == 5
         assert np.allclose(c.values[:, 0], c.grid.points**2)
+
+
+class TestRestrictDyadic:
+    @pytest.mark.parametrize("level", [0, 2, 5])
+    def test_index_selection(self, level):
+        g = TimeGrid.dyadic(5)
+        vals = np.random.default_rng(level).standard_normal((len(g), 3))
+        idx = [g.index_of(t) for t in TimeGrid.dyadic(level).points]
+        assert np.array_equal(restrict_dyadic(vals, g, level), vals[idx])
+
+    def test_leading_batch_axes(self):
+        g = TimeGrid.dyadic(4)
+        vals = np.random.default_rng(1).standard_normal((3, 2, len(g), 2))
+        out = restrict_dyadic(vals, g, 2)
+        assert out.shape == (3, 2, 5, 2)
+        for i in range(3):
+            for j in range(2):
+                assert np.array_equal(out[i, j], restrict_dyadic(vals[i, j], g, 2))
+
+    def test_rejects(self):
+        with pytest.raises(ValueError, match="uniform dyadic"):
+            restrict_dyadic(np.zeros((100, 1)), TimeGrid.uniform(100), 2)
+        uneven = TimeGrid(np.array([0.0, 0.1, 0.5, 0.75, 1.0]))
+        with pytest.raises(ValueError, match="uniform dyadic"):
+            restrict_dyadic(np.zeros((5, 1)), uneven, 1)
+        with pytest.raises(ValueError, match="level"):
+            restrict_dyadic(np.zeros((9, 1)), TimeGrid.dyadic(3), 4)
