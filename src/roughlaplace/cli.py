@@ -5,7 +5,7 @@ artifact) echoes the config, its hash, and the declared artifact list, and is
 rewritten with status "complete" only after every artifact exists.  Numbers
 never depend on the worker count: all randomness flows through per-sample
 counter-based streams, and the laplace kind splits its Monte Carlo samples
-and optimizer restarts into blocks fixed by the config alone.
+into blocks fixed by the config alone.
 """
 from __future__ import annotations
 
@@ -336,7 +336,7 @@ def run_laplace(rc: RunContext):
     with rc.stage("minimize_s"):
         rep = minimize_F_Lambda(
             functional, field_spec, cfg.H, grid, cfg.truncation,
-            OptConfig(seed=cfg.seed + 1), workers=rc.workers,
+            OptConfig(seed=cfg.seed + 1),
         )
     with rc.stage("constants_s"):
         rep = expansion_constants(
@@ -517,8 +517,10 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
   `det2_closed_form` only where theta1 and every phi2 table vanish, as for
   constant sigma), flags, and `optimizer`: per
   restart in start order `iterations` (accepted descent steps), `backtracks`
-  (rejected line-search candidates) and final `values`, and their `spread`
-  (largest distance of a final value from the minimum).
+  (rejected line-search candidates) and final `values`, their `spread`
+  (largest distance of a final value from the minimum), and `rounds`
+  (batched objective evaluations: the restarts descend in lockstep, and
+  each round evaluates every restart still descending at once).
 
 ## scale-test
 - timings: `sample_s` (both ensembles), `signature_s` (endpoint areas),
@@ -545,8 +547,7 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--workers", type=int, default=1,
                         help="worker processes for the laplace kind's Monte Carlo "
-                             "blocks and optimizer restarts (forked; numbers do "
-                             "not depend on it)")
+                             "blocks (forked; numbers do not depend on it)")
     sp = sub.add_parser("schema", help="write SCHEMA.md documenting artifact columns")
     sp.add_argument("--out", type=str, default="SCHEMA.md")
 

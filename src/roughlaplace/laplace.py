@@ -30,6 +30,7 @@ from .odes import VectorFieldSpec, heun_controlled
 from .taylor import (
     _chi_values,
     _theta1_values,
+    chi_gradient,
     costate,
     expansion_context,
 )
@@ -73,8 +74,8 @@ class LaplaceReport:
     fit: dict | None = None
     flags: list = field(default_factory=list)
     # per restart (start order): accepted descent steps, rejected line-search
-    # candidates and final objective value; and the largest distance of a
-    # final value from the minimum
+    # candidates and final objective value; the largest distance of a final
+    # value from the minimum; and the number of batched objective evaluations
     optimizer: dict | None = None
 
     def to_dict(self) -> dict:
@@ -156,21 +157,29 @@ def minimize_F_Lambda(
     grid: TimeGrid,
     N: int,
     opt: OptConfig | None = None,
-    workers: int = 1,
 ) -> LaplaceReport:
     """Minimize F(Psi(gamma)) + ||gamma||^2/2 over the truncated CM basis.
 
     Gradient descent with backtracking line search; the gradient component
     along e_a is c_a + grad F(phi0)<chi(e_a)> (orthonormality plus the
-    first-order identity), read through the co-state of the evaluation's
-    context as one product of the basis increments with B_sigma^T lambda
-    (:meth:`roughlaplace.taylor.CoState.chi`), with no chi solve.  Multiple
+    first-order identity), read through one co-state sweep as one product
+    of the basis increments with B_sigma^T lambda
+    (:func:`roughlaplace.taylor.chi_gradient`), with no chi solve.  Multiple
     restarts probe uniqueness of the minimizer; disagreement beyond
-    tolerance is flagged, not fatal, and ``report.optimizer`` records each
-    restart's iterations, backtracks and final value with their spread.  Every
-    start point is drawn before any descent, and the restarts run over
-    ``workers`` processes (:func:`_map_blocks`), so the result does not
-    depend on ``workers``.
+    tolerance is flagged, not fatal.
+
+    Every start point is drawn before any descent, and the restarts run in
+    lockstep: each round evaluates the candidates of all restarts still
+    descending as one batch (one Heun solve for their phi0, one co-state
+    sweep).  Each restart keeps its own point, value, gradient and step: an
+    accepted candidate moves it and resets its step to ``step0``, a rejected
+    one scales the step by ``backtrack`` and counts a backtrack, and it
+    leaves the batch when its max-norm gradient falls below ``grad_tol``,
+    after ``max_iters`` accepted steps or once its step is at most 1e-14.
+    So every restart follows the trajectory it would follow alone.
+    ``report.optimizer`` records each restart's iterations, backtracks and
+    final value, their spread, and the number of batched evaluations,
+    ``rounds``.
     """
     opt = opt or OptConfig()
     d = field_spec.d
@@ -179,68 +188,75 @@ def minimize_F_Lambda(
     dk_stack = np.diff(k_stack, axis=-2)
     nb = len(basis)
 
-    def objective_grad(coeffs: np.ndarray):
-        gamma = _gamma_from_coeffs(coeffs, k_stack, grid)
-        ctx = expansion_context(field_spec, gamma)
-        gradient = coeffs + costate(ctx, functional).chi(dk_stack)
-        value = float(functional.value(ctx.phi0.values, grid)) + 0.5 * float(
-            (coeffs**2).sum()
-        )
-        return value, gradient
+    def evaluate(C: np.ndarray):
+        """Objective values and gradients at the coefficient rows of C, in one batch."""
+        # gamma row by row: the sums of a lone restart, so its trajectory is unchanged
+        gammas = np.stack([_gamma_from_coeffs(c, k_stack, grid).values for c in C])
+        phi0, pairing = chi_gradient(field_spec, functional, gammas, grid, dk_stack)
+        values = [float(functional.value(y, grid)) + 0.5 * float((c**2).sum())
+                  for y, c in zip(phi0, C)]
+        return values, C + pairing
 
-    def descend(c0: np.ndarray):
-        c = c0.copy()
-        val, grad = objective_grad(c)
-        iterations = backtracks = 0
-        for _ in range(opt.max_iters):
-            gnorm = float(np.abs(grad).max())
-            if gnorm < opt.grad_tol:
-                break
-            step = opt.step0
-            while step > 1e-14:
-                cand = c - step * grad
-                v2, g2 = objective_grad(cand)
-                if v2 <= val - opt.armijo * step * float((grad**2).sum()):
-                    c, val, grad = cand, v2, g2
-                    iterations += 1
-                    break
-                step *= opt.backtrack
-                backtracks += 1
-            else:
-                break
-        return c, val, grad, iterations, backtracks
+    def descending(r) -> bool:
+        return not float(np.abs(grad[r]).max()) < opt.grad_tol
 
-    flags = []
     rng = substream(opt.seed, _STREAM_OPT, 0)
     starts = [np.zeros(nb)] + [
         opt.init_scale * rng.standard_normal(nb) for _ in range(max(1, opt.restarts) - 1)
     ]
-    solutions = _map_blocks(descend, starts, workers)
-    c, val, grad, _, _ = min(solutions, key=lambda sol: sol[1])  # first of equal values
-    spread = max(abs(sol[1] - val) for sol in solutions)
-    if spread > opt.restart_tol * max(1.0, abs(val)):
+    c = np.stack(starts)
+    val, grad = evaluate(c)
+    rounds = 1
+    R = len(starts)
+    step = [opt.step0] * R
+    iterations, backtracks = [0] * R, [0] * R
+    active = [r for r in range(R) if opt.max_iters > 0 and opt.step0 > 1e-14 and descending(r)]
+    while active:
+        cand = np.stack([c[r] - step[r] * grad[r] for r in active])
+        values, grads = evaluate(cand)
+        rounds += 1
+        still = []
+        for r, x, v2, g2 in zip(active, cand, values, grads):
+            if v2 <= val[r] - opt.armijo * step[r] * float((grad[r] ** 2).sum()):
+                c[r], val[r], grad[r] = x, v2, g2
+                iterations[r] += 1
+                step[r] = opt.step0
+                if iterations[r] < opt.max_iters and descending(r):
+                    still.append(r)
+            else:
+                step[r] *= opt.backtrack
+                backtracks[r] += 1
+                if step[r] > 1e-14:
+                    still.append(r)
+        active = still
+
+    flags = []
+    best = min(range(R), key=val.__getitem__)  # first of equal values
+    spread = max(abs(v - val[best]) for v in val)
+    if spread > opt.restart_tol * max(1.0, abs(val[best])):
         flags.append(
             f"restarts disagree by {spread:.3e}: minimizer may not be unique"
         )
-    residual = float(np.abs(grad).max())
+    residual = float(np.abs(grad[best]).max())
     if residual > opt.grad_tol * 10:
         flags.append(f"first-order residual {residual:.3e} above tolerance")
 
     gamma_cm = CameronMartinVector(
-        coeffs=c.reshape(nb // d, d),
-        induced_path=_gamma_from_coeffs(c, k_stack, grid),
+        coeffs=c[best].reshape(nb // d, d),
+        induced_path=_gamma_from_coeffs(c[best], k_stack, grid),
         hurst=HurstParams.default(H),
     )
     report = LaplaceReport(
         gamma=gamma_cm,
-        F_Lambda_min=val,
+        F_Lambda_min=val[best],
         first_order_residual=residual,
         flags=flags,
         optimizer={
-            "iterations": [sol[3] for sol in solutions],
-            "backtracks": [sol[4] for sol in solutions],
-            "values": [sol[1] for sol in solutions],
+            "iterations": iterations,
+            "backtracks": backtracks,
+            "values": val,
             "spread": spread,
+            "rounds": rounds,
         },
     )
     return report
@@ -281,6 +297,9 @@ def expansion_constants(
     H = report.gamma.hurst.H
     grid = gamma_path.grid
     ctx = expansion_context(field_spec, gamma_path)
+    # the Hessian first: a basis or Hessian that fails does so before the
+    # Monte Carlo, not after every sample solve
+    eigs = hessian_matrix(functional, ctx, hessian_N, H).eigenvalues()
 
     cs = costate(ctx, functional)
     c_coef = float(cs.pair(ctx.b_theta1))
@@ -307,7 +326,6 @@ def expansion_constants(
     if alpha0_se > 0.2 * abs(alpha0):
         report.flags.append("MC variance explosion: relative SE above 20%")
 
-    eigs = hessian_matrix(functional, ctx, hessian_N, H).eigenvalues()
     report.hessian_min_eig = float(eigs.min())
     extras = {}
     if 1.0 + eigs.min() <= 0:

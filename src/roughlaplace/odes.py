@@ -221,11 +221,12 @@ def _stage_fold(omR: np.ndarray, left: np.ndarray, right: np.ndarray):
     """Stage-weighted tables (1/2 (I + omR_i) left_i, 1/2 right_i) of a source
     with values ``left`` and ``right`` at the left and right step endpoints:
     the step z <- T z + b takes b_i = [(I + omR_i) left_i + right_i] / 2,
-    their sum.  Tables (n_steps, n, ...) take omR on their first non-step
-    axis; one that acts on z_i or z_{i+1} keeps its two parts.  This is the
-    only place that knows the Heun stage weights.
+    their sum.  Tables (..., n_steps, n, ...) take omR (..., n_steps, n, n)
+    on their first non-step axis, with the same leading axes; one that acts
+    on z_i or z_{i+1} keeps its two parts.  This is the only place that
+    knows the Heun stage weights.
     """
-    lw = left + (omR @ left.reshape(left.shape[:2] + (-1,))).reshape(left.shape)
+    lw = left + (omR @ left.reshape(omR.shape[:-1] + (-1,))).reshape(left.shape)
     return 0.5 * lw, 0.5 * right
 
 
@@ -255,8 +256,9 @@ def linear_perturbation_solve(T: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def linear_perturbation_costate(T: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The co-state lambda (n_steps, n) of the covector path ``g`` (N, n)
-    read through :func:`linear_perturbation_solve`:
+    """The co-state lambda (..., n_steps, n) of the covector path ``g``
+    (..., N, n) read through :func:`linear_perturbation_solve` with the step
+    maps ``T`` (..., n_steps, n, n), leading axes batch:
 
         sum_j g_j . z_j = sum_i lambda_i . b_i
 
@@ -265,12 +267,14 @@ def linear_perturbation_costate(T: np.ndarray, g: np.ndarray) -> np.ndarray:
 
         Lambda_{N-1} = g_{N-1},   Lambda_j = g_j + T_j^T Lambda_{j+1}.
 
-    One backward sweep of one n-vector; the identity reassociates the
-    solve's sums, so it holds to rounding.
+    One backward sweep of one n-vector per batch item, each item's product
+    the one an unbatched call makes; the identity reassociates the solve's
+    sums, so it holds to rounding.
     """
-    lam = np.empty((len(T), g.shape[-1]))
-    cur = g[-1]
-    for i in range(len(T) - 1, -1, -1):
-        lam[i] = cur
-        cur = g[i] + cur @ T[i]
+    n_steps = T.shape[-3]
+    lam = np.empty(np.broadcast_shapes(T.shape[:-3], g.shape[:-2]) + (n_steps, g.shape[-1]))
+    cur = g[..., -1, :]
+    for i in range(n_steps - 1, -1, -1):
+        lam[..., i, :] = cur
+        cur = g[..., i, :] + (cur[..., None, :] @ T[..., i, :, :])[..., 0, :]
     return lam

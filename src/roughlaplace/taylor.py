@@ -23,9 +23,12 @@ path's increments (``_lin_sources``) and the per-step Q<z1, z2>
 Where a term is read only through z -> grad F(phi0)<z> it is not solved.
 :func:`costate` sweeps the context's step maps backwards once for grad F
 and :class:`CoState` contracts the one co-state lambda with the same tables
-(B_sigma, ds, Q, P, b_D), so grad F<chi(k)> (the minimizer's gradient),
-grad F<theta1> (c), grad F<phi2(X)> (the alpha0 weights) and
-grad F<2 psi(e_a, e_b)> (the Hessian) are contractions of their inputs.
+(ds, Q, P, b_D), so grad F<theta1> (c), grad F<phi2(X)> (the alpha0
+weights) and grad F<2 psi(e_a, e_b)> (the Hessian) are contractions of
+their inputs.  The minimizer's gradient grad F<chi(k)> needs only phi0, T
+and B_sigma (``_linearize``, which :func:`expansion_context` builds on too),
+so :func:`chi_gradient` reads it for a whole batch of gammas without a
+context.
 Everything that reads a term as a path -- ``compute_*``, ``taylor_bundle``,
 ``taylor_remainder_slope``, ``v_forms``, ``r_forms``, ``hs_tail``, and
 phi1 under grad^2 F -- keeps the forward solve.
@@ -55,6 +58,7 @@ __all__ = [
     "ExpansionContext",
     "CoState",
     "costate",
+    "chi_gradient",
     "TaylorBundle",
     "expansion_context",
     "solve_rde",
@@ -118,16 +122,34 @@ class ExpansionContext:
         return not any(t.any() for t in (*self.ds, *self.Q, *self.P, self.b_theta1, self.b_D))
 
 
+def _linearize(f: VectorFieldSpec, grid: TimeGrid, dgam: np.ndarray) -> tuple:
+    """phi0 = Psi(gamma) from the increments ``dgam`` (..., n_steps, d) of
+    gamma, and the tables of its linear equation that a chi solve or a
+    co-state sweep reads, with leading axes batching: the endpoint values
+    omL, omR of dOmega = dsigma(phi0) dgamma + d_y beta(phi0) dt, the step
+    maps T (:func:`roughlaplace.odes._step_maps`), sigma0 = sigma(phi0) and
+    chi's inhomogeneity table B_sigma.  Returns (phi0, omL, omR, T, sigma0,
+    B_sigma, dsigma(phi0)); the last feeds the ds tables of
+    :func:`expansion_context`.
+    """
+    y = heun_controlled(f, grid, dgam, np.zeros(f.n))
+    dt = grid.dt
+    sigma0, dsigma0, dbeta_y0 = f.sigma_at(y), f.dsigma_at(y), f.dbeta_y_at(0.0, y)
+
+    def om(sl):
+        return (np.einsum("...iajb,...ij->...iab", dsigma0[..., sl, :, :, :], dgam)
+                + dbeta_y0[..., sl, :, :] * dt[:, None, None])
+
+    omL, omR = om(slice(None, -1)), om(slice(1, None))
+    B_sigma = np.add(*_stage_fold(omR, sigma0[..., :-1, :, :], sigma0[..., 1:, :, :]))
+    return y, omL, omR, _step_maps(omL, omR), sigma0, B_sigma, dsigma0
+
+
 def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> ExpansionContext:
     f = field_spec
-    phi0 = compute_phi0(f, gamma)
-    y = phi0.values
     dgam = gamma.increments()
     dt = gamma.grid.dt
-
-    sigma0 = f.sigma_at(y)
-    dsigma0 = f.dsigma_at(y)
-    dbeta_y0 = f.dbeta_y_at(0.0, y)
+    y, omL, omR, T, sigma0, B_sigma, dsigma0 = _linearize(f, gamma.grid, dgam)
     d2sigma0 = f.d2sigma_at(y)
     d2beta_y0 = f.d2beta_y_at(0.0, y)
     dbeta_y_eps0 = f.dbeta_y_eps_at(0.0, y)
@@ -135,17 +157,15 @@ def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> Expans
     d2beta_eps0 = f.d2beta_eps_at(0.0, y)
 
     def per_step(sl):
-        om = np.einsum("iajb,ij->iab", dsigma0[sl], dgam) + dbeta_y0[sl] * dt[:, None, None]
         Q = np.einsum("iajbc,ij->iabc", d2sigma0[sl], dgam) + d2beta_y0[sl] * dt[:, None, None, None]
-        return (om, sigma0[sl], dsigma0[sl], Q, dbeta_y_eps0[sl] * dt[:, None, None],
+        return (dsigma0[sl], Q, dbeta_y_eps0[sl] * dt[:, None, None],
                 dbeta_eps0[sl] * dt[:, None], d2beta_eps0[sl] * dt[:, None])
 
     left, right = per_step(slice(None, -1)), per_step(slice(1, None))
-    omL, omR = left[0], right[0]
-    sig, ds, Q, P, th, D = (_stage_fold(omR, l, r) for l, r in zip(left[1:], right[1:]))
+    ds, Q, P, th, D = (_stage_fold(omR, l, r) for l, r in zip(left, right))
     return ExpansionContext(
-        field=f, gamma=gamma, phi0=phi0, omL=omL, omR=omR, T=_step_maps(omL, omR),
-        sigma0=sigma0, B_sigma=np.add(*sig), ds=ds, Q=Q, P=P,
+        field=f, gamma=gamma, phi0=SampledPath(gamma.grid, y), omL=omL, omR=omR, T=T,
+        sigma0=sigma0, B_sigma=B_sigma, ds=ds, Q=Q, P=P,
         b_theta1=np.add(*th), b_D=np.add(*D),
     )
 
@@ -219,7 +239,6 @@ class CoState:
     term read only through grad F costs one contraction of its inputs and
     no solve:
 
-        grad F<chi(k)>              = sum_i dk_i . chi_covector_i,
         grad F<solve(ds<z, dY>)>    = sum_i dY_i . lin_covector(z)_i,
         grad F<solve(Q<z1, z2>)>    = sum_j z1_j . quad_apply(z2)_j.
     """
@@ -236,21 +255,12 @@ class CoState:
         return tuple(np.einsum(subscripts, self.lam, C) for C in tables)
 
     @cached_property
-    def chi_covector(self) -> np.ndarray:
-        """B_sigma_i^T lam_i, (n_steps, d)."""
-        return np.einsum("ia,iap->ip", self.lam, self.ctx.B_sigma)
-
-    @cached_property
     def _lin(self) -> tuple:
         return self._contract(self.ctx.ds, "ia,iapq->ipq")
 
     @cached_property
     def _quad(self) -> np.ndarray:
         return _onto_points(*self._contract(self.ctx.Q, "ia,iapq->ipq"))
-
-    def chi(self, dk: np.ndarray) -> np.ndarray:
-        """grad F(phi0)<chi(k)> from the increments dk (..., n_steps, d)."""
-        return _dot(dk, self.chi_covector)
 
     def lin_covector(self, z: np.ndarray) -> np.ndarray:
         """(..., n_steps, d): lam_i . ds(phi0)<z, .> at both step endpoints."""
@@ -276,14 +286,35 @@ class CoState:
         return out
 
 
-def costate(ctx: ExpansionContext, functional) -> CoState:
-    """The co-state of grad F(phi0) on the context: g from one batched
+def _costate_lam(functional, phi0: np.ndarray, T: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The co-state of grad F(phi0) through the step maps ``T``: g from one
     ``functional.grad`` call on the N n unit directions (grad is linear),
-    then one backward sweep."""
-    N, n = ctx.phi0.values.shape
+    with phi0 (..., N, n) given a broadcast axis against them, then one
+    backward sweep.  Leading axes batch."""
+    N, n = phi0.shape[-2:]
     units = np.eye(N * n).reshape(N * n, N, n)
-    g = np.asarray(functional.grad(ctx.phi0.values, units, ctx.grid), dtype=float)
-    return CoState(ctx, linear_perturbation_costate(ctx.T, g.reshape(N, n)))
+    g = np.asarray(functional.grad(phi0[..., None, :, :], units, grid), dtype=float)
+    return linear_perturbation_costate(T, g.reshape(g.shape[:-1] + (N, n)))
+
+
+def costate(ctx: ExpansionContext, functional) -> CoState:
+    """The co-state of grad F(phi0) on the context (:func:`_costate_lam`)."""
+    return CoState(ctx, _costate_lam(functional, ctx.phi0.values, ctx.T, ctx.grid))
+
+
+def chi_gradient(field_spec: VectorFieldSpec, functional, gamma: np.ndarray, grid: TimeGrid,
+                 dk: np.ndarray) -> tuple:
+    """phi0 = Psi(gamma) and grad F(phi0)<chi(k_a)> for every direction k_a,
+    from gamma's samples (..., N, d) (leading axes batch) and the directions'
+    increments ``dk`` (nb, n_steps, d).  One Heun solve, one co-state sweep
+    and one product of dk with B_sigma^T lambda; no ExpansionContext, no chi
+    solve and none of the phi2 tables.  Returns phi0 (..., N, n) and the
+    pairings (..., nb).
+    """
+    phi0, _, _, T, _, B_sigma, _ = _linearize(field_spec, grid, np.diff(gamma, axis=-2))
+    lam = _costate_lam(functional, phi0, T, grid)
+    covector = np.einsum("...ia,...iap->...ip", lam, B_sigma)  # B_sigma_i^T lam_i
+    return phi0, _dot(dk, covector[..., None, :, :])
 
 
 def compute_chi(ctx: ExpansionContext, k) -> SampledPath:

@@ -11,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_oracle
-from roughlaplace.fbm import cm_basis
+from roughlaplace.fbm import _STREAM_OPT, FbmSampler, cm_basis, substream
 from roughlaplace.functionals import (
     constant_field,
     endpoint_linear,
     endpoint_quadratic,
     one_functional,
+    tanh_field,
     zero_functional,
 )
-from roughlaplace.grids import TimeGrid
+from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.laplace import (
     OptConfig,
     _map_blocks,
@@ -30,7 +31,8 @@ from roughlaplace.laplace import (
     minimize_F_Lambda,
     short_time_transform,
 )
-from roughlaplace.odes import DivergenceError
+from roughlaplace.odes import DivergenceError, linear_perturbation_costate
+from roughlaplace.taylor import expansion_context
 
 H_TEST = 0.4
 GRID = TimeGrid.uniform(129)
@@ -229,6 +231,16 @@ class TestDegenerateInputs:
             expansion_constants(copy.deepcopy(gaussian_linear_report), endpoint_linear(V_TEST),
                                 constant_field(S_TEST), mc_samples=2, hessian_N=0)
 
+    def test_hessian_before_monte_carlo(self, gaussian_linear_report, monkeypatch):
+        # the rejected Hessian basis is reported before any sample is drawn
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Monte Carlo ran before the Hessian")
+
+        monkeypatch.setattr(FbmSampler, "batch", refuse)
+        with pytest.raises(ValueError, match="n_modes"):
+            expansion_constants(copy.deepcopy(gaussian_linear_report), endpoint_linear(V_TEST),
+                                constant_field(S_TEST), mc_samples=20_000, hessian_N=0)
+
 
 class TestMcLaplace:
     def test_trivial_is_one(self):
@@ -282,21 +294,18 @@ class TestWorkers:
     field = constant_field(S_TEST)
     F = endpoint_quadratic([[0.5, 0.1], [0.1, 0.3]], v=[0.4, -0.3])
 
-    def minimize(self, workers):
-        return minimize_F_Lambda(self.F, self.field, H_TEST, self.grid, 4,
-                                 OptConfig(restarts=3), workers=workers)
-
     @pytest.fixture(scope="class")
     def report(self):
-        return self.minimize(1)
+        return minimize_F_Lambda(self.F, self.field, H_TEST, self.grid, 4, OptConfig(restarts=3))
 
-    def test_minimize(self, report):
-        pooled = self.minimize(2)
-        assert np.array_equal(pooled.gamma.coeffs, report.gamma.coeffs)
-        assert pooled.F_Lambda_min == report.F_Lambda_min
-        assert pooled.first_order_residual == report.first_order_residual
-        assert pooled.flags == report.flags
-        assert pooled.optimizer == report.optimizer
+    def test_minimize_starts_no_pool(self, monkeypatch):
+        # the restarts run in lockstep in the calling process
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        rep = minimize_F_Lambda(self.F, self.field, H_TEST, self.grid, 4, OptConfig(restarts=3))
+        assert len(rep.optimizer["iterations"]) == 3
 
     def test_expansion_constants(self, report):
         one, two = (
@@ -344,6 +353,95 @@ class TestWorkers:
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             _map_blocks(abs, [1, 2], 0)
+
+
+def sequential_minimize(functional, field, H, grid, N, opt):
+    """Reference for the lockstep minimizer: each restart descends alone,
+    one expansion context and one co-state per objective evaluation.
+    Returns per restart (coefficients, value, iterations, backtracks)."""
+    basis = cm_basis(H, grid, N, field.d)
+    k_stack = np.stack([b.induced_path.values for b in basis])
+    dk_stack = np.diff(k_stack, axis=-2)
+    nb = len(basis)
+
+    def objective_grad(coeffs):
+        ctx = expansion_context(field, SampledPath(grid, np.einsum("a,atd->td", coeffs, k_stack)))
+        Np, n = ctx.phi0.values.shape
+        units = np.eye(Np * n).reshape(Np * n, Np, n)
+        g = np.asarray(functional.grad(ctx.phi0.values, units, grid), dtype=float)
+        lam = linear_perturbation_costate(ctx.T, g.reshape(Np, n))
+        covector = np.einsum("ia,iap->ip", lam, ctx.B_sigma)
+        gradient = coeffs + np.einsum("...ij,...ij->...", dk_stack, covector)
+        value = float(functional.value(ctx.phi0.values, grid)) + 0.5 * float((coeffs**2).sum())
+        return value, gradient
+
+    def descend(c):
+        val, grad = objective_grad(c)
+        iterations = backtracks = 0
+        for _ in range(opt.max_iters):
+            if float(np.abs(grad).max()) < opt.grad_tol:
+                break
+            step = opt.step0
+            while step > 1e-14:
+                cand = c - step * grad
+                v2, g2 = objective_grad(cand)
+                if v2 <= val - opt.armijo * step * float((grad**2).sum()):
+                    c, val, grad = cand, v2, g2
+                    iterations += 1
+                    break
+                step *= opt.backtrack
+                backtracks += 1
+            else:
+                break
+        return c, val, iterations, backtracks
+
+    rng = substream(opt.seed, _STREAM_OPT, 0)
+    starts = [np.zeros(nb)] + [
+        opt.init_scale * rng.standard_normal(nb) for _ in range(max(1, opt.restarts) - 1)
+    ]
+    return [descend(c0) for c0 in starts]
+
+
+class TestLockstep:
+    """The lockstep minimizer against restarts that descend one at a time:
+    bit for bit on a constant field, to rounding on a tanh field, with the
+    same iteration and backtrack counts."""
+
+    grid = TimeGrid.uniform(33)
+    F = endpoint_quadratic([[0.5, 0.1], [0.1, 0.3]], v=[0.4, -0.3])
+    FIELDS = {"constant": constant_field(S_TEST), "tanh": tanh_field(2, 2, coef_seed=5)}
+    OPTS = {"default": OptConfig(), "backtracking": OptConfig(restarts=4, step0=4.0, max_iters=12)}
+
+    @pytest.mark.parametrize("opt_name", sorted(OPTS))
+    @pytest.mark.parametrize("field_name", sorted(FIELDS))
+    def test_matches_sequential(self, field_name, opt_name):
+        field, opt = self.FIELDS[field_name], self.OPTS[opt_name]
+        rep = minimize_F_Lambda(self.F, field, H_TEST, self.grid, 4, opt)
+        ref = sequential_minimize(self.F, field, H_TEST, self.grid, 4, opt)
+        record = rep.optimizer
+        assert record["iterations"] == [r[2] for r in ref]
+        assert record["backtracks"] == [r[3] for r in ref]
+        # each round evaluates every restart still descending
+        assert record["rounds"] == 1 + max(i + b for _, _, i, b in ref)
+        best = min(range(len(ref)), key=lambda r: ref[r][1])
+        got = np.array(record["values"] + rep.gamma.coeffs.reshape(-1).tolist())
+        want = np.array([r[1] for r in ref] + ref[best][0].tolist())
+        if field_name == "constant":
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_backtracking_case_stops_in_different_rounds(self):
+        ref = sequential_minimize(self.F, self.FIELDS["tanh"], H_TEST, self.grid, 4,
+                                  self.OPTS["backtracking"])
+        assert min(b for *_, b in ref) > 0
+        assert len({i + b for *_, i, b in ref}) > 1
+
+    def test_divergence_raises(self):
+        # the random starts carry |phi0| past 0.5 on the constant field
+        tight = dataclasses.replace(self.FIELDS["constant"], guard=0.5)
+        with pytest.raises(DivergenceError, match="exceeded"):
+            minimize_F_Lambda(self.F, tight, H_TEST, self.grid, 4, OptConfig(restarts=3))
 
 
 class TestExpansionFit:

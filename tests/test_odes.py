@@ -12,10 +12,12 @@ from roughlaplace.hessian import hessian_matrix
 from roughlaplace.odes import (
     DivergenceError,
     VectorFieldSpec,
+    _stage_fold,
     heun_controlled,
+    linear_perturbation_costate,
     linear_perturbation_solve,
 )
-from roughlaplace.taylor import expansion_context
+from roughlaplace.taylor import _linearize, expansion_context
 
 
 def scalar_multiplicative_field():
@@ -147,6 +149,46 @@ class TestLinearPerturbationSolve:
         combo = tuple(2.5 * x - 0.75 * y for x, y in zip(a, b))
         want = 2.5 * solve(a) - 0.75 * solve(b)
         assert np.abs(solve(combo) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestBroadcast:
+    """Leading batch axes change no number: a batched call equals the
+    per-item calls stacked, bit for bit, on the tables of tanh contexts."""
+
+    @staticmethod
+    def _contexts(count=3, n_points=65):
+        g = TimeGrid.uniform(n_points)
+        rng = np.random.default_rng(12)
+        field = tanh_field(2, 2, coef_seed=4)
+        return [expansion_context(field, random_smooth_path(g, 2, rng)) for _ in range(count)]
+
+    def test_costate(self):
+        ctxs = self._contexts()
+        g = np.random.default_rng(3).normal(size=(len(ctxs), len(ctxs[0].grid), 2))
+        got = linear_perturbation_costate(np.stack([c.T for c in ctxs]), g)
+        want = np.stack([linear_perturbation_costate(c.T, gi) for c, gi in zip(ctxs, g)])
+        assert np.array_equal(got, want)
+
+    def test_stage_fold(self):
+        ctxs = self._contexts()
+        omR = np.stack([c.omR for c in ctxs])
+        # a table on the grid points (sigma0) and a (left, right) pair (ds)
+        for items in ([(c.sigma0[:-1], c.sigma0[1:]) for c in ctxs], [c.ds for c in ctxs]):
+            left, right = (np.stack(side) for side in zip(*items))
+            got = _stage_fold(omR, left, right)
+            want = [_stage_fold(c.omR, lt, rt) for c, (lt, rt) in zip(ctxs, items)]
+            for j in (0, 1):
+                assert np.array_equal(got[j], np.stack([w[j] for w in want]))
+
+    def test_linearize(self):
+        ctxs = self._contexts()
+        f, grid = ctxs[0].field, ctxs[0].grid
+        phi0, omL, omR, T, sigma0, B_sigma, _ = _linearize(
+            f, grid, np.stack([c.gamma.increments() for c in ctxs]))
+        for got, name in zip((omL, omR, T, sigma0, B_sigma),
+                             ("omL", "omR", "T", "sigma0", "B_sigma")):
+            assert np.array_equal(got, np.stack([getattr(c, name) for c in ctxs]))
+        assert np.array_equal(phi0, np.stack([c.phi0.values for c in ctxs]))
 
 
 def read_only_outputs(field):

@@ -601,13 +601,19 @@ class TestCostate:
 
     @pytest.mark.parametrize("nd,fname", CASES)
     def test_minimizer_gradient(self, nd, fname):
+        # chi_gradient over a batch of two gammas, each item against its own
+        # context's chi solves
         from roughlaplace.fbm import cm_basis
-        from roughlaplace.taylor import _chi_values
+        from roughlaplace.taylor import _chi_values, chi_gradient
 
-        ctx, F, cs, _ = self._setup(nd, fname)
+        ctx, F, _, _ = self._setup(nd, fname)
         k = np.stack([b.induced_path.values for b in cm_basis(0.4, ctx.grid, 6, ctx.field.d)])
-        want = F.grad(ctx.phi0.values, _chi_values(ctx, k), ctx.grid)
-        self._close(cs.chi(np.diff(k, axis=-2)), want)
+        gammas = np.stack([ctx.gamma.values, -0.5 * ctx.gamma.values])
+        phi0, got = chi_gradient(ctx.field, F, gammas, ctx.grid, np.diff(k, axis=-2))
+        for gam, y, pairing in zip(gammas, phi0, got):
+            one = expansion_context(ctx.field, SampledPath(ctx.grid, gam))
+            assert np.array_equal(y, one.phi0.values)
+            self._close(pairing, F.grad(one.phi0.values, _chi_values(one, k), ctx.grid))
 
     @pytest.mark.parametrize("nd,fname", CASES)
     def test_hessian_psi_part(self, nd, fname):
