@@ -328,6 +328,20 @@ def volterra_kernel(t: float, s: float, H: float) -> float:
     return volterra_kernel_info(t, s, H)[0]
 
 
+# Nodes of the kernel quadrature's Gauss-Jacobi rule.  The images of cosine
+# modes beyond it are aliased (at 128 modes the residual covariance of the
+# basis images turns indefinite), so cm_basis and cm_map reject more modes.
+_QUAD_NODES = 96
+
+
+def _check_n_modes(n_modes: int):
+    if not 1 <= n_modes <= _QUAD_NODES:
+        raise ValueError(
+            f"n_modes must lie in [1, {_QUAD_NODES}], the cosine modes the "
+            f"{_QUAD_NODES}-node kernel quadrature resolves; got {n_modes}"
+        )
+
+
 class _KernelQuadrature:
     """Gauss-Jacobi rule absorbing both endpoint singularities of the kernel.
 
@@ -339,10 +353,10 @@ class _KernelQuadrature:
 
     block = 32  # grid points per h_eval call in apply: keeps the node arrays small
 
-    def __init__(self, H: float, n_nodes: int = 96):
+    def __init__(self, H: float):
         self.H = H
         alpha = H - 0.5
-        xs, ws = roots_jacobi(n_nodes, alpha, alpha)
+        xs, ws = roots_jacobi(_QUAD_NODES, alpha, alpha)
         self.x = (xs + 1.0) / 2.0
         self.w = ws * 2.0 ** (-(2.0 * alpha + 1.0))
         if H == 0.5:
@@ -419,12 +433,14 @@ class CameronMartinVector:
 
 def cm_map(h, H: float, grid: TimeGrid) -> CameronMartinVector:
     """Cameron-Martin path ``k_t = int_0^t K^H(t,s) h_s ds`` on the grid, for
-    ``h`` given by an (n_modes, d) array of cosine coefficients.
+    ``h`` given by an (n_modes, d) array of cosine coefficients, with at
+    most 96 modes (the kernel quadrature's nodes).
     """
     params = HurstParams.default(H)
     coeffs = np.atleast_2d(np.asarray(h, dtype=float))
     if coeffs.ndim != 2:
         raise ValueError("coefficients must be (n_modes, d)")
+    _check_n_modes(coeffs.shape[0])
     vals = _kernel_quadrature(H).apply(grid, _cosine_eval(coeffs))
     return CameronMartinVector(
         coeffs=coeffs, induced_path=SampledPath(grid, vals), hurst=params
@@ -435,11 +451,11 @@ def cm_basis(H: float, grid: TimeGrid, n_modes: int, d: int) -> list:
     """U applied to the L^2 cosine orthonormal basis (modes 0..n_modes-1).
 
     The images are exactly orthonormal in the Cameron-Martin inner product
-    by unitarity.  Returned in mode-major order: (mode 0, coord 0), (mode 0,
+    by unitarity; ``n_modes`` may not exceed the kernel quadrature's 96
+    nodes.  Returned in mode-major order: (mode 0, coord 0), (mode 0,
     coord 1), ..., (mode 1, coord 0), ...
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
+    _check_n_modes(n_modes)
     images = _kernel_quadrature(H).apply(grid, lambda ts: _cosine_design(ts, n_modes))
     hurst = HurstParams.default(H)
     out = []

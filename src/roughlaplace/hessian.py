@@ -30,7 +30,7 @@ from .taylor import (
     _quad_sources,
     costate,
 )
-from .variation import pvar_exact
+from .variation import pvar_values
 
 __all__ = [
     "HessianMatrix",
@@ -227,13 +227,11 @@ def hs_tail(
     nb = len(basis)
     f_stack = np.stack([b.values for b in basis])  # (nb, N, d)
 
-    # R1 pair norms: batch over the row index, loop the column index
+    # R1 pair norms: one batch over the row index per column index
     norms = np.zeros((nb, nb))
     for j in range(nb):
         dk = np.diff(f_stack[j], axis=0)
-        vals = _r1_values(ctx, f_stack, dk)  # (nb, N, n)
-        for i in range(nb):
-            norms[i, j] = pvar_exact(SampledPath(ctx.grid, vals[i]), p).value
+        norms[:, j] = pvar_values(_r1_values(ctx, f_stack, dk), p)
 
     partial = []
     for N in N_list:

@@ -151,7 +151,7 @@ class VectorFieldSpec:
         return (4.0 * d2 - d1) / 3.0
 
     def check_guard(self, y):
-        peak = np.max(np.abs(y))
+        peak = np.abs(y).max()
         if not peak <= self.guard:  # true for NaN too, which compares False
             what = (f"|y| exceeded {self.guard:.1e}" if np.isfinite(peak)
                     else f"the state is not finite (max |y| = {peak})")

@@ -52,7 +52,7 @@ from .odes import (
     linear_perturbation_costate,
     linear_perturbation_solve,
 )
-from .variation import dyadic_level, pvar_exact, restrict_dyadic
+from .variation import dyadic_level, pvar_values, restrict_dyadic
 
 __all__ = [
     "ExpansionContext",
@@ -587,9 +587,7 @@ def taylor_remainder_slope(
 
     coarse, fine = rems
     extr = fine[..., ::2, :] + _richardson(fine, coarse)
-    coarse_grid = TimeGrid.dyadic(top - 1)
-    log_norms = np.array([[math.log(pvar_exact(SampledPath(coarse_grid, path), p).value)
-                           for path in per_eps] for per_eps in extr])
+    log_norms = np.array([[math.log(v) for v in pvar_values(per_eps, p)] for per_eps in extr])
 
     mean_log = log_norms.mean(axis=1)
     x = np.log(np.asarray(eps_list))

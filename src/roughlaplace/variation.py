@@ -6,14 +6,21 @@ polygons at their breakpoints) this equals the continuous-time value; in
 general it is a lower bound, and refinement diagnostics are the caller's tool
 for judging closeness.
 
-For a scalar path in the default norm, :func:`pvar_exact` runs the dynamic
-program on the path's turning points only (Butkus & Norvaisa, "Computation of
-p-variation", Lith. Math. J. 58, 2018).  This is exact for every p >= 1,
-because dropping a monotone interior sample never lowers a sum of p-th powers
-of increments.  Vector paths and custom norms use the full grid program.
+One dynamic program (:func:`_chain_dp`) serves every caller and batches over
+paths: its Python loop runs once per grid index for a whole stack of them.
+:func:`pvar_values` is the batched entry for paths (..., N, dim);
+:func:`pvar_exact` is its batch of one, with a maximising partition;
+:func:`pvar_backbone` takes weight matrices (..., n, n).
+
+For a scalar path in the default norm the dynamic program runs on the path's
+turning points only (Butkus & Norvaisa, "Computation of p-variation", Lith.
+Math. J. 58, 2018).  This is exact for every p >= 1, because dropping a
+monotone interior sample never lowers a sum of p-th powers of increments.
+Vector paths and custom norms use the full grid program.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +30,7 @@ from .grids import SampledPath, TimeGrid
 __all__ = [
     "VariationResult",
     "pvar_exact",
+    "pvar_values",
     "pvar_backbone",
     "cosine_pvar",
     "dyadic_approx",
@@ -40,57 +48,119 @@ class VariationResult:
     optimal_partition: list
 
 
-def _increment_norms(values: np.ndarray, norm=None) -> np.ndarray:
-    """Pairwise increment magnitudes ``|x_j - x_i|`` as an (N, N) array."""
-    diffs = values[None, :, :] - values[:, None, :]
-    if norm is None:
-        return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    return np.asarray(norm(diffs), dtype=float)
+def _chain_dp(column, lead: tuple, n: int, p: float):
+    """The p-variation dynamic program: one loop for a batch of paths.
 
+    ``column(j)`` gives, for the B = prod(lead) paths, the p-th powers (B, j)
+    of the weights of the pairs (i, j), i < j.  For each path the supremum of
+    their sum runs over index chains ``0 = a_0 < ... < a_m = n - 1``.  Ties
+    go to the largest sum, then the fewest points, then the earliest index,
+    so golden outputs are stable.
 
-def pvar_backbone(weights: np.ndarray, p: float) -> VariationResult:
-    """Dynamic program for the grid p-variation of a two-parameter increment.
-
-    ``weights[i, j]`` is the magnitude assigned to the pair ``i < j``.  The
-    supremum runs over all index chains ``0 = a_0 < ... < a_m = N-1``; ties
-    are broken towards fewer partition points so golden outputs are stable.
+    Returns ``(values, prev)``: the p-variations (lead) and the back
+    pointers (lead + (n,)), ``prev[..., j]`` being the point before j on the
+    best chain ending at j.  The 1/p root is taken path by path in scalar
+    arithmetic, because numpy's vectorized power may differ from libm's by
+    an ulp.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    n = weights.shape[0]
     if n < 2:
         raise ValueError("need at least two grid points")
-    w = weights**p
-    best = np.full(n, -np.inf)
-    counts = np.zeros(n, dtype=int)
-    prev = np.zeros(n, dtype=int)
-    best[0] = 0.0
-    counts[0] = 1
+    rows = np.arange(math.prod(lead))
+    best = np.full((rows.size, n), -np.inf)
+    counts = np.zeros((rows.size, n), dtype=int)
+    prev = np.zeros((rows.size, n), dtype=int)
+    best[:, 0] = 0.0
+    counts[:, 0] = 1
     for j in range(1, n):
-        cand = best[:j] + w[:j, j]
-        m = cand.max()
-        ties = np.flatnonzero(cand == m)
-        i = ties[np.argmin(counts[ties])]
-        best[j] = best[i] + w[i, j]
-        counts[j] = counts[i] + 1
-        prev[j] = i
-    partition = [n - 1]
-    while partition[-1] != 0:
-        partition.append(int(prev[partition[-1]]))
-    partition.reverse()
-    return VariationResult(value=best[-1] ** (1.0 / p), optimal_partition=partition)
+        cand = best[:, :j] + column(j)
+        m = cand.max(axis=1)
+        i = np.where(cand == m[:, None], counts[:, :j], n + 1).argmin(axis=1)
+        best[:, j] = m
+        counts[:, j] = counts[rows, i] + 1
+        prev[:, j] = i
+    values = np.array([s ** (1.0 / p) for s in best[:, -1]])
+    if np.isnan(values).any():  # a NaN weight passes through max into every later sum
+        raise ValueError("increment magnitudes contain NaN")
+    return values.reshape(lead), prev.reshape(lead + (n,))
 
 
-def _turning_points(x: np.ndarray) -> np.ndarray:
-    """Index 0, the last index and the first index of every strict turn of ``x``.
-
-    A run of equal values counts as one sample, at its first index.
+def pvar_backbone(weights: np.ndarray, p: float):
+    """Grid p-variations of two-parameter increments, batched over leading
+    axes: ``weights[..., i, j]`` is the magnitude a path assigns to the pair
+    ``i < j``.  Returns ``(values, prev)`` as :func:`_chain_dp`.
     """
-    d = np.diff(x)
-    moves = np.flatnonzero(d)
-    up = d[moves] > 0.0
-    turns = moves[:-1][up[1:] != up[:-1]] + 1
-    return np.concatenate([[0], turns, [x.size - 1]])
+    n = weights.shape[-1]
+    w = (weights**p).reshape(-1, n, n)
+    return _chain_dp(lambda j: w[:, :j, j], weights.shape[:-2], n, p)
+
+
+def _turning_points(x: np.ndarray):
+    """Turning points of each row of ``x`` (B, N): index 0, the first index
+    of every strict turn, and the last index.
+
+    A run of equal values counts as one sample, at its first index.  Returns
+    ``idx`` (B, n), each row's points padded to the longest list by
+    repeating the last index.
+    """
+    B, N = x.shape
+    d = np.diff(x, axis=1)
+    rows, moves = np.nonzero(d)  # row-major: a row's moves are consecutive
+    up = d[rows, moves] > 0.0
+    turn = (rows[1:] == rows[:-1]) & (up[1:] != up[:-1])
+    rows, turns = rows[:-1][turn], moves[:-1][turn] + 1
+    n_turns = np.bincount(rows, minlength=B)
+    idx = np.full((B, n_turns.max() + 2), N - 1)
+    idx[:, 0] = 0
+    first = np.cumsum(n_turns) - n_turns  # each row's first entry in ``turns``
+    idx[rows, np.arange(rows.size) - first[rows] + 1] = turns
+    return idx
+
+
+def _path_dp(values: np.ndarray, p: float, norm=None):
+    """:func:`_chain_dp` on paths (..., N, dim).  Returns ``(values, prev,
+    idx)``.
+
+    A scalar batch in the default norm runs on each path's turning points,
+    padded to the longest list by repeating its last sample
+    (:func:`_turning_points`); ``idx`` (B, n) maps the points to grid
+    indices, B paths in row-major order of the leading axes.  Every padded
+    column adds an exact 0 to a chain through the path's last point, so the
+    value at the last column equals the value at the path's own end, bit
+    for bit.  Otherwise the program runs on the full grid and ``idx`` is
+    None.  Each column of weights is formed as the loop reaches it, so no
+    (N, N) array is stored; ``norm`` maps increments (..., dim) to
+    magnitudes (...), Euclidean by default.
+    """
+    points, idx = values, None
+    if values.shape[-1] == 1 and norm is None:
+        lead, N = values.shape[:-2], values.shape[-2]
+        x = values.reshape(-1, N)
+        if np.isnan(x).any():  # the reduction could drop the NaN sample
+            raise ValueError("path values contain NaN")
+        idx = _turning_points(x)
+        points = np.take_along_axis(x, idx, axis=1).reshape(lead + (idx.shape[1], 1))
+    flat = points.reshape((-1,) + points.shape[-2:])
+
+    def column(j):
+        diffs = flat[:, j, None, :] - flat[:, :j, :]  # x_j - x_i
+        if norm is None:
+            return np.sqrt(np.einsum("...k,...k->...", diffs, diffs)) ** p
+        return np.asarray(norm(diffs), dtype=float) ** p
+
+    return _chain_dp(column, points.shape[:-2], points.shape[-2], p) + (idx,)
+
+
+def pvar_values(values, p: float, norm=None) -> np.ndarray:
+    """Grid p-variations (...) of the paths ``values`` (..., N, dim), one
+    dynamic program for the whole batch.
+
+    Each entry equals ``pvar_exact`` of that path alone, bit for bit
+    (:func:`_path_dp`).  ``norm`` maps increments (..., dim) to magnitudes
+    (...).
+    """
+    return _path_dp(np.asarray(values, dtype=float), p, norm)[0]
 
 
 def pvar_exact(path: SampledPath, p: float, norm=None) -> VariationResult:
@@ -120,13 +190,14 @@ def pvar_exact(path: SampledPath, p: float, norm=None) -> VariationResult:
     in exact arithmetic, so on non-integer data the full program's choice,
     and its value in the last bits, is decided by rounding.
     """
-    values = path.values
-    if values.shape[1] == 1 and norm is None:
-        kept = _turning_points(values[:, 0])
-        res = pvar_backbone(_increment_norms(values[kept]), p)
-        res.optimal_partition = [int(kept[i]) for i in res.optimal_partition]
-        return res
-    return pvar_backbone(_increment_norms(values, norm), p)
+    value, prev, idx = _path_dp(path.values, p, norm)
+    partition = [len(prev) - 1]
+    while partition[-1] != 0:
+        partition.append(int(prev[partition[-1]]))
+    partition.reverse()
+    if idx is not None:
+        partition = [int(idx[0, i]) for i in partition]
+    return VariationResult(value=value[()], optimal_partition=partition)
 
 
 def cosine_pvar(n: int, p: float) -> float:

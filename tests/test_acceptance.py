@@ -37,7 +37,7 @@ from roughlaplace.roughpath import chen_residual, lift, pair, scale_rough, shift
 from roughlaplace.taylor import expansion_context, taylor_remainder_slope
 from roughlaplace.variation import cosine_pvar, pvar_exact
 
-from conftest import random_smooth_path
+from conftest import pair_norms_oracle, random_smooth_path
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -66,9 +66,7 @@ def test_criterion_02_brute_force_equivalence():
         vals = rng.standard_normal(9)
         p = float(rng.uniform(1.0, 3.5))
         dp = pvar_exact(SampledPath(TimeGrid.uniform(9), vals), p).value
-        from roughlaplace.variation import _increment_norms
-
-        w = _increment_norms(vals[:, None]) ** p
+        w = pair_norms_oracle(vals[:, None]) ** p
         best = -1.0
         for r in range(8):
             for combo in combinations(range(1, 8), r):

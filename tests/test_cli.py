@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roughlaplace.cli import ExperimentConfig, main, run
+from roughlaplace.cli import ExperimentConfig, ks_2samp_exact, main, run
 from roughlaplace.grids import TimeGrid
 
 
@@ -184,20 +185,18 @@ def test_scale_test_run_small(tmp_path):
 def test_scale_test_areas_match_per_path_lifts(tmp_path, monkeypatch):
     # the blocked running-signature areas equal the dense per-path route
     # scale_rough(lift(p, 2), c, H) bit for bit, across several blocks
-    import scipy.stats
-
     import roughlaplace.cli as cli_mod
     from roughlaplace.fbm import sample_fbm_ensemble
     from roughlaplace.roughpath import lift, scale_rough
 
     seen = []
-    ks_2samp = scipy.stats.ks_2samp
+    ks_2samp_exact = cli_mod.ks_2samp_exact
 
     def capture(a, b):
         seen.append((a, b))
-        return ks_2samp(a, b)
+        return ks_2samp_exact(a, b)
 
-    monkeypatch.setattr(scipy.stats, "ks_2samp", capture)
+    monkeypatch.setattr(cli_mod, "ks_2samp_exact", capture)
     monkeypatch.setattr(cli_mod, "_SCALE_BLOCK", 24)
     raw = {"kind": "scale-test", "H": 0.4, "grid_size": 33, "d": 2,
            "n_samples": 64, "seed": 12, "c": 0.25}
@@ -215,6 +214,55 @@ def test_scale_test_areas_match_per_path_lifts(tmp_path, monkeypatch):
     e2 = sample_fbm_ensemble(grid, 0.4, 2, 64, 13)
     assert np.array_equal(scaled, [area(scale_rough(lift(p, 2), 0.25, 0.4)) for p in e1])
     assert np.array_equal(plain, [area(lift(p, 2)) for p in e2])
+
+
+class TestKs2sampExact:
+    """The equal-size exact KS test against ``scipy.stats.ks_2samp``."""
+
+    @staticmethod
+    def assert_same(a, b):
+        from scipy.stats import ks_2samp
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want = ks_2samp(a, b)
+        got = ks_2samp_exact(a, b)
+        if caught:
+            # at D = 1/n scipy's exact sum can round above 1, and scipy falls
+            # back to an asymptotic formula; the exact p-value there is 1
+            assert "Exact calculation unsuccessful" in str(caught[0].message)
+            assert got == (float(want.statistic), 1.0) == (1 / a.size, 1.0)
+        else:
+            assert got == (float(want.statistic), float(want.pvalue))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 333, 4000])
+    def test_random_samples(self, n):
+        rng = np.random.default_rng(n)
+        for shift in (0.0, 0.05, 0.3, 2.0):
+            self.assert_same(rng.standard_normal(n), rng.standard_normal(n) + shift)
+
+    @pytest.mark.parametrize("n", [5, 40, 1000])
+    def test_ties(self, n):
+        # few distinct values: both samples tie within and across
+        rng = np.random.default_rng(n + 1)
+        for levels in (2, 3, 10):
+            self.assert_same(rng.integers(0, levels, n).astype(float),
+                             rng.integers(0, levels, n).astype(float))
+
+    def test_one_step_gap_has_p_one(self):
+        a = np.arange(5.0)
+        assert ks_2samp_exact(a, a + 0.5) == (0.2, 1.0)
+        self.assert_same(a, a + 0.5)
+
+    def test_h_zero(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(30)
+        self.assert_same(a, rng.permutation(a))
+        assert ks_2samp_exact(a, a[::-1]) == (0.0, 1.0)
+
+    def test_rejects_unequal_sizes(self):
+        with pytest.raises(ValueError, match="equal nonzero sizes, got 3 and 4"):
+            ks_2samp_exact(np.zeros(3), np.zeros(4))
 
 
 def test_scale_test_incompatible_c(tmp_path):

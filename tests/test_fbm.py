@@ -316,6 +316,17 @@ def test_cm_basis_order_and_orthonormality():
             assert a.inner(b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-15)
 
 
+def test_modes_within_quadrature_reach():
+    # the 96-node kernel quadrature resolves 96 cosine modes; 97 is refused
+    g = TimeGrid.uniform(9)
+    assert len(cm_basis(0.4, g, 96, 1)) == 96
+    assert cm_map(np.ones((96, 1)), 0.4, g).induced_path.values.shape == (9, 1)
+    with pytest.raises(ValueError, match=r"n_modes must lie in \[1, 96\].*got 97"):
+        cm_basis(0.4, g, 97, 1)
+    with pytest.raises(ValueError, match=r"n_modes must lie in \[1, 96\].*got 97"):
+        cm_map(np.ones((97, 1)), 0.4, g)
+
+
 def test_hyp2f1_series_consistency():
     for (a, b, c) in [(-0.1, 0.8, 0.9), (-0.2, 0.6, 0.8)]:
         for z in (0.0, 0.3, 0.9):

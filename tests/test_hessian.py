@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_flow, random_smooth_path
+from conftest import linear_flow, pvar_values_oracle, random_smooth_path
 from roughlaplace.fbm import HurstParams, cm_basis, cm_map, substream
 from roughlaplace.functionals import (
     _FIELD_BUILDERS,
@@ -272,6 +272,22 @@ class TestHsTail:
         rep = hs_tail(ctx, N_list=(1, 2, 10), hurst=hp)
         assert rep.increment_ratios[0] > 1.0
         assert rep.tail_bound is None
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_per_path_oracle(self, n, monkeypatch):
+        # one batched DP per column gives the per-path report bit for bit;
+        # n = 2 runs the vector paths' full grid program
+        import roughlaplace.hessian as hessian_mod
+
+        H = 0.4
+        hp = HurstParams.default(H)
+        g = TimeGrid.uniform(129)
+        field = tanh_field(n, 1, coef_seed=9, scale=0.5, drift_scale=0.4)
+        gamma = cm_map(np.array([[0.2], [0.3]]), H, g).induced_path
+        ctx = expansion_context(field, gamma)
+        rep = hs_tail(ctx, N_list=(2, 4, 8), hurst=hp)
+        monkeypatch.setattr(hessian_mod, "pvar_values", pvar_values_oracle)
+        assert hs_tail(ctx, N_list=(2, 4, 8), hurst=hp) == rep
 
 
 class TestDet2:

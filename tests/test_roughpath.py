@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_smooth_path
+from conftest import pvar_backbone_oracle, random_smooth_path
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.roughpath import (
     RoughPath,
@@ -173,6 +173,16 @@ class TestXiNorm:
         a = xi_norm(lift(path, 2), 2.5).value
         b = xi_norm(lift(c * path, 2), 2.5).value
         assert b == pytest.approx(c * a, rel=1e-10)
+
+    def test_matches_per_path_oracle(self):
+        # level j's p/j-variation of the Frobenius magnitudes, bit for bit
+        rng = np.random.default_rng(8)
+        X = lift(random_smooth_path(TimeGrid.uniform(21), 2, rng), 2)
+        xi = xi_norm(X, 2.5)
+        for j, arr in enumerate(X.levels(), start=1):
+            flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
+            w = np.sqrt(np.einsum("ijk,ijk->ij", flat, flat))
+            assert xi.per_level[j - 1] == pvar_backbone_oracle(w, 2.5 / j).value ** (1.0 / j)
 
 
 class TestShiftPair:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import heun_fold, random_smooth_path
+from conftest import heun_fold, pvar_values_oracle, random_smooth_path
 from roughlaplace.fbm import HurstParams, cm_map, sample_fbm_ensemble, substream
 from roughlaplace.functionals import constant_field, rotation_field, tanh_field
 from roughlaplace.grids import SampledPath, TimeGrid
@@ -383,6 +383,21 @@ class TestRemainderSlopes:
         assert 1.8 <= rep1["slope"] <= 2.2
         rep2 = taylor_remainder_slope(field, gamma, drivers, 2, p=hp.p)
         assert 2.7 <= rep2["slope"] <= 3.3
+
+    def test_matches_per_path_oracle(self, monkeypatch):
+        # one batched DP per eps over the drivers gives the per-path slopes
+        # bit for bit
+        import roughlaplace.taylor as taylor_mod
+
+        H = 0.4
+        g = TimeGrid.dyadic(6)
+        field = tanh_field(2, 2, coef_seed=5)
+        gamma = cm_map(np.array([[0.2, 0.1], [0.3, -0.2]]), H, g).induced_path
+        drivers = sample_fbm_ensemble(g, H, 2, 3, seed=21)
+        eps = [0.5, 0.25, 0.125, 0.0625]
+        rep = taylor_remainder_slope(field, gamma, drivers, 2, eps_list=eps)
+        monkeypatch.setattr(taylor_mod, "pvar_values", pvar_values_oracle)
+        assert taylor_remainder_slope(field, gamma, drivers, 2, eps_list=eps) == rep
 
     def test_exact_for_additive_case(self):
         # sigma constant, beta = 0: phi^(eps) = phi0 + eps chi exactly,

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pair_norms_oracle, pvar_backbone_oracle, pvar_oracle
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.variation import (
-    _increment_norms,
     coarsen_dyadic,
     cosine_pvar,
     dyadic_approx,
     pvar_backbone,
     pvar_exact,
+    pvar_values,
     restrict_dyadic,
 )
 
@@ -98,7 +99,7 @@ class TestPvarExact:
 def full_grid_pvar(values, p: float):
     """The dynamic program over every grid index, without any reduction."""
     v = np.asarray(values, dtype=float).reshape(len(values), -1)
-    return pvar_backbone(_increment_norms(v), p)
+    return pvar_backbone_oracle(pair_norms_oracle(v), p)
 
 
 def fast_pvar(values, p: float):
@@ -198,8 +199,118 @@ class TestTurningPointReduction:
         l1 = lambda diffs: np.abs(diffs).sum(axis=-1)
         scalar = SampledPath(TimeGrid.uniform(30), vals[:, 0])
         res = pvar_exact(scalar, 2.2, norm=l1)
-        want = pvar_backbone(_increment_norms(scalar.values, l1), 2.2)
+        want = pvar_backbone_oracle(pair_norms_oracle(scalar.values, l1), 2.2)
         assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
+
+
+def integer_walk_batches():
+    """Batches of 1 to 5 integer walks of one length: zero steps make flat
+    runs, and integer sums decide even p = 1 ties exactly."""
+    steps = st.lists(st.integers(-3, 3), min_size=1, max_size=30)
+    return steps.flatmap(lambda row: st.lists(
+        st.lists(st.integers(-3, 3), min_size=len(row), max_size=len(row)), max_size=4
+    ).map(lambda rest: [row] + rest))
+
+
+class TestBatchedDP:
+    """pvar_values, pvar_exact and pvar_backbone against the per-path
+    oracle (conftest), bit for bit."""
+
+    P_VALUES = (1.0, 1.5, 2.78, 4.0)
+
+    def assert_matches(self, values, p, norm=None):
+        values = np.asarray(values, dtype=float)
+        got = pvar_values(values, p, norm)
+        assert got.shape == values.shape[:-2]
+        grid = TimeGrid.uniform(values.shape[-2])
+        for ix in np.ndindex(got.shape):
+            want = pvar_oracle(values[ix], p, norm)
+            assert got[ix] == want.value
+            res = pvar_exact(SampledPath(grid, values[ix]), p, norm)
+            assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6),
+           st.sampled_from(P_VALUES))
+    @settings(max_examples=100, deadline=None)
+    def test_random_batches(self, seed, n, batch, p):
+        # each path drops its own share of steps, so the paths' turning-point
+        # counts differ and flat runs appear inside and at the ends
+        rng = np.random.default_rng(seed)
+        keep = rng.random((batch, n - 1)) < rng.random((batch, 1))
+        steps = rng.standard_normal((batch, n - 1)) * keep
+        walks = np.concatenate([np.zeros((batch, 1)), np.cumsum(steps, axis=1)], axis=1)
+        self.assert_matches(walks[..., None], p)
+
+    @given(integer_walk_batches(), st.sampled_from(P_VALUES))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_walks_with_flat_runs_and_p1_ties(self, steps, p):
+        walks = np.cumsum(np.pad(np.asarray(steps), ((0, 0), (1, 0))), axis=1)
+        self.assert_matches(walks[..., None], p)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_small_cases_in_one_batch(self, p):
+        rows = [[0, 1, 1, 0], [0, 1, 1, 2], [0, 0, 1, 0], [0, 1, 0, 1], [3, 3, 3, 3],
+                [1, 1, 0, 0], [0, 2, 1, 3]]
+        self.assert_matches(np.asarray(rows, dtype=float)[..., None], p)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_two_point_paths(self, p):
+        self.assert_matches(np.array([[0.0, -1.7], [2.5, 2.5], [1.0, 2.0]])[..., None], p)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_vector_paths_and_custom_norm(self, p):
+        rng = np.random.default_rng(4)
+        vals = np.cumsum(rng.standard_normal((5, 30, 2)), axis=1)
+        self.assert_matches(vals, p)
+        l1 = lambda diffs: np.abs(diffs).sum(axis=-1)
+        self.assert_matches(vals, p, norm=l1)
+        self.assert_matches(vals[..., :1], p, norm=l1)
+
+    def test_extra_leading_axes(self):
+        rng = np.random.default_rng(6)
+        self.assert_matches(np.cumsum(rng.standard_normal((2, 3, 25, 1)), axis=-2), 2.2)
+        self.assert_matches(np.cumsum(rng.standard_normal((3, 2, 12, 2)), axis=-2), 2.2)
+        one = np.cumsum(rng.standard_normal((25, 1)), axis=0)
+        assert pvar_values(one, 2.2).shape == ()
+        self.assert_matches(one, 2.2)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_backbone_batches_weight_matrices(self, p):
+        # small integer weights tie often, so the tie rule decides chains
+        rng = np.random.default_rng(12)
+        weights = rng.integers(0, 4, (2, 3, 9, 9)).astype(float)
+        values, prev = pvar_backbone(weights, p)
+        assert values.shape == (2, 3) and prev.shape == (2, 3, 9)
+        for ix in np.ndindex(values.shape):
+            want = pvar_backbone_oracle(weights[ix], p)
+            chain = [8]
+            while chain[-1] != 0:
+                chain.append(int(prev[ix][chain[-1]]))
+            assert values[ix] == want.value and chain[::-1] == want.optimal_partition
+
+    def test_tie_prefers_fewest_points(self):
+        # at p = 1, column 4 ties between i = 2 (reached by 0-1-2) and i = 3
+        # (reached by 0-3): the chain with fewer points wins, not the
+        # earlier index
+        w = np.zeros((5, 5))
+        w[0, 1] = w[1, 2] = w[0, 2] = w[2, 4] = w[3, 4] = 1.0
+        w[0, 3] = 2.0
+        values, prev = pvar_backbone(np.stack([w, w]), 1.0)
+        want = pvar_backbone_oracle(w, 1.0)
+        assert want.optimal_partition == [0, 3, 4]
+        assert list(values) == [want.value] * 2 and list(prev[:, 4]) == [3, 3]
+
+    def test_rejects(self):
+        with pytest.raises(ValueError, match="path values contain NaN"):
+            pvar_values(np.array([[0.0], [np.nan], [1.0]]), 2.0)
+        with pytest.raises(ValueError, match="magnitudes contain NaN"):
+            pvar_values(np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 0.0]]), 2.0)
+        with pytest.raises(ValueError, match="magnitudes contain NaN"):
+            pvar_backbone(np.array([[0.0, np.nan], [np.nan, 0.0]]), 2.0)
+        with pytest.raises(ValueError, match="p must be"):
+            pvar_values(np.zeros((2, 3, 1)), 0.5)
+        with pytest.raises(ValueError, match="two grid points"):
+            pvar_backbone(np.zeros((3, 1, 1)), 2.0)
 
 
 class TestCosinePvar:
