@@ -209,7 +209,7 @@ def xi_norm(X: RoughPath, p: float) -> XiValue:
     per = []
     for j, arr in enumerate(X.levels(), start=1):
         w = _level_norms(arr)
-        v = pvar_backbone(w, p / j)[0][()]
+        v = pvar_backbone(w, p / j)[()]
         per.append(v ** (1.0 / j))
     return XiValue(value=float(sum(per)), per_level=per)
 

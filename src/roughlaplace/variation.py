@@ -8,9 +8,10 @@ for judging closeness.
 
 One dynamic program (:func:`_chain_dp`) serves every caller and batches over
 paths: its Python loop runs once per grid index for a whole stack of them.
-:func:`pvar_values` is the batched entry for paths (..., N, dim);
-:func:`pvar_exact` is its batch of one, with a maximising partition;
-:func:`pvar_backbone` takes weight matrices (..., n, n).
+:func:`pvar_values` is the batched entry for paths (..., N, dim) in the
+Euclidean norm; :func:`pvar_exact` runs it on one path, in any norm, and
+returns a maximising partition; :func:`pvar_backbone` takes weight matrices
+(..., n, n).
 
 For a scalar path in the default norm the dynamic program runs on the path's
 turning points only (Butkus & Norvaisa, "Computation of p-variation", Lith.
@@ -86,14 +87,14 @@ def _chain_dp(column, lead: tuple, n: int, p: float):
     return values.reshape(lead), prev.reshape(lead + (n,))
 
 
-def pvar_backbone(weights: np.ndarray, p: float):
-    """Grid p-variations of two-parameter increments, batched over leading
-    axes: ``weights[..., i, j]`` is the magnitude a path assigns to the pair
-    ``i < j``.  Returns ``(values, prev)`` as :func:`_chain_dp`.
+def pvar_backbone(weights: np.ndarray, p: float) -> np.ndarray:
+    """Grid p-variations (...) of two-parameter increments, batched over
+    leading axes: ``weights[..., i, j]`` is the magnitude a path assigns to
+    the pair ``i < j``.
     """
     n = weights.shape[-1]
     w = (weights**p).reshape(-1, n, n)
-    return _chain_dp(lambda j: w[:, :j, j], weights.shape[:-2], n, p)
+    return _chain_dp(lambda j: w[:, :j, j], weights.shape[:-2], n, p)[0]
 
 
 def _turning_points(x: np.ndarray):
@@ -152,15 +153,14 @@ def _path_dp(values: np.ndarray, p: float, norm=None):
     return _chain_dp(column, points.shape[:-2], points.shape[-2], p) + (idx,)
 
 
-def pvar_values(values, p: float, norm=None) -> np.ndarray:
-    """Grid p-variations (...) of the paths ``values`` (..., N, dim), one
-    dynamic program for the whole batch.
+def pvar_values(values, p: float) -> np.ndarray:
+    """Grid p-variations (...) of the paths ``values`` (..., N, dim) in the
+    Euclidean norm, one dynamic program for the whole batch.
 
     Each entry equals ``pvar_exact`` of that path alone, bit for bit
-    (:func:`_path_dp`).  ``norm`` maps increments (..., dim) to magnitudes
-    (...).
+    (:func:`_path_dp`).
     """
-    return _path_dp(np.asarray(values, dtype=float), p, norm)[0]
+    return _path_dp(np.asarray(values, dtype=float), p)[0]
 
 
 def pvar_exact(path: SampledPath, p: float, norm=None) -> VariationResult:

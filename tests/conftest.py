@@ -80,12 +80,12 @@ def pvar_oracle(values, p: float, norm=None) -> VariationResult:
     return pvar_backbone_oracle(pair_norms_oracle(values, norm), p)
 
 
-def pvar_values_oracle(values, p: float, norm=None) -> np.ndarray:
+def pvar_values_oracle(values, p: float) -> np.ndarray:
     """:func:`pvar_oracle` path by path over the leading axes of (..., N, dim)."""
     values = np.asarray(values, dtype=float)
     out = np.empty(values.shape[:-2])
     for ix in np.ndindex(out.shape):
-        out[ix] = pvar_oracle(values[ix], p, norm).value
+        out[ix] = pvar_oracle(values[ix], p).value
     return out
 
 

@@ -220,12 +220,12 @@ class TestKs2sampExact:
     """The equal-size exact KS test against ``scipy.stats.ks_2samp``."""
 
     @staticmethod
-    def assert_same(a, b):
+    def assert_same(a, b, method="auto"):
         from scipy.stats import ks_2samp
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            want = ks_2samp(a, b)
+            want = ks_2samp(a, b, method=method)
         got = ks_2samp_exact(a, b)
         if caught:
             # at D = 1/n scipy's exact sum can round above 1, and scipy falls
@@ -240,6 +240,15 @@ class TestKs2sampExact:
         rng = np.random.default_rng(n)
         for shift in (0.0, 0.05, 0.3, 2.0):
             self.assert_same(rng.standard_normal(n), rng.standard_normal(n) + shift)
+
+    def test_exact_above_scipy_auto_limit(self):
+        # above n = 10000 scipy's default turns asymptotic; the test here
+        # stays exact and agrees with scipy's exact method
+        n = 12000
+        rng = np.random.default_rng(n)
+        for shift in (0.0, 0.05, 0.3):
+            self.assert_same(rng.standard_normal(n), rng.standard_normal(n) + shift,
+                             method="exact")
 
     @pytest.mark.parametrize("n", [5, 40, 1000])
     def test_ties(self, n):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import pair_norms_oracle, pvar_backbone_oracle, pvar_oracle
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.variation import (
+    _chain_dp,
     coarsen_dyadic,
     cosine_pvar,
     dyadic_approx,
@@ -219,13 +220,18 @@ class TestBatchedDP:
     P_VALUES = (1.0, 1.5, 2.78, 4.0)
 
     def assert_matches(self, values, p, norm=None):
+        # pvar_values takes the Euclidean norm only; a custom norm is checked
+        # through pvar_exact, path by path
         values = np.asarray(values, dtype=float)
-        got = pvar_values(values, p, norm)
-        assert got.shape == values.shape[:-2]
+        lead = values.shape[:-2]
+        if norm is None:
+            got = pvar_values(values, p)
+            assert got.shape == lead
         grid = TimeGrid.uniform(values.shape[-2])
-        for ix in np.ndindex(got.shape):
+        for ix in np.ndindex(lead):
             want = pvar_oracle(values[ix], p, norm)
-            assert got[ix] == want.value
+            if norm is None:
+                assert got[ix] == want.value
             res = pvar_exact(SampledPath(grid, values[ix]), p, norm)
             assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
 
@@ -279,14 +285,18 @@ class TestBatchedDP:
         # small integer weights tie often, so the tie rule decides chains
         rng = np.random.default_rng(12)
         weights = rng.integers(0, 4, (2, 3, 9, 9)).astype(float)
-        values, prev = pvar_backbone(weights, p)
-        assert values.shape == (2, 3) and prev.shape == (2, 3, 9)
+        values = pvar_backbone(weights, p)
+        assert values.shape == (2, 3)
         for ix in np.ndindex(values.shape):
-            want = pvar_backbone_oracle(weights[ix], p)
+            assert values[ix] == pvar_backbone_oracle(weights[ix], p).value
+        # the back pointers of the shared program follow the oracle's chains
+        flat = weights.reshape(-1, 9, 9) ** p
+        _, prev = _chain_dp(lambda j: flat[:, :j, j], (6,), 9, p)
+        for b, w in enumerate(weights.reshape(-1, 9, 9)):
             chain = [8]
             while chain[-1] != 0:
-                chain.append(int(prev[ix][chain[-1]]))
-            assert values[ix] == want.value and chain[::-1] == want.optimal_partition
+                chain.append(int(prev[b, chain[-1]]))
+            assert chain[::-1] == pvar_backbone_oracle(w, p).optimal_partition
 
     def test_tie_prefers_fewest_points(self):
         # at p = 1, column 4 ties between i = 2 (reached by 0-1-2) and i = 3
@@ -295,7 +305,7 @@ class TestBatchedDP:
         w = np.zeros((5, 5))
         w[0, 1] = w[1, 2] = w[0, 2] = w[2, 4] = w[3, 4] = 1.0
         w[0, 3] = 2.0
-        values, prev = pvar_backbone(np.stack([w, w]), 1.0)
+        values, prev = _chain_dp(lambda j: np.stack([w, w])[:, :j, j], (2,), 5, 1.0)
         want = pvar_backbone_oracle(w, 1.0)
         assert want.optimal_partition == [0, 3, 4]
         assert list(values) == [want.value] * 2 and list(prev[:, 4]) == [3, 3]
