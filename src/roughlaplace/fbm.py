@@ -196,14 +196,14 @@ class FbmSampler:
 
 
 def sample_fbm(grid: TimeGrid, H: float, d: int, rng_seed: int) -> SampledPath:
-    """One exact d-dimensional fBm sample on ``grid`` (coordinates independent)."""
-    return sample_fbm_ensemble(grid, H, d, n_samples=1, seed=rng_seed)[0]
+    """One exact d-dimensional fBm sample on ``grid``: row 0 of :func:`sample_fbm_ensemble`."""
+    return SampledPath(grid, sample_fbm_ensemble(grid, H, d, 1, rng_seed)[0])
 
 
-def sample_fbm_ensemble(grid: TimeGrid, H: float, d: int, n_samples: int, seed: int) -> list:
-    """Ensemble of exact fBm samples, one Philox stream per sample index."""
-    vals, _ = FbmSampler(grid, H, d, seed).batch(0, n_samples)
-    return [SampledPath(grid, v) for v in vals]
+def sample_fbm_ensemble(grid: TimeGrid, H: float, d: int, n_samples: int, seed: int) -> np.ndarray:
+    """Exact fBm samples (independent coordinates) as one (n_samples, len(grid), d)
+    array with zero first row; row j draws sample index j's Philox stream."""
+    return FbmSampler(grid, H, d, seed).batch(0, n_samples)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -544,15 +544,16 @@ def solve_rde(
 def taylor_remainder_slope(
     field_spec: VectorFieldSpec,
     gamma: SampledPath,
-    drivers: list,
+    drivers: np.ndarray,
     m: int,
     eps_list=None,
     p: float = 2.75,
 ) -> dict:
     """Least-squares slope of log remainder-norm against log eps.
 
-    For each driver the remainder phi^(eps) - sum_{k<=m} eps^k phi^k is formed
-    per dyadic level (nonlinear and linear solves on the same level, so the
+    For each driver, a row of the (n_drv, N, d) array ``drivers`` on gamma's
+    grid, the remainder phi^(eps) - sum_{k<=m} eps^k phi^k is formed per
+    dyadic level (nonlinear and linear solves on the same level, so the
     expansion cancellation is exact at each level) and Richardson-extrapolated
     across the two finest levels onto the coarser one; the fit runs on
     ensemble geometric means of the p-variation norms there.
@@ -567,7 +568,9 @@ def taylor_remainder_slope(
 
     grid = gamma.grid
     top = dyadic_level(grid)
-    X = np.stack([drv.values for drv in drivers])  # (n_drv, N, d)
+    X = np.asarray(drivers, dtype=float)
+    if X.ndim != 3 or X.shape[1] != len(grid):
+        raise ValueError(f"drivers must be (n_drv, {len(grid)}, d), got {X.shape}")
     rems = []  # per level: remainders (n_eps, n_drv, N_level, n)
     for lev in (top - 1, top):
         X_lev = restrict_dyadic(X, grid, lev)

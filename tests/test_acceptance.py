@@ -124,15 +124,11 @@ def test_criterion_05_fbm_law():
     details = []
     ok = True
     for H in (0.3, 0.4):
-        arr = np.stack(
-            [p.values for p in sample_fbm_ensemble(g, H, 1, 10_000, seed=1005)]
-        )[:, :, 0]
+        arr = sample_fbm_ensemble(g, H, 1, 10_000, seed=1005)[:, :, 0]
         i, j = g.index_of(0.25), g.index_of(0.75)
         var = float(np.var(arr[:, j] - arr[:, i]))
         rel = abs(var - 0.5 ** (2 * H)) / 0.5 ** (2 * H)
-        arr2 = np.stack(
-            [p.values for p in sample_fbm_ensemble(g, H, 1, 10_000, seed=2005)]
-        )[:, :, 0]
+        arr2 = sample_fbm_ensemble(g, H, 1, 10_000, seed=2005)[:, :, 0]
         c = 0.5
         ks = ks_2samp(c ** (-H) * arr[:, g.index_of(c)], arr2[:, -1])
         ok = ok and rel < 0.05 and ks.pvalue > 0.01
@@ -149,9 +145,9 @@ def test_criterion_06_scale_invariance():
     s_scaled = np.empty(n)
     s_plain = np.empty(n)
     for i in range(n):
-        Xs = scale_rough(lift(e1[i], 2), c, H).increment(0, -1)[1]
+        Xs = scale_rough(lift(SampledPath(g, e1[i]), 2), c, H).increment(0, -1)[1]
         s_scaled[i] = 0.5 * (Xs[0, 1] - Xs[1, 0])
-        Xp = lift(e2[i], 2).increment(0, -1)[1]
+        Xp = lift(SampledPath(g, e2[i]), 2).increment(0, -1)[1]
         s_plain[i] = 0.5 * (Xp[0, 1] - Xp[1, 0])
     ks = ks_2samp(s_scaled, s_plain)
     ok = ks.pvalue > 0.01
@@ -366,8 +362,8 @@ def test_criterion_15_short_time_law():
     g = TimeGrid.uniform(257)
     base = tanh_field(1, 1, coef_seed=9, scale=0.5, drift_scale=0.4)
     frac = fractional_drift_field(base, 1.0 / H)
-    XV = np.stack([p.values for p in sample_fbm_ensemble(g, H, 1, n, seed=1015)])
-    XY = np.stack([p.values for p in sample_fbm_ensemble(g, H, 1, n, seed=2015)])
+    XV = sample_fbm_ensemble(g, H, 1, n, seed=1015)
+    XY = sample_fbm_ensemble(g, H, 1, n, seed=2015)
     solV = heun_controlled(frac, g, np.diff(XV, axis=-2), np.zeros(1), eps_beta=1.0)
     V_T = solV[:, g.index_of(T), 0]
     eps = T**H

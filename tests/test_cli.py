@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from roughlaplace.cli import ExperimentConfig, ks_2samp_exact, main, run
-from roughlaplace.grids import TimeGrid
+from roughlaplace.grids import SampledPath, TimeGrid
 
 
 def read(out_dir: Path, name: str) -> str:
@@ -182,9 +182,10 @@ def test_scale_test_run_small(tmp_path):
     assert res["p_value"] > 0.001
 
 
-def test_scale_test_areas_match_per_path_lifts(tmp_path, monkeypatch):
-    # the blocked running-signature areas equal the dense per-path route
-    # scale_rough(lift(p, 2), c, H) bit for bit, across several blocks
+def _scale_areas_vs_lifts(tmp_path, monkeypatch, raw, block):
+    """Run the scale-test kind with ``_SCALE_BLOCK = block`` and check its
+    areas against the dense per-path route scale_rough(lift(p, 2), c, H)
+    bit for bit."""
     import roughlaplace.cli as cli_mod
     from roughlaplace.fbm import sample_fbm_ensemble
     from roughlaplace.roughpath import lift, scale_rough
@@ -197,10 +198,8 @@ def test_scale_test_areas_match_per_path_lifts(tmp_path, monkeypatch):
         return ks_2samp_exact(a, b)
 
     monkeypatch.setattr(cli_mod, "ks_2samp_exact", capture)
-    monkeypatch.setattr(cli_mod, "_SCALE_BLOCK", 24)
-    raw = {"kind": "scale-test", "H": 0.4, "grid_size": 33, "d": 2,
-           "n_samples": 64, "seed": 12, "c": 0.25}
-    cfg = ExperimentConfig.from_dict(raw)
+    monkeypatch.setattr(cli_mod, "_SCALE_BLOCK", block)
+    cfg = ExperimentConfig.from_dict({"kind": "scale-test", "H": 0.4, **raw})
     out = run(cfg, tmp_path)
     assert json.loads(read(out, "manifest.json"))["status"] == "complete"
     (scaled, plain), = seen
@@ -209,11 +208,52 @@ def test_scale_test_areas_match_per_path_lifts(tmp_path, monkeypatch):
         X2 = X.increment(0, -1)[1]
         return 0.5 * (X2[0, 1] - X2[1, 0])
 
-    grid = TimeGrid.uniform(33)
-    e1 = sample_fbm_ensemble(grid, 0.4, 2, 64, 12)
-    e2 = sample_fbm_ensemble(grid, 0.4, 2, 64, 13)
-    assert np.array_equal(scaled, [area(scale_rough(lift(p, 2), 0.25, 0.4)) for p in e1])
-    assert np.array_equal(plain, [area(lift(p, 2)) for p in e2])
+    grid = TimeGrid.uniform(raw["grid_size"])
+    n, d, seed, c = raw["n_samples"], raw["d"], raw["seed"], raw["c"]
+    e1 = sample_fbm_ensemble(grid, 0.4, d, n, seed)
+    e2 = sample_fbm_ensemble(grid, 0.4, d, n, seed + 1)
+    assert np.array_equal(
+        scaled, [area(scale_rough(lift(SampledPath(grid, v), 2), c, 0.4)) for v in e1]
+    )
+    assert np.array_equal(plain, [area(lift(SampledPath(grid, v), 2)) for v in e2])
+
+
+def test_scale_test_areas_match_per_path_lifts(tmp_path, monkeypatch):
+    # the blocked area sums equal the dense per-path route
+    # scale_rough(lift(p, 2), c, H) bit for bit, across several blocks
+    raw = {"grid_size": 33, "d": 2, "n_samples": 64, "seed": 12, "c": 0.25}
+    _scale_areas_vs_lifts(tmp_path, monkeypatch, raw, 24)
+
+
+@pytest.mark.parametrize(
+    "grid_size, d, n_samples, c, block",
+    [
+        (33, 3, 50, 0.5, 24),  # d = 3: the area still reads coordinates 0 and 1
+        (129, 3, 300, 0.75, 256),  # the shipped block size, a partial last block
+        (257, 2, 37, 1.0, 16),  # the full horizon, factor 1
+        (129, 2, 40, 0.5, 40),  # one full block
+    ],
+)
+def test_scale_test_areas_match_per_path_lifts_grids(
+    tmp_path, monkeypatch, grid_size, d, n_samples, c, block
+):
+    raw = {"grid_size": grid_size, "d": d, "n_samples": n_samples, "seed": 5, "c": c}
+    _scale_areas_vs_lifts(tmp_path, monkeypatch, raw, block)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_endpoint_areas_match_running_signature(monkeypatch, d):
+    # paths that start away from 0, so the x_0 (x) S^1 term counts too
+    import roughlaplace.cli as cli_mod
+    from roughlaplace.roughpath import running_signature
+
+    monkeypatch.setattr(cli_mod, "_SCALE_BLOCK", 8)
+    rng = np.random.default_rng(d)
+    values = rng.standard_normal((21, 17, d)).cumsum(axis=1)
+    for m, factor in ((16, 1.0), (5, 1.7), (1, 0.3)):
+        S2 = factor * running_signature(values, 2)[1][:, m]
+        want = 0.5 * (S2[:, 0, 1] - S2[:, 1, 0])
+        assert np.array_equal(cli_mod._endpoint_areas(values, m, factor), want)
 
 
 class TestKs2sampExact:

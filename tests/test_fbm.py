@@ -75,14 +75,14 @@ class TestSampling:
     def test_increment_variance(self):
         g = TimeGrid.uniform(65)
         H = 0.4
-        arr = np.stack([p.values for p in sample_fbm_ensemble(g, H, 1, 10_000, seed=9)])
+        arr = sample_fbm_ensemble(g, H, 1, 10_000, seed=9)
         i, j = g.index_of(0.25), g.index_of(0.75)
         var = float(np.var(arr[:, j, 0] - arr[:, i, 0]))
         assert abs(var - 0.5 ** (2 * H)) / 0.5 ** (2 * H) < 0.05
 
     def test_endpoint_moments(self):
         g = TimeGrid.uniform(33)
-        arr = np.stack([p.values for p in sample_fbm_ensemble(g, 0.35, 1, 10_000, seed=4)])
+        arr = sample_fbm_ensemble(g, 0.35, 1, 10_000, seed=4)
         w1 = arr[:, -1, 0]
         assert abs(w1.mean()) < 4.0 / math.sqrt(10_000)  # 4 sigma band around 0
         assert abs(np.mean(w1**2) - 1.0) < 0.05
@@ -90,8 +90,8 @@ class TestSampling:
     def test_self_similarity_ks(self):
         g = TimeGrid.uniform(65)
         H, c = 0.4, 0.5
-        a1 = np.stack([p.values for p in sample_fbm_ensemble(g, H, 1, 10_000, seed=1)])
-        a2 = np.stack([p.values for p in sample_fbm_ensemble(g, H, 1, 10_000, seed=2)])
+        a1 = sample_fbm_ensemble(g, H, 1, 10_000, seed=1)
+        a2 = sample_fbm_ensemble(g, H, 1, 10_000, seed=2)
         res = ks_2samp(c ** (-H) * a1[:, g.index_of(c), 0], a2[:, -1, 0])
         assert res.pvalue > 0.01
 
@@ -99,10 +99,24 @@ class TestSampling:
         g = TimeGrid.uniform(33)
         a = sample_fbm(g, 0.4, 2, rng_seed=123)
         b = sample_fbm_ensemble(g, 0.4, 2, 3, seed=123)
-        assert np.array_equal(a.values, b[0].values)
-        again = sample_fbm_ensemble(g, 0.4, 2, 3, seed=123)
-        for p, q in zip(b, again):
-            assert np.array_equal(p.values, q.values)
+        assert np.array_equal(a.values, b[0])
+        assert np.array_equal(sample_fbm_ensemble(g, 0.4, 2, 3, seed=123), b)
+
+    def test_ensemble_array(self):
+        # one (n, N, d) array with zero first row; row j is sample index j of
+        # FbmSampler.batch under any split of the indices
+        g, H, d = TimeGrid.uniform(33), 0.4, 3
+        ens = sample_fbm_ensemble(g, H, d, 7, seed=8)
+        assert isinstance(ens, np.ndarray)
+        assert ens.shape == (7, 33, d)
+        assert np.array_equal(ens[:, 0], np.zeros((7, d)))
+        sampler = FbmSampler(g, H, d, 8)
+        whole = sampler.batch(0, 7)[0]
+        split = np.concatenate([sampler.batch(0, 3)[0], sampler.batch(3, 7)[0]])
+        assert np.array_equal(ens, whole)
+        assert np.array_equal(ens, split)
+        assert np.array_equal(ens[2:5], FbmSampler(g, H, d, 8).batch(2, 5)[0])
+        assert np.array_equal(sample_fbm(g, H, d, 8).values, ens[0])
 
     def test_substream_disjoint(self):
         a = substream(7, 1, 0).standard_normal(4)
@@ -432,7 +446,7 @@ class TestFbmSampler:
 
     def test_ensemble_is_per_sample_product(self):
         n, d = 40, 3
-        ens = np.stack([p.values for p in sample_fbm_ensemble(self.grid, self.H, d, n, seed=5)])
+        ens = sample_fbm_ensemble(self.grid, self.H, d, n, seed=5)
         L = np.linalg.cholesky(_cov_matrix(self.grid.points[1:], self.H))
         for j in range(n):
             z = substream(5, _STREAM_FBM, j).standard_normal((64, d))

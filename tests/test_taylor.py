@@ -116,8 +116,7 @@ class TestSolveRde:
         H, n, d, eps, n_mc = 0.5, 2, 2, 0.5, 4000
         field = tanh_field(n, d, coef_seed=5)
         g = TimeGrid.dyadic(8)
-        ens = sample_fbm_ensemble(g, H, d, n_mc, seed=300)
-        drv = np.stack([p.values for p in ens])
+        drv = sample_fbm_ensemble(g, H, d, n_mc, seed=300)
         sol = heun_controlled(
             field, g, eps * np.diff(drv, axis=-2), np.zeros(n), eps_beta=eps
         )
@@ -334,7 +333,7 @@ class TestSecondOrder:
         ratios = []
         for drv in drivers:
             th2 = compute_theta2(ctx, drv)
-            xi = xi_norm(lift(drv, 2), hp.p).value
+            xi = xi_norm(lift(SampledPath(g9, drv), 2), hp.p).value
             ratios.append(pvar_exact(th2, hp.p).value / (1.0 + xi))
         assert max(ratios) < 10 * np.median(ratios)
 
@@ -364,7 +363,7 @@ class TestSecondOrder:
         drivers = sample_fbm_ensemble(g7, H, 2, 60, seed=23)
         r1, r2 = [], []
         for drv in drivers:
-            xi = xi_norm(lift(drv, 2), hp.p).value
+            xi = xi_norm(lift(SampledPath(g7, drv), 2), hp.p).value
             r1.append(pvar_exact(compute_phi1(ctx, drv), hp.p).value / (1 + xi))
             r2.append(pvar_exact(compute_phi2(ctx, drv), hp.p).value / (1 + xi) ** 2)
         assert max(r1) < 10 * np.median(r1)
@@ -406,15 +405,21 @@ class TestRemainderSlopes:
         field = constant_field(np.array([[1.0, 0.2], [0.1, 0.7]]))
         rng = np.random.default_rng(2)
         gamma = random_smooth_path(g, 2, rng)
-        drivers = [random_smooth_path(g, 2, rng) for _ in range(3)]
+        drivers = np.stack([random_smooth_path(g, 2, rng).values for _ in range(3)])
         rep = taylor_remainder_slope(field, gamma, drivers, 1, eps_list=[0.5, 0.25, 0.125, 0.0625])
         assert max(rep["norms"]) < 1e-12
 
     def test_too_few_eps(self, ctx513, driver513):
         with pytest.raises(ValueError):
             taylor_remainder_slope(
-                ctx513.field, ctx513.gamma, [driver513], 1, eps_list=[0.5, 0.25]
+                ctx513.field, ctx513.gamma, driver513.values[None], 1, eps_list=[0.5, 0.25]
             )
+
+    def test_drivers_must_be_a_stack_on_the_grid(self, ctx513, driver513):
+        eps = [0.5, 0.25, 0.125, 0.0625]
+        for bad in (driver513.values, driver513.values[None, ::2]):
+            with pytest.raises(ValueError, match="drivers must be"):
+                taylor_remainder_slope(ctx513.field, ctx513.gamma, bad, 1, eps_list=eps)
 
     def test_continuity_in_driver(self, ctx513, driver513):
         # perturbing the driver by delta changes the solution by O(delta)
