@@ -9,22 +9,15 @@ E[G(Y) exp(-F(Y)/eps^2)].
 """
 
 from .grids import SampledPath, TimeGrid, path_to_csv
-from .variation import (
-    VariationResult,
-    cosine_pvar,
-    dyadic_approx,
-    pvar_exact,
-)
+from .variation import VariationResult, cosine_pvar, pvar_exact
 from .roughpath import (
     RoughPath,
-    XiValue,
     chen_residual,
     lift,
     pair,
     running_signature,
     scale_rough,
     shift,
-    xi_norm,
 )
 from .fbm import (
     CameronMartinVector,
@@ -35,7 +28,6 @@ from .fbm import (
     onb_interp,
     sample_fbm,
     sample_fbm_ensemble,
-    volterra_kernel,
 )
 from .odes import DivergenceError, VectorFieldSpec
 from .functionals import (
@@ -51,28 +43,11 @@ from .functionals import (
 )
 from .taylor import (
     ExpansionContext,
-    TaylorBundle,
-    compute_chi,
-    compute_phi0,
-    compute_phi1,
-    compute_phi2,
-    compute_psi,
-    compute_theta1,
-    compute_theta2,
     expansion_context,
     solve_rde,
-    taylor_bundle,
     taylor_remainder_slope,
 )
-from .hessian import (
-    HessianMatrix,
-    HSTailReport,
-    det2,
-    hessian_matrix,
-    hs_tail,
-    r_forms,
-    v_forms,
-)
+from .hessian import HessianMatrix, HSTailReport, det2, hessian_matrix, hs_tail
 from .laplace import (
     KappaLadder,
     LaplaceReport,

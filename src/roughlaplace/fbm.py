@@ -1,4 +1,4 @@
-"""Fractional Brownian motion, its Volterra kernel, and the Cameron-Martin map.
+"""Fractional Brownian motion and the Cameron-Martin map through its Volterra kernel.
 
 Simulation is exact at grid scale: dense Cholesky of the true covariance,
 with one counter-based RNG stream per sample index, so a sample's draws do
@@ -26,8 +26,6 @@ __all__ = [
     "FbmSampler",
     "sample_fbm",
     "sample_fbm_ensemble",
-    "volterra_kernel",
-    "volterra_kernel_info",
     "cm_map",
     "cm_basis",
     "onb_interp",
@@ -212,21 +210,12 @@ def sample_fbm_ensemble(grid: TimeGrid, H: float, d: int, n_samples: int, seed: 
 
 
 def _hyp2f1_series(a: float, b: float, c: float, z, rtol: float = 1e-14, max_terms: int = 500_000):
-    """Gauss hypergeometric F(a,b;c;z) by its raw power series.
+    """Gauss hypergeometric F(a,b;c;z) by its raw power series, on an array z.
 
-    Valid for |z| < 1 (here z = 1 - s/t in [0,1)); terms stop once the
-    current term falls below ``rtol`` times the partial sum.  Returns the
-    value(s) and the number of terms used.
+    Valid for |z| < 1 (here z <= 1/2, :func:`_kernel_hyp2f1`); terms stop
+    once every current term falls below ``rtol`` times its partial sum.
+    Returns the values and the number of terms used.
     """
-    if np.ndim(z) == 0:
-        zf = float(z)
-        total = term = 1.0
-        for n in range(max_terms):
-            term *= (a + n) * (b + n) / ((c + n) * (1.0 + n)) * zf
-            total += term
-            if abs(term) <= rtol * abs(total):
-                return total, n + 1
-        raise RuntimeError(f"hypergeometric series did not converge at z={zf}")
     z = np.asarray(z, dtype=float)
     total = np.ones_like(z)
     term = np.ones_like(z)
@@ -263,18 +252,9 @@ def _connection_coeffs(H: float) -> tuple:
     return A, B
 
 
-def _kernel_hyp2f1_branch(H: float, x, near: bool):
-    """One branch of :func:`_kernel_hyp2f1` on a float or an array of x."""
-    if near:
-        return _hyp2f1_series(H - 0.5, 2.0 * H, H + 0.5, 1.0 - x)
-    A, B = _connection_coeffs(H)
-    F2, n_terms = _hyp2f1_series(1.0, 0.5 - H, 2.0 - 2.0 * H, x)
-    return A * (1.0 - x) ** (0.5 - H) + B * x ** (1.0 - 2.0 * H) * F2, n_terms
-
-
-def _kernel_hyp2f1(H: float, x):
-    """F(H-1/2, 2H; H+1/2; 1-x) for x in (0, 1) and H in (1/4, 1/2), with the
-    series term count used.
+def _kernel_hyp2f1(H: float, x: np.ndarray):
+    """F(H-1/2, 2H; H+1/2; 1-x) on an array of x in (0, 1), for H in
+    (1/4, 1/2), with the series term count used.
 
     For x >= 1/2 the raw series in 1-x.  Below, the connection formula
     A&S 15.3.6 re-expands around x = 0:
@@ -282,50 +262,20 @@ def _kernel_hyp2f1(H: float, x):
         F = A F(H-1/2, 2H; 2H; x) + B x^{1-2H} F(1, 1/2-H; 2-2H; x),
 
     whose first factor is (1-x)^{1/2-H} in closed form.  Either way the series
-    argument is at most 1/2.  A scalar ``x`` stays in Python floats; an array
-    is split at 1/2 and the term count is the larger branch's.
+    argument is at most 1/2.  The term count is the larger branch's.
     """
-    if np.ndim(x) == 0:
-        x = float(x)
-        return _kernel_hyp2f1_branch(H, x, x >= 0.5)
     x = np.asarray(x, dtype=float)
     out, n_terms = np.empty_like(x), 0
     near = x >= 0.5
-    for part, is_near in ((near, True), (~near, False)):
-        if part.any():
-            out[part], n = _kernel_hyp2f1_branch(H, x[part], is_near)
-            n_terms = max(n_terms, n)
+    if near.any():
+        out[near], n_terms = _hyp2f1_series(H - 0.5, 2.0 * H, H + 0.5, 1.0 - x[near])
+    if not near.all():
+        xf = x[~near]
+        A, B = _connection_coeffs(H)
+        F2, n = _hyp2f1_series(1.0, 0.5 - H, 2.0 - 2.0 * H, xf)
+        out[~near] = A * (1.0 - xf) ** (0.5 - H) + B * xf ** (1.0 - 2.0 * H) * F2
+        n_terms = max(n_terms, n)
     return out, n_terms
-
-
-def volterra_kernel_info(t: float, s: float, H: float):
-    """Volterra kernel value and the series term count used.
-
-    K(t,s) = c_H (t-s)^{H-1/2} (t/s)^{1/2-H} F(H-1/2, 2H; H+1/2; 1-s/t), with
-    the variance normalization c_H making int_0^{s ^ t} K(t,u) K(s,u) du the
-    exact fBm covariance.  The hypergeometric factor comes from
-    :func:`_kernel_hyp2f1`: its raw series in 1-s/t for s/t >= 1/2, and the
-    1-z connection formula (Abramowitz & Stegun 15.3.6) around s/t = 0
-    below, so every series argument stays in [0, 1/2] and at most 40 terms
-    reach full double precision.
-    """
-    if not 0.25 < H <= 0.5:
-        raise ValueError("H must lie in (1/4, 1/2]")
-    if s >= t:
-        return 0.0, 0
-    if s <= 0:
-        raise ValueError("the kernel limit s -> 0 is singular; s must be positive")
-    if H == 0.5:
-        return 1.0, 0
-    F, n_terms = _kernel_hyp2f1(H, s / t)
-    val = _volterra_scale(H) * (t - s) ** (H - 0.5) * (t / s) ** (0.5 - H) * F
-    return val, n_terms
-
-
-def volterra_kernel(t: float, s: float, H: float) -> float:
-    """Volterra kernel K^H(t,s) of the moving-average representation of fBm
-    over Brownian motion, for 0 < s < t (0 for s >= t)."""
-    return volterra_kernel_info(t, s, H)[0]
 
 
 # Nodes of the kernel quadrature's Gauss-Jacobi rule.  The images of cosine

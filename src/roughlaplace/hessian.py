@@ -1,6 +1,6 @@
-"""Second-order structure of the composed functional: the bilinear forms
-V1, V2 and their integration-by-parts pieces R1, R2, truncated Hessian
-matrices on explicit bases, Hilbert-Schmidt tail diagnostics, and the
+"""Second-order structure of the composed functional: truncated Hessian
+matrices on explicit bases, Hilbert-Schmidt tail diagnostics of the
+integration-by-parts piece R1 of the Hessian's integrand, and the
 Carleman-Fredholm determinant.
 
 Two bases appear and are never mixed: the Cameron-Martin images of the L^2
@@ -20,47 +20,18 @@ import numpy as np
 
 from .fbm import HurstParams, cm_basis, onb_interp
 from .functionals import FunctionalSpec
-from .grids import SampledPath
 from .odes import _matvec
-from .taylor import (
-    ExpansionContext,
-    _as_values,
-    _chi_values,
-    _lin_sources,
-    _quad_sources,
-    costate,
-)
+from .taylor import ExpansionContext, _chi_values, _lin_sources, costate
 from .variation import pvar_values
 
 __all__ = [
     "HessianMatrix",
     "HSTailReport",
-    "v_forms",
-    "r_forms",
     "hessian_matrix",
     "hs_tail",
     "det2",
     "log_det2",
 ]
-
-
-def v_forms(ctx: ExpansionContext, f, k):
-    """The split 2 grad^2 Psi<f,k> = V1(f,k) + V2(f,k):
-
-        V1 = M int M^{-1} { ds<chi(f), dk> + ds<chi(k), df> },
-        V2 = M int M^{-1} { d2s<chi(f), chi(k), dgamma> + d2b0<chi(f), chi(k)> ds },
-
-    the two halves of the psi sources.
-    """
-    f_vals = _as_values(ctx, f)
-    k_vals = _as_values(ctx, k)
-    chi_f = _chi_values(ctx, f_vals)
-    chi_k = _chi_values(ctx, k_vals)
-    s1 = _lin_sources(ctx, chi_f, np.diff(k_vals, axis=-2))
-    s1 = _lin_sources(ctx, chi_k, np.diff(f_vals, axis=-2), out=s1)
-    V1 = SampledPath(ctx.grid, ctx.solve(s1))
-    V2 = SampledPath(ctx.grid, ctx.solve(_quad_sources(ctx, chi_f, chi_k)))
-    return V1, V2
 
 
 def _sigma0_times(ctx: ExpansionContext, f_vals: np.ndarray) -> np.ndarray:
@@ -71,25 +42,6 @@ def _sigma0_times(ctx: ExpansionContext, f_vals: np.ndarray) -> np.ndarray:
 def _r1_values(ctx: ExpansionContext, f_vals: np.ndarray, dk: np.ndarray) -> np.ndarray:
     """R1<f,k> = M int M^{-1} ds< sigma(phi0) f_s, dk_s >, batched."""
     return ctx.solve(_lin_sources(ctx, _sigma0_times(ctx, f_vals), dk))
-
-
-def r_forms(ctx: ExpansionContext, f, k):
-    """Integration-by-parts pieces of the V1-type integrand:
-
-        R1<f,k> = M int M^{-1} ds< sigma(phi0) f_s, dk_s >,
-        R2<f,k> = M int M^{-1} ds< g(f)_s, dk_s >,
-        g(f)_s  = M_s int_0^s d[M^{-1} sigma(phi0)] f  =  sigma(phi0_s) f_s - chi(f)_s,
-
-    so the identity V1<f,k> = R1<f,k> + R1<k,f> - R2<f,k> - R2<k,f> holds at
-    the discrete level (the inner integral is eliminated by the same
-    integration by parts that defines it).
-    """
-    f_vals = _as_values(ctx, f)
-    dk = np.diff(_as_values(ctx, k), axis=-2)
-    R1 = _r1_values(ctx, f_vals, dk)
-    g = _sigma0_times(ctx, f_vals) - _chi_values(ctx, f_vals)
-    R2 = ctx.solve(_lin_sources(ctx, g, dk))
-    return SampledPath(ctx.grid, R1), SampledPath(ctx.grid, R2)
 
 
 @dataclass
@@ -221,6 +173,8 @@ def hs_tail(
     """
     p, q = hurst.p, hurst.q
     N_list = sorted(N_list)
+    if not N_list or N_list[-1] < 4:
+        raise ValueError(f"N_list must reach mode 4, the first mode of the decay fit; got {N_list}")
     n_max = N_list[-1]
     d = ctx.field.d
     basis = onb_interp(1.0 / q, n_max, d, ctx.grid)

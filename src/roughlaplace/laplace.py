@@ -371,6 +371,9 @@ def mc_laplace(
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
+    eps_list = list(eps_list)
+    if any(eps <= 0 for eps in eps_list):
+        raise ValueError(f"eps_list must be positive, got {eps_list}")
     G = G or one_functional()
     if use_shift and gamma_cm is None:
         raise ValueError("shifted sampling needs the minimizer gamma")
@@ -378,8 +381,6 @@ def mc_laplace(
                      gamma=gamma_cm if use_shift else None)
     norm_sq = gamma_cm.norm_sq() if use_shift else 0.0
     gamma_vals = gamma_cm.induced_path.values if use_shift else 0.0
-
-    eps_list = list(eps_list)
 
     def block(lo):
         vals, eta = gen.batch(lo, min(lo + batch, n_samples))

@@ -4,14 +4,14 @@ A rough path on a grid is a multiplicative functional, fixed by its running
 levels S^k_{0,t} from the first grid point: O(N D^k) memory.  Every increment
 follows from them by Chen's identity, X_{s,t} = S_{0,s}^{-1} (x) S_{0,t},
 solved level by level on demand (:meth:`RoughPath.increment`); only
-:meth:`RoughPath.levels` expands all grid pairs, for the readers that need
-them (:func:`xi_norm`'s grid DP and :func:`roughpath_to_csv`).  The running
-levels are the signature of the piecewise-linear interpolant for
-:func:`lift`, and for :func:`pair` X's own running levels, the running
-signature of k and one running sum per mixed word; :func:`shift` folds the
-pairing's running levels onto x + k, and :func:`scale_rough` scales and
-truncates them.  Chen's identity thus holds by construction, and
-:func:`chen_residual` checks that the one Chen solve is right to rounding.
+:meth:`RoughPath.levels` expands all grid pairs, for the one reader that
+needs them (:func:`roughpath_to_csv`).  The running levels are the
+signature of the piecewise-linear interpolant for :func:`lift`, and for
+:func:`pair` X's own running levels, the running signature of k and one
+running sum per mixed word; :func:`shift` folds the pairing's running
+levels onto x + k, and :func:`scale_rough` scales and truncates them.
+Chen's identity thus holds by construction, and :func:`chen_residual`
+checks that the one Chen solve is right to rounding.
 
 Within a grid step the cross integrals of the shift and pairing read k as
 linear and take X's own step increments, which makes them exact for
@@ -26,14 +26,11 @@ from fractions import Fraction
 import numpy as np
 
 from .grids import SampledPath, TimeGrid
-from .variation import pvar_backbone
 
 __all__ = [
     "RoughPath",
-    "XiValue",
     "lift",
     "chen_residual",
-    "xi_norm",
     "shift",
     "pair",
     "scale_plan",
@@ -97,14 +94,6 @@ class RoughPath:
         for inc in out:
             inc[lower] = 0.0
         return out
-
-
-@dataclass
-class XiValue:
-    """Homogeneous rough-path norm: sum over levels of ||X^j||_{p/j-var}^{1/j}."""
-
-    value: float
-    per_level: list
 
 
 def _otimes(a: np.ndarray, b: np.ndarray, ka: int = 1, kb: int = 1) -> np.ndarray:
@@ -190,28 +179,6 @@ def chen_residual(X: RoughPath) -> float:
                 d -= _otimes(a[j - 1][:, None], b[k - j - 1][None, :], j, k - j)
             res = max(res, float(np.abs(d).max()))
     return res
-
-
-def _level_norms(arr: np.ndarray) -> np.ndarray:
-    """Frobenius magnitude of each two-parameter tensor entry."""
-    flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
-    return np.sqrt(np.einsum("ijk,ijk->ij", flat, flat))
-
-
-def xi_norm(X: RoughPath, p: float) -> XiValue:
-    """Homogeneous norm from (def. of xi): sum_j ||X^j||_{p/j-var}^{1/j}.
-
-    Level-j variation uses the grid DP on Frobenius magnitudes of the
-    two-parameter increments.
-    """
-    if not 2 < p < 4:
-        raise ValueError("p must lie in (2,4)")
-    per = []
-    for j, arr in enumerate(X.levels(), start=1):
-        w = _level_norms(arr)
-        v = pvar_backbone(w, p / j)[()]
-        per.append(v ** (1.0 / j))
-    return XiValue(value=float(sum(per)), per_level=per)
 
 
 # ---------------------------------------------------------------------------

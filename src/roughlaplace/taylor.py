@@ -8,17 +8,17 @@ at desk scale on one dyadic ladder: the driver restricted to coarser levels
 order 2 is assumed), interpolated onto the fine grid by ``solve_rde`` and
 added on the coarse grid by ``taylor_remainder_slope``.
 
-All perturbation terms (chi, psi, phi1, theta1, phi2, theta2 and the Hessian
-forms built on them) are inhomogeneous linear equations with one shared
-homogeneous part; they all route through
-:func:`roughlaplace.odes.linear_perturbation_solve`, whose exact linearity in
-the inhomogeneity b makes identities like theta1 = phi1 - chi hold to
-rounding.  :func:`expansion_context` folds the Heun stage weights into the
-coefficient tables along phi0 once, so every source is one b: chi's is
-``B_sigma`` dk, theta1's is ``b_theta1``, and the others are sums of two
-primitives over the (left, right) table pairs, ds(phi0)<z, dY> against a
-path's increments (``_lin_sources``) and the per-step Q<z1, z2>
-(``_quad_sources``), plus the drift's eps-derivatives for phi2 and theta2.
+All perturbation terms (chi, theta1, phi1, phi2 and the Hessian's psi and
+R1) are inhomogeneous linear equations with one shared homogeneous part;
+they all route through :func:`roughlaplace.odes.linear_perturbation_solve`,
+whose exact linearity in the inhomogeneity b makes identities like
+phi1 = chi + theta1 hold to rounding.  :func:`expansion_context` folds the
+Heun stage weights into the coefficient tables along phi0 once, so every
+source is one b: chi's is ``B_sigma`` dk, theta1's is ``b_theta1``, and the
+others are sums of two primitives over the (left, right) table pairs,
+ds(phi0)<z, dY> against a path's increments (``_lin_sources``) and the
+per-step Q<z1, z2> (``_quad_sources``), plus the drift's eps-derivatives
+for phi2 (``_eps_sources``).
 
 Where a term is read only through z -> grad F(phi0)<z> it is not solved.
 :func:`costate` sweeps the context's step maps backwards once for grad F
@@ -29,9 +29,9 @@ their inputs.  The minimizer's gradient grad F<chi(k)> needs only phi0, T
 and B_sigma (``_linearize``, which :func:`expansion_context` builds on too),
 so :func:`chi_gradient` reads it for a whole batch of gammas without a
 context.
-Everything that reads a term as a path -- ``compute_*``, ``taylor_bundle``,
-``taylor_remainder_slope``, ``v_forms``, ``r_forms``, ``hs_tail``, and
-phi1 under grad^2 F -- keeps the forward solve.
+Only the readers of a term as a path solve forward:
+``taylor_remainder_slope`` (phi1, phi2), ``hs_tail`` (R1), and phi1 and the
+basis chi(e_a) under grad^2 F.
 """
 from __future__ import annotations
 
@@ -59,25 +59,10 @@ __all__ = [
     "CoState",
     "costate",
     "chi_gradient",
-    "TaylorBundle",
     "expansion_context",
     "solve_rde",
-    "compute_phi0",
-    "compute_chi",
-    "compute_psi",
-    "compute_phi1",
-    "compute_theta1",
-    "compute_phi2",
-    "compute_theta2",
-    "taylor_bundle",
     "taylor_remainder_slope",
 ]
-
-
-def compute_phi0(field_spec: VectorFieldSpec, gamma: SampledPath) -> SampledPath:
-    """Base path: d phi0 = sigma(phi0) dgamma + beta(0, phi0) dt."""
-    vals = heun_controlled(field_spec, gamma.grid, gamma.increments(), np.zeros(field_spec.n))
-    return SampledPath(gamma.grid, vals)
 
 
 @dataclass
@@ -317,66 +302,12 @@ def chi_gradient(field_spec: VectorFieldSpec, functional, gamma: np.ndarray, gri
     return phi0, _dot(dk, covector[..., None, :, :])
 
 
-def compute_chi(ctx: ExpansionContext, k) -> SampledPath:
-    """First derivative of the Ito map along k:
-    chi(k)_t = M_t int_0^t M_s^{-1} sigma(phi0_s) dk_s, via the shared solve."""
-    vals = _chi_values(ctx, _as_values(ctx, k))
-    return SampledPath(ctx.grid, vals)
-
-
-def _as_values(ctx: ExpansionContext, k) -> np.ndarray:
-    if isinstance(k, SampledPath):
-        return k.values
-    arr = np.asarray(k, dtype=float)
-    if arr.shape[-2] != len(ctx.grid):
-        raise ValueError("direction samples do not match the context grid")
-    return arr
-
-
 def _chi_values(ctx: ExpansionContext, k_vals: np.ndarray) -> np.ndarray:
     return ctx.solve(_matvec(ctx.B_sigma, np.diff(k_vals, axis=-2)))
 
 
-def _psi_sources(ctx: ExpansionContext, chi_f: np.ndarray, chi_k: np.ndarray,
-                 df: np.ndarray, dk: np.ndarray):
-    """Polarized second-derivative sources, halved (see compute_psi)."""
-    src = _lin_sources(ctx, chi_f, dk)
-    src = _lin_sources(ctx, chi_k, df, out=src)
-    src = _quad_sources(ctx, chi_f, chi_k, out=src)
-    src *= 0.5
-    return src
-
-
-def compute_psi(ctx: ExpansionContext, f, k) -> SampledPath:
-    """Second derivative of the Ito map, polarized: psi(f,k) = (V1 + V2)/2,
-
-        V1 = M int M^{-1} { ds<chi(f), dk> + ds<chi(k), df> }
-        V2 = M int M^{-1} { d2s<chi(f), chi(k), dgamma> + d2b<chi(f), chi(k)> dt },
-
-    symmetric in (f, k) by construction.
-    """
-    f_vals = _as_values(ctx, f)
-    k_vals = _as_values(ctx, k)
-    chi_f = _chi_values(ctx, f_vals)
-    chi_k = _chi_values(ctx, k_vals)
-    b = _psi_sources(ctx, chi_f, chi_k, np.diff(f_vals, axis=-2), np.diff(k_vals, axis=-2))
-    return SampledPath(ctx.grid, ctx.solve(b))
-
-
 def _theta1_values(ctx: ExpansionContext) -> np.ndarray:
     return ctx.solve(ctx.b_theta1)
-
-
-def compute_theta1(ctx: ExpansionContext) -> SampledPath:
-    """Driver-independent first-order term: d theta1 = dOmega theta1 +
-    grad_eps beta(0, phi0) dt."""
-    return SampledPath(ctx.grid, _theta1_values(ctx))
-
-
-def compute_phi1(ctx: ExpansionContext, driver) -> SampledPath:
-    """First Taylor term along the driver: phi1 = chi(driver) + theta1."""
-    vals = _chi_values(ctx, _as_values(ctx, driver)) + _theta1_values(ctx)
-    return SampledPath(ctx.grid, vals)
 
 
 def _phi2_sources(ctx: ExpansionContext, phi1: np.ndarray, dX: np.ndarray):
@@ -385,70 +316,6 @@ def _phi2_sources(ctx: ExpansionContext, phi1: np.ndarray, dX: np.ndarray):
     src *= 0.5
     src = _lin_sources(ctx, phi1, dX, out=src)
     return _eps_sources(ctx, phi1, out=src)
-
-
-def compute_phi2(ctx: ExpansionContext, driver) -> SampledPath:
-    """Second Taylor term: the linear equation with sources assembled from phi1."""
-    X_vals = _as_values(ctx, driver)
-    phi1 = _chi_values(ctx, X_vals) + _theta1_values(ctx)
-    b = _phi2_sources(ctx, phi1, np.diff(X_vals, axis=-2))
-    return SampledPath(ctx.grid, ctx.solve(b))
-
-
-def _theta2_sources(ctx: ExpansionContext, theta1: np.ndarray, chi: np.ndarray, dX: np.ndarray):
-    """The phi2 sources without the quadratic chaos part Q<chi, chi>/2 and
-    ds<chi, dX>: Q<theta1, theta1/2 + chi> + ds<theta1, dX> + P<theta1 + chi> + D/2."""
-    src = _quad_sources(ctx, theta1, 0.5 * theta1 + chi)
-    src = _lin_sources(ctx, theta1, dX, out=src)
-    return _eps_sources(ctx, theta1 + chi, out=src)
-
-
-def compute_theta2(ctx: ExpansionContext, driver) -> SampledPath:
-    """First-order part of the second Taylor term (phi2 minus its quadratic
-    chaos part psi(X,X)); grows at most linearly in the driver's norm."""
-    X_vals = _as_values(ctx, driver)
-    chi = _chi_values(ctx, X_vals)
-    theta1 = np.broadcast_to(_theta1_values(ctx), chi.shape)
-    b = _theta2_sources(ctx, theta1, chi, np.diff(X_vals, axis=-2))
-    return SampledPath(ctx.grid, ctx.solve(b))
-
-
-@dataclass
-class TaylorBundle:
-    """All expansion terms for one driver, on one grid."""
-
-    phi0: SampledPath
-    chi: SampledPath
-    psi: SampledPath
-    phi1: SampledPath
-    phi2: SampledPath
-    theta1: SampledPath
-    theta2: SampledPath
-    gamma: SampledPath
-    driver: SampledPath
-
-
-def taylor_bundle(ctx: ExpansionContext, driver: SampledPath) -> TaylorBundle:
-    X_vals = _as_values(ctx, driver)
-    dX = np.diff(X_vals, axis=-2)
-    chi = _chi_values(ctx, X_vals)
-    theta1 = _theta1_values(ctx)
-    phi1 = chi + theta1
-    psi = ctx.solve(_psi_sources(ctx, chi, chi, dX, dX))
-    theta2 = ctx.solve(_theta2_sources(ctx, np.broadcast_to(theta1, chi.shape), chi, dX))
-    phi2 = ctx.solve(_phi2_sources(ctx, phi1, dX))
-    g = ctx.grid
-    return TaylorBundle(
-        phi0=ctx.phi0,
-        chi=SampledPath(g, chi),
-        psi=SampledPath(g, psi),
-        phi1=SampledPath(g, phi1),
-        phi2=SampledPath(g, phi2),
-        theta1=SampledPath(g, theta1),
-        theta2=SampledPath(g, theta2),
-        gamma=ctx.gamma,
-        driver=driver,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +432,8 @@ def taylor_remainder_slope(
     eps_list = list(eps_list)
     if len(eps_list) < 4:
         raise ValueError("need at least 4 eps values for a slope fit")
+    if any(eps <= 0 for eps in eps_list):
+        raise ValueError(f"eps_list must be positive, got {eps_list}")
 
     grid = gamma.grid
     top = dyadic_level(grid)

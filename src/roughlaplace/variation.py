@@ -1,4 +1,4 @@
-"""Grid p-variation of sampled paths, plus dyadic coarsening.
+"""Grid p-variation of sampled paths, and the dyadic grid levels.
 
 p-variation is taken over sub-partitions of the sample grid.  For paths that
 are piecewise monotone between samples (cosines sampled at extrema, dyadic
@@ -8,16 +8,18 @@ for judging closeness.
 
 One dynamic program (:func:`_chain_dp`) serves every caller and batches over
 paths: its Python loop runs once per grid index for a whole stack of them.
-:func:`pvar_values` is the batched entry for paths (..., N, dim) in the
-Euclidean norm; :func:`pvar_exact` runs it on one path, in any norm, and
-returns a maximising partition; :func:`pvar_backbone` takes weight matrices
-(..., n, n).
+:func:`pvar_values` is the batched entry for paths (..., N, dim);
+:func:`pvar_exact` runs it on one path and returns a maximising partition.
+Increments are measured in the Euclidean norm.
 
-For a scalar path in the default norm the dynamic program runs on the path's
-turning points only (Butkus & Norvaisa, "Computation of p-variation", Lith.
-Math. J. 58, 2018).  This is exact for every p >= 1, because dropping a
-monotone interior sample never lowers a sum of p-th powers of increments.
-Vector paths and custom norms use the full grid program.
+For a scalar path the dynamic program runs on the path's turning points only
+(Butkus & Norvaisa, "Computation of p-variation", Lith. Math. J. 58, 2018).
+This is exact for every p >= 1, because dropping a monotone interior sample
+never lowers a sum of p-th powers of increments.  Vector paths use the full
+grid program.
+
+:func:`restrict_dyadic` keeps the samples of one coarser level of a uniform
+dyadic grid, for the dyadic ladder of :mod:`roughlaplace.taylor`.
 """
 from __future__ import annotations
 
@@ -32,12 +34,9 @@ __all__ = [
     "VariationResult",
     "pvar_exact",
     "pvar_values",
-    "pvar_backbone",
     "cosine_pvar",
-    "dyadic_approx",
     "dyadic_level",
     "restrict_dyadic",
-    "coarsen_dyadic",
 ]
 
 
@@ -66,8 +65,6 @@ def _chain_dp(column, lead: tuple, n: int, p: float):
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if n < 2:
-        raise ValueError("need at least two grid points")
     rows = np.arange(math.prod(lead))
     best = np.full((rows.size, n), -np.inf)
     counts = np.zeros((rows.size, n), dtype=int)
@@ -85,16 +82,6 @@ def _chain_dp(column, lead: tuple, n: int, p: float):
     if np.isnan(values).any():  # a NaN weight passes through max into every later sum
         raise ValueError("increment magnitudes contain NaN")
     return values.reshape(lead), prev.reshape(lead + (n,))
-
-
-def pvar_backbone(weights: np.ndarray, p: float) -> np.ndarray:
-    """Grid p-variations (...) of two-parameter increments, batched over
-    leading axes: ``weights[..., i, j]`` is the magnitude a path assigns to
-    the pair ``i < j``.
-    """
-    n = weights.shape[-1]
-    w = (weights**p).reshape(-1, n, n)
-    return _chain_dp(lambda j: w[:, :j, j], weights.shape[:-2], n, p)[0]
 
 
 def _turning_points(x: np.ndarray):
@@ -119,24 +106,24 @@ def _turning_points(x: np.ndarray):
     return idx
 
 
-def _path_dp(values: np.ndarray, p: float, norm=None):
-    """:func:`_chain_dp` on paths (..., N, dim).  Returns ``(values, prev,
-    idx)``.
+def _path_dp(values: np.ndarray, p: float):
+    """:func:`_chain_dp` on paths (..., N, dim), N >= 2, in the Euclidean
+    norm.  Returns ``(values, prev, idx)``.
 
-    A scalar batch in the default norm runs on each path's turning points,
-    padded to the longest list by repeating its last sample
-    (:func:`_turning_points`); ``idx`` (B, n) maps the points to grid
-    indices, B paths in row-major order of the leading axes.  Every padded
-    column adds an exact 0 to a chain through the path's last point, so the
-    value at the last column equals the value at the path's own end, bit
-    for bit.  Otherwise the program runs on the full grid and ``idx`` is
-    None.  Each column of weights is formed as the loop reaches it, so no
-    (N, N) array is stored; ``norm`` maps increments (..., dim) to
-    magnitudes (...), Euclidean by default.
+    A scalar batch runs on each path's turning points, padded to the longest
+    list by repeating its last sample (:func:`_turning_points`); ``idx``
+    (B, n) maps the points to grid indices, B paths in row-major order of
+    the leading axes.  Every padded column adds an exact 0 to a chain
+    through the path's last point, so the value at the last column equals
+    the value at the path's own end, bit for bit.  Otherwise the program
+    runs on the full grid and ``idx`` is None.  Each column of weights is
+    formed as the loop reaches it, so no (N, N) array is stored.
     """
+    lead, N = values.shape[:-2], values.shape[-2]
+    if N < 2:
+        raise ValueError("need at least two grid points")
     points, idx = values, None
-    if values.shape[-1] == 1 and norm is None:
-        lead, N = values.shape[:-2], values.shape[-2]
+    if values.shape[-1] == 1:
         x = values.reshape(-1, N)
         if np.isnan(x).any():  # the reduction could drop the NaN sample
             raise ValueError("path values contain NaN")
@@ -146,16 +133,14 @@ def _path_dp(values: np.ndarray, p: float, norm=None):
 
     def column(j):
         diffs = flat[:, j, None, :] - flat[:, :j, :]  # x_j - x_i
-        if norm is None:
-            return np.sqrt(np.einsum("...k,...k->...", diffs, diffs)) ** p
-        return np.asarray(norm(diffs), dtype=float) ** p
+        return np.sqrt(np.einsum("...k,...k->...", diffs, diffs)) ** p
 
     return _chain_dp(column, points.shape[:-2], points.shape[-2], p) + (idx,)
 
 
 def pvar_values(values, p: float) -> np.ndarray:
-    """Grid p-variations (...) of the paths ``values`` (..., N, dim) in the
-    Euclidean norm, one dynamic program for the whole batch.
+    """Grid p-variations (...) of the paths ``values`` (..., N, dim), one
+    dynamic program for the whole batch.
 
     Each entry equals ``pvar_exact`` of that path alone, bit for bit
     (:func:`_path_dp`).
@@ -163,16 +148,16 @@ def pvar_values(values, p: float) -> np.ndarray:
     return _path_dp(np.asarray(values, dtype=float), p)[0]
 
 
-def pvar_exact(path: SampledPath, p: float, norm=None) -> VariationResult:
+def pvar_exact(path: SampledPath, p: float) -> VariationResult:
     """Grid p-variation ``sup_P (sum |x_{t_i} - x_{t_{i-1}}|^p)^(1/p)``.
 
     Exact over sub-partitions of the sample grid (dynamic program over grid
     indices); a lower bound for the continuous-time supremum otherwise.
-    Increments are measured in the Euclidean norm unless ``norm`` is given.
+    Increments are measured in the Euclidean norm.
 
-    A scalar path with the default norm is first reduced to its turning
-    points (:func:`_turning_points`), and the dynamic program runs on those
-    alone.  The supremum is unchanged.  Take a partition point that is not a
+    A scalar path is first reduced to its turning points
+    (:func:`_turning_points`), and the dynamic program runs on those alone.
+    The supremum is unchanged.  Take a partition point that is not a
     turning point, with partition neighbours valued a and b.  If its value f
     lies between a and b, dropping it never lowers the sum: for p >= 1,
     f -> |f - a|^p + |b - f|^p is convex, so it is largest at an end, where
@@ -190,7 +175,7 @@ def pvar_exact(path: SampledPath, p: float, norm=None) -> VariationResult:
     in exact arithmetic, so on non-integer data the full program's choice,
     and its value in the last bits, is decided by rounding.
     """
-    value, prev, idx = _path_dp(path.values, p, norm)
+    value, prev, idx = _path_dp(path.values, p)
     partition = [len(prev) - 1]
     while partition[-1] != 0:
         partition.append(int(prev[partition[-1]]))
@@ -207,23 +192,6 @@ def cosine_pvar(n: int, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return 2.0 * float(n) ** (1.0 / p)
-
-
-def dyadic_approx(path: SampledPath, m: int) -> SampledPath:
-    """m-th dyadic piecewise-linear approximation, resampled on the input grid.
-
-    The output agrees with the (linearly interpolated) input at the dyadic
-    points l/2^m and is linear in between.
-    """
-    if m < 0 or int(m) != m:
-        raise ValueError("m must be a nonnegative integer")
-    nodes = np.linspace(0.0, 1.0, 2**m + 1)
-    t = path.grid.points
-    out = np.empty_like(path.values)
-    for j in range(path.dim):
-        node_vals = np.interp(nodes, t, path.values[:, j])
-        out[:, j] = np.interp(t, nodes, node_vals)
-    return SampledPath(path.grid, out)
 
 
 def dyadic_level(grid: TimeGrid) -> int:
@@ -243,13 +211,3 @@ def restrict_dyadic(values: np.ndarray, grid: TimeGrid, level: int) -> np.ndarra
     if not 0 <= level <= top:
         raise ValueError(f"level must lie in [0, {top}], got {level}")
     return values[..., :: 2 ** (top - level), :]
-
-
-def coarsen_dyadic(path: SampledPath, level: int) -> SampledPath:
-    """Restrict a path on a uniform dyadic grid to the coarser dyadic grid
-    2**level (:func:`restrict_dyadic`).
-
-    Unlike :func:`dyadic_approx` this drops the intermediate samples instead
-    of resampling, so the result lives on the coarse grid.
-    """
-    return SampledPath(TimeGrid.dyadic(level), restrict_dyadic(path.values, path.grid, level))

@@ -26,12 +26,10 @@ def random_smooth_path(grid: TimeGrid, dim: int, rng, n_modes: int = 4, scale: f
     return SampledPath(grid, vals)
 
 
-def pair_norms_oracle(values: np.ndarray, norm=None) -> np.ndarray:
-    """Pairwise increment magnitudes (N, N) of one path (N, dim)."""
+def pair_norms_oracle(values: np.ndarray) -> np.ndarray:
+    """Euclidean pairwise increment magnitudes (N, N) of one path (N, dim)."""
     diffs = values[None, :, :] - values[:, None, :]
-    if norm is None:
-        return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    return np.asarray(norm(diffs), dtype=float)
+    return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
 
 
 def pvar_backbone_oracle(weights: np.ndarray, p: float) -> VariationResult:
@@ -64,11 +62,11 @@ def pvar_backbone_oracle(weights: np.ndarray, p: float) -> VariationResult:
     return VariationResult(value=best[-1] ** (1.0 / p), optimal_partition=partition)
 
 
-def pvar_oracle(values, p: float, norm=None) -> VariationResult:
+def pvar_oracle(values, p: float) -> VariationResult:
     """Grid p-variation of one path (N, dim) by :func:`pvar_backbone_oracle`;
-    a scalar path in the default norm runs on its turning points alone."""
+    a scalar path runs on its turning points alone."""
     values = np.asarray(values, dtype=float).reshape(len(values), -1)
-    if values.shape[1] == 1 and norm is None:
+    if values.shape[1] == 1:
         x = values[:, 0]
         d = np.diff(x)
         moves = np.flatnonzero(d)
@@ -77,7 +75,7 @@ def pvar_oracle(values, p: float, norm=None) -> VariationResult:
         res = pvar_backbone_oracle(pair_norms_oracle(values[kept]), p)
         res.optimal_partition = [int(kept[i]) for i in res.optimal_partition]
         return res
-    return pvar_backbone_oracle(pair_norms_oracle(values, norm), p)
+    return pvar_backbone_oracle(pair_norms_oracle(values), p)
 
 
 def pvar_values_oracle(values, p: float) -> np.ndarray:

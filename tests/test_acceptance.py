@@ -19,7 +19,6 @@ from roughlaplace.fbm import (
     cm_map,
     sample_fbm_ensemble,
     substream,
-    volterra_kernel,
 )
 from roughlaplace.functionals import constant_field, endpoint_linear, endpoint_quadratic, tanh_field, fractional_drift_field
 from roughlaplace.grids import SampledPath, TimeGrid
@@ -38,6 +37,7 @@ from roughlaplace.taylor import expansion_context, taylor_remainder_slope
 from roughlaplace.variation import cosine_pvar, pvar_exact
 
 from conftest import pair_norms_oracle, random_smooth_path
+from oracles import volterra_kernel
 
 
 def report(criterion: str, passed: bool, detail: str):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -166,6 +169,17 @@ class TestMain:
         for name in ("report.json", "mc_table.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert json.loads(read(outs[1], "manifest.json"))["workers"] == 2
+
+    def test_hessian_short_N_list_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "kind": "hessian", "H": 0.4, "grid_size": 33, "n": 1, "d": 1, "truncation": 2,
+            "field_name": "tanh", "functional_name": "endpoint_quadratic",
+            "functional_params": {"Q": [[0.4]]}, "N_list": [2, 3],
+        }))
+        rc = main(["hessian", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "N_list must reach mode 4" in capsys.readouterr().err
 
     def test_workers_below_one_exit_code(self, tmp_path, capsys):
         rc = main(["kappa", "--out", str(tmp_path), "--workers", "0"])
@@ -417,3 +431,16 @@ def test_hessian_run_two_dim(tmp_path, field_name):
     tail = json.loads(read(out, "hs_tail.json"))
     assert 0.0 < tail["partial_sums"][0] <= tail["partial_sums"][1]
     assert json.loads(read(out, "manifest.json"))["status"] == "complete"
+
+
+def test_run_pipeline_quick():
+    # the demo script reads its names from the package root, so a dropped
+    # re-export fails here; one BLAS thread keeps the run small
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_pipeline.py"), "--quick"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "== expansion fit ==" in proc.stdout

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_flow, pvar_values_oracle, random_smooth_path
+from oracles import compute_chi, compute_psi, r_forms, v_forms
 from roughlaplace.fbm import HurstParams, cm_basis, cm_map, substream
 from roughlaplace.functionals import (
     _FIELD_BUILDERS,
@@ -18,8 +19,8 @@ from roughlaplace.functionals import (
     zero_functional,
 )
 from roughlaplace.grids import SampledPath, TimeGrid
-from roughlaplace.hessian import det2, hessian_matrix, hs_tail, log_det2, r_forms, v_forms
-from roughlaplace.taylor import compute_chi, compute_psi, expansion_context
+from roughlaplace.hessian import det2, hessian_matrix, hs_tail, log_det2
+from roughlaplace.taylor import expansion_context
 from roughlaplace.variation import pvar_exact
 
 
@@ -260,6 +261,14 @@ class TestHsTail:
             assert rep.tail_bound == rep.increments[1] * rho / (1.0 - rho)
         else:
             assert rep.tail_bound is None
+
+    @pytest.mark.parametrize("N_list", [(), (2, 3)])
+    def test_rejects_N_list_below_the_fit(self, N_list):
+        # the diagonal decay fit starts at mode 4
+        g = TimeGrid.uniform(33)
+        ctx = expansion_context(tanh_field(1, 1, coef_seed=9), SampledPath(g, np.zeros((33, 1))))
+        with pytest.raises(ValueError, match=r"N_list must reach mode 4.*got \["):
+            hs_tail(ctx, N_list=N_list, hurst=HurstParams.default(0.4))
 
     def test_tail_bound_needs_shrinking_increments(self):
         H = 0.4

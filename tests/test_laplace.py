@@ -72,7 +72,7 @@ class TestMinimize:
         field = constant_field(S_TEST)
         F = endpoint_linear(V_TEST)
         basis = cm_basis(H_TEST, GRID, 8, 2)
-        from roughlaplace.taylor import compute_phi0
+        from oracles import compute_phi0
         from roughlaplace.grids import SampledPath
 
         def F_Lambda(coeffs):
@@ -216,6 +216,11 @@ class TestDegenerateInputs:
     def test_mc_one_sample(self):
         with pytest.raises(ValueError, match="n_samples"):
             mc_laplace(zero_functional(), None, constant_field(S_TEST), H_TEST, GRID, [0.5], 1)
+
+    @pytest.mark.parametrize("eps_list", [[0.5, 0.0], [-0.1]])
+    def test_mc_nonpositive_eps(self, eps_list):
+        with pytest.raises(ValueError, match="eps_list must be positive"):
+            mc_laplace(zero_functional(), None, constant_field(S_TEST), H_TEST, GRID, eps_list, 8)
 
     def test_alpha0_one_sample(self, gaussian_linear_report):
         with pytest.raises(ValueError, match="mc_samples"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import pvar_backbone_oracle, random_smooth_path
+from oracles import dyadic_approx, xi_norm
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.roughpath import (
     RoughPath,
@@ -17,9 +18,8 @@ from roughlaplace.roughpath import (
     roughpath_to_csv,
     scale_rough,
     shift,
-    xi_norm,
 )
-from roughlaplace.variation import dyadic_approx, pvar_exact
+from roughlaplace.variation import pvar_values
 
 
 def linear_lift(v, n_pts=9, level=3):
@@ -175,10 +175,14 @@ class TestXiNorm:
         assert b == pytest.approx(c * a, rel=1e-10)
 
     def test_matches_per_path_oracle(self):
-        # level j's p/j-variation of the Frobenius magnitudes, bit for bit
+        # level j's p/j-variation of the Frobenius magnitudes, bit for bit;
+        # level 1 is the path's own p-variation, up to the rounding of
+        # increments taken through the running levels
         rng = np.random.default_rng(8)
-        X = lift(random_smooth_path(TimeGrid.uniform(21), 2, rng), 2)
+        path = random_smooth_path(TimeGrid.uniform(21), 2, rng)
+        X = lift(path, 2)
         xi = xi_norm(X, 2.5)
+        assert xi.per_level[0] == pytest.approx(float(pvar_values(path.values, 2.5)), rel=1e-13)
         for j, arr in enumerate(X.levels(), start=1):
             flat = arr.reshape(arr.shape[0], arr.shape[1], -1)
             w = np.sqrt(np.einsum("ijk,ijk->ij", flat, flat))

@@ -4,23 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import heun_fold, pvar_values_oracle, random_smooth_path
+from oracles import (
+    compute_chi, compute_phi0, compute_phi1, compute_phi2, compute_psi, compute_theta1,
+    compute_theta2, taylor_bundle, xi_norm,
+)
 from roughlaplace.fbm import HurstParams, cm_map, sample_fbm_ensemble, substream
 from roughlaplace.functionals import constant_field, rotation_field, tanh_field
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.odes import _matvec, heun_controlled
-from roughlaplace.taylor import (
-    compute_chi,
-    compute_phi0,
-    compute_phi1,
-    compute_phi2,
-    compute_psi,
-    compute_theta1,
-    compute_theta2,
-    expansion_context,
-    solve_rde,
-    taylor_bundle,
-    taylor_remainder_slope,
-)
+from roughlaplace.taylor import expansion_context, solve_rde, taylor_remainder_slope
 from roughlaplace.variation import pvar_exact
 
 
@@ -319,7 +311,7 @@ class TestSecondOrder:
 
     def test_theta2_first_order_bound(self, ctx513):
         # ratio ||theta2|| / (1 + xi) bounded over an ensemble
-        from roughlaplace.roughpath import lift, xi_norm
+        from roughlaplace.roughpath import lift
 
         H = 0.4
         hp = HurstParams.default(H)
@@ -352,7 +344,7 @@ class TestSecondOrder:
 
     def test_phi_k_growth_bound(self, ctx513):
         # ||phi^k|| <= C (1 + xi)^k, k = 1, 2: ratio bounded over an ensemble
-        from roughlaplace.roughpath import lift, xi_norm
+        from roughlaplace.roughpath import lift
 
         H, hp = 0.4, HurstParams.default(0.4)
         g7 = TimeGrid.dyadic(7)
@@ -414,6 +406,12 @@ class TestRemainderSlopes:
             taylor_remainder_slope(
                 ctx513.field, ctx513.gamma, driver513.values[None], 1, eps_list=[0.5, 0.25]
             )
+
+    @pytest.mark.parametrize("last", [0.0, -0.1])
+    def test_nonpositive_eps(self, ctx513, driver513, last):
+        with pytest.raises(ValueError, match="eps_list must be positive"):
+            taylor_remainder_slope(ctx513.field, ctx513.gamma, driver513.values[None], 1,
+                                   eps_list=[0.5, 0.25, 0.125, last])
 
     def test_drivers_must_be_a_stack_on_the_grid(self, ctx513, driver513):
         eps = [0.5, 0.25, 0.125, 0.0625]
@@ -503,10 +501,8 @@ class TestSourceAssembly:
     @pytest.mark.parametrize("nd", [(2, 2), (1, 1), "rotation"])
     @pytest.mark.parametrize("batch", [None, 3])
     def test_matches_explicit_formulas(self, nd, batch):
-        from roughlaplace.hessian import r_forms, v_forms
-        from roughlaplace.taylor import (
-            _chi_values, _phi2_sources, _psi_sources, _theta1_values, _theta2_sources,
-        )
+        from oracles import _psi_sources, _theta2_sources, r_forms, v_forms
+        from roughlaplace.taylor import _chi_values, _phi2_sources, _theta1_values
 
         field = _field(nd, coef_seed=4)
         d = field.d
@@ -639,7 +635,8 @@ class TestCostate:
     def test_hessian_psi_part(self, nd, fname):
         from roughlaplace.fbm import cm_basis
         from roughlaplace.hessian import hessian_matrix
-        from roughlaplace.taylor import _chi_values, _psi_sources
+        from oracles import _psi_sources
+        from roughlaplace.taylor import _chi_values
 
         ctx, F, _, _ = self._setup(nd, fname)
         N = 4

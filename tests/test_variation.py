@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pair_norms_oracle, pvar_backbone_oracle, pvar_oracle
+from oracles import coarsen_dyadic, dyadic_approx
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.variation import (
     _chain_dp,
-    coarsen_dyadic,
     cosine_pvar,
-    dyadic_approx,
-    pvar_backbone,
     pvar_exact,
     pvar_values,
     restrict_dyadic,
@@ -190,17 +188,12 @@ class TestTurningPointReduction:
                 assert fast_pvar(vals, 1.0).value == pytest.approx(want, rel=1e-13)
                 assert full_grid_pvar(vals, 1.0).value == pytest.approx(want, rel=1e-13)
 
-    def test_vector_and_custom_norm_keep_full_dp(self):
+    def test_vector_paths_keep_full_dp(self):
         rng = np.random.default_rng(4)
         vals = rng.standard_normal((30, 2))
         path = SampledPath(TimeGrid.uniform(30), vals)
         res = pvar_exact(path, 2.2)
         want = full_grid_pvar(vals, 2.2)
-        assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
-        l1 = lambda diffs: np.abs(diffs).sum(axis=-1)
-        scalar = SampledPath(TimeGrid.uniform(30), vals[:, 0])
-        res = pvar_exact(scalar, 2.2, norm=l1)
-        want = pvar_backbone_oracle(pair_norms_oracle(scalar.values, l1), 2.2)
         assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
 
 
@@ -214,25 +207,21 @@ def integer_walk_batches():
 
 
 class TestBatchedDP:
-    """pvar_values, pvar_exact and pvar_backbone against the per-path
-    oracle (conftest), bit for bit."""
+    """pvar_values, pvar_exact and the shared program _chain_dp against the
+    per-path oracle (conftest), bit for bit."""
 
     P_VALUES = (1.0, 1.5, 2.78, 4.0)
 
-    def assert_matches(self, values, p, norm=None):
-        # pvar_values takes the Euclidean norm only; a custom norm is checked
-        # through pvar_exact, path by path
+    def assert_matches(self, values, p):
         values = np.asarray(values, dtype=float)
         lead = values.shape[:-2]
-        if norm is None:
-            got = pvar_values(values, p)
-            assert got.shape == lead
+        got = pvar_values(values, p)
+        assert got.shape == lead
         grid = TimeGrid.uniform(values.shape[-2])
         for ix in np.ndindex(lead):
-            want = pvar_oracle(values[ix], p, norm)
-            if norm is None:
-                assert got[ix] == want.value
-            res = pvar_exact(SampledPath(grid, values[ix]), p, norm)
+            want = pvar_oracle(values[ix], p)
+            assert got[ix] == want.value
+            res = pvar_exact(SampledPath(grid, values[ix]), p)
             assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6),
@@ -264,13 +253,10 @@ class TestBatchedDP:
         self.assert_matches(np.array([[0.0, -1.7], [2.5, 2.5], [1.0, 2.0]])[..., None], p)
 
     @pytest.mark.parametrize("p", P_VALUES)
-    def test_vector_paths_and_custom_norm(self, p):
+    def test_vector_paths(self, p):
         rng = np.random.default_rng(4)
         vals = np.cumsum(rng.standard_normal((5, 30, 2)), axis=1)
         self.assert_matches(vals, p)
-        l1 = lambda diffs: np.abs(diffs).sum(axis=-1)
-        self.assert_matches(vals, p, norm=l1)
-        self.assert_matches(vals[..., :1], p, norm=l1)
 
     def test_extra_leading_axes(self):
         rng = np.random.default_rng(6)
@@ -285,13 +271,13 @@ class TestBatchedDP:
         # small integer weights tie often, so the tie rule decides chains
         rng = np.random.default_rng(12)
         weights = rng.integers(0, 4, (2, 3, 9, 9)).astype(float)
-        values = pvar_backbone(weights, p)
+        flat = (weights**p).reshape(-1, 9, 9)
+        values, prev = _chain_dp(lambda j: flat[:, :j, j], (2, 3), 9, p)
         assert values.shape == (2, 3)
         for ix in np.ndindex(values.shape):
             assert values[ix] == pvar_backbone_oracle(weights[ix], p).value
         # the back pointers of the shared program follow the oracle's chains
-        flat = weights.reshape(-1, 9, 9) ** p
-        _, prev = _chain_dp(lambda j: flat[:, :j, j], (6,), 9, p)
+        prev = prev.reshape(-1, 9)
         for b, w in enumerate(weights.reshape(-1, 9, 9)):
             chain = [8]
             while chain[-1] != 0:
@@ -315,12 +301,13 @@ class TestBatchedDP:
             pvar_values(np.array([[0.0], [np.nan], [1.0]]), 2.0)
         with pytest.raises(ValueError, match="magnitudes contain NaN"):
             pvar_values(np.array([[0.0, 0.0], [np.nan, 1.0], [1.0, 0.0]]), 2.0)
-        with pytest.raises(ValueError, match="magnitudes contain NaN"):
-            pvar_backbone(np.array([[0.0, np.nan], [np.nan, 0.0]]), 2.0)
         with pytest.raises(ValueError, match="p must be"):
             pvar_values(np.zeros((2, 3, 1)), 0.5)
-        with pytest.raises(ValueError, match="two grid points"):
-            pvar_backbone(np.zeros((3, 1, 1)), 2.0)
+        # one sample is no path, scalar or vector: neither reaches the
+        # turning-point reduction
+        for dim in (1, 2):
+            with pytest.raises(ValueError, match="two grid points"):
+                pvar_values(np.zeros((3, 1, dim)), 2.0)
 
 
 class TestCosinePvar:
