@@ -52,6 +52,11 @@ EXPERIMENT_KINDS = (
 )
 
 
+def _is_positive(value, kinds) -> bool:
+    """``value`` is an instance of ``kinds`` (bool excluded) and above 0."""
+    return isinstance(value, kinds) and not isinstance(value, bool) and value > 0
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -88,6 +93,10 @@ class ExperimentConfig:
             return HurstParams.default(self.H)
         return HurstParams(H=self.H, p=self.p, q=self.q)
 
+    def hs_N_list(self):
+        """The truncations of the ``hessian`` kind's hs_tail partial sums."""
+        return self.extras.get("N_list", [8, 16, 32])
+
     def validate(self) -> list:
         errors = []
         if self.grid_size < 2:
@@ -101,6 +110,17 @@ class ExperimentConfig:
                 self.hurst()
             except ValueError as e:
                 errors.append(str(e))
+        if self.kind == "hessian":
+            N_list = self.hs_N_list()
+            if not (isinstance(N_list, list) and all(_is_positive(N, int) for N in N_list)
+                    and max(N_list, default=0) >= 4):
+                errors.append("N_list must reach mode 4, the first mode of the decay fit, "
+                              f"and hold positive ints only; got {N_list!r}")
+        if self.kind == "laplace":
+            eps_list = self.eps_list
+            if not (isinstance(eps_list, list)
+                    and all(_is_positive(eps, (int, float)) for eps in eps_list)):
+                errors.append(f"eps_list must be a list of positive numbers; got {eps_list!r}")
         return errors
 
     def numeric_dict(self) -> dict:
@@ -300,9 +320,8 @@ def run_hessian(rc: RunContext):
     _write(rc.out, "hessian.csv", hm.to_csv())
     _write(rc.out, "hessian_meta.json", hm.meta_json())
     hp = cfg.hurst()
-    N_list = cfg.extras.get("N_list", [8, 16, 32])
     with rc.stage("hs_tail_s"):
-        rep = hs_tail(ctx, N_list=N_list, hurst=hp)
+        rep = hs_tail(ctx, N_list=cfg.hs_N_list(), hurst=hp)
     _write(
         rc.out, "hs_tail.csv",
         _csv(list(zip(rep.N_list, rep.partial_sums)), ["N", "partial_sum"]),

@@ -39,9 +39,10 @@ def _sigma0_times(ctx: ExpansionContext, f_vals: np.ndarray) -> np.ndarray:
     return _matvec(ctx.sigma0, f_vals)
 
 
-def _r1_values(ctx: ExpansionContext, f_vals: np.ndarray, dk: np.ndarray) -> np.ndarray:
-    """R1<f,k> = M int M^{-1} ds< sigma(phi0) f_s, dk_s >, batched."""
-    return ctx.solve(_lin_sources(ctx, _sigma0_times(ctx, f_vals), dk))
+def _r1_values(ctx: ExpansionContext, sigma_f: np.ndarray, dk: np.ndarray) -> np.ndarray:
+    """R1<f,k> = M int M^{-1} ds< sigma(phi0) f_s, dk_s >, batched, from
+    sigma_f = sigma(phi0) f (:func:`_sigma0_times`) and k's increments."""
+    return ctx.solve(_lin_sources(ctx, sigma_f, dk))
 
 
 @dataclass
@@ -182,10 +183,11 @@ def hs_tail(
     f_stack = np.stack([b.values for b in basis])  # (nb, N, d)
 
     # R1 pair norms: one batch over the row index per column index
+    sigma_f = _sigma0_times(ctx, f_stack)
     norms = np.zeros((nb, nb))
     for j in range(nb):
         dk = np.diff(f_stack[j], axis=0)
-        norms[:, j] = pvar_values(_r1_values(ctx, f_stack, dk), p)
+        norms[:, j] = pvar_values(_r1_values(ctx, sigma_f, dk), p)
 
     partial = []
     for N in N_list:

@@ -162,7 +162,7 @@ def minimize_F_Lambda(
 
     Gradient descent with backtracking line search; the gradient component
     along e_a is c_a + grad F(phi0)<chi(e_a)> (orthonormality plus the
-    first-order identity), read through one co-state sweep as one product
+    first-order identity), read through one co-state as one product
     of the basis increments with B_sigma^T lambda
     (:func:`roughlaplace.taylor.chi_gradient`), with no chi solve.  Multiple
     restarts probe uniqueness of the minimizer; disagreement beyond
@@ -170,8 +170,8 @@ def minimize_F_Lambda(
 
     Every start point is drawn before any descent, and the restarts run in
     lockstep: each round evaluates the candidates of all restarts still
-    descending as one batch (one Heun solve for their phi0, one co-state
-    sweep).  Each restart keeps its own point, value, gradient and step: an
+    descending as one batch (one Heun solve for their phi0, one flow table
+    and one co-state).  Each restart keeps its own point, value, gradient and step: an
     accepted candidate moves it and resets its step to ``step0``, a rejected
     one scales the step by ``backtrack`` and counts a backtrack, and it
     leaves the batch when its max-norm gradient falls below ``grad_tol``,

@@ -1,23 +1,27 @@
 """ODE solving in the q-variation Young regime.
 
 One Heun (explicit trapezoidal) stepper handles the controlled ODE
-dy = sigma(y) dk + beta(eps, y) dt and -- through
-:func:`linear_perturbation_solve` -- every inhomogeneous linear equation
+dy = sigma(y) dk + beta(eps, y) dt.  Every inhomogeneous linear equation
 sharing the homogeneous part  dz = [grad sigma(phi0)<z, dgamma> +
-grad beta0(phi0)<z>] dt + source.  For that linear equation a Heun step is
-one affine map z_{i+1} = T_i z_i + b_i: T from the generator increments
-(:func:`_step_maps`), and b the source's two stage values folded by the
-stage weights (:func:`_stage_fold`, the one place that knows them).  The
-solve takes T and b only, so its step loop is one small matrix product and
-one addition, and it is exactly linear in b: additivity identities between
-perturbation terms hold to rounding, not just to discretization order.  The
-flow M, M^{-1} of the homogeneous part is never formed: the solve is its
-variation-of-constants formula z = M int M^{-1} dS.
+grad beta0(phi0)<z>] dt + source  is solved through its flow.  A Heun step
+of that equation is one affine map z_{i+1} = T_i z_i + b_i: T from the
+generator increments (:func:`_step_maps`), and b the source's two stage
+values folded by the stage weights (:func:`_stage_fold`, the one place that
+knows them).  :func:`linear_flow` multiplies the step maps out once into a
+flow table: a fundamental matrix M with M_{k+1} = T_k M_k (normalized at
+the middle grid point) and its inverses.  :func:`linear_perturbation_solve`
+is then the variation-of-constants formula
+
+    z_k = M_k sum_{i<k} M_{i+1}^{-1} b_i,
+
+two batched matrix-vector products and one cumulative sum, with no loop
+over grid steps.  It is exactly linear in b: additivity identities between
+perturbation terms hold to rounding, not just to discretization order.
 
 :func:`linear_perturbation_costate` reads that formula backwards: for a
-covector path g it sweeps Lambda_j = g_j + T_j^T Lambda_{j+1} once and
-returns one co-state lambda with sum_j g_j . z_j = sum_i lambda_i . b_i for
-every b, so a consumer that reads solves only through one fixed covector
+covector path g it returns one co-state lambda_i = M_{i+1}^{-T}
+sum_{j>i} M_j^T g_j with sum_j g_j . z_j = sum_i lambda_i . b_i for every b,
+so a consumer that reads solves only through one fixed covector
 (grad F(phi0) in the expansion) needs no solve at all (Giles & Glasserman,
 "Smoking adjoints", Risk 2006).
 """
@@ -34,6 +38,7 @@ __all__ = [
     "VectorFieldSpec",
     "DivergenceError",
     "heun_controlled",
+    "linear_flow",
     "linear_perturbation_solve",
     "linear_perturbation_costate",
 ]
@@ -198,17 +203,22 @@ def _matvec(C: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     """Per-step products sum_b C[..., i, a, b] v[..., i, b] -> (..., i, a),
     added in place into ``out`` when given.
 
-    The loop runs over the small contracted axis b (n or d) and does whole-
-    array work per pass; at desk-scale n, d it is several times faster than
-    the equivalent einsum.  With one term the result is the plain product,
-    and with more the terms add from b = 0 up.
+    The loops run over the small axes a and b (n or d), one output
+    component per pass, so every array operation runs along the step and
+    batch axes rather than over an (a, b) block of two or three entries; at
+    desk-scale n, d that is several times faster than the equivalent einsum
+    or a broadcast product.  The terms add from b = 0 up.
     """
-    for b in range(C.shape[-1]):
-        term = C[..., b] * v[..., b, None]
-        if out is None:
-            out = term
-        else:
-            out += term
+    fresh = out is None
+    if fresh:
+        out = np.empty(np.broadcast_shapes(C.shape[:-1], v.shape[:-1] + C.shape[-2:-1]))
+    for a in range(C.shape[-2]):
+        row = out[..., a]
+        for b in range(C.shape[-1]):
+            if fresh and b == 0:
+                np.multiply(C[..., a, 0], v[..., 0], out=row)
+            else:
+                row += C[..., a, b] * v[..., b]
     return out
 
 
@@ -230,51 +240,90 @@ def _stage_fold(omR: np.ndarray, left: np.ndarray, right: np.ndarray):
     return 0.5 * lw, 0.5 * right
 
 
-def linear_perturbation_solve(T: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _prefix_products(P: np.ndarray) -> None:
+    """P_k <- P_k P_{k-1} ... P_0 along axis -3, in place, by a log-depth
+    scan: pass s multiplies every partial product by the one s steps
+    before it, ceil(log2 len) batched matrix products in all."""
+    s = 1
+    while s < P.shape[-3]:
+        P[..., s:, :, :] = P[..., s:, :, :] @ P[..., :-s, :, :]
+        s *= 2
+
+
+def linear_flow(T: np.ndarray) -> tuple:
+    """The flow table of the step maps ``T`` (..., n_steps, n, n), leading
+    axes batching: a fundamental matrix M (..., n_steps + 1, n, n) of
+    z_{k+1} = T_k z_k, normalized at the middle grid point r = n_steps // 2
+    (M_r = I, M_{k+1} = T_k M_k), and its inverses M^{-1} from one batched
+    inverse.  Forward of r, M is the prefix product of the T_k; behind it,
+    the prefix product of their inverses T_k^{-1}, read backwards.
+
+    Any fundamental matrix serves the variation-of-constants formula of
+    :func:`linear_perturbation_solve`; the middle one keeps its rounding
+    close to that of the step-by-step solve.  Normalized at t = 0 instead,
+    the sum cancels terms far larger than the result, and the error grows
+    like eps sqrt(cond M_N) (measured figures in the solve).  Where every
+    T_k = I (constant sigma, no linear drift) both tables are exactly I.
+    """
+    n_steps, n = T.shape[-3], T.shape[-1]
+    r = n_steps // 2
+    M = np.empty(T.shape[:-3] + (n_steps + 1, n, n))
+    M[..., r, :, :] = np.eye(n)
+    M[..., r + 1:, :, :] = T[..., r:, :, :]
+    M[..., :r, :, :] = np.linalg.inv(T[..., :r, :, :])
+    _prefix_products(M[..., r + 1:, :, :])
+    _prefix_products(M[..., :r, :, :][..., ::-1, :, :])
+    return M, np.linalg.inv(M)
+
+
+def linear_perturbation_solve(flow: tuple, b: np.ndarray) -> np.ndarray:
     """Solve z_{i+1} = T_i z_i + b_i, z_0 = 0: the Heun discretization of
-    dz = dOmega z + dSource with the step maps ``T`` (n_steps, n, n) of
-    :func:`_step_maps` and the per-step inhomogeneity ``b`` (..., n_steps, n)
-    of :func:`_stage_fold` (leading axes batch).  Returns z of shape
-    (..., n_steps + 1, n).
+    dz = dOmega z + dSource, from the flow table ``flow`` = (M, M^{-1})
+    (..., N, n, n) of :func:`linear_flow` and the per-step inhomogeneity
+    ``b`` (..., n_steps, n) of :func:`_stage_fold` (leading axes batch).
+    Returns z of shape (..., n_steps + 1, n):
+
+        z_k = M_k sum_{i<k} M_{i+1}^{-1} b_i,
+
+    one matrix-vector product, one cumulative sum along the steps and one
+    more product.
 
     The solve is exactly linear in b, so difference identities between
     perturbation solves hold to rounding.  Against the two-stage Heun step
-    the affine map only reassociates sums; where Omega = 0 (constant sigma,
-    no linear drift) T = I and the result is bit-identical to it.
+    it reassociates sums, and its rounding follows the conditioning of the
+    flow table, whose middle normalization keeps every cond(M_k) at or below
+    about sqrt(cond M_N) for the flow M_N over the whole interval.
+    Measured under the linear drift [[lam, 1], [0, -lam]] (N = 129 and 513,
+    8 paths each), the largest error relative to the largest entry is
+    4e-15 at lam = 2 and 4 (cond M_N = 58 and 3.0e3), 6e-15 at lam = 8
+    (8.9e6) and 1.0e-14 at lam = 12 (2.6e10).  A table normalized at t = 0
+    gives 2.7e-13 and 8.8e-12 at lam = 8 and 12, about eps sqrt(cond M_N).
+    Where Omega = 0 (constant sigma, no linear drift) M = M^{-1} = I
+    exactly and the result is bit-identical to the step-by-step solve.
     """
-    n_steps, n = T.shape[0], T.shape[-1]
-    out = np.empty(b.shape[:-2] + (n_steps + 1, n))
-    out[..., 0, :] = 0.0
-    out[..., 1:, :] = b
-    flat = out.reshape((-1, n_steps + 1, n))
-    z = np.zeros((flat.shape[0], n))
-    for i in range(1, n_steps + 1):
-        z = z @ T[i - 1].T
-        z += flat[:, i, :]
-        flat[:, i, :] = z
-    return out
+    M, Minv = flow
+    acc = np.zeros(np.broadcast_shapes(M.shape[:-3], b.shape[:-2]) + M.shape[-3:-1])
+    np.cumsum(_matvec(Minv[..., 1:, :, :], b), axis=-2, out=acc[..., 1:, :])
+    return _matvec(M, acc)
 
 
-def linear_perturbation_costate(T: np.ndarray, g: np.ndarray) -> np.ndarray:
+def linear_perturbation_costate(flow: tuple, g: np.ndarray) -> np.ndarray:
     """The co-state lambda (..., n_steps, n) of the covector path ``g``
-    (..., N, n) read through :func:`linear_perturbation_solve` with the step
-    maps ``T`` (..., n_steps, n, n), leading axes batch:
+    (..., N, n) read through :func:`linear_perturbation_solve` with the flow
+    table ``flow`` = (M, M^{-1}) (..., N, n, n), leading axes batch:
 
         sum_j g_j . z_j = sum_i lambda_i . b_i
 
-    for the solution z of every inhomogeneity b.  With z_{i+1} = T_i z_i + b_i
-    and z_0 = 0, row i is the value at grid point i + 1 of the sweep
+    for the solution z of every inhomogeneity b, with
 
-        Lambda_{N-1} = g_{N-1},   Lambda_j = g_j + T_j^T Lambda_{j+1}.
+        lambda_i = M_{i+1}^{-T} sum_{j>i} M_j^T g_j:
 
-    One backward sweep of one n-vector per batch item, each item's product
-    the one an unbatched call makes; the identity reassociates the solve's
+    one matrix-vector product, one reversed cumulative sum and one more
+    product, elementwise over the batch, so a batched call gives each item
+    the bits of an unbatched one.  The identity reassociates the solve's
     sums, so it holds to rounding.
     """
-    n_steps = T.shape[-3]
-    lam = np.empty(np.broadcast_shapes(T.shape[:-3], g.shape[:-2]) + (n_steps, g.shape[-1]))
-    cur = g[..., -1, :]
-    for i in range(n_steps - 1, -1, -1):
-        lam[..., i, :] = cur
-        cur = g[..., i, :] + (cur[..., None, :] @ T[..., i, :, :])[..., 0, :]
-    return lam
+    M, Minv = flow
+    h = _matvec(np.swapaxes(M[..., 1:, :, :], -1, -2), g[..., 1:, :])  # M_j^T g_j, j >= 1
+    tail = np.cumsum(h[..., ::-1, :], axis=-2)[..., ::-1, :]
+    return _matvec(np.swapaxes(Minv[..., 1:, :, :], -1, -2), tail)

@@ -20,15 +20,19 @@ ds(phi0)<z, dY> against a path's increments (``_lin_sources``) and the
 per-step Q<z1, z2> (``_quad_sources``), plus the drift's eps-derivatives
 for phi2 (``_eps_sources``).
 
+Each context multiplies its Heun step maps out once into the flow table
+M, M^{-1} (:func:`roughlaplace.odes.linear_flow`), so a solve is two
+matrix-vector products and one cumulative sum along the steps.
+
 Where a term is read only through z -> grad F(phi0)<z> it is not solved.
-:func:`costate` sweeps the context's step maps backwards once for grad F
-and :class:`CoState` contracts the one co-state lambda with the same tables
+:func:`costate` reads grad F backwards through the context's flow once and
+:class:`CoState` contracts the one co-state lambda with the same tables
 (ds, Q, P, b_D), so grad F<theta1> (c), grad F<phi2(X)> (the alpha0
 weights) and grad F<2 psi(e_a, e_b)> (the Hessian) are contractions of
-their inputs.  The minimizer's gradient grad F<chi(k)> needs only phi0, T
-and B_sigma (``_linearize``, which :func:`expansion_context` builds on too),
-so :func:`chi_gradient` reads it for a whole batch of gammas without a
-context.
+their inputs.  The minimizer's gradient grad F<chi(k)> needs only phi0, the
+flow and B_sigma (``_linearize``, which :func:`expansion_context` builds on
+too), so :func:`chi_gradient` reads it for a whole batch of gammas without
+a context.
 Only the readers of a term as a path solve forward:
 ``taylor_remainder_slope`` (phi1, phi2), ``hs_tail`` (R1), and phi1 and the
 basis chi(e_a) under grad^2 F.
@@ -49,6 +53,7 @@ from .odes import (
     _stage_fold,
     _step_maps,
     heun_controlled,
+    linear_flow,
     linear_perturbation_costate,
     linear_perturbation_solve,
 )
@@ -68,15 +73,16 @@ __all__ = [
 @dataclass
 class ExpansionContext:
     """Everything the linear perturbation equations share: the base path
-    phi0 = Psi(gamma), the Heun step maps T, and the coefficient tables along
+    phi0 = Psi(gamma), the flow table (M, M^{-1}) of its Heun step maps
+    (:func:`roughlaplace.odes.linear_flow`), and the coefficient tables along
     phi0 with the stage weights (:func:`roughlaplace.odes._stage_fold`)
     folded in, so every source is one inhomogeneity b of ``solve``: chi's is
     ``B_sigma`` dk and theta1's is ``b_theta1``; ``ds`` (dsigma(phi0)), ``Q``
     (d2sigma(phi0) dgamma + d2beta_y(phi0) dt) and ``P`` (d_eps d_y beta(phi0)
     dt) are (left, right) pairs acting on z_i and z_{i+1}; ``b_D`` folds
     D = d2_eps beta(phi0) dt.  ``omL``/``omR`` are the endpoint values of
-    dOmega = dsigma(phi0) dgamma + d_y beta(phi0) dt that T and the folds
-    are built from.
+    dOmega = dsigma(phi0) dgamma + d_y beta(phi0) dt that the flow and the
+    folds are built from.
     """
 
     field: VectorFieldSpec
@@ -84,7 +90,7 @@ class ExpansionContext:
     phi0: SampledPath
     omL: np.ndarray
     omR: np.ndarray
-    T: np.ndarray  # (n_steps, n, n)
+    flow: tuple  # (M, M^{-1}), 2 x (N, n, n)
     sigma0: np.ndarray  # sigma(phi0_t), (N, n, d)
     B_sigma: np.ndarray  # (n_steps, n, d)
     ds: tuple  # 2 x (n_steps, n, d, n)
@@ -98,7 +104,7 @@ class ExpansionContext:
         return self.gamma.grid
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return linear_perturbation_solve(self.T, b)
+        return linear_perturbation_solve(self.flow, b)
 
     def linear_in_driver(self) -> bool:
         """True when theta1 and every phi2 table vanish (e.g. constant sigma
@@ -110,12 +116,12 @@ class ExpansionContext:
 def _linearize(f: VectorFieldSpec, grid: TimeGrid, dgam: np.ndarray) -> tuple:
     """phi0 = Psi(gamma) from the increments ``dgam`` (..., n_steps, d) of
     gamma, and the tables of its linear equation that a chi solve or a
-    co-state sweep reads, with leading axes batching: the endpoint values
-    omL, omR of dOmega = dsigma(phi0) dgamma + d_y beta(phi0) dt, the step
-    maps T (:func:`roughlaplace.odes._step_maps`), sigma0 = sigma(phi0) and
-    chi's inhomogeneity table B_sigma.  Returns (phi0, omL, omR, T, sigma0,
-    B_sigma, dsigma(phi0)); the last feeds the ds tables of
-    :func:`expansion_context`.
+    co-state reads, with leading axes batching: the endpoint values
+    omL, omR of dOmega = dsigma(phi0) dgamma + d_y beta(phi0) dt, the flow
+    table (M, M^{-1}) of the step maps (:func:`roughlaplace.odes.linear_flow`),
+    sigma0 = sigma(phi0) and chi's inhomogeneity table B_sigma.  Returns
+    (phi0, omL, omR, flow, sigma0, B_sigma, dsigma(phi0)); the last feeds the
+    ds tables of :func:`expansion_context`.
     """
     y = heun_controlled(f, grid, dgam, np.zeros(f.n))
     dt = grid.dt
@@ -127,14 +133,14 @@ def _linearize(f: VectorFieldSpec, grid: TimeGrid, dgam: np.ndarray) -> tuple:
 
     omL, omR = om(slice(None, -1)), om(slice(1, None))
     B_sigma = np.add(*_stage_fold(omR, sigma0[..., :-1, :, :], sigma0[..., 1:, :, :]))
-    return y, omL, omR, _step_maps(omL, omR), sigma0, B_sigma, dsigma0
+    return y, omL, omR, linear_flow(_step_maps(omL, omR)), sigma0, B_sigma, dsigma0
 
 
 def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> ExpansionContext:
     f = field_spec
     dgam = gamma.increments()
     dt = gamma.grid.dt
-    y, omL, omR, T, sigma0, B_sigma, dsigma0 = _linearize(f, gamma.grid, dgam)
+    y, omL, omR, flow, sigma0, B_sigma, dsigma0 = _linearize(f, gamma.grid, dgam)
     d2sigma0 = f.d2sigma_at(y)
     d2beta_y0 = f.d2beta_y_at(0.0, y)
     dbeta_y_eps0 = f.dbeta_y_eps_at(0.0, y)
@@ -149,7 +155,7 @@ def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> Expans
     left, right = per_step(slice(None, -1)), per_step(slice(1, None))
     ds, Q, P, th, D = (_stage_fold(omR, l, r) for l, r in zip(left, right))
     return ExpansionContext(
-        field=f, gamma=gamma, phi0=SampledPath(gamma.grid, y), omL=omL, omR=omR, T=T,
+        field=f, gamma=gamma, phi0=SampledPath(gamma.grid, y), omL=omL, omR=omR, flow=flow,
         sigma0=sigma0, B_sigma=B_sigma, ds=ds, Q=Q, P=P,
         b_theta1=np.add(*th), b_D=np.add(*D),
     )
@@ -271,33 +277,34 @@ class CoState:
         return out
 
 
-def _costate_lam(functional, phi0: np.ndarray, T: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """The co-state of grad F(phi0) through the step maps ``T``: g from one
-    ``functional.grad`` call on the N n unit directions (grad is linear),
-    with phi0 (..., N, n) given a broadcast axis against them, then one
-    backward sweep.  Leading axes batch."""
+def _costate_lam(functional, phi0: np.ndarray, flow: tuple, grid: TimeGrid) -> np.ndarray:
+    """The co-state of grad F(phi0) through the flow table ``flow``: g from
+    one ``functional.grad`` call on the N n unit directions (grad is linear),
+    with phi0 (..., N, n) given a broadcast axis against them, then
+    :func:`roughlaplace.odes.linear_perturbation_costate`.  Leading axes
+    batch."""
     N, n = phi0.shape[-2:]
     units = np.eye(N * n).reshape(N * n, N, n)
     g = np.asarray(functional.grad(phi0[..., None, :, :], units, grid), dtype=float)
-    return linear_perturbation_costate(T, g.reshape(g.shape[:-1] + (N, n)))
+    return linear_perturbation_costate(flow, g.reshape(g.shape[:-1] + (N, n)))
 
 
 def costate(ctx: ExpansionContext, functional) -> CoState:
     """The co-state of grad F(phi0) on the context (:func:`_costate_lam`)."""
-    return CoState(ctx, _costate_lam(functional, ctx.phi0.values, ctx.T, ctx.grid))
+    return CoState(ctx, _costate_lam(functional, ctx.phi0.values, ctx.flow, ctx.grid))
 
 
 def chi_gradient(field_spec: VectorFieldSpec, functional, gamma: np.ndarray, grid: TimeGrid,
                  dk: np.ndarray) -> tuple:
     """phi0 = Psi(gamma) and grad F(phi0)<chi(k_a)> for every direction k_a,
     from gamma's samples (..., N, d) (leading axes batch) and the directions'
-    increments ``dk`` (nb, n_steps, d).  One Heun solve, one co-state sweep
-    and one product of dk with B_sigma^T lambda; no ExpansionContext, no chi
-    solve and none of the phi2 tables.  Returns phi0 (..., N, n) and the
+    increments ``dk`` (nb, n_steps, d).  One Heun solve, one flow table, one
+    co-state and one product of dk with B_sigma^T lambda; no ExpansionContext,
+    no chi solve and none of the phi2 tables.  Returns phi0 (..., N, n) and the
     pairings (..., nb).
     """
-    phi0, _, _, T, _, B_sigma, _ = _linearize(field_spec, grid, np.diff(gamma, axis=-2))
-    lam = _costate_lam(functional, phi0, T, grid)
+    phi0, _, _, flow, _, B_sigma, _ = _linearize(field_spec, grid, np.diff(gamma, axis=-2))
+    lam = _costate_lam(functional, phi0, flow, grid)
     covector = np.einsum("...ia,...iap->...ip", lam, B_sigma)  # B_sigma_i^T lam_i
     return phi0, _dot(dk, covector[..., None, :, :])
 

@@ -87,12 +87,11 @@ def pvar_values_oracle(values, p: float) -> np.ndarray:
     return out
 
 
-def linear_flow(ctx):
+def linear_flow_oracle(ctx):
     """Oracle M, M^{-1} for dM = dOmega M, M_0 = Id, from the context's
-    generator increments ``omL``/``omR``: the product of the Heun one-step
-    transfer matrices T_i = Id + (omL_i + omR_i + omR_i omL_i)/2 and of
-    their exact inverses, so M_t M^{-1}_t = Id holds to rounding while
-    M^{-1} still solves dM^{-1} = -M^{-1} dOmega to the scheme's order.
+    generator increments ``omL``/``omR``, one grid step at a time: the
+    product of the Heun one-step transfer matrices
+    T_i = Id + (omL_i + omR_i + omR_i omL_i)/2 and of their exact inverses.
     Returns the two (N, n, n) arrays.
     """
     n = ctx.field.n

@@ -180,8 +180,9 @@ def r_forms(ctx: ExpansionContext, f, k):
     """
     f_vals = _as_values(ctx, f)
     dk = np.diff(_as_values(ctx, k), axis=-2)
-    R1 = _r1_values(ctx, f_vals, dk)
-    g = _sigma0_times(ctx, f_vals) - _chi_values(ctx, f_vals)
+    sigma_f = _sigma0_times(ctx, f_vals)
+    R1 = _r1_values(ctx, sigma_f, dk)
+    g = sigma_f - _chi_values(ctx, f_vals)
     R2 = ctx.solve(_lin_sources(ctx, g, dk))
     return SampledPath(ctx.grid, R1), SampledPath(ctx.grid, R2)
 

@@ -7,7 +7,6 @@ import math
 from itertools import combinations
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 from scipy.stats import ks_2samp

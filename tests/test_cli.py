@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -95,6 +94,22 @@ class TestRuns:
         with pytest.raises(ValueError, match="grid_size"):
             run(cfg, tmp_path)
 
+    @pytest.mark.parametrize("N_list", [[2, 3], [], [0, 8], [8.0, 16], [True, 8], "8"])
+    def test_bad_N_list_rejected_before_any_stage(self, tmp_path, N_list):
+        cfg = ExperimentConfig.from_dict({
+            "kind": "hessian", "grid_size": 33, "truncation": 2, "N_list": N_list})
+        assert any("N_list must reach mode 4" in e for e in cfg.validate())
+        with pytest.raises(ValueError, match="N_list"):
+            run(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []  # no output directory, no artifact
+
+    @pytest.mark.parametrize("eps_list", [[0.5, 0.0], [0.5, -0.3], [float("nan")], 0.5])
+    def test_bad_eps_list_rejected_before_any_stage(self, tmp_path, eps_list):
+        cfg = ExperimentConfig.from_dict({"kind": "laplace", "grid_size": 33, "eps_list": eps_list})
+        with pytest.raises(ValueError, match="eps_list must be a list of positive numbers"):
+            run(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_written_before_artifacts_on_failure(self, tmp_path, monkeypatch):
         import roughlaplace.cli as cli_mod
 
@@ -180,6 +195,7 @@ class TestMain:
         rc = main(["hessian", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 2
         assert "N_list must reach mode 4" in capsys.readouterr().err
+        assert not list(tmp_path.glob("hessian-*"))  # rejected before hessian.csv
 
     def test_workers_below_one_exit_code(self, tmp_path, capsys):
         rc = main(["kappa", "--out", str(tmp_path), "--workers", "0"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_flow, pvar_values_oracle, random_smooth_path
+from conftest import linear_flow_oracle, pvar_values_oracle
 from oracles import compute_chi, compute_psi, r_forms, v_forms
 from roughlaplace.fbm import HurstParams, cm_basis, cm_map, substream
 from roughlaplace.functionals import (
@@ -19,7 +19,7 @@ from roughlaplace.functionals import (
     zero_functional,
 )
 from roughlaplace.grids import SampledPath, TimeGrid
-from roughlaplace.hessian import det2, hessian_matrix, hs_tail, log_det2
+from roughlaplace.hessian import det2, hessian_matrix, hs_tail
 from roughlaplace.taylor import expansion_context
 from roughlaplace.variation import pvar_exact
 
@@ -84,7 +84,7 @@ class TestRForms:
         # the exact integration-by-parts inner path agrees with the direct
         # left-point Young evaluation of int d[M^{-1} sigma] f at grid tolerance
         f, _ = fk257
-        M, Minv = linear_flow(ctx257)
+        M, Minv = linear_flow_oracle(ctx257)
         Minv_sig = np.einsum("tab,tbd->tad", Minv, ctx257.sigma0)
         dG = np.diff(Minv_sig, axis=0)
         inner = np.vstack(

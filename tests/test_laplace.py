@@ -374,7 +374,7 @@ def sequential_minimize(functional, field, H, grid, N, opt):
         Np, n = ctx.phi0.values.shape
         units = np.eye(Np * n).reshape(Np * n, Np, n)
         g = np.asarray(functional.grad(ctx.phi0.values, units, grid), dtype=float)
-        lam = linear_perturbation_costate(ctx.T, g.reshape(Np, n))
+        lam = linear_perturbation_costate(ctx.flow, g.reshape(Np, n))
         covector = np.einsum("ia,iap->ip", lam, ctx.B_sigma)
         gradient = coeffs + np.einsum("...ij,...ij->...", dk_stack, covector)
         value = float(functional.value(ctx.phi0.values, grid)) + 0.5 * float((coeffs**2).sum())

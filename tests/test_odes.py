@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import heun_fold, linear_flow, random_smooth_path
+from conftest import heun_fold, linear_flow_oracle, random_smooth_path
 from roughlaplace.functionals import constant_field, endpoint_quadratic, tanh_field
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.hessian import hessian_matrix
@@ -106,7 +106,7 @@ def two_stage_solve(omL, omR, srcL, srcR):
 
 
 class TestLinearPerturbationSolve:
-    """The affine step map z <- T z + b against the two-stage Heun step."""
+    """The flow-table solve of z <- T z + b against the two-stage Heun step."""
 
     @staticmethod
     def _ctx(field, n_points=129, seed=8):
@@ -126,7 +126,7 @@ class TestLinearPerturbationSolve:
         ctx = self._ctx(tanh_field(*nd, coef_seed=4))
         assert np.abs(ctx.omL).max() > 0.0  # a nonzero generator
         sL, sR = self._sources(ctx, lead, seed=1)
-        got = linear_perturbation_solve(ctx.T, heun_fold(ctx, sL, sR))
+        got = linear_perturbation_solve(ctx.flow, heun_fold(ctx, sL, sR))
         want = two_stage_solve(ctx.omL, ctx.omR, sL, sR)
         assert got.shape == want.shape == lead + (len(ctx.grid), nd[0])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -136,7 +136,7 @@ class TestLinearPerturbationSolve:
         ctx = self._ctx(constant_field([[1.0, 0.3], [-0.2, 0.8]]))
         assert np.abs(ctx.omL).max() == 0.0 and np.abs(ctx.omR).max() == 0.0
         sL, sR = self._sources(ctx, lead, seed=2)
-        got = linear_perturbation_solve(ctx.T, heun_fold(ctx, sL, sR))
+        got = linear_perturbation_solve(ctx.flow, heun_fold(ctx, sL, sR))
         assert np.array_equal(got, two_stage_solve(ctx.omL, ctx.omR, sL, sR))
 
     def test_linear_in_sources(self):
@@ -144,11 +144,29 @@ class TestLinearPerturbationSolve:
         a, b = self._sources(ctx, (3,), seed=3), self._sources(ctx, (3,), seed=4)
 
         def solve(src):
-            return linear_perturbation_solve(ctx.T, heun_fold(ctx, *src))
+            return linear_perturbation_solve(ctx.flow, heun_fold(ctx, *src))
 
         combo = tuple(2.5 * x - 0.75 * y for x, y in zip(a, b))
         want = 2.5 * solve(a) - 0.75 * solve(b)
         assert np.abs(solve(combo) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+    @pytest.mark.parametrize("lam", [2.0, 4.0, 8.0])
+    def test_conditioned_flow(self, lam):
+        # a stiff linear drift: one flow direction grows like e^{lam t} and
+        # one decays like e^{-lam t}, so cond(M_1) is about e^{2 lam}
+        S = [[1.0, 0.3], [-0.2, 0.8]]
+        ctx = self._ctx(constant_field(S, beta_matrix=[[lam, 1.0], [0.0, -lam]]))
+        sL, sR = self._sources(ctx, (5,), seed=5)
+        b = heun_fold(ctx, sL, sR)
+        z = linear_perturbation_solve(ctx.flow, b)
+        want = two_stage_solve(ctx.omL, ctx.omR, sL, sR)
+        assert np.abs(z - want).max() <= 1e-13 * np.abs(want).max()
+
+        g = np.random.default_rng(6).normal(size=(5, len(ctx.grid), 2))
+        lhs = np.einsum("kja,kja->k", g, want)
+        rhs = np.einsum("kia,kia->k", linear_perturbation_costate(ctx.flow, g), b)
+        assert np.abs(lhs - rhs).max() <= 1e-13 * np.abs(lhs).max()
 
 
 class TestBroadcast:
@@ -165,8 +183,9 @@ class TestBroadcast:
     def test_costate(self):
         ctxs = self._contexts()
         g = np.random.default_rng(3).normal(size=(len(ctxs), len(ctxs[0].grid), 2))
-        got = linear_perturbation_costate(np.stack([c.T for c in ctxs]), g)
-        want = np.stack([linear_perturbation_costate(c.T, gi) for c, gi in zip(ctxs, g)])
+        flow = tuple(np.stack(t) for t in zip(*(c.flow for c in ctxs)))
+        got = linear_perturbation_costate(flow, g)
+        want = np.stack([linear_perturbation_costate(c.flow, gi) for c, gi in zip(ctxs, g)])
         assert np.array_equal(got, want)
 
     def test_stage_fold(self):
@@ -183,11 +202,12 @@ class TestBroadcast:
     def test_linearize(self):
         ctxs = self._contexts()
         f, grid = ctxs[0].field, ctxs[0].grid
-        phi0, omL, omR, T, sigma0, B_sigma, _ = _linearize(
+        phi0, omL, omR, (M, Minv), sigma0, B_sigma, _ = _linearize(
             f, grid, np.stack([c.gamma.increments() for c in ctxs]))
-        for got, name in zip((omL, omR, T, sigma0, B_sigma),
-                             ("omL", "omR", "T", "sigma0", "B_sigma")):
+        for got, name in zip((omL, omR, sigma0, B_sigma), ("omL", "omR", "sigma0", "B_sigma")):
             assert np.array_equal(got, np.stack([getattr(c, name) for c in ctxs]))
+        assert np.array_equal(M, np.stack([c.flow[0] for c in ctxs]))
+        assert np.array_equal(Minv, np.stack([c.flow[1] for c in ctxs]))
         assert np.array_equal(phi0, np.stack([c.phi0.values for c in ctxs]))
 
 
@@ -241,15 +261,34 @@ def test_constant_field_returns_views():
 
 
 class TestLinearFlow:
-    """The flow M, M^{-1} of the shared homogeneous part, through the
-    ``linear_flow`` oracle on an expansion context's generator increments."""
+    """The flow M, M^{-1} of the shared homogeneous part from t = 0, through
+    the ``linear_flow_oracle`` on an expansion context's generator
+    increments, and the flow table ``linear_flow`` the context carries."""
 
     def test_zero_generator(self):
         g = TimeGrid.uniform(33)
         field = constant_field(np.ones((2, 1)))  # grad sigma = 0, beta = 0
         ctx = expansion_context(field, SampledPath(g, np.zeros((33, 1))))
-        M, _ = linear_flow(ctx)
+        M, _ = linear_flow_oracle(ctx)
         assert np.abs(M - np.eye(2)).max() == 0.0
+
+    @pytest.mark.parametrize("field", [tanh_field(2, 2, coef_seed=5), tanh_field(1, 1, coef_seed=5),
+                                       constant_field(np.ones((2, 1)),
+                                                      beta_matrix=[[8.0, 1.0], [0.0, -8.0]])],
+                             ids=["tanh2", "tanh1", "stiff"])
+    def test_flow_table(self, field):
+        # the prefix scans give the fundamental matrix normalized at the
+        # middle grid point r: M_k = M0_k M0_r^{-1} for the t = 0 flow M0
+        # that the oracle forms one step at a time
+        g = TimeGrid.uniform(513)
+        ctx = expansion_context(field, random_smooth_path(g, field.d, np.random.default_rng(5)))
+        M, Minv = ctx.flow
+        M0, M0inv = linear_flow_oracle(ctx)
+        r = 256
+        assert np.array_equal(M[r], np.eye(field.n))
+        for got, want in ((M @ M0[r], M0), (M0inv[r] @ Minv, M0inv)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(M @ Minv - np.eye(field.n)).max() < 1e-13
 
     def test_constant_generator_expm(self):
         # beta(y) = A y gives Omega = A t and M_1 = expm(A)
@@ -257,7 +296,7 @@ class TestLinearFlow:
         g = TimeGrid.uniform(513)
         field = constant_field(np.zeros((2, 1)), beta_matrix=A)
         ctx = expansion_context(field, SampledPath(g, np.zeros((513, 1))))
-        M, _ = linear_flow(ctx)
+        M, _ = linear_flow_oracle(ctx)
         assert np.abs(M[-1] - expm(A)).max() < 1e-6
 
     def test_inverse_identity(self):
@@ -265,7 +304,7 @@ class TestLinearFlow:
         field = tanh_field(2, 2, coef_seed=5)
         rng = np.random.default_rng(1)
         ctx = expansion_context(field, random_smooth_path(g, 2, rng))
-        M, Minv = linear_flow(ctx)
+        M, Minv = linear_flow_oracle(ctx)
         assert np.abs(np.einsum("tab,tbc->tac", M, Minv) - np.eye(2)).max() < 1e-8
 
     def test_flow_property(self):
@@ -274,7 +313,7 @@ class TestLinearFlow:
         field = tanh_field(2, 2, coef_seed=5)
         rng = np.random.default_rng(2)
         ctx = expansion_context(field, random_smooth_path(g, 2, rng))
-        M_all, _ = linear_flow(ctx)
+        M_all, _ = linear_flow_oracle(ctx)
         iu = 64
         M = np.eye(2)
         for i in range(iu, 128):
@@ -291,7 +330,7 @@ class TestLinearFlow:
         field = tanh_field(2, 2, coef_seed=7)
         rng = np.random.default_rng(3)
         ctx = expansion_context(field, random_smooth_path(g, 2, rng))
-        _, Minv = linear_flow(ctx)
+        _, Minv = linear_flow_oracle(ctx)
         N = np.eye(2)
         for i in range(256):
             s1 = -N @ ctx.omL[i]
