@@ -184,8 +184,9 @@ class FbmSampler:
             state["state"]["counter"][2] = lo + j
             bits.state = state
             self._rng.standard_normal(out=Z[j])
-        vals = np.zeros((hi - lo, self.m + 1, self.d))
-        vals[:, 1:] = np.matmul(self.L, Z[:, : self.m])
+        vals = np.empty((hi - lo, self.m + 1, self.d))
+        vals[:, 0] = 0.0
+        np.matmul(self.L, Z[:, : self.m], out=vals[:, 1:])
         if self.pairing is None:
             return vals, None
         # per-sample sums in a fixed order, so batch splits cannot change eta

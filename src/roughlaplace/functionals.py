@@ -237,6 +237,8 @@ def tanh_field(
     def beta(eps, y):
         y = np.asarray(y, dtype=float)
         t0 = np.tanh(np.einsum("ab,...b->...a", V, y))
+        if eps == 0:
+            return c0 * t0
         t1 = np.tanh(np.einsum("ab,...b->...a", U, y) + g)
         t2 = np.tanh(np.einsum("ab,...b->...a", Zm, y))
         return c0 * t0 + eps * c1 * t1 + 0.5 * eps**2 * c2 * t2

@@ -367,7 +367,9 @@ def mc_laplace(
     same quantity.  Each sample batch [lo, lo + batch) is drawn once and
     shared by every eps; the batches run over ``workers`` processes
     (:func:`_map_blocks`) and do not depend on ``workers``, so neither do the
-    numbers.  Returns a list of (eps, J_hat, se, n) rows.
+    numbers.  Returns a list of (eps, J_hat, se, n) rows; an eps whose J
+    overflows the float range raises ``ValueError`` naming eps and the log
+    of J's scale.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
@@ -380,17 +382,28 @@ def mc_laplace(
     gen = FbmSampler(grid, H, field_spec.d, seed, kind=_STREAM_MC,
                      gamma=gamma_cm if use_shift else None)
     norm_sq = gamma_cm.norm_sq() if use_shift else 0.0
-    gamma_vals = gamma_cm.induced_path.values if use_shift else 0.0
+    gamma_vals = gamma_cm.induced_path.values if use_shift else np.zeros((len(grid), gen.d))
+
+    def increments(vals, eps):
+        """Increments (N - 1, batch, d) of eps X + gamma from step-major
+        samples X (N, batch, d); gamma is added one coordinate at a time, so
+        each sum runs along the batch axis, not over a sample's d entries.
+        The path eps X + gamma is freed on return, before the solve."""
+        Z = eps * vals
+        for k in range(gen.d):
+            Z[..., k] += gamma_vals[:, None, k]
+        return np.diff(Z, axis=0)
 
     def block(lo):
         vals, eta = gen.batch(lo, min(lo + batch, n_samples))
-        log_t = np.empty((len(eps_list), len(vals)))
-        g_t = np.empty((len(eps_list), len(vals)))
+        # step-major samples, once per block: every eps's increments then
+        # reach the stepper in its layout, so it copies none of them
+        vals = np.moveaxis(vals, -2, 0).copy()
+        log_t = np.empty((len(eps_list), vals.shape[1]))
+        g_t = np.empty((len(eps_list), vals.shape[1]))
         for e, eps in enumerate(eps_list):
-            Z = eps * vals + gamma_vals
-            sol = heun_controlled(
-                field_spec, grid, np.diff(Z, axis=-2), np.zeros(field_spec.n), eps_beta=eps
-            )
+            sol = heun_controlled(field_spec, grid, np.moveaxis(increments(vals, eps), 0, -2),
+                                  np.zeros(field_spec.n), eps_beta=eps)
             Fv = np.asarray(functional.value(sol, grid), dtype=float)
             log_t[e] = -Fv / eps**2
             g_t[e] = np.asarray(G.value(sol, grid), dtype=float)
@@ -406,8 +419,16 @@ def mc_laplace(
         # log-domain guard against overflow: factor out the max exponent
         mshift = lt.max()
         w = gt * np.exp(lt - mshift)
-        J = math.exp(mshift) * float(w.mean()) if math.isfinite(mshift) else 0.0
-        se = math.exp(mshift) * float(w.std(ddof=1) / math.sqrt(n_samples))
+        try:
+            scale = math.exp(mshift)
+        except OverflowError:
+            raise ValueError(
+                f"J at eps = {eps} overflows: the log of its scale, the largest "
+                f"log-integrand {mshift:.6g}, is past the float range "
+                f"({math.log(np.finfo(float).max):.6g})"
+            ) from None
+        J = scale * float(w.mean()) if math.isfinite(mshift) else 0.0
+        se = scale * float(w.std(ddof=1) / math.sqrt(n_samples))
         rows.append((float(eps), J, se, n_samples))
     return rows
 

@@ -173,30 +173,38 @@ def heun_controlled(
     """Heun steps for dy = sigma(y) dZ + beta(eps, y) dt along given increments.
 
     ``driver_increments`` has shape (..., n_steps, d), leading axes batch;
-    the returned array is (..., N, n).
+    the returned array is (..., N, n).  The steps run in step-major memory:
+    the increments are copied once into (n_steps, ..., d) order (no copy
+    when the caller's array is already laid out so), and the states are
+    written into an (N, ..., n) buffer, so each step reads and writes
+    contiguous slabs instead of slices strided by a whole path.  The result
+    is that buffer's (..., N, n) view: with leading axes it is not
+    C-contiguous.
     """
     inc = np.asarray(driver_increments, dtype=float)
     n_steps = inc.shape[-2]
     if n_steps != grid.n_steps:
         raise ValueError("driver increments do not match the grid")
     dt = grid.dt
-    y = np.broadcast_to(np.asarray(y0, dtype=float), inc.shape[:-2] + (field.n,)).copy()
-    out = np.empty(inc.shape[:-2] + (len(grid), field.n))
-    out[..., 0, :] = y
+    inc = np.ascontiguousarray(np.moveaxis(inc, -2, 0))
+    out = np.empty((len(grid),) + inc.shape[1:-1] + (field.n,))
+    out[0] = np.asarray(y0, dtype=float)
+    y = out[0]
 
     def rhs(yv, dz, h):
         sig = field.sigma_at(yv)
         return np.einsum("...ab,...b->...a", sig, dz) + field.beta_at(eps_beta, yv) * h
 
     for i in range(n_steps):
-        dz = inc[..., i, :]
+        dz = inc[i]
         h = dt[i]
         s1 = rhs(y, dz, h)
         s2 = rhs(y + s1, dz, h)
-        y = y + 0.5 * (s1 + s2)
+        s1 += s2
+        s1 *= 0.5
+        y = np.add(y, s1, out=out[i + 1])
         field.check_guard(y)
-        out[..., i + 1, :] = y
-    return out
+    return np.moveaxis(out, 0, -2)
 
 
 def _matvec(C: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:

@@ -24,6 +24,40 @@ from roughlaplace.taylor import (
 from roughlaplace.variation import restrict_dyadic
 
 
+def heun_reference(
+    field: VectorFieldSpec,
+    grid: TimeGrid,
+    driver_increments: np.ndarray,
+    y0: np.ndarray,
+    eps_beta: float = 0.0,
+) -> np.ndarray:
+    """Reference for :func:`roughlaplace.odes.heun_controlled`: the same Heun
+    steps in sample-major memory, reading the increments ``[..., i, :]`` and
+    writing the states ``[..., i + 1, :]`` of (..., N, n) arrays."""
+    inc = np.asarray(driver_increments, dtype=float)
+    n_steps = inc.shape[-2]
+    if n_steps != grid.n_steps:
+        raise ValueError("driver increments do not match the grid")
+    dt = grid.dt
+    y = np.broadcast_to(np.asarray(y0, dtype=float), inc.shape[:-2] + (field.n,)).copy()
+    out = np.empty(inc.shape[:-2] + (len(grid), field.n))
+    out[..., 0, :] = y
+
+    def rhs(yv, dz, h):
+        sig = field.sigma_at(yv)
+        return np.einsum("...ab,...b->...a", sig, dz) + field.beta_at(eps_beta, yv) * h
+
+    for i in range(n_steps):
+        dz = inc[..., i, :]
+        h = dt[i]
+        s1 = rhs(y, dz, h)
+        s2 = rhs(y + s1, dz, h)
+        y = y + 0.5 * (s1 + s2)
+        field.check_guard(y)
+        out[..., i + 1, :] = y
+    return out
+
+
 def compute_phi0(field_spec: VectorFieldSpec, gamma: SampledPath) -> SampledPath:
     """Base path: d phi0 = sigma(phi0) dgamma + beta(0, phi0) dt."""
     vals = heun_controlled(field_spec, gamma.grid, gamma.increments(), np.zeros(field_spec.n))

@@ -208,6 +208,16 @@ class TestGaussianOracle:
             scale = math.exp(a / eps**2)
             assert abs(J * scale - alpha0) < 3 * se * scale
 
+    def test_J_overflow_named(self, report):
+        # eps = 0.01 puts the log of J's scale near -a/eps^2 = 840, past the
+        # float range: a named ValueError, not a bare OverflowError
+        F, field = endpoint_quadratic(self.Q, v=self.v), constant_field(self.S)
+        grid = report.gamma.induced_path.grid
+        with pytest.raises(ValueError, match=r"J at eps = 0\.01 overflows: .* largest "
+                                             r"log-integrand 8\d\d\.\d+"):
+            mc_laplace(F, None, field, H_TEST, grid, [0.01], 64,
+                       use_shift=True, gamma_cm=report.gamma, seed=31)
+
 
 class TestDegenerateInputs:
     """Fewer than two samples or an empty basis fail with a named reason,

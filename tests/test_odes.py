@@ -6,7 +6,10 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import heun_fold, linear_flow_oracle, random_smooth_path
-from roughlaplace.functionals import constant_field, endpoint_quadratic, tanh_field
+from oracles import heun_reference
+from roughlaplace.functionals import (
+    constant_field, endpoint_quadratic, fractional_drift_field, rotation_field, tanh_field,
+)
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.hessian import hessian_matrix
 from roughlaplace.odes import (
@@ -87,6 +90,53 @@ class TestHeunControlled:
         inc[3] = np.nan
         with pytest.raises(DivergenceError, match="not finite"):
             heun_controlled(constant_field([[1.0]]), g, inc, np.zeros(1))
+
+
+HEUN_FIELDS = {
+    "constant": constant_field([[1.0, 0.3], [-0.2, 0.8]], beta_matrix=[[0.1, 0.0], [0.0, -0.2]]),
+    "tanh": tanh_field(2, 3, coef_seed=6),
+    "rotation": rotation_field(2),
+    "fractional": fractional_drift_field(tanh_field(2, 2, coef_seed=3), 2.5),
+}
+
+
+class TestHeunStepMajor:
+    """The step-major stepper gives the bits of the sample-major loop."""
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("eps_beta", [0.0, 0.3])
+    @pytest.mark.parametrize("name", sorted(HEUN_FIELDS))
+    def test_bit_identical(self, name, eps_beta, lead):
+        field = HEUN_FIELDS[name]
+        g = TimeGrid.uniform(33)
+        rng = np.random.default_rng(11)
+        inc = 0.3 * rng.standard_normal(lead + (g.n_steps, field.d))
+        y0 = rng.uniform(-0.5, 0.5, field.n)
+        want = heun_reference(field, g, inc, y0, eps_beta)
+        # the same increments as a step-major view, which the stepper does not copy
+        step_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(inc, -2, 0)), 0, -2)
+        for given in (inc, step_major):
+            got = heun_controlled(field, g, given, y0, eps_beta)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_divergence_same_step(self):
+        # dy = y dZ along increments 0.5, and 1.0 on path 1, which crosses the guard first
+        g = TimeGrid.uniform(17)
+        inc = np.full((3, g.n_steps, 1), 0.5)
+        inc[1] *= 2.0
+
+        def failure(solver):
+            calls = []
+            field = VectorFieldSpec(n=1, d=1, sigma=lambda y: np.asarray(y)[..., None],
+                                    beta=lambda e, y: calls.append(1) or np.zeros(np.shape(y)),
+                                    guard=50.0)
+            with pytest.raises(DivergenceError) as err:
+                solver(field, g, inc, np.ones(1))
+            return str(err.value), len(calls)  # two beta calls per step
+
+        got, want = failure(heun_controlled), failure(heun_reference)
+        assert got == want and want[1] < 2 * g.n_steps
 
 
 def two_stage_solve(omL, omR, srcL, srcR):
