@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import math
 import sys
 import time
@@ -166,9 +165,6 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-_log = logging.getLogger("roughlaplace")
-
-
 class RunContext:
     def __init__(self, cfg: ExperimentConfig, out_dir: Path, workers: int = 1):
         self.cfg = cfg
@@ -182,14 +178,12 @@ class RunContext:
 
     @contextmanager
     def stage(self, name: str):
-        """Time the enclosed block; the manifest reports it under ``timings``
-        and the ``roughlaplace`` logger at INFO."""
+        """Time the enclosed block; the manifest reports it under ``timings``."""
         t0 = time.perf_counter()
         try:
             yield
         finally:
             self.timings[name] = time.perf_counter() - t0
-            _log.info("%s %s: %.3f s", self.cfg.kind, name, self.timings[name])
 
     def manifest(self, status: str):
         doc = {
@@ -610,9 +604,6 @@ def main(argv=None) -> int:
         sp.add_argument("--workers", type=int, default=1,
                         help="worker processes for the laplace kind's Monte Carlo "
                              "blocks (forked; numbers do not depend on it)")
-        sp.add_argument("--log-level", type=str.upper, default="WARNING",
-                        choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"],
-                        help="level of the roughlaplace logger (INFO: stage timings)")
     sp = sub.add_parser("schema", help="write SCHEMA.md documenting artifact columns")
     sp.add_argument("--out", type=str, default="SCHEMA.md")
 
@@ -622,8 +613,6 @@ def main(argv=None) -> int:
         print(f"wrote {args.out}")
         return 0
 
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("roughlaplace").setLevel(args.log_level)
     raw = {}
     if args.config:
         raw = json.loads(Path(args.config).read_text())

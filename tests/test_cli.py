@@ -1,5 +1,4 @@
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -197,35 +196,6 @@ class TestMain:
         assert rc == 2
         assert "N_list must reach mode 4" in capsys.readouterr().err
         assert not list(tmp_path.glob("hessian-*"))  # rejected before hessian.csv
-
-    def test_log_level_reports_stage_timings(self, tmp_path, capsys, caplog):
-        logger = logging.getLogger("roughlaplace")
-        level = logger.level
-        try:
-            assert main(["kappa", "--out", str(tmp_path / "quiet")]) == 0
-            assert not caplog.records
-            assert main(["kappa", "--out", str(tmp_path / "info"), "--log-level", "info"]) == 0
-        finally:
-            logger.setLevel(level)
-        (rec,) = caplog.records
-        assert (rec.name, rec.levelno) == ("roughlaplace", logging.INFO)
-        assert rec.getMessage().startswith("kappa ladder_s: ")
-        assert capsys.readouterr().err == ""
-
-    def test_log_level_stderr(self, tmp_path):
-        root = Path(__file__).resolve().parents[1]
-        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-
-        def stderr(*extra):
-            proc = subprocess.run(
-                [sys.executable, "-m", "roughlaplace.cli", "kappa", "--out", str(tmp_path), *extra],
-                env=env, capture_output=True, text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            return proc.stderr
-
-        assert stderr() == ""  # nothing new at the default level
-        assert stderr("--log-level", "INFO").startswith("INFO roughlaplace: kappa ladder_s: ")
 
     def test_workers_below_one_exit_code(self, tmp_path, capsys):
         rc = main(["kappa", "--out", str(tmp_path), "--workers", "0"])
