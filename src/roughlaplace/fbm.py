@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import eval_gegenbauer, eval_legendre, gamma
 
 from .grids import SampledPath, TimeGrid
 
@@ -293,6 +293,43 @@ def _check_n_modes(n_modes: int):
         )
 
 
+def _gauss_jacobi(n: int, alpha: float):
+    """Nodes and weights of the n-point Gauss rule for the weight
+    (1 - x^2)^alpha on [-1, 1], alpha > -1/2: bit for bit those of scipy's
+    ``roots_jacobi(n, alpha, alpha)``, by the same route, without the
+    ``scipy.linalg`` import behind it.
+
+    The symmetric Jacobi weight is Gegenbauer's with lambda = alpha + 1/2
+    (Legendre's at alpha = 0).  The nodes are the eigenvalues of the
+    polynomials' symmetric tridiagonal Jacobi matrix (Golub & Welsch, Math.
+    Comp. 23, 1969), refined by one Newton step.  The weights are
+    1 / (C_{n-1}(x) C_n'(x)) with both factors log-normalised; nodes and
+    weights are then symmetrised and the weights scaled to the weight's
+    integral mu_0.
+    """
+    k = np.arange(1, n, dtype=float)
+    if alpha == 0.0:
+        f, mu0, c = eval_legendre, 2.0, n
+        off = k * np.sqrt(1.0 / (4 * k * k - 1))
+    else:
+        lam = alpha + 0.5
+        f = lambda m, x: eval_gegenbauer(m, lam, x)
+        mu0, c = (np.sqrt(np.pi) * gamma(lam + 0.5)) / gamma(lam + 1), n + 2 * lam - 1
+        off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
+    x = np.linalg.eigvalsh(np.diag(off, -1))  # reads the lower triangle only
+    dy = (-n * x * f(n, x) + c * f(n - 1, x)) / (1 - x**2)
+    x -= f(n, x) / dy
+    fm = f(n - 1, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= mu0 / w.sum()
+    return x, w
+
+
 class _KernelQuadrature:
     """Gauss-Jacobi rule absorbing both endpoint singularities of the kernel.
 
@@ -307,7 +344,7 @@ class _KernelQuadrature:
     def __init__(self, H: float):
         self.H = H
         alpha = H - 0.5
-        xs, ws = roots_jacobi(_QUAD_NODES, alpha, alpha)
+        xs, ws = _gauss_jacobi(_QUAD_NODES, alpha)
         self.x = (xs + 1.0) / 2.0
         self.w = ws * 2.0 ** (-(2.0 * alpha + 1.0))
         if H == 0.5:

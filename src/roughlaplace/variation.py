@@ -8,9 +8,17 @@ for judging closeness.
 
 One dynamic program (:func:`_chain_dp`) serves every caller and batches over
 paths: its Python loop runs once per grid index for a whole stack of them.
-:func:`pvar_values` is the batched entry for paths (..., N, dim);
-:func:`pvar_exact` runs it on one path and returns a maximising partition.
-Increments are measured in the Euclidean norm.
+Increments are measured in the Euclidean norm.  The two entry points:
+
+- :func:`pvar_values` computes values only, for a stack of paths
+  (..., N, dim): no tie counts and no back pointers, since the maximum does
+  not depend on which maximiser is kept.  A scalar stack is cut into sorted
+  chunks of rows with similar turning-point counts.  The Hilbert-Schmidt
+  diagnostics, the Taylor remainder slopes and the CLI's ``pvar`` kind use
+  it.
+- :func:`pvar_exact` computes the value of one path together with a
+  maximising partition, the one caller that asks the program for back
+  pointers and its tie rule.
 
 For a scalar path the dynamic program runs on the path's turning points only
 (Butkus & Norvaisa, "Computation of p-variation", Lith. Math. J. 58, 2018).
@@ -23,7 +31,6 @@ dyadic grid, for the dyadic ladder of :mod:`roughlaplace.taylor`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,40 +55,68 @@ class VariationResult:
     optimal_partition: list
 
 
-def _chain_dp(column, lead: tuple, n: int, p: float):
-    """The p-variation dynamic program: one loop for a batch of paths.
+# Rows per value recursion of a scalar stack: rows are sorted by their
+# turning-point count, and each chunk is padded only to its own longest row.
+_CHUNK = 128
 
-    ``column(j)`` gives, for the B = prod(lead) paths, the p-th powers (B, j)
-    of the weights of the pairs (i, j), i < j.  For each path the supremum of
-    their sum runs over index chains ``0 = a_0 < ... < a_m = n - 1``.  Ties
-    go to the largest sum, then the fewest points, then the earliest index,
-    so golden outputs are stable.
 
-    Returns ``(values, prev)``: the p-variations (lead) and the back
-    pointers (lead + (n,)), ``prev[..., j]`` being the point before j on the
-    best chain ending at j.  The 1/p root is taken path by path in scalar
-    arithmetic, because numpy's vectorized power may differ from libm's by
-    an ulp.
+def _chain_dp(column, B: int, n: int, p: float, pointers: bool = False):
+    """The p-variation dynamic program: one loop for a batch of B paths.
+
+    ``column(j)`` gives, for the B paths, the p-th powers (B, j) of the
+    weights of the pairs (i, j), i < j, as a fresh array the program adds
+    into.  For each path the supremum of their sum runs over index chains
+    ``0 = a_0 < ... < a_m = n - 1``; the maximum does not depend on which
+    maximiser is kept.
+
+    Returns ``(values, prev)``: the p-variations (B,) and, with
+    ``pointers``, the back pointers (B, n), ``prev[:, j]`` being the point
+    before j on the best chain ending at j (None otherwise).  Ties among
+    chains go to the largest sum, then the fewest points, then the earliest
+    index, so golden partitions are stable.  The 1/p root is taken path by
+    path in scalar arithmetic, because numpy's vectorized power may differ
+    from libm's by an ulp.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    rows = np.arange(math.prod(lead))
-    best = np.full((rows.size, n), -np.inf)
-    counts = np.zeros((rows.size, n), dtype=int)
-    prev = np.zeros((rows.size, n), dtype=int)
+    best = np.empty((B, n))
     best[:, 0] = 0.0
-    counts[:, 0] = 1
+    prev = None
+    if pointers:
+        rows = np.arange(B)
+        counts = np.ones((B, n), dtype=int)
+        prev = np.zeros((B, n), dtype=int)
     for j in range(1, n):
-        cand = best[:, :j] + column(j)
+        cand = column(j)
+        cand += best[:, :j]
         m = cand.max(axis=1)
-        i = np.where(cand == m[:, None], counts[:, :j], n + 1).argmin(axis=1)
         best[:, j] = m
-        counts[:, j] = counts[rows, i] + 1
-        prev[:, j] = i
+        if pointers:
+            i = np.where(cand == m[:, None], counts[:, :j], n + 1).argmin(axis=1)
+            counts[:, j] = counts[rows, i] + 1
+            prev[:, j] = i
     values = np.array([s ** (1.0 / p) for s in best[:, -1]])
     if np.isnan(values).any():  # a NaN weight passes through max into every later sum
         raise ValueError("increment magnitudes contain NaN")
-    return values.reshape(lead), prev.reshape(lead + (n,))
+    return values, prev
+
+
+def _weights(pts: np.ndarray, p: float):
+    """``column(j)`` for :func:`_chain_dp`: the weights |x_j - x_i|^p, i < j,
+    of scalar rows (B, n) or vector paths (B, n, dim), one column at a time,
+    so no (n, n) array is stored.  A scalar |d| equals the Euclidean
+    sqrt(d * d) bit for bit in binary64 unless d * d underflows or overflows.
+    """
+    def column(j):
+        w = pts[:, j, None] - pts[:, :j]
+        if w.ndim == 3:
+            w = np.sqrt(np.einsum("...k,...k->...", w, w))
+        else:
+            np.abs(w, out=w)
+        w **= p
+        return w
+
+    return column
 
 
 def _turning_points(x: np.ndarray):
@@ -90,62 +125,54 @@ def _turning_points(x: np.ndarray):
 
     A run of equal values counts as one sample, at its first index.  Returns
     ``idx`` (B, n), each row's points padded to the longest list by
-    repeating the last index.
+    repeating the last index, and each row's number of points (B,).
     """
     B, N = x.shape
+    if np.isnan(x).any():  # the reduction could drop the NaN sample
+        raise ValueError("path values contain NaN")
     d = np.diff(x, axis=1)
     rows, moves = np.nonzero(d)  # row-major: a row's moves are consecutive
     up = d[rows, moves] > 0.0
     turn = (rows[1:] == rows[:-1]) & (up[1:] != up[:-1])
     rows, turns = rows[:-1][turn], moves[:-1][turn] + 1
     n_turns = np.bincount(rows, minlength=B)
-    idx = np.full((B, n_turns.max() + 2), N - 1)
+    idx = np.full((B, n_turns.max(initial=0) + 2), N - 1)
     idx[:, 0] = 0
     first = np.cumsum(n_turns) - n_turns  # each row's first entry in ``turns``
     idx[rows, np.arange(rows.size) - first[rows] + 1] = turns
-    return idx
-
-
-def _path_dp(values: np.ndarray, p: float):
-    """:func:`_chain_dp` on paths (..., N, dim), N >= 2, in the Euclidean
-    norm.  Returns ``(values, prev, idx)``.
-
-    A scalar batch runs on each path's turning points, padded to the longest
-    list by repeating its last sample (:func:`_turning_points`); ``idx``
-    (B, n) maps the points to grid indices, B paths in row-major order of
-    the leading axes.  Every padded column adds an exact 0 to a chain
-    through the path's last point, so the value at the last column equals
-    the value at the path's own end, bit for bit.  Otherwise the program
-    runs on the full grid and ``idx`` is None.  Each column of weights is
-    formed as the loop reaches it, so no (N, N) array is stored.
-    """
-    lead, N = values.shape[:-2], values.shape[-2]
-    if N < 2:
-        raise ValueError("need at least two grid points")
-    points, idx = values, None
-    if values.shape[-1] == 1:
-        x = values.reshape(-1, N)
-        if np.isnan(x).any():  # the reduction could drop the NaN sample
-            raise ValueError("path values contain NaN")
-        idx = _turning_points(x)
-        points = np.take_along_axis(x, idx, axis=1).reshape(lead + (idx.shape[1], 1))
-    flat = points.reshape((-1,) + points.shape[-2:])
-
-    def column(j):
-        diffs = flat[:, j, None, :] - flat[:, :j, :]  # x_j - x_i
-        return np.sqrt(np.einsum("...k,...k->...", diffs, diffs)) ** p
-
-    return _chain_dp(column, points.shape[:-2], points.shape[-2], p) + (idx,)
+    return idx, n_turns + 2
 
 
 def pvar_values(values, p: float) -> np.ndarray:
-    """Grid p-variations (...) of the paths ``values`` (..., N, dim), one
-    dynamic program for the whole batch.
+    """Grid p-variations (...) of the paths ``values`` (..., N, dim), values
+    only: no partition is traced.
 
-    Each entry equals ``pvar_exact`` of that path alone, bit for bit
-    (:func:`_path_dp`).
+    Vector paths run one full-grid program for the whole stack.  A scalar
+    stack runs on each row's turning points (:func:`_turning_points`,
+    computed once per call): the rows are sorted by their number of points
+    and run in chunks of ``_CHUNK``, each padded to its own longest row by
+    repeating that row's last sample.  A padded column adds an exact 0 to a
+    chain through the row's last point, so the value at the chunk's last
+    column equals the value at the row's own end, bit for bit.  Each entry
+    equals ``pvar_exact`` of that path alone, bit for bit.
     """
-    return _path_dp(np.asarray(values, dtype=float), p)[0]
+    values = np.asarray(values, dtype=float)
+    lead, N = values.shape[:-2], values.shape[-2]
+    if N < 2:
+        raise ValueError("need at least two grid points")
+    if values.shape[-1] != 1:
+        flat = values.reshape((-1,) + values.shape[-2:])
+        return _chain_dp(_weights(flat, p), len(flat), N, p)[0].reshape(lead)
+    x = values.reshape(-1, N)
+    idx, n_points = _turning_points(x)
+    order = np.argsort(n_points, kind="stable")
+    out = np.empty(len(x))
+    for lo in range(0, len(order), _CHUNK):
+        chunk = order[lo:lo + _CHUNK]
+        n = n_points[chunk[-1]]
+        pts = np.take_along_axis(x[chunk], idx[chunk, :n], axis=1)
+        out[chunk] = _chain_dp(_weights(pts, p), len(chunk), n, p)[0]
+    return out.reshape(lead)
 
 
 def pvar_exact(path: SampledPath, p: float) -> VariationResult:
@@ -175,14 +202,19 @@ def pvar_exact(path: SampledPath, p: float) -> VariationResult:
     in exact arithmetic, so on non-integer data the full program's choice,
     and its value in the last bits, is decided by rounding.
     """
-    value, prev, idx = _path_dp(path.values, p)
-    partition = [len(prev) - 1]
+    values = path.values
+    if path.dim == 1:
+        x = values.reshape(1, -1)
+        idx = _turning_points(x)[0][0]
+        points = x[:, idx]
+    else:
+        idx, points = np.arange(len(values)), values[None]
+    value, prev = _chain_dp(_weights(points, p), 1, len(idx), p, pointers=True)
+    partition = [len(idx) - 1]
     while partition[-1] != 0:
-        partition.append(int(prev[partition[-1]]))
+        partition.append(int(prev[0, partition[-1]]))
     partition.reverse()
-    if idx is not None:
-        partition = [int(idx[0, i]) for i in partition]
-    return VariationResult(value=value[()], optimal_partition=partition)
+    return VariationResult(value=value[0], optimal_partition=[int(idx[i]) for i in partition])
 
 
 def cosine_pvar(n: int, p: float) -> float:

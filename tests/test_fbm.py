@@ -1,5 +1,9 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from roughlaplace.fbm import (
     FbmSampler,
     HurstParams,
     _cov_matrix,
+    _gauss_jacobi,
     _hyp2f1_series,
     _kernel_hyp2f1,
     _volterra_scale,
@@ -212,6 +217,32 @@ class TestVolterraKernel:
         t, s = 0.8, 0.8 * float(xs[10])
         pre = _volterra_scale(H) * (t - s) ** (H - 0.5) * (t / s) ** (0.5 - H)
         assert volterra_kernel(t, s, H) == pytest.approx(pre * nodes[10], rel=1e-14)
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("H", [0.26, 0.3, 0.3333, 0.4, 0.45, 0.5])
+    def test_matches_roots_jacobi(self, H):
+        # H = 1/2 is the Legendre branch, the others Gegenbauer's
+        x, w = _gauss_jacobi(96, H - 0.5)
+        want_x, want_w = roots_jacobi(96, H - 0.5, H - 0.5)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
+    def test_does_not_import_scipy_linalg(self):
+        code = (
+            "import sys\n"
+            "import roughlaplace.cli\n"
+            "from roughlaplace.fbm import cm_basis\n"
+            "from roughlaplace.grids import TimeGrid\n"
+            "cm_basis(0.4, TimeGrid.uniform(9), 4, 1)\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCmMap:

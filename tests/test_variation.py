@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair_norms_oracle, pvar_backbone_oracle, pvar_oracle
+from conftest import pair_norms_oracle, pvar_backbone_oracle, pvar_oracle, pvar_values_oracle
 from oracles import coarsen_dyadic, dyadic_approx
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.variation import (
+    _CHUNK,
     _chain_dp,
+    _turning_points,
     cosine_pvar,
     pvar_exact,
     pvar_values,
@@ -272,12 +274,14 @@ class TestBatchedDP:
         rng = np.random.default_rng(12)
         weights = rng.integers(0, 4, (2, 3, 9, 9)).astype(float)
         flat = (weights**p).reshape(-1, 9, 9)
-        values, prev = _chain_dp(lambda j: flat[:, :j, j], (2, 3), 9, p)
-        assert values.shape == (2, 3)
-        for ix in np.ndindex(values.shape):
-            assert values[ix] == pvar_backbone_oracle(weights[ix], p).value
+        values, prev = _chain_dp(lambda j: flat[:, :j, j].copy(), 6, 9, p, pointers=True)
+        assert values.shape == (6,)
+        for b, w in enumerate(weights.reshape(-1, 9, 9)):
+            assert values[b] == pvar_backbone_oracle(w, p).value
+        # without pointers the program gives the same values and no chains
+        alone, none = _chain_dp(lambda j: flat[:, :j, j].copy(), 6, 9, p)
+        assert np.array_equal(alone, values) and none is None
         # the back pointers of the shared program follow the oracle's chains
-        prev = prev.reshape(-1, 9)
         for b, w in enumerate(weights.reshape(-1, 9, 9)):
             chain = [8]
             while chain[-1] != 0:
@@ -291,10 +295,34 @@ class TestBatchedDP:
         w = np.zeros((5, 5))
         w[0, 1] = w[1, 2] = w[0, 2] = w[2, 4] = w[3, 4] = 1.0
         w[0, 3] = 2.0
-        values, prev = _chain_dp(lambda j: np.stack([w, w])[:, :j, j], (2,), 5, 1.0)
+        values, prev = _chain_dp(lambda j: np.stack([w, w])[:, :j, j], 2, 5, 1.0, pointers=True)
         want = pvar_backbone_oracle(w, 1.0)
         assert want.optimal_partition == [0, 3, 4]
         assert list(values) == [want.value] * 2 and list(prev[:, 4]) == [3, 3]
+
+    @pytest.mark.parametrize("p", (1.0, 2.78))
+    def test_large_stack_sorted_chunks(self, p):
+        # 330 shuffled rows whose turning-point counts run from 2 to 200,
+        # with flat runs inside monotone stretches and at extrema, span
+        # several sorted chunks of unequal width; every entry must come back
+        # to its own row, bit for bit
+        rng = np.random.default_rng(21)
+        n, rows = 400, []
+        for k in range(330):
+            # n_points - 1 monotone stretches of random lengths, alternating
+            n_points = 2 + k * 198 // 329
+            cuts = np.sort(rng.choice(np.arange(1, n - 1), n_points - 2, replace=False))
+            stretch = np.searchsorted(cuts, np.arange(n - 1), side="right")
+            steps = (0.5 + rng.random(n - 1)) * (-1.0) ** stretch
+            inner = np.diff(stretch, prepend=-1) == 0  # not a stretch's first step
+            steps[inner & (rng.random(n - 1) < 0.3)] = 0.0
+            rows.append(np.concatenate([[0.0], np.cumsum(steps)]))
+        rows[7][:] = 1.5  # one constant row
+        rows = np.asarray(rows)[rng.permutation(len(rows))]
+        n_points = _turning_points(rows)[1]
+        assert len(rows) > 2 * _CHUNK and n_points.min() == 2 and n_points.max() == 200
+        got = pvar_values(rows[:, :, None], p)
+        assert np.array_equal(got, pvar_values_oracle(rows[:, :, None], p))
 
     def test_rejects(self):
         with pytest.raises(ValueError, match="path values contain NaN"):
