@@ -295,9 +295,13 @@ def _check_n_modes(n_modes: int):
 
 def _gauss_jacobi(n: int, alpha: float):
     """Nodes and weights of the n-point Gauss rule for the weight
-    (1 - x^2)^alpha on [-1, 1], alpha > -1/2: bit for bit those of scipy's
-    ``roots_jacobi(n, alpha, alpha)``, by the same route, without the
-    ``scipy.linalg`` import behind it.
+    (1 - x^2)^alpha on [-1, 1], alpha > -1/2, by the route of scipy's
+    ``roots_jacobi(n, alpha, alpha)``, without the ``scipy.linalg`` import
+    behind it.  The eigenvalues come from ``numpy.linalg.eigvalsh``, a
+    different LAPACK driver from scipy's ``eigvals_banded``, so the two
+    rules are known to agree bit for bit only where that is tested (n = 96
+    at six H, ``TestGaussJacobi``); elsewhere they may differ in the last
+    bits.
 
     The symmetric Jacobi weight is Gegenbauer's with lambda = alpha + 1/2
     (Legendre's at alpha = 0).  The nodes are the eigenvalues of the

@@ -12,10 +12,8 @@ Increments are measured in the Euclidean norm.  The two entry points:
 
 - :func:`pvar_values` computes values only, for a stack of paths
   (..., N, dim): no tie counts and no back pointers, since the maximum does
-  not depend on which maximiser is kept.  A scalar stack is cut into sorted
-  chunks of rows with similar turning-point counts.  The Hilbert-Schmidt
-  diagnostics, the Taylor remainder slopes and the CLI's ``pvar`` kind use
-  it.
+  not depend on which maximiser is kept.  The Hilbert-Schmidt diagnostics,
+  the Taylor remainder slopes and the CLI's ``pvar`` kind use it.
 - :func:`pvar_exact` computes the value of one path together with a
   maximising partition, the one caller that asks the program for back
   pointers and its tie rule.
@@ -53,11 +51,6 @@ class VariationResult:
 
     value: float
     optimal_partition: list
-
-
-# Rows per value recursion of a scalar stack: rows are sorted by their
-# turning-point count, and each chunk is padded only to its own longest row.
-_CHUNK = 128
 
 
 def _chain_dp(column, B: int, n: int, p: float, pointers: bool = False):
@@ -119,13 +112,13 @@ def _weights(pts: np.ndarray, p: float):
     return column
 
 
-def _turning_points(x: np.ndarray):
+def _turning_points(x: np.ndarray) -> np.ndarray:
     """Turning points of each row of ``x`` (B, N): index 0, the first index
     of every strict turn, and the last index.
 
     A run of equal values counts as one sample, at its first index.  Returns
     ``idx`` (B, n), each row's points padded to the longest list by
-    repeating the last index, and each row's number of points (B,).
+    repeating the last index.
     """
     B, N = x.shape
     if np.isnan(x).any():  # the reduction could drop the NaN sample
@@ -140,39 +133,40 @@ def _turning_points(x: np.ndarray):
     idx[:, 0] = 0
     first = np.cumsum(n_turns) - n_turns  # each row's first entry in ``turns``
     idx[rows, np.arange(rows.size) - first[rows] + 1] = turns
-    return idx, n_turns + 2
+    return idx
+
+
+def _dp_points(flat: np.ndarray):
+    """The grid indices and the points the dynamic program runs on, for a
+    stack of paths ``flat`` (B, N, dim).
+
+    A scalar stack runs on each row's turning points (:func:`_turning_points`):
+    returns ``idx`` (B, n) and the points (B, n), each row padded to the
+    longest by repeating its last sample.  A padded column adds an exact 0 to
+    a chain through the row's last point, so the value at the last column
+    equals the value at the row's own end, bit for bit.  Vector paths run on
+    the full grid: ``arange(N)`` and the paths themselves.
+    """
+    if flat.shape[-1] != 1:
+        return np.arange(flat.shape[1]), flat
+    x = flat[..., 0]
+    idx = _turning_points(x)
+    return idx, np.take_along_axis(x, idx, axis=1)
 
 
 def pvar_values(values, p: float) -> np.ndarray:
     """Grid p-variations (...) of the paths ``values`` (..., N, dim), values
-    only: no partition is traced.
-
-    Vector paths run one full-grid program for the whole stack.  A scalar
-    stack runs on each row's turning points (:func:`_turning_points`,
-    computed once per call): the rows are sorted by their number of points
-    and run in chunks of ``_CHUNK``, each padded to its own longest row by
-    repeating that row's last sample.  A padded column adds an exact 0 to a
-    chain through the row's last point, so the value at the chunk's last
-    column equals the value at the row's own end, bit for bit.  Each entry
+    only: one dynamic program for the whole stack, and no partition is
+    traced (:func:`_dp_points` gives the points it runs on).  Each entry
     equals ``pvar_exact`` of that path alone, bit for bit.
     """
     values = np.asarray(values, dtype=float)
     lead, N = values.shape[:-2], values.shape[-2]
     if N < 2:
         raise ValueError("need at least two grid points")
-    if values.shape[-1] != 1:
-        flat = values.reshape((-1,) + values.shape[-2:])
-        return _chain_dp(_weights(flat, p), len(flat), N, p)[0].reshape(lead)
-    x = values.reshape(-1, N)
-    idx, n_points = _turning_points(x)
-    order = np.argsort(n_points, kind="stable")
-    out = np.empty(len(x))
-    for lo in range(0, len(order), _CHUNK):
-        chunk = order[lo:lo + _CHUNK]
-        n = n_points[chunk[-1]]
-        pts = np.take_along_axis(x[chunk], idx[chunk, :n], axis=1)
-        out[chunk] = _chain_dp(_weights(pts, p), len(chunk), n, p)[0]
-    return out.reshape(lead)
+    flat = values.reshape((-1,) + values.shape[-2:])
+    points = _dp_points(flat)[1]
+    return _chain_dp(_weights(points, p), len(flat), points.shape[1], p)[0].reshape(lead)
 
 
 def pvar_exact(path: SampledPath, p: float) -> VariationResult:
@@ -202,13 +196,8 @@ def pvar_exact(path: SampledPath, p: float) -> VariationResult:
     in exact arithmetic, so on non-integer data the full program's choice,
     and its value in the last bits, is decided by rounding.
     """
-    values = path.values
-    if path.dim == 1:
-        x = values.reshape(1, -1)
-        idx = _turning_points(x)[0][0]
-        points = x[:, idx]
-    else:
-        idx, points = np.arange(len(values)), values[None]
+    idx, points = _dp_points(path.values[None])
+    idx = idx.reshape(-1)
     value, prev = _chain_dp(_weights(points, p), 1, len(idx), p, pointers=True)
     partition = [len(idx) - 1]
     while partition[-1] != 0:

@@ -10,7 +10,6 @@ from conftest import pair_norms_oracle, pvar_backbone_oracle, pvar_oracle, pvar_
 from oracles import coarsen_dyadic, dyadic_approx
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.variation import (
-    _CHUNK,
     _chain_dp,
     _turning_points,
     cosine_pvar,
@@ -301,11 +300,11 @@ class TestBatchedDP:
         assert list(values) == [want.value] * 2 and list(prev[:, 4]) == [3, 3]
 
     @pytest.mark.parametrize("p", (1.0, 2.78))
-    def test_large_stack_sorted_chunks(self, p):
+    def test_large_stack_padded_rows(self, p):
         # 330 shuffled rows whose turning-point counts run from 2 to 200,
-        # with flat runs inside monotone stretches and at extrema, span
-        # several sorted chunks of unequal width; every entry must come back
-        # to its own row, bit for bit
+        # with flat runs inside monotone stretches and at extrema, in one
+        # program padded to the longest row; every entry must equal its own
+        # row's value, bit for bit
         rng = np.random.default_rng(21)
         n, rows = 400, []
         for k in range(330):
@@ -319,8 +318,8 @@ class TestBatchedDP:
             rows.append(np.concatenate([[0.0], np.cumsum(steps)]))
         rows[7][:] = 1.5  # one constant row
         rows = np.asarray(rows)[rng.permutation(len(rows))]
-        n_points = _turning_points(rows)[1]
-        assert len(rows) > 2 * _CHUNK and n_points.min() == 2 and n_points.max() == 200
+        n_points = (np.diff(_turning_points(rows), axis=1) != 0).sum(axis=1) + 1
+        assert len(rows) > 300 and n_points.min() == 2 and n_points.max() == 200
         got = pvar_values(rows[:, :, None], p)
         assert np.array_equal(got, pvar_values_oracle(rows[:, :, None], p))
 
