@@ -52,13 +52,11 @@ from .laplace import (
     KappaLadder,
     LaplaceReport,
     OptConfig,
-    ShortTimeMap,
     expansion_constants,
     expansion_fit,
     kappa_ladder,
     mc_laplace,
     minimize_F_Lambda,
-    short_time_transform,
 )
 
 __version__ = "0.1.0"

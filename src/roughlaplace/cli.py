@@ -33,7 +33,6 @@ from .laplace import (
     kappa_ladder,
     mc_laplace,
     minimize_F_Lambda,
-    short_time_transform,
 )
 from .roughpath import chen_residual, lift, roughpath_to_csv, scale_plan
 from .taylor import expansion_context, solve_rde, taylor_remainder_slope
@@ -466,11 +465,7 @@ def run_kappa(rc: RunContext):
     count = cfg.extras.get("count", 9)
     with rc.stage("ladder_s"):
         ladder = kappa_ladder(cfg.H, count)
-        st = short_time_transform(cfg.extras.get("T", 0.25), cfg.H)
-        rows = [
-            (i, float(k), float(st.order_exponent(k)))
-            for i, k in enumerate(ladder.indices)
-        ]
+        rows = [(i, float(k), float(k * cfg.H)) for i, k in enumerate(ladder.indices)]
     _write(rc.out, "kappa.csv", _csv(rows, ["index", "kappa", "short_time_exponent"]))
 
 
@@ -585,7 +580,7 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
   level-2 antisymmetric (area) statistic.
 
 ## kappa
-- timings: `ladder_s` (kappa ladder and short-time exponents).
+- timings: `ladder_s` (kappa ladder and its exponents kappa*H).
 - `kappa.csv`: columns `index,kappa,short_time_exponent` (exponent = kappa*H).
 """
 

@@ -140,7 +140,9 @@ def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
     ``sigma`` and ``dbeta_y`` return read-only broadcast views of S and B,
     not copies; ``sigma`` builds one view per leading shape of y and returns
     it again on every later call with that shape (the Heun stages call it
-    once per stage with the same shape).
+    once per stage with the same shape).  Without drift ``beta`` returns one
+    read-only zero array per shape of y in the same way; it is contiguous,
+    since a stride-0 view makes the stepper's product with the step slower.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     n, d = S.shape
@@ -150,14 +152,19 @@ def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
     def sigma_view(lead):
         return np.broadcast_to(S, lead + (n, d))
 
+    @lru_cache(maxsize=32)
+    def zero_drift(shape):
+        z = np.zeros(shape)
+        z.flags.writeable = False
+        return z
+
     def sigma(y):
         return sigma_view(np.shape(y)[:-1])
 
     def beta(eps, y):
-        y = np.asarray(y, dtype=float)
         if B is None:
-            return np.zeros(y.shape)
-        return np.einsum("ab,...b->...a", B, y)
+            return zero_drift(np.shape(y))
+        return np.einsum("ab,...b->...a", B, np.asarray(y, dtype=float))
 
     def zeros(shape):
         return lambda *args: np.zeros(np.asarray(args[-1]).shape[:-1] + shape)

@@ -1,6 +1,6 @@
 """Minimization of the rate functional, expansion constants, importance-sampled
 Monte Carlo of the Laplace integral, expansion fitting, and the fractional
-exponent ladder with its short-time transform.
+exponent ladder.
 
 The minimized objective is F(Psi(gamma)) + ||gamma||^2/2 over the truncated
 Cameron-Martin cosine basis; the gradient along a basis direction e_a is the
@@ -39,13 +39,11 @@ __all__ = [
     "OptConfig",
     "LaplaceReport",
     "KappaLadder",
-    "ShortTimeMap",
     "minimize_F_Lambda",
     "expansion_constants",
     "mc_laplace",
     "expansion_fit",
     "kappa_ladder",
-    "short_time_transform",
 ]
 
 
@@ -262,6 +260,49 @@ def minimize_F_Lambda(
     return report
 
 
+# Samples per Monte Carlo block.  The blocks, and so the numbers, depend on
+# the sample count alone, never on ``workers``.
+_MC_BLOCK = 2048
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _mc_estimate(gen: FbmSampler, n: int, n_name: str, labels, integrand,
+                 workers: int) -> list:
+    """(mean, se) of G exp(L) over ``n`` samples of ``gen``, one pair per label.
+
+    ``integrand(sample)`` maps one block's draw (X, eta) of
+    :meth:`FbmSampler.batch`, the samples and their first-chaos pairings, to
+    (L, G), each (len(labels), block); the draw is passed as its only
+    reference, so the integrand may free it.
+    The blocks [lo, lo + ``_MC_BLOCK``) run over ``workers`` processes
+    (:func:`_map_blocks`).  Each row averages G exp(L - m) and scales by
+    exp(m), m its largest log term; an m past the float range raises
+    ``ValueError`` naming the row's label.
+    """
+    if n < 2:
+        raise ValueError(f"{n_name} must be at least 2 for a standard error, got {n}")
+    parts = _map_blocks(lambda lo: integrand(gen.batch(lo, min(lo + _MC_BLOCK, n))),
+                        range(0, n, _MC_BLOCK), workers)
+    log_terms = np.concatenate([p[0] for p in parts], axis=1)
+    g_terms = np.concatenate([p[1] for p in parts], axis=1)
+    estimates = []
+    for label, lt, gt in zip(labels, log_terms, g_terms):
+        mshift = lt.max()
+        if mshift == -np.inf:  # every term is 0
+            estimates.append((0.0, 0.0))
+            continue
+        if mshift > _LOG_MAX:
+            raise ValueError(
+                f"{label} overflows: the log of its scale, the largest "
+                f"log-integrand {mshift:.6g}, is past the float range ({_LOG_MAX:.6g})"
+            )
+        w = gt * np.exp(lt - mshift)
+        scale = math.exp(mshift)
+        estimates.append((scale * float(w.mean()),
+                          scale * float(w.std(ddof=1) / math.sqrt(n))))
+    return estimates
+
+
 def expansion_constants(
     report: LaplaceReport,
     functional: FunctionalSpec,
@@ -270,7 +311,6 @@ def expansion_constants(
     seed: int = 5150,
     G: FunctionalSpec | None = None,
     hessian_N: int = 8,
-    batch: int = 2048,
     workers: int = 1,
 ) -> LaplaceReport:
     """Fill in the expansion constants of the Laplace asymptotics.
@@ -287,12 +327,10 @@ def expansion_constants(
     and the Carleman-Fredholm closed form G(phi0) prod (1 + mu)^(-1/2) over
     the truncated Hessian eigenvalues mu applies; only then is that
     cross-check value written to ``fit['det2_closed_form']``.
-    The sample blocks [lo, lo + batch) run over ``workers`` processes
-    (:func:`_map_blocks`); the blocks, and so the numbers, do not depend on
-    ``workers``.
+    The sample blocks run over ``workers`` processes (:func:`_mc_estimate`);
+    the numbers do not depend on ``workers``.  An alpha0 past the float
+    range raises ``ValueError`` naming alpha0.
     """
-    if mc_samples < 2:
-        raise ValueError(f"mc_samples must be at least 2 for a standard error, got {mc_samples}")
     gamma_path = report.gamma.induced_path
     H = report.gamma.hurst.H
     grid = gamma_path.grid
@@ -304,21 +342,18 @@ def expansion_constants(
     cs = costate(ctx, functional)
     c_coef = float(cs.pair(ctx.b_theta1))
     theta1 = _theta1_values(ctx)
+    g0 = 1.0 if G is None else float(G.value(ctx.phi0.values, grid))
 
-    gen = FbmSampler(grid, H, field_spec.d, seed, kind=_STREAM_MC)
-
-    def block(lo):
-        X, _ = gen.batch(lo, min(lo + batch, mc_samples))
+    def integrand(sample):
+        X = sample[0]
         phi1 = _chi_values(ctx, X) + theta1
         gF = cs.phi2(phi1, np.diff(X, axis=-2))
         hF = functional.hess(ctx.phi0.values, phi1, phi1, grid)
-        return -(gF + 0.5 * np.asarray(hF))
+        return -(gF + 0.5 * np.asarray(hF))[None], np.full((1, len(X)), g0)
 
-    log_weights = np.concatenate(_map_blocks(block, range(0, mc_samples, batch), workers))
-    w = np.exp(log_weights)
-    g0 = 1.0 if G is None else float(G.value(ctx.phi0.values, grid))
-    alpha0 = g0 * float(w.mean())
-    alpha0_se = abs(g0) * float(w.std(ddof=1) / math.sqrt(mc_samples))
+    gen = FbmSampler(grid, H, field_spec.d, seed, kind=_STREAM_MC)
+    [(alpha0, alpha0_se)] = _mc_estimate(gen, mc_samples, "mc_samples", ["alpha0"],
+                                         integrand, workers)
 
     report.c_coef = c_coef
     report.alpha0 = alpha0
@@ -354,7 +389,6 @@ def mc_laplace(
     use_shift: bool = False,
     gamma_cm: CameronMartinVector | None = None,
     seed: int = 31,
-    batch: int = 2048,
     workers: int = 1,
 ):
     """Monte Carlo of E[G(Y^eps) exp(-F(Y^eps)/eps^2)] for each eps.
@@ -364,15 +398,12 @@ def mc_laplace(
     integrand picks up the change-of-measure density
     exp(-eta/eps - ||gamma||^2/(2 eps^2)) with eta the exact first-chaos
     pairing of gamma with the driver; both estimators are unbiased for the
-    same quantity.  Each sample batch [lo, lo + batch) is drawn once and
-    shared by every eps; the batches run over ``workers`` processes
-    (:func:`_map_blocks`) and do not depend on ``workers``, so neither do the
-    numbers.  Returns a list of (eps, J_hat, se, n) rows; an eps whose J
-    overflows the float range raises ``ValueError`` naming eps and the log
-    of J's scale.
+    same quantity.  Each sample block is drawn once and shared by every eps;
+    the blocks run over ``workers`` processes (:func:`_mc_estimate`) and the
+    numbers do not depend on ``workers``.  Returns a list of
+    (eps, J_hat, se, n) rows; an eps whose J overflows the float range
+    raises ``ValueError`` naming eps and the log of J's scale.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     eps_list = list(eps_list)
     if any(eps <= 0 for eps in eps_list):
         raise ValueError(f"eps_list must be positive, got {eps_list}")
@@ -394,10 +425,12 @@ def mc_laplace(
             Z[..., k] += gamma_vals[:, None, k]
         return np.diff(Z, axis=0)
 
-    def block(lo):
-        vals, eta = gen.batch(lo, min(lo + batch, n_samples))
+    def integrand(sample):
         # step-major samples, once per block: every eps's increments then
-        # reach the stepper in its layout, so it copies none of them
+        # reach the stepper in its layout, so it copies none of them; the
+        # draw is dropped first, so the block is held once
+        vals, eta = sample
+        del sample
         vals = np.moveaxis(vals, -2, 0).copy()
         log_t = np.empty((len(eps_list), vals.shape[1]))
         g_t = np.empty((len(eps_list), vals.shape[1]))
@@ -411,26 +444,9 @@ def mc_laplace(
                 log_t[e] -= eta / eps + norm_sq / (2.0 * eps**2)
         return log_t, g_t
 
-    parts = _map_blocks(block, range(0, n_samples, batch), workers)
-    log_terms = np.concatenate([p[0] for p in parts], axis=1)
-    g_terms = np.concatenate([p[1] for p in parts], axis=1)
-    rows = []
-    for eps, lt, gt in zip(eps_list, log_terms, g_terms):
-        # log-domain guard against overflow: factor out the max exponent
-        mshift = lt.max()
-        w = gt * np.exp(lt - mshift)
-        try:
-            scale = math.exp(mshift)
-        except OverflowError:
-            raise ValueError(
-                f"J at eps = {eps} overflows: the log of its scale, the largest "
-                f"log-integrand {mshift:.6g}, is past the float range "
-                f"({math.log(np.finfo(float).max):.6g})"
-            ) from None
-        J = scale * float(w.mean()) if math.isfinite(mshift) else 0.0
-        se = scale * float(w.std(ddof=1) / math.sqrt(n_samples))
-        rows.append((float(eps), J, se, n_samples))
-    return rows
+    estimates = _mc_estimate(gen, n_samples, "n_samples",
+                             [f"J at eps = {eps}" for eps in eps_list], integrand, workers)
+    return [(float(eps), J, se, n_samples) for eps, (J, se) in zip(eps_list, estimates)]
 
 
 def expansion_fit(table, a: float, c: float, order: int = 2) -> dict:
@@ -476,14 +492,6 @@ class KappaLadder:
     H: float
     indices: list
 
-    def reconstruct(self, kappa: float, tol: float = 1e-9):
-        """Return witnesses (n1, n2) with kappa = n1 + n2/H, or None."""
-        for n2 in range(int(kappa * self.H) + 2):
-            n1 = kappa - n2 / self.H
-            if abs(n1 - round(n1)) < tol and round(n1) >= -tol:
-                return int(round(n1)), n2
-        return None
-
 
 def kappa_ladder(H: float, count: int) -> KappaLadder:
     """First ``count`` elements of {n1 + n2/H : n1, n2 >= 0 integers}, ascending,
@@ -507,22 +515,3 @@ def kappa_ladder(H: float, count: int) -> KappaLadder:
         if not merged or v - merged[-1] > 1e-9:
             merged.append(v)
     return KappaLadder(H=H, indices=merged[:count])
-
-
-@dataclass
-class ShortTimeMap:
-    """Short-time to small-parameter dictionary: t = T gives eps = T^H and
-    order kappa reports as t^(kappa H)."""
-
-    T: float
-    H: float
-    eps: float
-
-    def order_exponent(self, kappa: float) -> float:
-        return kappa * self.H
-
-
-def short_time_transform(T: float, H: float) -> ShortTimeMap:
-    if not 0 < T <= 1:
-        raise ValueError("T must lie in (0, 1]")
-    return ShortTimeMap(T=T, H=H, eps=T**H)

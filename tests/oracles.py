@@ -1,9 +1,10 @@
 """Path-valued reference forms that only the tests read: the expansion
 terms and the Hessian's bilinear forms solved forward as paths, the
-homogeneous rough-path norm, the dyadic resamplers and the Volterra kernel
-at one point.  Each is built from the package's own primitives, so a check
-through one of them still checks the package's code; the kernel's scalar
-series is checked against the package's array path in ``test_fbm.py``.
+homogeneous rough-path norm, the dyadic resamplers, the Volterra kernel
+at one point and the lattice witnesses of the kappa ladder.  Each is built
+from the package's own primitives, so a check through one of them still
+checks the package's code; the kernel's scalar series is checked against
+the package's array path in ``test_fbm.py``.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from conftest import pvar_backbone_oracle
 from roughlaplace.fbm import _connection_coeffs, _volterra_scale
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.hessian import _r1_values, _sigma0_times
+from roughlaplace.laplace import KappaLadder
 from roughlaplace.odes import VectorFieldSpec, heun_controlled
 from roughlaplace.roughpath import RoughPath
 from roughlaplace.taylor import (
@@ -329,3 +331,12 @@ def volterra_kernel(t: float, s: float, H: float) -> float:
     """Volterra kernel K^H(t,s) of the moving-average representation of fBm
     over Brownian motion, for 0 < s < t (0 for s >= t)."""
     return volterra_kernel_info(t, s, H)[0]
+
+
+def kappa_reconstruct(ladder: KappaLadder, kappa: float, tol: float = 1e-9):
+    """Witnesses (n1, n2) with kappa = n1 + n2/H of the ladder's H, or None."""
+    for n2 in range(int(kappa * ladder.H) + 2):
+        n1 = kappa - n2 / ladder.H
+        if abs(n1 - round(n1)) < tol and round(n1) >= -tol:
+            return int(round(n1)), n2
+    return None

@@ -1,7 +1,8 @@
 """The public surface resolves: every name a module lists in ``__all__``
 exists in it, and every name the package re-exports is public where it is
 defined.  A deletion that leaves an export behind fails here, and so does
-a module under ``src/`` or ``tests/`` that imports a name it never uses."""
+a module under ``src/`` or ``tests/`` that imports a name it never uses, or
+a private module-level name in ``src/`` that no code under ``src/`` reads."""
 import ast
 import importlib
 import pkgutil
@@ -17,6 +18,7 @@ REPO = Path(__file__).resolve().parent.parent
 # checks those names
 SOURCES = sorted(p for p in (REPO / "src").rglob("*.py") if p.name != "__init__.py")
 SOURCES += sorted((REPO / "tests").glob("*.py"))
+PACKAGE = sorted((REPO / "src").rglob("*.py"))
 
 
 def _package_reexports():
@@ -74,3 +76,48 @@ def test_unused_import_detected():
     tree = ast.parse("import math\nimport numpy as np\nfrom os import path, sep\n"
                      "__all__ = ['sep']\nprint(np.pi)\n")
     assert _unused_imports(tree) == [(1, "math"), (3, "path")]
+
+
+def _unread_privates(trees: dict) -> list:
+    """(module, line, name) of each private module-level function, class or
+    constant of the modules ``trees`` that none of them reads: no load of the
+    name, attribute of that name or import of it."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            unread += [(module, node.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(unread)
+
+
+def test_no_unread_privates():
+    # a private name that only tests read belongs in tests/, not in src/
+    trees = {str(p.relative_to(REPO)): ast.parse(p.read_text()) for p in PACKAGE}
+    unread = _unread_privates(trees)
+    assert not unread, f"private names no src code reads: {unread}"
+
+
+def test_unread_private_detected():
+    trees = {
+        "a": ast.parse("_USED = 1\n_UNUSED = 2\n__all__ = []\n"
+                       "def _helper():\n    return _USED\nclass _Box:\n    pass\n"),
+        "b": ast.parse("from a import _helper\n"),
+    }
+    assert _unread_privates(trees) == [("a", 2, "_UNUSED"), ("a", 6, "_Box")]

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gaussian_oracle
+from oracles import kappa_reconstruct
+from roughlaplace import laplace
 from roughlaplace.fbm import _STREAM_OPT, FbmSampler, cm_basis, substream
 from roughlaplace.functionals import (
     constant_field,
@@ -29,7 +32,6 @@ from roughlaplace.laplace import (
     kappa_ladder,
     mc_laplace,
     minimize_F_Lambda,
-    short_time_transform,
 )
 from roughlaplace.odes import DivergenceError, linear_perturbation_costate
 from roughlaplace.taylor import expansion_context
@@ -162,6 +164,16 @@ class TestExpansionConstants:
         assert weighted.fit["det2_closed_form"] == 2.0 * plain.fit["det2_closed_form"]
         assert weighted.alpha0 == 2.0 * plain.alpha0
 
+    def test_alpha0_overflow_named(self):
+        # F = -2000 |y_T|^2 puts the log weights near 7.7e3, past the float
+        # range: a named ValueError, not alpha0 = inf with a NaN se
+        field, grid = constant_field(S_TEST), TimeGrid.uniform(33)
+        rep = minimize_F_Lambda(zero_functional(), field, H_TEST, grid, 4, OptConfig(restarts=1))
+        F = endpoint_quadratic(-2000.0 * np.eye(2))
+        with pytest.raises(ValueError, match=r"alpha0 overflows: .* largest log-integrand "
+                                             r"77\d\d\.\d+"):
+            expansion_constants(rep, F, field, mc_samples=64, seed=3, hessian_N=4)
+
 
 class TestGaussianOracle:
     """Criterion 13's case against its exact constants (conftest.gaussian_oracle):
@@ -291,23 +303,57 @@ class TestMcLaplace:
         for eps, J, se, n in table:
             assert -(eps**2) * math.log(J) == pytest.approx(a, rel=0.05)
 
-    def test_determinism(self, gaussian_linear_report):
+    @pytest.mark.parametrize("estimate", ["alpha0", "J"])
+    def test_determinism(self, gaussian_linear_report, monkeypatch, estimate):
+        # the block split cannot change the numbers of either estimator
         field = constant_field(S_TEST)
         F = endpoint_linear(V_TEST)
-        kw = dict(use_shift=True, gamma_cm=gaussian_linear_report.gamma, seed=7)
-        t1 = mc_laplace(F, None, field, H_TEST, GRID, [0.5], 500, batch=100, **kw)
-        t2 = mc_laplace(F, None, field, H_TEST, GRID, [0.5], 500, batch=77, **kw)
-        assert t1[0][1] == t2[0][1]  # batch split cannot change numbers
+
+        def run(block):
+            monkeypatch.setattr(laplace, "_MC_BLOCK", block)
+            if estimate == "alpha0":
+                rep = expansion_constants(copy.deepcopy(gaussian_linear_report), F, field,
+                                          mc_samples=500, seed=7, hessian_N=4)
+                return rep.alpha0, rep.alpha0_se
+            [(_, J, se, _)] = mc_laplace(F, None, field, H_TEST, GRID, [0.5], 500, use_shift=True,
+                                         gamma_cm=gaussian_linear_report.gamma, seed=7)
+            return J, se
+
+        assert run(100) == run(77)
+
+    def test_draw_freed_before_solves(self, monkeypatch):
+        # the block is held once: its sample-major draw is freed as soon as
+        # the step-major copy exists, before any eps is solved
+        drawn, alive = [], []
+        batch, heun = FbmSampler.batch, laplace.heun_controlled
+
+        def recording_batch(self, lo, hi):
+            X, eta = batch(self, lo, hi)
+            drawn.append(weakref.ref(X))
+            return X, eta
+
+        def checking_heun(*args, **kwargs):
+            alive.append(drawn[-1]() is not None)
+            return heun(*args, **kwargs)
+
+        monkeypatch.setattr(FbmSampler, "batch", recording_batch)
+        monkeypatch.setattr(laplace, "heun_controlled", checking_heun)
+        mc_laplace(zero_functional(), None, constant_field(S_TEST), H_TEST, GRID, [0.5, 0.25], 50)
+        assert alive == [False, False]
 
 
 class TestWorkers:
     """workers = 2 runs the blocks in forked processes; every number must be
-    the one workers = 1 gives.  A small grid and batch 128 give several
-    blocks per call."""
+    the one workers = 1 gives.  A small grid and blocks of 128 samples give
+    several blocks per call."""
 
     grid = TimeGrid.uniform(33)
     field = constant_field(S_TEST)
     F = endpoint_quadratic([[0.5, 0.1], [0.1, 0.3]], v=[0.4, -0.3])
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(laplace, "_MC_BLOCK", 128)
 
     @pytest.fixture(scope="class")
     def report(self):
@@ -325,7 +371,7 @@ class TestWorkers:
     def test_expansion_constants(self, report):
         one, two = (
             expansion_constants(copy.deepcopy(report), self.F, self.field, mc_samples=600,
-                                seed=3, hessian_N=4, batch=128, workers=w)
+                                seed=3, hessian_N=4, workers=w)
             for w in (1, 2)
         )
         assert (two.c_coef, two.alpha0, two.alpha0_se) == (one.c_coef, one.alpha0, one.alpha0_se)
@@ -334,7 +380,7 @@ class TestWorkers:
     def test_mc_laplace(self, report):
         one, two = (
             mc_laplace(self.F, None, self.field, H_TEST, self.grid, [0.5, 0.3], 600,
-                       use_shift=True, gamma_cm=report.gamma, seed=8, batch=128, workers=w)
+                       use_shift=True, gamma_cm=report.gamma, seed=8, workers=w)
             for w in (1, 2)
         )
         assert two == one
@@ -343,7 +389,7 @@ class TestWorkers:
         tight = dataclasses.replace(self.field, guard=0.5)
         with pytest.raises(DivergenceError, match="exceeded"):
             mc_laplace(self.F, None, tight, H_TEST, self.grid, [0.5], 600, use_shift=True,
-                       gamma_cm=report.gamma, seed=8, batch=128, workers=2)
+                       gamma_cm=report.gamma, seed=8, workers=2)
 
     def test_dead_worker_raises(self):
         def die_on_two(b):
@@ -360,7 +406,7 @@ class TestWorkers:
 
         monkeypatch.setattr(multiprocessing, "get_context", refuse)
         assert _map_blocks(lambda b: b * b, range(4), 1) == [0, 1, 4, 9]
-        table = mc_laplace(self.F, None, self.field, H_TEST, self.grid, [0.5], 300, batch=128)
+        table = mc_laplace(self.F, None, self.field, H_TEST, self.grid, [0.5], 300)
         assert len(table) == 1
         # one block needs no pool either
         assert _map_blocks(lambda b: -b, [3], 2) == [-3]
@@ -518,23 +564,8 @@ class TestKappaLadder:
         lad = kappa_ladder(H, count)
         assert all(v2 > v1 for v1, v2 in zip(lad.indices[:-1], lad.indices[1:]))
         for kappa in lad.indices:
-            witness = lad.reconstruct(kappa)
+            witness = kappa_reconstruct(lad, kappa)
             assert witness is not None
             n1, n2 = witness
             assert n1 >= 0 and n2 >= 0
             assert abs(n1 + n2 / H - kappa) < 1e-9
-
-
-class TestShortTime:
-    def test_identity_at_one(self):
-        st_map = short_time_transform(1.0, 0.4)
-        assert st_map.eps == 1.0
-
-    def test_power(self):
-        st_map = short_time_transform(0.0625, 0.4)
-        assert st_map.eps == pytest.approx(0.0625**0.4, rel=1e-15)
-        assert st_map.order_exponent(2.5) == pytest.approx(1.0)
-
-    def test_range(self):
-        with pytest.raises(ValueError):
-            short_time_transform(0.0, 0.4)

@@ -670,7 +670,8 @@ class TestCostate:
             return solve(*args)
 
         monkeypatch.setattr(taylor, "linear_perturbation_solve", counted)
-        expansion_constants(rep, F, field, mc_samples=300, seed=3, hessian_N=3, batch=100)
+        monkeypatch.setattr("roughlaplace.laplace._MC_BLOCK", 100)
+        expansion_constants(rep, F, field, mc_samples=300, seed=3, hessian_N=3)
         assert len(calls) == 3 + 2
         assert sum(s[:-2] == (100,) for s in calls) == 3
 
