@@ -9,7 +9,7 @@ E[G(Y) exp(-F(Y)/eps^2)].
 """
 
 from .grids import SampledPath, TimeGrid, path_to_csv
-from .variation import VariationResult, cosine_pvar, pvar_exact
+from .variation import cosine_pvar, pvar_values
 from .roughpath import (
     RoughPath,
     chen_residual,

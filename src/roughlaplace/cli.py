@@ -30,7 +30,6 @@ from .laplace import (
     OptConfig,
     expansion_constants,
     expansion_fit,
-    kappa_ladder,
     mc_laplace,
     minimize_F_Lambda,
 )
@@ -47,7 +46,6 @@ EXPERIMENT_KINDS = (
     "hessian",
     "laplace",
     "scale-test",
-    "kappa",
 )
 
 
@@ -96,6 +94,10 @@ class ExperimentConfig:
         """The truncations of the ``hessian`` kind's hs_tail partial sums."""
         return self.extras.get("N_list", [8, 16, 32])
 
+    def alpha0_samples(self):
+        """The ``laplace`` kind's Monte Carlo samples for the constant alpha0."""
+        return self.extras.get("alpha0_samples", 10_000)
+
     def validate(self) -> list:
         errors = []
         if self.grid_size < 2:
@@ -104,11 +106,10 @@ class ExperimentConfig:
             errors.append("dimensions n, d must be positive")
         if self.n_samples < 1:
             errors.append("n_samples must be positive")
-        if self.kind != "kappa":
-            try:
-                self.hurst()
-            except ValueError as e:
-                errors.append(str(e))
+        try:
+            self.hurst()
+        except ValueError as e:
+            errors.append(str(e))
         if self.kind == "hessian":
             N_list = self.hs_N_list()
             if not (isinstance(N_list, list) and all(_is_positive(N, int) for N in N_list)
@@ -120,6 +121,10 @@ class ExperimentConfig:
             if not (isinstance(eps_list, list)
                     and all(_is_positive(eps, (int, float)) for eps in eps_list)):
                 errors.append(f"eps_list must be a list of positive numbers; got {eps_list!r}")
+            for key, value in (("n_samples", self.n_samples),
+                               ("alpha0_samples", self.alpha0_samples())):
+                if not (_is_positive(value, int) and value >= 2):
+                    errors.append(f"{key} must be an int of at least 2; got {value!r}")
         return errors
 
     def numeric_dict(self) -> dict:
@@ -151,6 +156,13 @@ def _functional(cfg: ExperimentConfig):
 
 def _weight(cfg: ExperimentConfig):
     return make_functional(cfg.weight_name, cfg.weight_params)
+
+
+def _gamma(cfg: ExperimentConfig, grid: TimeGrid) -> SampledPath:
+    """The Cameron-Martin path of the ``taylor-slope`` and ``hessian`` kinds:
+    cosine coefficients ``gamma_coeffs``, by default [[0.2]*d, [0.3]*d]."""
+    coeffs = cfg.extras.get("gamma_coeffs", [[0.2] * cfg.d, [0.3] * cfg.d])
+    return cm_map(np.asarray(coeffs, dtype=float), cfg.H, grid).induced_path
 
 
 def _write(out: Path, name: str, text: str):
@@ -285,10 +297,7 @@ def run_taylor_slope(rc: RunContext):
     rc.declare("slopes.json")
     rc.manifest("started")
     field_spec = _field(cfg)
-    gamma_coeffs = np.asarray(
-        cfg.extras.get("gamma_coeffs", [[0.2] * cfg.d, [0.3] * cfg.d]), dtype=float
-    )
-    gamma = cm_map(gamma_coeffs, cfg.H, grid).induced_path
+    gamma = _gamma(cfg, grid)
     with rc.stage("sample_s"):
         drivers = sample_fbm_ensemble(grid, cfg.H, cfg.d, cfg.n_samples, cfg.seed)
     hp = cfg.hurst()
@@ -308,11 +317,8 @@ def run_hessian(rc: RunContext):
     rc.manifest("started")
     field_spec = _field(cfg)
     functional = _functional(cfg)
-    gamma_coeffs = np.asarray(
-        cfg.extras.get("gamma_coeffs", [[0.2] * cfg.d, [0.3] * cfg.d]), dtype=float
-    )
     with rc.stage("cm_s"):
-        gamma = cm_map(gamma_coeffs, cfg.H, grid).induced_path
+        gamma = _gamma(cfg, grid)
     with rc.stage("hessian_s"):
         ctx = expansion_context(field_spec, gamma)
         hm = hessian_matrix(functional, ctx, cfg.truncation, cfg.H)
@@ -358,7 +364,7 @@ def run_laplace(rc: RunContext):
     with rc.stage("constants_s"):
         rep = expansion_constants(
             rep, functional, field_spec,
-            mc_samples=cfg.extras.get("alpha0_samples", 10_000),
+            mc_samples=cfg.alpha0_samples(),
             seed=cfg.seed + 2, G=weight,
             hessian_N=cfg.extras.get("hessian_N", 8), workers=rc.workers,
         )
@@ -458,17 +464,6 @@ def run_scale_test(rc: RunContext):
     )
 
 
-def run_kappa(rc: RunContext):
-    cfg = rc.cfg
-    rc.declare("kappa.csv")
-    rc.manifest("started")
-    count = cfg.extras.get("count", 9)
-    with rc.stage("ladder_s"):
-        ladder = kappa_ladder(cfg.H, count)
-        rows = [(i, float(k), float(k * cfg.H)) for i, k in enumerate(ladder.indices)]
-    _write(rc.out, "kappa.csv", _csv(rows, ["index", "kappa", "short_time_exponent"]))
-
-
 _RUNNERS = {
     "simulate": run_simulate,
     "lift": run_lift,
@@ -478,7 +473,6 @@ _RUNNERS = {
     "hessian": run_hessian,
     "laplace": run_laplace,
     "scale-test": run_scale_test,
-    "kappa": run_kappa,
 }
 
 
@@ -578,10 +572,6 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
   from the lift's running sums P, Q at (0,1) and (1,0)), `ks_s` (KS test).
 - `scale_test.json`: KS statistic and p-value of the scaled-vs-plain
   level-2 antisymmetric (area) statistic.
-
-## kappa
-- timings: `ladder_s` (kappa ladder and its exponents kappa*H).
-- `kappa.csv`: columns `index,kappa,short_time_exponent` (exponent = kappa*H).
 """
 
 

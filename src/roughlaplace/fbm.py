@@ -102,16 +102,10 @@ class HurstParams:
         return 2 if self.H > 1.0 / 3.0 else 3
 
 
-def fbm_cov(s: float, t: float, H: float) -> float:
-    """Covariance ``(t^{2H} + s^{2H} - |t-s|^{2H}) / 2`` of one fBm coordinate."""
-    s, t = float(s), float(t)
-    return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
-
-
-def _cov_matrix(times: np.ndarray, H: float) -> np.ndarray:
-    tt = times[:, None]
-    ss = times[None, :]
-    return 0.5 * (tt ** (2 * H) + ss ** (2 * H) - np.abs(tt - ss) ** (2 * H))
+def fbm_cov(s, t, H: float):
+    """Covariance ``(t^{2H} + s^{2H} - |t-s|^{2H}) / 2`` of one fBm
+    coordinate, broadcast over arrays of times ``s`` and ``t``."""
+    return 0.5 * (t ** (2 * H) + s ** (2 * H) - np.abs(t - s) ** (2 * H))
 
 
 # Relative rounding bound on a pairing's Schur complement ||gamma^i||^2 -
@@ -153,7 +147,7 @@ class FbmSampler:
                  kind: int = _STREAM_FBM, gamma: CameronMartinVector | None = None):
         times = grid.points[1:]
         self.m, self.d = len(times), d
-        self.L = np.linalg.cholesky(_cov_matrix(times, H))
+        self.L = np.linalg.cholesky(fbm_cov(times[None, :], times[:, None], H))
         # stream 0's generator and state; batch() rewrites the state's
         # counter word 2 with each sample index (word 3 holds the kind)
         self._rng = substream(seed, kind, 0)
@@ -439,52 +433,44 @@ def cm_map(h, H: float, grid: TimeGrid) -> CameronMartinVector:
     )
 
 
-def cm_basis(H: float, grid: TimeGrid, n_modes: int, d: int) -> list:
-    """U applied to the L^2 cosine orthonormal basis (modes 0..n_modes-1).
+def cm_basis(H: float, grid: TimeGrid, n_modes: int, d: int) -> np.ndarray:
+    """U applied to the L^2 cosine orthonormal basis (modes 0..n_modes-1),
+    as the (n_modes * d, len(grid), d) stack of the images' grid values.
 
     The images are exactly orthonormal in the Cameron-Martin inner product
     by unitarity; ``n_modes`` may not exceed the kernel quadrature's 96
-    nodes.  Returned in mode-major order: (mode 0, coord 0), (mode 0,
-    coord 1), ..., (mode 1, coord 0), ...
+    nodes.  Member ``n * d + i`` is mode n in coordinate i (mode-major
+    order): the image of mode n in column i and zeros elsewhere.
     """
     _check_n_modes(n_modes)
     images = _kernel_quadrature(H).apply(grid, lambda ts: _cosine_design(ts, n_modes))
-    hurst = HurstParams.default(H)
-    out = []
-    for n in range(n_modes):
-        for i in range(d):
-            coeffs = np.zeros((n_modes, d))
-            coeffs[n, i] = 1.0
-            vals = np.zeros((len(grid), d))
-            vals[:, i] = images[:, n]
-            out.append(
-                CameronMartinVector(
-                    coeffs=coeffs, induced_path=SampledPath(grid, vals), hurst=hurst
-                )
-            )
-    return out
+    return _coordinate_stack(images, d)
 
 
-def onb_interp(delta: float, n_max: int, d: int, grid: TimeGrid) -> list:
-    """Orthonormal basis of the interpolation space L^{delta,2}, sampled.
+def _coordinate_stack(profiles: np.ndarray, d: int) -> np.ndarray:
+    """The (n * d, N, d) stack of the columns of ``profiles`` (N, n), each
+    placed in every coordinate in turn, mode-major."""
+    N, n = profiles.shape
+    out = np.zeros((n, d, N, d))
+    for i in range(d):
+        out[:, i, :, i] = profiles.T
+    return out.reshape(n * d, N, d)
+
+
+def onb_interp(delta: float, n_max: int, d: int, grid: TimeGrid) -> np.ndarray:
+    """Orthonormal basis of the interpolation space L^{delta,2}, sampled, as
+    the ((n_max + 1) * d, len(grid), d) stack of its members' grid values.
 
     Members are 1*e_i and sqrt(2) (1+n^2)^{-delta/2} cos(n pi t) e_i for
-    n = 1..n_max, returned as SampledPaths in the same mode-major order as
-    :func:`cm_basis`.
+    n = 1..n_max, in the same mode-major order as :func:`cm_basis`.
     """
     if not 0.5 < delta < 1.0:
         raise ValueError("delta must lie in (1/2, 1)")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     t = grid.points
-    out = []
-    for n in range(n_max + 1):
-        if n == 0:
-            profile = np.ones_like(t)
-        else:
-            profile = math.sqrt(2.0) * (1.0 + n**2) ** (-delta / 2.0) * np.cos(n * math.pi * t)
-        for i in range(d):
-            vals = np.zeros((len(t), d))
-            vals[:, i] = profile
-            out.append(SampledPath(grid, vals))
-    return out
+    profiles = [np.ones_like(t)] + [
+        math.sqrt(2.0) * (1.0 + n**2) ** (-delta / 2.0) * np.cos(n * math.pi * t)
+        for n in range(1, n_max + 1)
+    ]
+    return _coordinate_stack(np.stack(profiles, axis=1), d)

@@ -99,9 +99,8 @@ def hessian_matrix(
     per-pair sums, so the matrix inherits basis nesting exactly.
     """
     d = ctx.field.d
-    basis = cm_basis(H, ctx.grid, N, d)
-    nb = len(basis)
-    k_stack = np.stack([b.induced_path.values for b in basis])  # (nb, N, d)
+    k_stack = cm_basis(H, ctx.grid, N, d)  # (nb, N, d)
+    nb = len(k_stack)
     chi_all = _chi_values(ctx, k_stack)
 
     hess_part = functional.hess(
@@ -178,9 +177,8 @@ def hs_tail(
         raise ValueError(f"N_list must reach mode 4, the first mode of the decay fit; got {N_list}")
     n_max = N_list[-1]
     d = ctx.field.d
-    basis = onb_interp(1.0 / q, n_max, d, ctx.grid)
-    nb = len(basis)
-    f_stack = np.stack([b.values for b in basis])  # (nb, N, d)
+    f_stack = onb_interp(1.0 / q, n_max, d, ctx.grid)  # (nb, N, d)
+    nb = len(f_stack)
 
     # R1 pair norms: one batch over the row index per column index
     sigma_f = _sigma0_times(ctx, f_stack)

@@ -181,10 +181,9 @@ def minimize_F_Lambda(
     """
     opt = opt or OptConfig()
     d = field_spec.d
-    basis = cm_basis(H, grid, N, d)
-    k_stack = np.stack([b.induced_path.values for b in basis])  # (nb, N, d)
+    k_stack = cm_basis(H, grid, N, d)  # (nb, N, d)
     dk_stack = np.diff(k_stack, axis=-2)
-    nb = len(basis)
+    nb = len(k_stack)
 
     def evaluate(C: np.ndarray):
         """Objective values and gradients at the coefficient rows of C, in one batch."""

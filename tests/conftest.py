@@ -1,8 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from roughlaplace.grids import SampledPath, TimeGrid
-from roughlaplace.variation import VariationResult
 
 
 @pytest.fixture
@@ -32,7 +33,15 @@ def pair_norms_oracle(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
 
 
-def pvar_backbone_oracle(weights: np.ndarray, p: float) -> VariationResult:
+@dataclass
+class OracleVariation:
+    """An oracle's grid p-variation and a maximising partition."""
+
+    value: float
+    optimal_partition: list
+
+
+def pvar_backbone_oracle(weights: np.ndarray, p: float) -> OracleVariation:
     """The per-path p-variation dynamic program on an (n, n) weight matrix,
     one Python loop per path: ties go to the largest sum, then the fewest
     points, then the earliest index."""
@@ -59,10 +68,10 @@ def pvar_backbone_oracle(weights: np.ndarray, p: float) -> VariationResult:
     while partition[-1] != 0:
         partition.append(int(prev[partition[-1]]))
     partition.reverse()
-    return VariationResult(value=best[-1] ** (1.0 / p), optimal_partition=partition)
+    return OracleVariation(value=best[-1] ** (1.0 / p), optimal_partition=partition)
 
 
-def pvar_oracle(values, p: float) -> VariationResult:
+def pvar_oracle(values, p: float) -> OracleVariation:
     """Grid p-variation of one path (N, dim) by :func:`pvar_backbone_oracle`;
     a scalar path runs on its turning points alone."""
     values = np.asarray(values, dtype=float).reshape(len(values), -1)

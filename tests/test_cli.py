@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roughlaplace.cli import ExperimentConfig, ks_2samp_exact, main, run
+from roughlaplace.cli import (
+    _RUNNERS,
+    EXPERIMENT_KINDS,
+    SCHEMA_DOC,
+    ExperimentConfig,
+    ks_2samp_exact,
+    main,
+    run,
+)
 from roughlaplace.grids import SampledPath, TimeGrid
 
 
@@ -22,8 +31,8 @@ class TestConfig:
             ExperimentConfig.from_dict({"kind": "nope"})
 
     def test_extras_capture(self):
-        cfg = ExperimentConfig.from_dict({"kind": "kappa", "count": 7, "H": 0.3})
-        assert cfg.extras["count"] == 7
+        cfg = ExperimentConfig.from_dict({"kind": "pvar", "n_max": 7, "H": 0.3})
+        assert cfg.extras["n_max"] == 7
         assert cfg.H == 0.3
 
     def test_window_violation_named(self):
@@ -34,7 +43,7 @@ class TestConfig:
         assert any("1/q" in e for e in errors)
 
     def test_hash_covers_numeric_fields(self):
-        base = {"kind": "kappa", "H": 0.4, "seed": 1}
+        base = {"kind": "pvar", "H": 0.4, "seed": 1}
         h1 = ExperimentConfig.from_dict(base).config_hash()
         h2 = ExperimentConfig.from_dict({**base, "seed": 2}).config_hash()
         h3 = ExperimentConfig.from_dict({**base, "H": 0.45}).config_hash()
@@ -42,23 +51,15 @@ class TestConfig:
 
 
 class TestRuns:
-    def test_kappa_csv_matches_ladder(self, tmp_path):
-        cfg = ExperimentConfig.from_dict({"kind": "kappa", "H": 0.4, "count": 9})
-        out = run(cfg, tmp_path)
-        rows = read(out, "kappa.csv").strip().splitlines()[1:]
-        kappas = [float(r.split(",")[1]) for r in rows]
-        assert np.allclose(kappas, [0, 1, 2, 2.5, 3, 3.5, 4, 4.5, 5], atol=1e-12)
-        manifest = json.loads(read(out, "manifest.json"))
-        assert manifest["status"] == "complete"
-        assert "kappa.csv" in manifest["artifacts"]
-        assert_stage_timings(out, {"ladder_s"})
-
     def test_pvar_corpus(self, tmp_path):
         cfg = ExperimentConfig.from_dict({"kind": "pvar", "n_max": 6})
         out = run(cfg, tmp_path)
         rows = read(out, "cosine_pvar.csv").strip().splitlines()[1:]
         diffs = [float(r.split(",")[4]) for r in rows]
         assert max(diffs) < 1e-12
+        manifest = json.loads(read(out, "manifest.json"))
+        assert manifest["status"] == "complete"
+        assert manifest["artifacts"] == ["cosine_pvar.csv"]
         assert_stage_timings(out, {"pvar_s"})
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -110,6 +111,17 @@ class TestRuns:
             run(cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("bad", [
+        {"alpha0_samples": 1}, {"n_samples": 1}, {"alpha0_samples": True},
+        {"n_samples": 100.0}, {"alpha0_samples": "2000"},
+    ])
+    def test_bad_laplace_sample_counts_rejected_before_any_stage(self, tmp_path, bad):
+        cfg = ExperimentConfig.from_dict({"kind": "laplace", "grid_size": 33, **bad})
+        key = next(iter(bad))
+        with pytest.raises(ValueError, match=f"{key} must be an int of at least 2"):
+            run(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_written_before_artifacts_on_failure(self, tmp_path, monkeypatch):
         import roughlaplace.cli as cli_mod
 
@@ -118,19 +130,19 @@ class TestRuns:
             rc.manifest("started")
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(cli_mod._RUNNERS, "kappa", boom)
-        cfg = ExperimentConfig.from_dict({"kind": "kappa"})
+        monkeypatch.setitem(cli_mod._RUNNERS, "pvar", boom)
+        cfg = ExperimentConfig.from_dict({"kind": "pvar"})
         with pytest.raises(RuntimeError, match="synthetic"):
             run(cfg, tmp_path)
-        out = tmp_path / f"kappa-{cfg.config_hash()}"
+        out = tmp_path / f"pvar-{cfg.config_hash()}"
         manifest = json.loads(read(out, "manifest.json"))
         assert manifest["status"] == "failed"
         assert manifest["artifacts"] == ["never.csv"]
 
 
 class TestMain:
-    def test_kappa_subcommand(self, tmp_path, capsys):
-        rc = main(["kappa", "--out", str(tmp_path), "--seed", "3"])
+    def test_pvar_subcommand(self, tmp_path, capsys):
+        rc = main(["pvar", "--out", str(tmp_path), "--seed", "3"])
         assert rc == 0
         printed = capsys.readouterr().out.strip()
         assert Path(printed).exists()
@@ -139,18 +151,24 @@ class TestMain:
         target = tmp_path / "SCHEMA.md"
         assert main(["schema", "--out", str(target)]) == 0
         text = target.read_text()
-        for section in ("simulate", "lift", "pvar", "rde", "hessian", "laplace", "kappa"):
+        for section in ("simulate", "lift", "pvar", "rde", "hessian", "laplace"):
             assert f"## {section}" in text
+
+    def test_schema_and_runners_cover_every_kind(self):
+        # one schema section and one runner per kind, and nothing else, so a
+        # removed kind cannot leave a stale section or runner behind
+        assert sorted(re.findall(r"^## (.+)$", SCHEMA_DOC, flags=re.M)) == sorted(EXPERIMENT_KINDS)
+        assert sorted(_RUNNERS) == sorted(EXPERIMENT_KINDS)
 
     def test_config_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"kind": "kappa", "H": 0.3, "count": 8}))
-        rc = main(["kappa", "--config", str(cfg_path), "--out", str(tmp_path)])
+        cfg_path.write_text(json.dumps({"kind": "pvar", "H": 0.3, "n_max": 4}))
+        rc = main(["pvar", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 0
 
     def test_kind_mismatch(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"kind": "kappa"}))
+        cfg_path.write_text(json.dumps({"kind": "simulate"}))
         rc = main(["pvar", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 2
 
@@ -198,7 +216,7 @@ class TestMain:
         assert not list(tmp_path.glob("hessian-*"))  # rejected before hessian.csv
 
     def test_workers_below_one_exit_code(self, tmp_path, capsys):
-        rc = main(["kappa", "--out", str(tmp_path), "--workers", "0"])
+        rc = main(["pvar", "--out", str(tmp_path), "--workers", "0"])
         assert rc == 2
         assert "workers must be at least 1" in capsys.readouterr().err
 

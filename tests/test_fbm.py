@@ -21,7 +21,6 @@ from roughlaplace.fbm import (
     CameronMartinVector,
     FbmSampler,
     HurstParams,
-    _cov_matrix,
     _gauss_jacobi,
     _hyp2f1_series,
     _kernel_hyp2f1,
@@ -37,7 +36,7 @@ from roughlaplace.fbm import (
 from roughlaplace.functionals import constant_field, endpoint_quadratic
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.laplace import OptConfig, minimize_F_Lambda
-from roughlaplace.variation import pvar_exact
+from roughlaplace.variation import pvar_values
 
 
 class TestHurstParams:
@@ -71,7 +70,7 @@ class TestCovariance:
     def test_gram_psd(self):
         t = np.linspace(0, 1, 65)[1:]
         for H in (0.3, 0.4):
-            C = np.array([[fbm_cov(s, u, H) for s in t] for u in t])
+            C = fbm_cov(t[None, :], t[:, None], H)
             assert np.linalg.eigvalsh(C).min() >= -1e-10
 
 
@@ -301,7 +300,7 @@ class TestCmMap:
         for npts in (129, 257):
             g = TimeGrid.uniform(npts)
             k = cm_map(np.array([[0.0], [1.0]]), 0.4, g).induced_path
-            vals.append(pvar_exact(k, 1.2).value)
+            vals.append(float(pvar_values(k.values, 1.2)))
         assert vals[1] == pytest.approx(vals[0], rel=1e-3)
 
 
@@ -309,8 +308,9 @@ class TestOnbInterp:
     def test_constant_member(self):
         g = TimeGrid.uniform(33)
         mem = onb_interp(0.8, 2, 2, g)
-        assert np.allclose(mem[0].values[:, 0], 1.0)
-        assert np.allclose(mem[1].values[:, 1], 1.0)
+        assert mem.shape == (6, 33, 2)
+        assert np.allclose(mem[0, :, 0], 1.0)
+        assert np.allclose(mem[1, :, 1], 1.0)
 
     def test_sequence_model_norm(self):
         # (1+n^2)^delta |c_n|^2 = 1 for the n-th member
@@ -328,8 +328,8 @@ class TestOnbInterp:
         w /= 1024
         for i in range(9):
             for j in range(i, 9):
-                fi = mem[i].values[:, 0] * (1 + i**2) ** (delta / 2)
-                fj = mem[j].values[:, 0] * (1 + j**2) ** (delta / 2)
+                fi = mem[i, :, 0] * (1 + i**2) ** (delta / 2)
+                fj = mem[j, :, 0] * (1 + j**2) ** (delta / 2)
                 ip = float((fi * fj * w).sum())
                 assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-6)
 
@@ -340,7 +340,7 @@ class TestOnbInterp:
         g = TimeGrid.uniform(1025)
         ns = [4, 8, 16, 32, 64]
         mem = onb_interp(delta, 64, 1, g)
-        norms = [pvar_exact(mem[n], hp.p).value for n in ns]
+        norms = pvar_values(mem[ns], hp.p)
         slope = np.polyfit(np.log(ns), np.log(norms), 1)[0]
         assert abs(slope - (-(1 / hp.q - 1 / hp.p))) < 0.1
 
@@ -353,18 +353,19 @@ class TestOnbInterp:
 def test_cm_basis_order_and_orthonormality():
     g = TimeGrid.uniform(33)
     basis = cm_basis(0.4, g, 3, 2)
-    assert len(basis) == 6
-    # mode-major order: member 2 is mode 1 coordinate 0
-    assert basis[2].coeffs[1, 0] == 1.0
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            assert a.inner(b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-15)
+    assert basis.shape == (6, 33, 2)
+    # mode-major order: member n * d + i is mode n in coordinate i alone
+    for n in range(3):
+        for i in range(2):
+            k = cm_map(np.eye(3)[:, n, None] * np.eye(2)[i], 0.4, g).induced_path.values
+            assert np.array_equal(basis[n * 2 + i], k)
+            assert not basis[n * 2 + i, :, 1 - i].any()
 
 
 def test_modes_within_quadrature_reach():
     # the 96-node kernel quadrature resolves 96 cosine modes; 97 is refused
     g = TimeGrid.uniform(9)
-    assert len(cm_basis(0.4, g, 96, 1)) == 96
+    assert cm_basis(0.4, g, 96, 1).shape == (96, 9, 1)
     assert cm_map(np.ones((96, 1)), 0.4, g).induced_path.values.shape == (9, 1)
     with pytest.raises(ValueError, match=r"n_modes must lie in \[1, 96\].*got 97"):
         cm_basis(0.4, g, 97, 1)
@@ -387,7 +388,8 @@ class _AugmentedCholeskyOracle:
     def __init__(self, grid, H, d, seed, gamma):
         self.d, self.seed = d, seed
         self.m = len(grid.points) - 1
-        C = _cov_matrix(grid.points[1:], H)
+        t = grid.points[1:]
+        C = fbm_cov(t[None, :], t[:, None], H)
         g = gamma.induced_path.values
         self.L = []
         for i in range(d):
@@ -413,6 +415,7 @@ class _AugmentedCholeskyOracle:
 class TestFbmSampler:
     H = 0.4
     grid = TimeGrid.uniform(65)
+    t = grid.points[1:]
 
     @pytest.fixture(scope="class")
     def gamma(self):
@@ -452,7 +455,8 @@ class TestFbmSampler:
             FbmSampler(self.grid, self.H, 2, 1, gamma=shrunk)
         # within the rounding bound the complement is clamped to 0
         g = gamma.induced_path.values[1:]
-        w = np.linalg.solve(np.linalg.cholesky(_cov_matrix(self.grid.points[1:], self.H)), g)
+        L = np.linalg.cholesky(fbm_cov(self.t[None, :], self.t[:, None], self.H))
+        w = np.linalg.solve(L, g)
         w_sq = (w**2).sum(axis=0)
         coeffs = np.sqrt(w_sq * (1.0 - 0.5 * _SCHUR_RTOL))[None, :]
         tight = CameronMartinVector(coeffs=coeffs, induced_path=gamma.induced_path, hurst=gamma.hurst)
@@ -478,7 +482,7 @@ class TestFbmSampler:
     def test_ensemble_is_per_sample_product(self):
         n, d = 40, 3
         ens = sample_fbm_ensemble(self.grid, self.H, d, n, seed=5)
-        L = np.linalg.cholesky(_cov_matrix(self.grid.points[1:], self.H))
+        L = np.linalg.cholesky(fbm_cov(self.t[None, :], self.t[:, None], self.H))
         for j in range(n):
             z = substream(5, _STREAM_FBM, j).standard_normal((64, d))
             ref = L @ z

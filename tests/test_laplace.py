@@ -60,7 +60,7 @@ class TestMinimize:
         rep = gaussian_linear_report
         basis = cm_basis(H_TEST, GRID, 8, 2)
         c_star = np.array(
-            [-(S_TEST.T @ V_TEST) @ b.induced_path.values[-1] for b in basis]
+            [-(S_TEST.T @ V_TEST) @ k[-1] for k in basis]
         )
         assert np.abs(rep.gamma.coeffs.reshape(-1) - c_star).max() < 1e-6
         assert rep.F_Lambda_min == pytest.approx(-0.5 * (c_star**2).sum(), abs=1e-10)
@@ -78,9 +78,7 @@ class TestMinimize:
         from roughlaplace.grids import SampledPath
 
         def F_Lambda(coeffs):
-            gamma_vals = np.einsum(
-                "a,atd->td", coeffs, np.stack([b.induced_path.values for b in basis])
-            )
+            gamma_vals = np.einsum("a,atd->td", coeffs, basis)
             phi0 = compute_phi0(field, SampledPath(GRID, gamma_vals))
             return float(F.value(phi0.values, GRID)) + 0.5 * float((coeffs**2).sum())
 
@@ -420,10 +418,9 @@ def sequential_minimize(functional, field, H, grid, N, opt):
     """Reference for the lockstep minimizer: each restart descends alone,
     one expansion context and one co-state per objective evaluation.
     Returns per restart (coefficients, value, iterations, backtracks)."""
-    basis = cm_basis(H, grid, N, field.d)
-    k_stack = np.stack([b.induced_path.values for b in basis])
+    k_stack = cm_basis(H, grid, N, field.d)
     dk_stack = np.diff(k_stack, axis=-2)
-    nb = len(basis)
+    nb = len(k_stack)
 
     def objective_grad(coeffs):
         ctx = expansion_context(field, SampledPath(grid, np.einsum("a,atd->td", coeffs, k_stack)))

@@ -13,7 +13,6 @@ from roughlaplace.variation import (
     _chain_dp,
     _turning_points,
     cosine_pvar,
-    pvar_exact,
     pvar_values,
     restrict_dyadic,
 )
@@ -38,17 +37,21 @@ def brute_force_pvar(values: np.ndarray, p: float) -> float:
     return best ** (1.0 / p)
 
 
+def pvar(path: SampledPath, p: float) -> float:
+    """The grid p-variation of one path."""
+    return float(pvar_values(path.values, p))
+
+
 class TestPvarExact:
+    """The exact grid p-variation of one path."""
+
     def test_monotone_path_endpoints_only(self):
         g = TimeGrid(np.array([0.0, 0.5, 1.0]))
-        res = pvar_exact(SampledPath(g, np.array([0.0, 0.3, 1.0])), 2.0)
-        assert res.value == pytest.approx(1.0, abs=0)
-        assert res.optimal_partition == [0, 2]
+        assert pvar(SampledPath(g, np.array([0.0, 0.3, 1.0])), 2.0) == pytest.approx(1.0, abs=0)
 
     def test_cosine_extrema(self):
         # p-variation of cos(4 pi t) - 1 at its extrema: 2 * 4^(1/2)
-        res = pvar_exact(cosine_extrema_path(4), 2.0)
-        assert res.value == pytest.approx(4.0, abs=1e-12)
+        assert pvar(cosine_extrema_path(4), 2.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -57,23 +60,23 @@ class TestPvarExact:
             g = TimeGrid(pts)
             vals = rng.standard_normal(9)
             p = rng.uniform(1.0, 3.5)
-            res = pvar_exact(SampledPath(g, vals), p)
-            assert res.value == brute_force_pvar(vals[:, None], p)
+            assert pvar(SampledPath(g, vals), p) == brute_force_pvar(vals[:, None], p)
 
     def test_partition_reproduces_value(self):
+        # the oracle's maximising partition attains the value
         rng = np.random.default_rng(3)
         g = TimeGrid(np.sort(np.concatenate([[0, 1], rng.uniform(0, 1, 10)])))
         path = SampledPath(g, rng.standard_normal((12, 2)))
-        res = pvar_exact(path, 2.5)
+        partition = pvar_oracle(path.values, 2.5).optimal_partition
         s = 0.0
-        for a, b in zip(res.optimal_partition[:-1], res.optimal_partition[1:]):
+        for a, b in zip(partition[:-1], partition[1:]):
             s += np.linalg.norm(path.values[b] - path.values[a]) ** 2.5
-        assert s ** (1 / 2.5) == pytest.approx(res.value, rel=1e-12)
+        assert s ** (1 / 2.5) == pytest.approx(pvar(path, 2.5), rel=1e-12)
 
     def test_invalid_p(self):
         g = TimeGrid.uniform(3)
         with pytest.raises(ValueError):
-            pvar_exact(SampledPath(g, np.zeros(3)), 0.5)
+            pvar(SampledPath(g, np.zeros(3)), 0.5)
 
     @given(st.integers(0, 2**10 - 1), st.floats(1.0, 4.0))
     @settings(max_examples=40, deadline=None)
@@ -82,39 +85,36 @@ class TestPvarExact:
         rng = np.random.default_rng(mask)
         vals_full = np.concatenate([[0.0], rng.standard_normal(10), [0.5]])
         keep = sorted({0, 11} | {i + 1 for i in range(10) if (mask >> i) & 1})
-        full = pvar_exact(SampledPath(TimeGrid.uniform(12), vals_full), p)
-        sub = pvar_exact(
-            SampledPath(TimeGrid.uniform(len(keep)), vals_full[keep]), p
-        )
-        assert full.value >= sub.value - 1e-12
+        full = pvar(SampledPath(TimeGrid.uniform(12), vals_full), p)
+        sub = pvar(SampledPath(TimeGrid.uniform(len(keep)), vals_full[keep]), p)
+        assert full >= sub - 1e-12
 
     def test_nonincreasing_in_p(self):
         rng = np.random.default_rng(11)
         g = TimeGrid.uniform(10)
         path = SampledPath(g, rng.standard_normal(10))
-        vals = [pvar_exact(path, p).value for p in (1.0, 1.5, 2.0, 3.0, 4.0)]
+        vals = [pvar(path, p) for p in (1.0, 1.5, 2.0, 3.0, 4.0)]
         assert all(a >= b - 1e-12 for a, b in zip(vals[:-1], vals[1:]))
 
 
-def full_grid_pvar(values, p: float):
+def full_grid_pvar(values, p: float) -> float:
     """The dynamic program over every grid index, without any reduction."""
     v = np.asarray(values, dtype=float).reshape(len(values), -1)
-    return pvar_backbone_oracle(pair_norms_oracle(v), p)
+    return pvar_backbone_oracle(pair_norms_oracle(v), p).value
 
 
-def fast_pvar(values, p: float):
-    return pvar_exact(SampledPath(TimeGrid.uniform(len(values)), values), p)
+def fast_pvar(values, p: float) -> float:
+    return pvar(SampledPath(TimeGrid.uniform(len(values)), values), p)
 
 
 class TestTurningPointReduction:
-    """Scalar pvar_exact runs on turning points; it must match the full DP."""
+    """Scalar paths run on their turning points; the value must equal the
+    full grid program's, bit for bit."""
 
     P_VALUES = (1.0, 1.5, 2.78, 4.0)
 
     def assert_same(self, values, p):
-        fast, full = fast_pvar(values, p), full_grid_pvar(values, p)
-        assert fast.value == full.value
-        assert fast.optimal_partition == full.optimal_partition
+        assert fast_pvar(values, p) == full_grid_pvar(values, p)
 
     @pytest.mark.parametrize("p", P_VALUES[1:])
     def test_random_walks(self, p):
@@ -151,9 +151,12 @@ class TestTurningPointReduction:
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_flat_run_partition(self, p):
-        assert fast_pvar(np.array([0.0, 1.0, 1.0, 0.0]), p).optimal_partition == [0, 1, 3]
-        assert fast_pvar(np.array([0.0, 1.0, 1.0, 2.0]), p).optimal_partition == [0, 3]
-        assert fast_pvar(np.full(6, -0.5), p).optimal_partition == [0, 5]
+        # a flat run counts once: the values are the sums over the
+        # partitions [0, 1, 3], [0, 3] and [0, 5]
+        two = pytest.approx(2.0 ** (1.0 / p), rel=1e-15)
+        assert fast_pvar(np.array([0.0, 1.0, 1.0, 0.0]), p) == two
+        assert fast_pvar(np.array([0.0, 1.0, 1.0, 2.0]), p) == pytest.approx(2.0, rel=1e-15)
+        assert fast_pvar(np.full(6, -0.5), p) == 0.0
 
     @pytest.mark.parametrize("p", P_VALUES[1:])
     def test_sampled_cosines(self, p):
@@ -166,17 +169,14 @@ class TestTurningPointReduction:
     @pytest.mark.parametrize("p", P_VALUES[1:])
     def test_near_ties_same_value(self, p):
         # a monotone sample within rounding of a turning value ties it in
-        # floating point; the full DP may keep the monotone one (the earlier
-        # index), the reduction keeps the turning point: same value
+        # floating point; the full DP may keep the monotone one, the
+        # reduction keeps the turning point: same value
         rng = np.random.default_rng(58)
         for _ in range(200):
             vals = np.cumsum(rng.standard_normal(20))
             vals[5] = vals[4] * (1.0 + 1e-15)
             vals[10] = vals[9] + 1e-14
-            fast, full = fast_pvar(vals, p), full_grid_pvar(vals, p)
-            assert fast.value == full.value
-            swapped = set(fast.optimal_partition) ^ set(full.optimal_partition)
-            assert swapped <= {4, 5, 9, 10}
+            assert fast_pvar(vals, p) == full_grid_pvar(vals, p)
 
     def test_p1_float_ties_differ_by_rounding_only(self):
         # at p = 1 every monotone sample ties exactly; on non-integer data the
@@ -186,16 +186,13 @@ class TestTurningPointReduction:
             for _ in range(20):
                 vals = np.cumsum(rng.standard_normal(n))
                 want = np.abs(np.diff(vals)).sum()
-                assert fast_pvar(vals, 1.0).value == pytest.approx(want, rel=1e-13)
-                assert full_grid_pvar(vals, 1.0).value == pytest.approx(want, rel=1e-13)
+                assert fast_pvar(vals, 1.0) == pytest.approx(want, rel=1e-13)
+                assert full_grid_pvar(vals, 1.0) == pytest.approx(want, rel=1e-13)
 
     def test_vector_paths_keep_full_dp(self):
         rng = np.random.default_rng(4)
         vals = rng.standard_normal((30, 2))
-        path = SampledPath(TimeGrid.uniform(30), vals)
-        res = pvar_exact(path, 2.2)
-        want = full_grid_pvar(vals, 2.2)
-        assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
+        assert pvar(SampledPath(TimeGrid.uniform(30), vals), 2.2) == full_grid_pvar(vals, 2.2)
 
 
 def integer_walk_batches():
@@ -208,8 +205,8 @@ def integer_walk_batches():
 
 
 class TestBatchedDP:
-    """pvar_values, pvar_exact and the shared program _chain_dp against the
-    per-path oracle (conftest), bit for bit."""
+    """pvar_values and its program _chain_dp against the per-path oracle
+    (conftest), bit for bit."""
 
     P_VALUES = (1.0, 1.5, 2.78, 4.0)
 
@@ -218,12 +215,10 @@ class TestBatchedDP:
         lead = values.shape[:-2]
         got = pvar_values(values, p)
         assert got.shape == lead
-        grid = TimeGrid.uniform(values.shape[-2])
         for ix in np.ndindex(lead):
-            want = pvar_oracle(values[ix], p)
-            assert got[ix] == want.value
-            res = pvar_exact(SampledPath(grid, values[ix]), p)
-            assert (res.value, res.optimal_partition) == (want.value, want.optimal_partition)
+            want = pvar_oracle(values[ix], p).value
+            assert got[ix] == want
+            assert pvar_values(values[ix], p) == want  # alone as in the batch
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 6),
            st.sampled_from(P_VALUES))
@@ -269,35 +264,14 @@ class TestBatchedDP:
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_backbone_batches_weight_matrices(self, p):
-        # small integer weights tie often, so the tie rule decides chains
+        # small integer weights tie often
         rng = np.random.default_rng(12)
         weights = rng.integers(0, 4, (2, 3, 9, 9)).astype(float)
         flat = (weights**p).reshape(-1, 9, 9)
-        values, prev = _chain_dp(lambda j: flat[:, :j, j].copy(), 6, 9, p, pointers=True)
+        values = _chain_dp(lambda j: flat[:, :j, j].copy(), 6, 9, p)
         assert values.shape == (6,)
         for b, w in enumerate(weights.reshape(-1, 9, 9)):
             assert values[b] == pvar_backbone_oracle(w, p).value
-        # without pointers the program gives the same values and no chains
-        alone, none = _chain_dp(lambda j: flat[:, :j, j].copy(), 6, 9, p)
-        assert np.array_equal(alone, values) and none is None
-        # the back pointers of the shared program follow the oracle's chains
-        for b, w in enumerate(weights.reshape(-1, 9, 9)):
-            chain = [8]
-            while chain[-1] != 0:
-                chain.append(int(prev[b, chain[-1]]))
-            assert chain[::-1] == pvar_backbone_oracle(w, p).optimal_partition
-
-    def test_tie_prefers_fewest_points(self):
-        # at p = 1, column 4 ties between i = 2 (reached by 0-1-2) and i = 3
-        # (reached by 0-3): the chain with fewer points wins, not the
-        # earlier index
-        w = np.zeros((5, 5))
-        w[0, 1] = w[1, 2] = w[0, 2] = w[2, 4] = w[3, 4] = 1.0
-        w[0, 3] = 2.0
-        values, prev = _chain_dp(lambda j: np.stack([w, w])[:, :j, j], 2, 5, 1.0, pointers=True)
-        want = pvar_backbone_oracle(w, 1.0)
-        assert want.optimal_partition == [0, 3, 4]
-        assert list(values) == [want.value] * 2 and list(prev[:, 4]) == [3, 3]
 
     @pytest.mark.parametrize("p", (1.0, 2.78))
     def test_large_stack_padded_rows(self, p):
@@ -346,7 +320,7 @@ class TestCosinePvar:
     def test_matches_dp(self):
         for n in (1, 2, 6):
             for p in (1.5, 2.0, 3.5):
-                dp = pvar_exact(cosine_extrema_path(n), p).value
+                dp = pvar(cosine_extrema_path(n), p)
                 assert dp == pytest.approx(cosine_pvar(n, p), abs=1e-12)
 
     def test_validation(self):
@@ -379,7 +353,7 @@ class TestDyadicApprox:
         dists = []
         for m in (1, 3, 5):
             approx = dyadic_approx(path, m)
-            dists.append(pvar_exact(path - approx, 1.3).value)
+            dists.append(pvar(path - approx, 1.3))
         assert dists[0] > dists[1] > dists[2]
 
     def test_coarsen(self):
