@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""sha256 of every artifact the shipped configs produce, for comparing two
+checkouts bit for bit.
+
+Usage: python3 scripts/artifact_digests.py > digests.txt
+
+Runs each config in ``scripts/configs``, plus the laplace config with the
+linear term v = [0.4, -0.3], through this checkout's CLI in a temporary
+directory, and prints one ``sha256  config/artifact`` line per artifact,
+sorted, leaving out the manifests (they hold timings).  Each run is a fresh
+interpreter with one BLAS thread, since OpenBLAS sums in an order that
+depends on its thread count.  Run it in two checkouts and ``diff`` the
+outputs.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "scripts" / "configs"
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def configs() -> dict:
+    """Config name -> config dict: the shipped ones and the laplace variant."""
+    runs = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+    laplace = runs["laplace_gaussian"]
+    runs["laplace_gaussian_v"] = {
+        **laplace, "functional_params": {**laplace["functional_params"], "v": [0.4, -0.3]}}
+    return runs
+
+
+def run_config(name: str, cfg: dict, tmp: Path) -> list:
+    """Run one config in a child interpreter; (sha256, name/artifact) pairs."""
+    path = tmp / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp / name
+    env = dict(os.environ, **ONE_BLAS_THREAD)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-m", "roughlaplace.cli", cfg["kind"],
+                    "--config", str(path), "--out", str(out)],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    [run_dir] = out.iterdir()
+    return [(hashlib.sha256(f.read_bytes()).hexdigest(), f"{name}/{f.relative_to(run_dir)}")
+            for f in sorted(run_dir.rglob("*")) if f.is_file() and f.name != "manifest.json"]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = [pair for name, cfg in configs().items()
+                 for pair in run_config(name, cfg, Path(tmp))]
+    for digest, artifact in sorted(lines, key=lambda pair: pair[1]):
+        print(f"{digest}  {artifact}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -49,6 +49,11 @@ EXPERIMENT_KINDS = (
 )
 
 
+def _is_real(value) -> bool:
+    """``value`` is an int or a float, bool excluded."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_positive(value, kinds) -> bool:
     """``value`` is an instance of ``kinds`` (bool excluded) and above 0."""
     return isinstance(value, kinds) and not isinstance(value, bool) and value > 0
@@ -99,17 +104,24 @@ class ExperimentConfig:
         return self.extras.get("alpha0_samples", 10_000)
 
     def validate(self) -> list:
-        errors = []
-        if self.grid_size < 2:
+        # types before values, so no comparison below meets a str or a bool
+        errors = [f"{key} must be a positive int; got {value!r}"
+                  for key, value in (("grid_size", self.grid_size), ("n", self.n),
+                                     ("d", self.d), ("n_samples", self.n_samples))
+                  if not _is_positive(value, int)]
+        if _is_positive(self.grid_size, int) and self.grid_size < 2:
             errors.append("grid_size must be at least 2")
-        if self.n < 1 or self.d < 1:
-            errors.append("dimensions n, d must be positive")
-        if self.n_samples < 1:
-            errors.append("n_samples must be positive")
-        try:
-            self.hurst()
-        except ValueError as e:
-            errors.append(str(e))
+        numbers = [("H", "a real number", _is_real(self.H))] + [
+            (key, "a positive number", _is_positive(getattr(self, key), (int, float)))
+            for key in ("p", "q") if getattr(self, key) is not None]
+        bad_numbers = [f"{key} must be {what}; got {getattr(self, key)!r}"
+                       for key, what, ok in numbers if not ok]
+        errors += bad_numbers
+        if not bad_numbers:
+            try:
+                self.hurst()
+            except ValueError as e:
+                errors.append(str(e))
         if self.kind == "hessian":
             N_list = self.hs_N_list()
             if not (isinstance(N_list, list) and all(_is_positive(N, int) for N in N_list)

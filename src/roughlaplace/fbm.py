@@ -404,17 +404,8 @@ class CameronMartinVector:
     induced_path: SampledPath
     hurst: HurstParams
 
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
     def norm_sq(self) -> float:
         return float((self.coeffs**2).sum())
-
-    def inner(self, other: "CameronMartinVector") -> float:
-        a, b = self.coeffs, other.coeffs
-        n = min(a.shape[0], b.shape[0])
-        return float((a[:n] * b[:n]).sum())
 
 
 def cm_map(h, H: float, grid: TimeGrid) -> CameronMartinVector:

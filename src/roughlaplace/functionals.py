@@ -135,43 +135,34 @@ def integral_quadratic(Q, v=None, c0: float = 0.0) -> FunctionalSpec:
 
 
 def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
-    """sigma(y) = S constant; optional linear drift beta(eps, y) = B y.
+    """sigma(y) = S constant; optional linear drift beta(eps, y) = B y, and
+    none (``beta=None``) without ``beta_matrix``.
 
     ``sigma`` and ``dbeta_y`` return read-only broadcast views of S and B,
     not copies; ``sigma`` builds one view per leading shape of y and returns
     it again on every later call with that shape (the Heun stages call it
-    once per stage with the same shape).  Without drift ``beta`` returns one
-    read-only zero array per shape of y in the same way; it is contiguous,
-    since a stride-0 view makes the stepper's product with the step slower.
+    once per stage with the same shape).
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     n, d = S.shape
-    B = None if beta_matrix is None else np.asarray(beta_matrix, dtype=float)
 
     @lru_cache(maxsize=32)
     def sigma_view(lead):
         return np.broadcast_to(S, lead + (n, d))
 
-    @lru_cache(maxsize=32)
-    def zero_drift(shape):
-        z = np.zeros(shape)
-        z.flags.writeable = False
-        return z
-
     def sigma(y):
         return sigma_view(np.shape(y)[:-1])
-
-    def beta(eps, y):
-        if B is None:
-            return zero_drift(np.shape(y))
-        return np.einsum("ab,...b->...a", B, np.asarray(y, dtype=float))
 
     def zeros(shape):
         return lambda *args: np.zeros(np.asarray(args[-1]).shape[:-1] + shape)
 
-    if B is None:
-        dbeta_y = zeros((n, n))
-    else:
+    beta = dbeta_y = None
+    if beta_matrix is not None:
+        B = np.asarray(beta_matrix, dtype=float)
+
+        def beta(eps, y):
+            return np.einsum("ab,...b->...a", B, np.asarray(y, dtype=float))
+
         def dbeta_y(eps, y):
             return np.broadcast_to(B, np.asarray(y).shape[:-1] + (n, n))
 
@@ -300,7 +291,8 @@ def tanh_field(
 def rotation_field(d: int, kappa: float = 1.0, scale: float = 0.5) -> VectorFieldSpec:
     """Planar rotation-type field on n = 2: sigma(y) = R(kappa tanh(y_1 + y_2)) S.
 
-    Bounded and smooth; derivative evaluators fall back to finite differences.
+    Bounded and smooth, without drift; the sigma derivatives fall back to
+    finite differences.
     """
     S = scale * np.ones((2, d))
     S[1, :] *= 0.5
@@ -314,11 +306,7 @@ def rotation_field(d: int, kappa: float = 1.0, scale: float = 0.5) -> VectorFiel
         )
         return np.einsum("...ab,bj->...aj", R, S)
 
-    def beta(eps, y):
-        y = np.asarray(y, dtype=float)
-        return np.zeros(y.shape)
-
-    return VectorFieldSpec(n=2, d=d, sigma=sigma, beta=beta, name="rotation")
+    return VectorFieldSpec(n=2, d=d, sigma=sigma, name="rotation")
 
 
 def fractional_drift_field(base: VectorFieldSpec, inv_H: float) -> VectorFieldSpec:
@@ -327,11 +315,9 @@ def fractional_drift_field(base: VectorFieldSpec, inv_H: float) -> VectorFieldSp
     Used by the short-time experiments, where the drift of the rescaled
     equation picks up the fractional power of the small parameter.
     """
-    base_beta = base.beta
-
     def beta(eps, y):
         w = float(eps) ** inv_H if eps > 0 else 0.0
-        return w * np.asarray(base_beta(0.0, y), dtype=float)
+        return w * base.beta_at(0.0, y)
 
     def dbeta_y(eps, y):
         w = float(eps) ** inv_H if eps > 0 else 0.0

@@ -415,27 +415,25 @@ def mc_laplace(
     gamma_vals = gamma_cm.induced_path.values if use_shift else np.zeros((len(grid), gen.d))
 
     def increments(vals, eps):
-        """Increments (N - 1, batch, d) of eps X + gamma from step-major
-        samples X (N, batch, d); gamma is added one coordinate at a time, so
-        each sum runs along the batch axis, not over a sample's d entries.
-        The path eps X + gamma is freed on return, before the solve."""
+        """Increments (N - 1, d, batch) of eps X + gamma from coordinate-major
+        samples X (N, d, batch), the stepper's own layout.  The path
+        eps X + gamma is freed on return, before the solve."""
         Z = eps * vals
-        for k in range(gen.d):
-            Z[..., k] += gamma_vals[:, None, k]
+        Z += gamma_vals[:, :, None]
         return np.diff(Z, axis=0)
 
     def integrand(sample):
-        # step-major samples, once per block: every eps's increments then
-        # reach the stepper in its layout, so it copies none of them; the
-        # draw is dropped first, so the block is held once
+        # coordinate-major samples, once per block: every eps's increments
+        # then reach the stepper in its layout, so it copies none of them;
+        # the draw is dropped first, so the block is held once
         vals, eta = sample
         del sample
-        vals = np.moveaxis(vals, -2, 0).copy()
-        log_t = np.empty((len(eps_list), vals.shape[1]))
-        g_t = np.empty((len(eps_list), vals.shape[1]))
+        vals = np.ascontiguousarray(vals.transpose(1, 2, 0))
+        log_t = np.empty((len(eps_list), vals.shape[-1]))
+        g_t = np.empty((len(eps_list), vals.shape[-1]))
         for e, eps in enumerate(eps_list):
-            sol = heun_controlled(field_spec, grid, np.moveaxis(increments(vals, eps), 0, -2),
-                                  np.zeros(field_spec.n), eps_beta=eps)
+            inc = np.moveaxis(increments(vals, eps), (0, 1), (-2, -1))
+            sol = heun_controlled(field_spec, grid, inc, np.zeros(field_spec.n), eps_beta=eps)
             Fv = np.asarray(functional.value(sol, grid), dtype=float)
             log_t[e] = -Fv / eps**2
             g_t[e] = np.asarray(G.value(sol, grid), dtype=float)

@@ -1,7 +1,10 @@
 """ODE solving in the q-variation Young regime.
 
 One Heun (explicit trapezoidal) stepper handles the controlled ODE
-dy = sigma(y) dk + beta(eps, y) dt.  Every inhomogeneous linear equation
+dy = sigma(y) dk + beta(eps, y) dt.  It steps coordinate-major, with the
+batch axis innermost in memory, so each stage's small (n, d) contraction
+runs along the batch; a field declared without drift (``beta=None``) gets
+no drift pass.  Every inhomogeneous linear equation
 sharing the homogeneous part  dz = [grad sigma(phi0)<z, dgamma> +
 grad beta0(phi0)<z>] dt + source  is solved through its flow.  A Heun step
 of that equation is one affine map z_{i+1} = T_i z_i + b_i: T from the
@@ -27,6 +30,7 @@ so a consumer that reads solves only through one fixed covector
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -89,12 +93,16 @@ class VectorFieldSpec:
     Evaluator outputs are read-only to callers: an evaluator may return a
     broadcast view of a constant table (``constant_field`` does), so no
     solver or source assembly writes into what an evaluator returned.
+
+    ``beta=None`` declares a field without drift: every beta evaluator then
+    returns zeros, whatever its own entry, and the Heun stepper skips the
+    drift term instead of adding zeros on every stage.
     """
 
     n: int
     d: int
     sigma: Callable
-    beta: Callable
+    beta: Optional[Callable] = None
     dsigma: Optional[Callable] = None  # (n, d, n)
     d2sigma: Optional[Callable] = None  # (n, d, n, n)
     dbeta_y: Optional[Callable] = None  # (n, n)
@@ -108,7 +116,13 @@ class VectorFieldSpec:
     def sigma_at(self, y):
         return np.asarray(self.sigma(y), dtype=float)
 
+    def _no_drift(self, y, *tail):
+        """The zeros every beta evaluator returns when the field has no drift."""
+        return np.zeros(np.shape(y)[:-1] + (self.n,) + tail)
+
     def beta_at(self, eps, y):
+        if self.beta is None:
+            return self._no_drift(y)
         return np.asarray(self.beta(eps, y), dtype=float)
 
     def dsigma_at(self, y):
@@ -122,16 +136,22 @@ class VectorFieldSpec:
         return _fd_jacobian(self.dsigma_at, y, _NESTED_STEP)
 
     def dbeta_y_at(self, eps, y):
+        if self.beta is None:
+            return self._no_drift(y, self.n)
         if self.dbeta_y is not None:
             return np.asarray(self.dbeta_y(eps, y), dtype=float)
         return _fd_jacobian(lambda x: self.beta(eps, x), y)
 
     def d2beta_y_at(self, eps, y):
+        if self.beta is None:
+            return self._no_drift(y, self.n, self.n)
         if self.d2beta_y is not None:
             return np.asarray(self.d2beta_y(eps, y), dtype=float)
         return _fd_jacobian(lambda x: self.dbeta_y_at(eps, x), y, _NESTED_STEP)
 
     def dbeta_eps_at(self, eps, y):
+        if self.beta is None:
+            return self._no_drift(y)
         if self.dbeta_eps is not None:
             return np.asarray(self.dbeta_eps(eps, y), dtype=float)
         h = 1e-5
@@ -140,6 +160,8 @@ class VectorFieldSpec:
         return (4.0 * d2 - d1) / 3.0
 
     def d2beta_eps_at(self, eps, y):
+        if self.beta is None:
+            return self._no_drift(y)
         if self.d2beta_eps is not None:
             return np.asarray(self.d2beta_eps(eps, y), dtype=float)
         h = 1e-4
@@ -148,6 +170,8 @@ class VectorFieldSpec:
         ) / h**2
 
     def dbeta_y_eps_at(self, eps, y):
+        if self.beta is None:
+            return self._no_drift(y, self.n)
         if self.dbeta_y_eps is not None:
             return np.asarray(self.dbeta_y_eps(eps, y), dtype=float)
         h = _NESTED_STEP
@@ -173,38 +197,52 @@ def heun_controlled(
     """Heun steps for dy = sigma(y) dZ + beta(eps, y) dt along given increments.
 
     ``driver_increments`` has shape (..., n_steps, d), leading axes batch;
-    the returned array is (..., N, n).  The steps run in step-major memory:
-    the increments are copied once into (n_steps, ..., d) order (no copy
-    when the caller's array is already laid out so), and the states are
-    written into an (N, ..., n) buffer, so each step reads and writes
-    contiguous slabs instead of slices strided by a whole path.  The result
-    is that buffer's (..., N, n) view: with leading axes it is not
-    C-contiguous.
+    the returned array is (..., N, n).  The steps run coordinate-major, with
+    every leading axis flattened into one batch axis B that is innermost in
+    memory: the increments are copied once into (n_steps, d, B) order (no
+    copy when the caller's array is already laid out so) and the states are
+    written into an (N, n, B) buffer.  The field evaluators see (B, n)
+    transposed views of the states ((n,) unbatched), and each stage's
+    contraction sum_b sigma(y)[a, b] dZ[b] runs along B into a preallocated
+    buffer, adding the terms from b = 0 up at every B, so each row of a
+    batched solve has the bits of its unbatched solve.  A field without drift
+    (``beta=None``) gets no drift pass.  The result is the buffer's
+    (..., N, n) view, which is not C-contiguous.
     """
     inc = np.asarray(driver_increments, dtype=float)
-    n_steps = inc.shape[-2]
+    lead, (n_steps, d) = inc.shape[:-2], inc.shape[-2:]
     if n_steps != grid.n_steps:
         raise ValueError("driver increments do not match the grid")
+    B, n = math.prod(lead), field.n
+    inc = np.ascontiguousarray(np.moveaxis(inc, (-2, -1), (0, 1)).reshape(n_steps, d, B))
+    out = np.empty((len(grid), n, B))
+    out[0] = np.broadcast_to(np.asarray(y0, dtype=float), lead + (n,)).reshape(B, n).T
+
+    def view(a):
+        """The evaluators' (..., B, k) view of a coordinate-major (..., k, B)
+        array, or (..., k) unbatched; taken once per array, not per stage."""
+        return np.swapaxes(a, -1, -2) if lead else a[..., 0]
+
+    ys, dzs = view(out), view(inc)
+    s1, s2, y_mid, beta_h = (view(np.empty((n, B))) for _ in range(4))
+    has_drift = field.beta is not None
+
+    def stage(y, dz, h, buf):
+        # order "F" iterates the batch fastest and b slowest, so the terms
+        # add from b = 0 up at every B (the default order sums otherwise)
+        np.einsum("...ab,...b->...a", field.sigma_at(y), dz, out=buf, order="F")
+        if has_drift:
+            buf += np.multiply(field.beta_at(eps_beta, y), h, out=beta_h)
+
     dt = grid.dt
-    inc = np.ascontiguousarray(np.moveaxis(inc, -2, 0))
-    out = np.empty((len(grid),) + inc.shape[1:-1] + (field.n,))
-    out[0] = np.asarray(y0, dtype=float)
-    y = out[0]
-
-    def rhs(yv, dz, h):
-        sig = field.sigma_at(yv)
-        return np.einsum("...ab,...b->...a", sig, dz) + field.beta_at(eps_beta, yv) * h
-
     for i in range(n_steps):
-        dz = inc[i]
-        h = dt[i]
-        s1 = rhs(y, dz, h)
-        s2 = rhs(y + s1, dz, h)
+        y, dz, h = ys[i], dzs[i], dt[i]
+        stage(y, dz, h, s1)
+        stage(np.add(y, s1, out=y_mid), dz, h, s2)
         s1 += s2
         s1 *= 0.5
-        y = np.add(y, s1, out=out[i + 1])
-        field.check_guard(y)
-    return np.moveaxis(out, 0, -2)
+        field.check_guard(np.add(y, s1, out=ys[i + 1]))
+    return np.moveaxis(out.reshape((len(grid), n) + lead), (0, 1), (-2, -1))
 
 
 def _matvec(C: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:

@@ -35,7 +35,8 @@ def heun_reference(
 ) -> np.ndarray:
     """Reference for :func:`roughlaplace.odes.heun_controlled`: the same Heun
     steps in sample-major memory, reading the increments ``[..., i, :]`` and
-    writing the states ``[..., i + 1, :]`` of (..., N, n) arrays."""
+    writing the states ``[..., i + 1, :]`` of (..., N, n) arrays, with each
+    stage's sum_b sigma[a, b] dZ[b] added from b = 0 up."""
     inc = np.asarray(driver_increments, dtype=float)
     n_steps = inc.shape[-2]
     if n_steps != grid.n_steps:
@@ -47,7 +48,10 @@ def heun_reference(
 
     def rhs(yv, dz, h):
         sig = field.sigma_at(yv)
-        return np.einsum("...ab,...b->...a", sig, dz) + field.beta_at(eps_beta, yv) * h
+        acc = sig[..., 0] * dz[..., None, 0]
+        for b in range(1, field.d):
+            acc = acc + sig[..., b] * dz[..., None, b]
+        return acc + field.beta_at(eps_beta, yv) * h
 
     for i in range(n_steps):
         dz = inc[..., i, :]

@@ -181,6 +181,20 @@ class TestMain:
         assert rc == 2
         assert "1/q" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid_size", "33"), ("n_samples", "5"), ("H", "0.4"), ("d", 2.0), ("grid_size", True),
+    ])
+    def test_mistyped_value_named_with_exit_code(self, tmp_path, capsys, key, value):
+        # each value is checked for its type before any comparison
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "simulate", "grid_size": 33, "n_samples": 5,
+                                        key: value}))
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{key} must be a" in err and f"got {value!r}" in err
+        assert not (tmp_path / "runs").exists()
+
     def test_workers_give_identical_laplace_artifacts(self, tmp_path, capsys):
         # 4200 samples make three Monte Carlo blocks of the default 2048, and
         # five restarts run in the pool as well

@@ -101,7 +101,8 @@ HEUN_FIELDS = {
 
 
 class TestHeunStepMajor:
-    """The step-major stepper gives the bits of the sample-major loop."""
+    """The coordinate-major stepper gives the bits of the sample-major loop
+    that adds each stage's sigma dZ terms from b = 0 up."""
 
     @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=str)
     @pytest.mark.parametrize("eps_beta", [0.0, 0.3])
@@ -113,12 +114,41 @@ class TestHeunStepMajor:
         inc = 0.3 * rng.standard_normal(lead + (g.n_steps, field.d))
         y0 = rng.uniform(-0.5, 0.5, field.n)
         want = heun_reference(field, g, inc, y0, eps_beta)
-        # the same increments as a step-major view, which the stepper does not copy
-        step_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(inc, -2, 0)), 0, -2)
-        for given in (inc, step_major):
+        # the same increments as a coordinate-major view, which the stepper does not copy
+        coord_major = np.moveaxis(
+            np.ascontiguousarray(np.moveaxis(inc, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+        for given in (inc, coord_major):
             got = heun_controlled(field, g, given, y0, eps_beta)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(HEUN_FIELDS))
+    def test_batch_rows_match_single_solves(self, name):
+        # the stage sums add in one order at every batch size, B = 1 included
+        field = HEUN_FIELDS[name]
+        g = TimeGrid.uniform(33)
+        rng = np.random.default_rng(12)
+        inc = 0.3 * rng.standard_normal((5, g.n_steps, field.d))
+        y0 = rng.uniform(-0.5, 0.5, field.n)
+        batched = heun_controlled(field, g, inc, y0, 0.3)
+        for row, row_inc in zip(batched, inc):
+            assert np.array_equal(row, heun_controlled(field, g, row_inc, y0, 0.3))
+
+    def test_drift_free_field_has_no_drift_pass(self, monkeypatch):
+        S = [[1.0, 0.3], [-0.2, 0.8]]
+        free, zero = constant_field(S), constant_field(S, beta_matrix=np.zeros((2, 2)))
+        g = TimeGrid.uniform(33)
+        rng = np.random.default_rng(13)
+        inc = 0.3 * rng.standard_normal((4, g.n_steps, 2))
+        y0 = rng.uniform(-0.5, 0.5, 2)
+        want = heun_controlled(zero, g, inc, y0, 0.3)
+        calls = []
+        beta_at = VectorFieldSpec.beta_at
+        monkeypatch.setattr(VectorFieldSpec, "beta_at",
+                            lambda self, *args: calls.append(1) or beta_at(self, *args))
+        got = heun_controlled(free, g, inc, y0, 0.3)
+        assert free.beta is None and calls == []
+        assert np.array_equal(got, want)
 
     def test_divergence_same_step(self):
         # dy = y dZ along increments 0.5, and 1.0 on path 1, which crosses the guard first
@@ -262,7 +292,7 @@ class TestBroadcast:
 
 
 def read_only_outputs(field):
-    """The same field with every evaluator returning a read-only array."""
+    """The same field with every evaluator it has returning a read-only array."""
 
     def frozen(fn):
         def wrapped(*args):
@@ -273,7 +303,8 @@ def read_only_outputs(field):
 
     names = ("sigma", "beta", "dsigma", "d2sigma", "dbeta_y", "d2beta_y",
              "dbeta_eps", "d2beta_eps", "dbeta_y_eps")
-    return dataclasses.replace(field, **{k: frozen(getattr(field, k)) for k in names})
+    return dataclasses.replace(field, **{k: frozen(getattr(field, k)) for k in names
+                                         if getattr(field, k) is not None})
 
 
 @pytest.mark.parametrize("field", [tanh_field(2, 2, coef_seed=6),
@@ -296,6 +327,17 @@ def test_read_only_evaluator_outputs(field):
 
     for got, want in zip(outputs(frozen), outputs(field)):
         assert np.array_equal(got, want)
+
+
+def test_drift_free_evaluators_return_zeros():
+    # beta = None: every beta evaluator gives zeros, whatever its own entry
+    f = dataclasses.replace(constant_field([[1.0, 0.3], [-0.2, 0.8]], beta_matrix=np.eye(2)),
+                            beta=None)
+    ys = np.ones((7, 2))
+    for got, shape in ((f.beta_at(0.3, ys), (7, 2)), (f.dbeta_y_at(0.3, ys), (7, 2, 2)),
+                       (f.d2beta_y_at(0.3, ys), (7, 2, 2, 2)), (f.dbeta_eps_at(0.3, ys), (7, 2)),
+                       (f.d2beta_eps_at(0.3, ys), (7, 2)), (f.dbeta_y_eps_at(0.3, ys), (7, 2, 2))):
+        assert got.shape == shape and not got.any()
 
 
 def test_constant_field_returns_views():
