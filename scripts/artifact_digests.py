@@ -4,9 +4,10 @@ checkouts bit for bit.
 
 Usage: python3 scripts/artifact_digests.py > digests.txt
 
-Runs each config in ``scripts/configs``, plus the laplace config with the
-linear term v = [0.4, -0.3], through this checkout's CLI in a temporary
-directory, and prints one ``sha256  config/artifact`` line per artifact,
+Runs each config in ``scripts/configs``, the laplace config with the linear
+term v = [0.4, -0.3], and small inline ``lift`` (H = 0.3, d = 2, level 3),
+``rde`` and ``pvar`` configs, so that every CSV the CLI writes is covered,
+through this checkout's CLI in a temporary directory, and prints one ``sha256  config/artifact`` line per artifact,
 sorted, leaving out the manifests (they hold timings).  Each run is a fresh
 interpreter with one BLAS thread, since OpenBLAS sums in an order that
 depends on its thread count.  Run it in two checkouts and ``diff`` the
@@ -27,13 +28,23 @@ CONFIGS = ROOT / "scripts" / "configs"
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
+# Kinds no shipped config runs, kept small enough to finish in seconds.
+INLINE = {
+    "lift_h03": {"kind": "lift", "H": 0.3, "grid_size": 33, "d": 2, "seed": 61, "level": 3},
+    "rde_tanh": {"kind": "rde", "H": 0.4, "grid_size": 65, "n": 2, "d": 2, "seed": 71,
+                 "eps_list": [0.5]},
+    "pvar_cosine": {"kind": "pvar", "n_max": 8, "p_list": [1.5, 2.0, 3.5]},
+}
+
+
 def configs() -> dict:
-    """Config name -> config dict: the shipped ones and the laplace variant."""
+    """Config name -> config dict: the shipped ones, the laplace variant and
+    the inline ones."""
     runs = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
     laplace = runs["laplace_gaussian"]
     runs["laplace_gaussian_v"] = {
         **laplace, "functional_params": {**laplace["functional_params"], "v": [0.4, -0.3]}}
-    return runs
+    return {**runs, **INLINE}
 
 
 def run_config(name: str, cfg: dict, tmp: Path) -> list:

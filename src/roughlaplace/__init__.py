@@ -8,7 +8,7 @@ verification of the small-parameter expansion of
 E[G(Y) exp(-F(Y)/eps^2)].
 """
 
-from .grids import SampledPath, TimeGrid, path_to_csv
+from .grids import SampledPath, TimeGrid
 from .variation import cosine_pvar, pvar_values
 from .roughpath import (
     RoughPath,
@@ -47,7 +47,7 @@ from .taylor import (
     solve_rde,
     taylor_remainder_slope,
 )
-from .hessian import HessianMatrix, HSTailReport, det2, hessian_matrix, hs_tail
+from .hessian import HSTailReport, det2, hessian_matrix, hs_tail
 from .laplace import (
     KappaLadder,
     LaplaceReport,

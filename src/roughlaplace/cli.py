@@ -2,7 +2,9 @@
 
 One JSON config fully determines a run; the manifest (written before any
 artifact) echoes the config, its hash, and the declared artifact list, and is
-rewritten with status "complete" only after every artifact exists.  Numbers
+rewritten with status "complete" only after every artifact exists.  This is
+the one module that turns results into files: every CSV artifact goes
+through :func:`_csv`, and the library returns arrays and reports.  Numbers
 never depend on the worker count: all randomness flows through per-sample
 counter-based streams, and the laplace kind splits its Monte Carlo samples
 into blocks fixed by the config alone.
@@ -15,6 +17,7 @@ import json
 import math
 import sys
 import time
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fbm import HurstParams, cm_map, sample_fbm, sample_fbm_ensemble
+from .fbm import _QUAD_NODES, HurstParams, cm_map, sample_fbm, sample_fbm_ensemble
 from .functionals import make_field, make_functional
-from .grids import SampledPath, TimeGrid, path_to_csv
+from .grids import SampledPath, TimeGrid
 from .hessian import hs_tail, hessian_matrix
 from .laplace import (
     OptConfig,
@@ -33,7 +36,7 @@ from .laplace import (
     mc_laplace,
     minimize_F_Lambda,
 )
-from .roughpath import chen_residual, lift, roughpath_to_csv, scale_plan
+from .roughpath import chen_residual, lift, scale_plan
 from .taylor import expansion_context, solve_rde, taylor_remainder_slope
 from .variation import cosine_pvar, pvar_values
 
@@ -57,6 +60,10 @@ def _is_real(value) -> bool:
 def _is_positive(value, kinds) -> bool:
     """``value`` is an instance of ``kinds`` (bool excluded) and above 0."""
     return isinstance(value, kinds) and not isinstance(value, bool) and value > 0
+
+
+# The laplace kind's keys that are not config fields, with their defaults.
+_LAPLACE_EXTRAS = {"alpha0_samples": 10_000, "hessian_N": 8, "fit_order": 2, "use_shift": True}
 
 
 @dataclass
@@ -99,9 +106,12 @@ class ExperimentConfig:
         """The truncations of the ``hessian`` kind's hs_tail partial sums."""
         return self.extras.get("N_list", [8, 16, 32])
 
-    def alpha0_samples(self):
-        """The ``laplace`` kind's Monte Carlo samples for the constant alpha0."""
-        return self.extras.get("alpha0_samples", 10_000)
+    def laplace_extra(self, key: str):
+        """The ``laplace`` kind's ``key`` of ``_LAPLACE_EXTRAS``: the Monte
+        Carlo samples for the constant alpha0, the truncation of the Hessian
+        behind the constants, the degree of the expansion fit, and whether
+        the Monte Carlo samples are recentred on gamma."""
+        return self.extras.get(key, _LAPLACE_EXTRAS[key])
 
     def validate(self) -> list:
         # types before values, so no comparison below meets a str or a bool
@@ -128,15 +138,33 @@ class ExperimentConfig:
                     and max(N_list, default=0) >= 4):
                 errors.append("N_list must reach mode 4, the first mode of the decay fit, "
                               f"and hold positive ints only; got {N_list!r}")
+        if self.kind in ("hessian", "laplace"):
+            modes = [("truncation", self.truncation)]
+            if self.kind == "laplace":
+                modes.append(("hessian_N", self.laplace_extra("hessian_N")))
+            errors += [f"{key} must be an int in [1, {_QUAD_NODES}], the cosine modes the "
+                       f"kernel quadrature resolves; got {value!r}"
+                       for key, value in modes
+                       if not (_is_positive(value, int) and value <= _QUAD_NODES)]
         if self.kind == "laplace":
             eps_list = self.eps_list
-            if not (isinstance(eps_list, list)
-                    and all(_is_positive(eps, (int, float)) for eps in eps_list)):
+            eps_ok = (isinstance(eps_list, list)
+                      and all(_is_positive(eps, (int, float)) for eps in eps_list))
+            if not eps_ok:
                 errors.append(f"eps_list must be a list of positive numbers; got {eps_list!r}")
             for key, value in (("n_samples", self.n_samples),
-                               ("alpha0_samples", self.alpha0_samples())):
+                               ("alpha0_samples", self.laplace_extra("alpha0_samples"))):
                 if not (_is_positive(value, int) and value >= 2):
                     errors.append(f"{key} must be an int of at least 2; got {value!r}")
+            order = self.laplace_extra("fit_order")
+            if not (isinstance(order, int) and not isinstance(order, bool) and order >= 0):
+                errors.append(f"fit_order must be a non-negative int; got {order!r}")
+            elif eps_ok and len(eps_list) < order + 1:
+                errors.append(f"fit_order {order} needs at least {order + 1} eps values; "
+                              f"eps_list has {len(eps_list)}")
+            use_shift = self.laplace_extra("use_shift")
+            if not isinstance(use_shift, bool):
+                errors.append(f"use_shift must be true or false; got {use_shift!r}")
         return errors
 
     def numeric_dict(self) -> dict:
@@ -181,11 +209,20 @@ def _write(out: Path, name: str, text: str):
     (out / name).write_text(text)
 
 
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in r))
+def _csv(rows, header=None) -> str:
+    """CSV text of ``rows`` under an optional ``header`` line: floats with 17
+    significant digits, which read back to the same float64 bit for bit, and
+    anything else (indices, counts) as ``str`` gives it."""
+    lines = [] if header is None else [",".join(header)]
+    lines += (",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in r)
+              for r in rows)
     return "\n".join(lines) + "\n"
+
+
+def _path_csv(path: SampledPath) -> str:
+    """``path`` as CSV with columns ``t,x1..x<dim>``."""
+    return _csv(((t, *row) for t, row in zip(path.grid.points, path.values)),
+                ["t", *(f"x{j + 1}" for j in range(path.dim))])
 
 
 class RunContext:
@@ -231,11 +268,10 @@ def run_simulate(rc: RunContext):
     with rc.stage("sample_s"):
         arr = sample_fbm_ensemble(grid, cfg.H, cfg.d, cfg.n_samples, cfg.seed)
     with rc.stage("csv_s"):
-        lines = ["sample_id,t," + ",".join(f"x{j+1}" for j in range(cfg.d))]
-        for sid, values in enumerate(arr):
-            for t, row in zip(grid.points, values):
-                lines.append(f"{sid}," + ",".join(f"{v:.17g}" for v in (t, *row)))
-        _write(rc.out, "samples.csv", "\n".join(lines) + "\n")
+        rows = ((sid, t, *row) for sid, values in enumerate(arr)
+                for t, row in zip(grid.points, values))
+        header = ["sample_id", "t", *(f"x{j + 1}" for j in range(cfg.d))]
+        _write(rc.out, "samples.csv", _csv(rows, header))
     i, j = len(grid) // 4, 3 * len(grid) // 4
     inc = arr[:, j] - arr[:, i]
     summary = {
@@ -258,12 +294,15 @@ def run_lift(rc: RunContext):
     rc.manifest("started")
     with rc.stage("sample_s"):
         path = sample_fbm(grid, cfg.H, cfg.d, cfg.seed)
-    _write(rc.out, "driver.csv", path_to_csv(path))
+    _write(rc.out, "driver.csv", _path_csv(path))
     with rc.stage("lift_s"):
         X = lift(path, level)
     with rc.stage("csv_s"):
-        for j, text in roughpath_to_csv(X).items():
-            _write(rc.out, f"rough_level{j}.csv", text)
+        n = len(grid)
+        for k, arr in enumerate(X.levels(), start=1):
+            rows = ((i, j, *arr[i, j].reshape(-1)) for i in range(n) for j in range(i, n))
+            header = ["i", "j", *(f"v{m}" for m in range(arr[0, 0].size))]
+            _write(rc.out, f"rough_level{k}.csv", _csv(rows, header))
     with rc.stage("chen_s"):
         residual = chen_residual(X)
     _write(rc.out, "chen.json", json.dumps({"chen_residual": residual}))
@@ -299,7 +338,7 @@ def run_rde(rc: RunContext):
     eps = cfg.eps_list[0] if cfg.eps_list else 1.0
     with rc.stage("solve_s"):
         sol = solve_rde(field_spec, eps, driver)
-    _write(rc.out, "solution.csv", path_to_csv(sol))
+    _write(rc.out, "solution.csv", _path_csv(sol))
     _write(rc.out, "ladder.json", json.dumps(sol.meta, indent=2, sort_keys=True))
 
 
@@ -333,9 +372,16 @@ def run_hessian(rc: RunContext):
         gamma = _gamma(cfg, grid)
     with rc.stage("hessian_s"):
         ctx = expansion_context(field_spec, gamma)
-        hm = hessian_matrix(functional, ctx, cfg.truncation, cfg.H)
-    _write(rc.out, "hessian.csv", hm.to_csv())
-    _write(rc.out, "hessian_meta.json", hm.meta_json())
+        A = hessian_matrix(functional, ctx, cfg.truncation, cfg.H)
+    _write(rc.out, "hessian.csv", _csv(A))
+    meta = {
+        "N": cfg.truncation,
+        "basis": "cameron-martin images of L2 cosine modes",
+        "H": cfg.H,
+        "dim": field_spec.d,
+        "gamma_hash": zlib.crc32(gamma.values.tobytes()),
+    }
+    _write(rc.out, "hessian_meta.json", json.dumps(meta, indent=2, sort_keys=True))
     hp = cfg.hurst()
     with rc.stage("hs_tail_s"):
         rep = hs_tail(ctx, N_list=cfg.hs_N_list(), hurst=hp)
@@ -376,19 +422,19 @@ def run_laplace(rc: RunContext):
     with rc.stage("constants_s"):
         rep = expansion_constants(
             rep, functional, field_spec,
-            mc_samples=cfg.alpha0_samples(),
+            mc_samples=cfg.laplace_extra("alpha0_samples"),
             seed=cfg.seed + 2, G=weight,
-            hessian_N=cfg.extras.get("hessian_N", 8), workers=rc.workers,
+            hessian_N=cfg.laplace_extra("hessian_N"), workers=rc.workers,
         )
     with rc.stage("mc_s"):
         table = mc_laplace(
             functional, weight, field_spec, cfg.H, grid, cfg.eps_list,
-            cfg.n_samples, use_shift=cfg.extras.get("use_shift", True),
+            cfg.n_samples, use_shift=cfg.laplace_extra("use_shift"),
             gamma_cm=rep.gamma, seed=cfg.seed + 3, workers=rc.workers,
         )
     with rc.stage("fit_s"):
         fit = expansion_fit(table, a=rep.F_Lambda_min, c=rep.c_coef,
-                            order=cfg.extras.get("fit_order", 2))
+                            order=cfg.laplace_extra("fit_order"))
     rep.fit = {**(rep.fit or {}), **fit}
     _write(rc.out, "mc_table.csv", _csv(table, ["eps", "J_hat", "se", "n"]))
     _write(rc.out, "report.json", json.dumps(rep.to_dict(), indent=2, sort_keys=True))
@@ -520,7 +566,8 @@ Every run directory contains `manifest.json` (written before any artifact):
 config echo, sha256-based `config_hash` over all number-affecting fields,
 declared artifact list, a `status` that is `complete` only when every
 declared artifact exists, `timings`: wall seconds per timed stage, and
-`workers`: the worker processes the run was given.
+`workers`: the worker processes the run was given.  Every CSV writes its
+floats with 17 significant digits, which read back to the same float64.
 
 ## simulate
 - timings: `sample_s` (fBm ensemble), `csv_s` (formatting and writing
@@ -533,7 +580,7 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
 - timings: `sample_s` (the fBm path), `lift_s` (running levels from the
   first grid point), `csv_s` (all-pairs Chen expansion, formatting and
   writing `rough_level{j}.csv`), `chen_s` (Chen defect).
-- `driver.csv`: `t,x1..xd` (17 significant digits).
+- `driver.csv`: `t,x1..xd`.
 - `rough_level{j}.csv`: columns `i,j,v0..` with the flattened level-j tensor
   for each grid pair i <= j.
 - `chen.json`: max Chen defect over grid triples.
@@ -545,7 +592,7 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
 
 ## rde
 - timings: `sample_s` (driver), `solve_s` (dyadic ladder of solves).
-- `solution.csv`: first-level solution path, `t,y1..yn`.
+- `solution.csv`: first-level solution path, `t,x1..xn` (its n coordinates).
 - `ladder.json`: dyadic convergence ladder (levels, diffs, ratio,
   observed_order = log2 of the last two diffs' ratio or null, cauchy flag).
 
@@ -559,8 +606,8 @@ declared artifact exists, `timings`: wall seconds per timed stage, and
 - timings: `cm_s` (gamma), `hessian_s` (expansion context and Hessian),
   `hs_tail_s` (Hilbert-Schmidt partial sums).
 - `hessian.csv`: dense symmetric truncated Hessian matrix (no header).
-- `hessian_meta.json`: basis name, truncation, Hurst, gamma hash (CRC-32 of
-  the gamma sample bytes).
+- `hessian_meta.json`: basis name, truncation `N`, Hurst `H`, dimension
+  `dim`, gamma hash (CRC-32 of the gamma sample bytes).
 - `hs_tail.csv`: columns `N,partial_sum`.
 - `hs_tail.json`: partial sums, their increments and increment ratios, the
   geometric tail bound (null when the last ratio is >= 1), and the fitted and

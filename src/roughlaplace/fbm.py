@@ -280,10 +280,11 @@ _QUAD_NODES = 96
 
 
 def _check_n_modes(n_modes: int):
-    if not 1 <= n_modes <= _QUAD_NODES:
+    if (isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer))
+            or not 1 <= n_modes <= _QUAD_NODES):
         raise ValueError(
-            f"n_modes must lie in [1, {_QUAD_NODES}], the cosine modes the "
-            f"{_QUAD_NODES}-node kernel quadrature resolves; got {n_modes}"
+            f"n_modes must lie in [1, {_QUAD_NODES}] and be an int: the cosine modes the "
+            f"{_QUAD_NODES}-node kernel quadrature resolves; got {n_modes!r}"
         )
 
 

@@ -134,6 +134,11 @@ def integral_quadratic(Q, v=None, c0: float = 0.0) -> FunctionalSpec:
 # ---------------------------------------------------------------------------
 
 
+def _zeros(shape):
+    """An evaluator of y returning zeros of shape ``shape`` per leading index."""
+    return lambda y: np.zeros(np.asarray(y).shape[:-1] + shape)
+
+
 def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
     """sigma(y) = S constant; optional linear drift beta(eps, y) = B y, and
     none (``beta=None``) without ``beta_matrix``.
@@ -153,9 +158,6 @@ def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
     def sigma(y):
         return sigma_view(np.shape(y)[:-1])
 
-    def zeros(shape):
-        return lambda *args: np.zeros(np.asarray(args[-1]).shape[:-1] + shape)
-
     beta = dbeta_y = None
     if beta_matrix is not None:
         B = np.asarray(beta_matrix, dtype=float)
@@ -163,7 +165,7 @@ def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
         def beta(eps, y):
             return np.einsum("ab,...b->...a", B, np.asarray(y, dtype=float))
 
-        def dbeta_y(eps, y):
+        def dbeta_y(y):
             return np.broadcast_to(B, np.asarray(y).shape[:-1] + (n, n))
 
     return VectorFieldSpec(
@@ -171,13 +173,13 @@ def constant_field(S, beta_matrix=None) -> VectorFieldSpec:
         d=d,
         sigma=sigma,
         beta=beta,
-        dsigma=zeros((n, d, n)),
-        d2sigma=zeros((n, d, n, n)),
+        dsigma=_zeros((n, d, n)),
+        d2sigma=_zeros((n, d, n, n)),
         dbeta_y=dbeta_y,
-        d2beta_y=zeros((n, n, n)),
-        dbeta_eps=zeros((n,)),
-        d2beta_eps=zeros((n,)),
-        dbeta_y_eps=zeros((n, n)),
+        d2beta_y=_zeros((n, n, n)),
+        dbeta_eps=_zeros((n,)),
+        d2beta_eps=_zeros((n,)),
+        dbeta_y_eps=_zeros((n, n)),
         name="constant",
     )
 
@@ -241,43 +243,30 @@ def tanh_field(
         t2 = np.tanh(np.einsum("ab,...b->...a", Zm, y))
         return c0 * t0 + eps * c1 * t1 + 0.5 * eps**2 * c2 * t2
 
-    def dbeta_y(eps, y):
+    # the derivatives at eps = 0, where the eps-weighted terms vanish
+    def dbeta_y(y):
         y = np.asarray(y, dtype=float)
         s0v = 1.0 - np.tanh(np.einsum("ab,...b->...a", V, y)) ** 2
-        s1v = 1.0 - np.tanh(np.einsum("ab,...b->...a", U, y) + g) ** 2
-        s2v = 1.0 - np.tanh(np.einsum("ab,...b->...a", Zm, y)) ** 2
-        return (
-            np.einsum("...a,ab->...ab", c0 * s0v, V)
-            + eps * np.einsum("...a,ab->...ab", c1 * s1v, U)
-            + 0.5 * eps**2 * np.einsum("...a,ab->...ab", c2 * s2v, Zm)
-        )
+        return np.einsum("...a,ab->...ab", c0 * s0v, V)
 
-    def d2beta_y(eps, y):
+    def d2beta_y(y):
         y = np.asarray(y, dtype=float)
-        out = 0.0
-        for cc, Mx, off, w in ((c0, V, 0.0, 1.0), (c1, U, g, eps), (c2, Zm, 0.0, 0.5 * eps**2)):
-            th = np.tanh(np.einsum("ab,...b->...a", Mx, y) + off)
-            fac = w * cc * (-2.0 * th * (1.0 - th**2))
-            out = out + np.einsum("...a,ab,ac->...abc", fac, Mx, Mx)
-        return out
+        th = np.tanh(np.einsum("ab,...b->...a", V, y))
+        fac = c0 * (-2.0 * th * (1.0 - th**2))
+        return np.einsum("...a,ab,ac->...abc", fac, V, V)
 
-    def dbeta_eps(eps, y):
+    def dbeta_eps(y):
         y = np.asarray(y, dtype=float)
-        t1 = np.tanh(np.einsum("ab,...b->...a", U, y) + g)
-        t2 = np.tanh(np.einsum("ab,...b->...a", Zm, y))
-        return c1 * t1 + eps * c2 * t2
+        return c1 * np.tanh(np.einsum("ab,...b->...a", U, y) + g)
 
-    def d2beta_eps(eps, y):
+    def d2beta_eps(y):
         y = np.asarray(y, dtype=float)
         return c2 * np.tanh(np.einsum("ab,...b->...a", Zm, y))
 
-    def dbeta_y_eps(eps, y):
+    def dbeta_y_eps(y):
         y = np.asarray(y, dtype=float)
         s1v = 1.0 - np.tanh(np.einsum("ab,...b->...a", U, y) + g) ** 2
-        s2v = 1.0 - np.tanh(np.einsum("ab,...b->...a", Zm, y)) ** 2
-        return np.einsum("...a,ab->...ab", c1 * s1v, U) + eps * np.einsum(
-            "...a,ab->...ab", c2 * s2v, Zm
-        )
+        return np.einsum("...a,ab->...ab", c1 * s1v, U)
 
     return VectorFieldSpec(
         n=n, d=d, sigma=sigma, beta=beta,
@@ -319,20 +308,14 @@ def fractional_drift_field(base: VectorFieldSpec, inv_H: float) -> VectorFieldSp
         w = float(eps) ** inv_H if eps > 0 else 0.0
         return w * base.beta_at(0.0, y)
 
-    def dbeta_y(eps, y):
-        w = float(eps) ** inv_H if eps > 0 else 0.0
-        return w * base.dbeta_y_at(0.0, y)
-
-    zeros_n = lambda eps, y: np.zeros(np.asarray(y).shape)
+    n = base.n
+    # the weight and, as 1/H > 2, its first two eps-derivatives vanish at
+    # eps = 0, and with them every beta derivative there
     return VectorFieldSpec(
-        n=base.n, d=base.d, sigma=base.sigma, beta=beta,
+        n=n, d=base.d, sigma=base.sigma, beta=beta,
         dsigma=base.dsigma, d2sigma=base.d2sigma,
-        dbeta_y=dbeta_y,
-        d2beta_y=lambda eps, y: (float(eps) ** inv_H if eps > 0 else 0.0)
-        * base.d2beta_y_at(0.0, y),
-        dbeta_eps=zeros_n,  # 1/H > 2, so all low-order eps-derivatives vanish at 0
-        d2beta_eps=zeros_n,
-        dbeta_y_eps=lambda eps, y: np.zeros(np.asarray(y).shape[:-1] + (base.n, base.n)),
+        dbeta_y=_zeros((n, n)), d2beta_y=_zeros((n, n, n)),
+        dbeta_eps=_zeros((n,)), d2beta_eps=_zeros((n,)), dbeta_y_eps=_zeros((n, n)),
         name=f"{base.name}+frac_drift",
     )
 

@@ -7,7 +7,6 @@ as piecewise linear.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +14,6 @@ import numpy as np
 __all__ = [
     "TimeGrid",
     "SampledPath",
-    "path_to_csv",
 ]
 
 
@@ -134,14 +132,3 @@ class SampledPath:
 
     def __neg__(self) -> "SampledPath":
         return SampledPath(self.grid, -self.values)
-
-
-def path_to_csv(path: SampledPath) -> str:
-    """CSV with header ``t,x1,...,xdim`` and 17-significant-digit decimals."""
-    buf = io.StringIO()
-    header = "t," + ",".join(f"x{j + 1}" for j in range(path.dim))
-    buf.write(header + "\n")
-    for t, row in zip(path.grid.points, path.values):
-        buf.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
-    return buf.getvalue()
-

@@ -1,19 +1,17 @@
-"""Second-order structure of the composed functional: truncated Hessian
-matrices on explicit bases, Hilbert-Schmidt tail diagnostics of the
+"""Second-order structure of the composed functional: the truncated Hessian
+matrix on an explicit basis, Hilbert-Schmidt tail diagnostics of the
 integration-by-parts piece R1 of the Hessian's integrand, and the
 Carleman-Fredholm determinant.
 
 Two bases appear and are never mixed: the Cameron-Martin images of the L^2
-cosine modes (exactly orthonormal by unitarity) carry the Hessian matrix;
-the weighted-cosine interpolation-space basis carries the summability
-diagnostics, whose exponents come from the p/q window.
+cosine modes (exactly orthonormal by unitarity) carry the Hessian matrix,
+which :func:`hessian_matrix` returns as a plain array; the weighted-cosine
+interpolation-space basis carries the summability diagnostics, whose
+exponents come from the p/q window.
 """
 from __future__ import annotations
 
-import io
-import json
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +23,6 @@ from .taylor import ExpansionContext, _chi_values, _lin_sources, costate
 from .variation import pvar_values
 
 __all__ = [
-    "HessianMatrix",
     "HSTailReport",
     "hessian_matrix",
     "hs_tail",
@@ -45,42 +42,14 @@ def _r1_values(ctx: ExpansionContext, sigma_f: np.ndarray, dk: np.ndarray) -> np
     return ctx.solve(_lin_sources(ctx, sigma_f, dk))
 
 
-@dataclass
-class HessianMatrix:
-    """Truncated Hessian of the composed functional on an explicit basis."""
-
-    A: np.ndarray
-    basis_meta: dict
-    N: int
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.A)
-
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues().min())
-
-    def nondegenerate(self) -> bool:
-        """The lower-bound condition: the form stays strictly above -Id."""
-        return bool(1.0 + self.min_eigenvalue() > 0.0)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        for row in self.A:
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return buf.getvalue()
-
-    def meta_json(self) -> str:
-        return json.dumps({"N": self.N, **self.basis_meta}, indent=2, sort_keys=True)
-
-
 def hessian_matrix(
     functional: FunctionalSpec,
     ctx: ExpansionContext,
     N: int,
     H: float,
-) -> HessianMatrix:
+) -> np.ndarray:
     """Hessian of F composed with the Ito map at gamma, truncated to the
-    Cameron-Martin images of the first N cosine modes:
+    Cameron-Martin images of the first N cosine modes: the (N d, N d) array
 
         A[a,b] = grad F(phi0)< 2 psi(e_a, e_b) > + grad^2 F(phi0)< chi(e_a), chi(e_b) >,
 
@@ -114,17 +83,7 @@ def hessian_matrix(
     grad_part = lin + lin.T + chi_flat @ cs.quad_apply(chi_all).reshape(nb, -1).T
 
     A = np.asarray(grad_part + hess_part, dtype=float)
-    A = 0.5 * (A + A.T)
-    return HessianMatrix(
-        A=A,
-        basis_meta={
-            "basis": "cameron-martin images of L2 cosine modes",
-            "H": H,
-            "dim": d,
-            "gamma_hash": zlib.crc32(ctx.gamma.values.tobytes()),
-        },
-        N=N,
-    )
+    return 0.5 * (A + A.T)
 
 
 @dataclass

@@ -336,7 +336,7 @@ def expansion_constants(
     ctx = expansion_context(field_spec, gamma_path)
     # the Hessian first: a basis or Hessian that fails does so before the
     # Monte Carlo, not after every sample solve
-    eigs = hessian_matrix(functional, ctx, hessian_N, H).eigenvalues()
+    eigs = np.linalg.eigvalsh(hessian_matrix(functional, ctx, hessian_N, H))
 
     cs = costate(ctx, functional)
     c_coef = float(cs.pair(ctx.b_theta1))

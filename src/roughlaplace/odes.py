@@ -79,10 +79,13 @@ class VectorFieldSpec:
     """Coefficients sigma, beta of the controlled equation and their derivatives.
 
     sigma(y) -> (n, d); beta(eps, y) -> (n,).  Derivative evaluators append
-    one axis per differentiation direction (y-derivatives last); any evaluator
-    left as None falls back to centered finite differences with step 1e-5
-    (``_NESTED_STEP`` for the outer difference of a mixed or second
-    y-derivative) and Richardson refinement.
+    one axis per differentiation direction (y-derivatives last).  The beta
+    derivatives are taken at eps = 0, the only point the expansion reads
+    them at, so they are functions of y alone: dbeta_y(y) is
+    d_y beta(0, y), dbeta_eps(y) is d_eps beta(0, y), and so on.  Any
+    evaluator left as None falls back to centered finite differences with
+    step 1e-5 (``_NESTED_STEP`` for the outer difference of a mixed or
+    second y-derivative) and Richardson refinement.
 
     Every evaluator broadcasts over leading axes: given y of shape (..., n)
     it returns the shapes above with the same leading axes prepended, e.g.
@@ -135,49 +138,44 @@ class VectorFieldSpec:
             return np.asarray(self.d2sigma(y), dtype=float)
         return _fd_jacobian(self.dsigma_at, y, _NESTED_STEP)
 
-    def dbeta_y_at(self, eps, y):
+    def dbeta_y_at(self, y):
         if self.beta is None:
             return self._no_drift(y, self.n)
         if self.dbeta_y is not None:
-            return np.asarray(self.dbeta_y(eps, y), dtype=float)
-        return _fd_jacobian(lambda x: self.beta(eps, x), y)
+            return np.asarray(self.dbeta_y(y), dtype=float)
+        return _fd_jacobian(lambda x: self.beta(0.0, x), y)
 
-    def d2beta_y_at(self, eps, y):
+    def d2beta_y_at(self, y):
         if self.beta is None:
             return self._no_drift(y, self.n, self.n)
         if self.d2beta_y is not None:
-            return np.asarray(self.d2beta_y(eps, y), dtype=float)
-        return _fd_jacobian(lambda x: self.dbeta_y_at(eps, x), y, _NESTED_STEP)
+            return np.asarray(self.d2beta_y(y), dtype=float)
+        return _fd_jacobian(self.dbeta_y_at, y, _NESTED_STEP)
 
-    def dbeta_eps_at(self, eps, y):
+    def dbeta_eps_at(self, y):
         if self.beta is None:
             return self._no_drift(y)
         if self.dbeta_eps is not None:
-            return np.asarray(self.dbeta_eps(eps, y), dtype=float)
+            return np.asarray(self.dbeta_eps(y), dtype=float)
         h = 1e-5
-        d1 = (self.beta_at(eps + h, y) - self.beta_at(eps - h, y)) / (2 * h)
-        d2 = (self.beta_at(eps + h / 2, y) - self.beta_at(eps - h / 2, y)) / h
+        d1 = (self.beta_at(h, y) - self.beta_at(-h, y)) / (2 * h)
+        d2 = (self.beta_at(h / 2, y) - self.beta_at(-h / 2, y)) / h
         return (4.0 * d2 - d1) / 3.0
 
-    def d2beta_eps_at(self, eps, y):
+    def d2beta_eps_at(self, y):
         if self.beta is None:
             return self._no_drift(y)
         if self.d2beta_eps is not None:
-            return np.asarray(self.d2beta_eps(eps, y), dtype=float)
+            return np.asarray(self.d2beta_eps(y), dtype=float)
         h = 1e-4
-        return (
-            self.beta_at(eps + h, y) - 2.0 * self.beta_at(eps, y) + self.beta_at(eps - h, y)
-        ) / h**2
+        return (self.beta_at(h, y) - 2.0 * self.beta_at(0.0, y) + self.beta_at(-h, y)) / h**2
 
-    def dbeta_y_eps_at(self, eps, y):
+    def dbeta_y_eps_at(self, y):
         if self.beta is None:
             return self._no_drift(y, self.n)
         if self.dbeta_y_eps is not None:
-            return np.asarray(self.dbeta_y_eps(eps, y), dtype=float)
-        h = _NESTED_STEP
-        d1 = (self.dbeta_y_at(eps + h, y) - self.dbeta_y_at(eps - h, y)) / (2 * h)
-        d2 = (self.dbeta_y_at(eps + h / 2, y) - self.dbeta_y_at(eps - h / 2, y)) / h
-        return (4.0 * d2 - d1) / 3.0
+            return np.asarray(self.dbeta_y_eps(y), dtype=float)
+        return _fd_jacobian(self.dbeta_eps_at, y, _NESTED_STEP)
 
     def check_guard(self, y):
         peak = np.abs(y).max()

@@ -4,12 +4,13 @@ A rough path on a grid is a multiplicative functional, fixed by its running
 levels S^k_{0,t} from the first grid point: O(N D^k) memory.  Every increment
 follows from them by Chen's identity, X_{s,t} = S_{0,s}^{-1} (x) S_{0,t},
 solved level by level on demand (:meth:`RoughPath.increment`); only
-:meth:`RoughPath.levels` expands all grid pairs, for the one reader that
-needs them (:func:`roughpath_to_csv`).  The running levels are the
-signature of the piecewise-linear interpolant for :func:`lift`, and for
-:func:`pair` X's own running levels, the running signature of k and one
-running sum per mixed word; :func:`shift` folds the pairing's running
-levels onto x + k, and :func:`scale_rough` scales and truncates them.
+:meth:`RoughPath.levels` expands all grid pairs, for the two readers that
+need every pair: :func:`chen_residual` and the CLI's ``lift`` kind, which
+writes them out.  The running levels are the signature of the
+piecewise-linear interpolant for :func:`lift`, and for :func:`pair` X's own
+running levels, the running signature of k and one running sum per mixed
+word; :func:`shift` folds the pairing's running levels onto x + k, and
+:func:`scale_rough` scales and truncates them.
 Chen's identity thus holds by construction, and :func:`chen_residual`
 checks that the one Chen solve is right to rounding.
 
@@ -19,7 +20,6 @@ polygonal inputs and Young-consistent in general.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +36,6 @@ __all__ = [
     "scale_plan",
     "scale_rough",
     "running_signature",
-    "roughpath_to_csv",
 ]
 
 
@@ -295,19 +294,3 @@ def scale_rough(X: RoughPath, c, H: float) -> RoughPath:
     m, factor = scale_plan(X.grid, c, H)
     running = [f * S[: m + 1] for f, S in zip(factor, X.running)]
     return RoughPath(TimeGrid.uniform(m + 1), X.level, running)
-
-
-def roughpath_to_csv(X: RoughPath) -> dict:
-    """CSV text per level with columns ``i,j,<flattened tensor entries>``."""
-    out = {}
-    n = len(X.grid)
-    for lvl, arr in enumerate(X.levels(), start=1):
-        buf = io.StringIO()
-        width = int(np.prod(arr.shape[2:]))
-        buf.write("i,j," + ",".join(f"v{k}" for k in range(width)) + "\n")
-        for i in range(n):
-            for j in range(i, n):
-                flat = arr[i, j].reshape(-1)
-                buf.write(f"{i},{j}," + ",".join(f"{v:.17g}" for v in flat) + "\n")
-        out[lvl] = buf.getvalue()
-    return out

@@ -125,7 +125,7 @@ def _linearize(f: VectorFieldSpec, grid: TimeGrid, dgam: np.ndarray) -> tuple:
     """
     y = heun_controlled(f, grid, dgam, np.zeros(f.n))
     dt = grid.dt
-    sigma0, dsigma0, dbeta_y0 = f.sigma_at(y), f.dsigma_at(y), f.dbeta_y_at(0.0, y)
+    sigma0, dsigma0, dbeta_y0 = f.sigma_at(y), f.dsigma_at(y), f.dbeta_y_at(y)
 
     def om(sl):
         return (np.einsum("...iajb,...ij->...iab", dsigma0[..., sl, :, :, :], dgam)
@@ -142,10 +142,10 @@ def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> Expans
     dt = gamma.grid.dt
     y, omL, omR, flow, sigma0, B_sigma, dsigma0 = _linearize(f, gamma.grid, dgam)
     d2sigma0 = f.d2sigma_at(y)
-    d2beta_y0 = f.d2beta_y_at(0.0, y)
-    dbeta_y_eps0 = f.dbeta_y_eps_at(0.0, y)
-    dbeta_eps0 = f.dbeta_eps_at(0.0, y)
-    d2beta_eps0 = f.d2beta_eps_at(0.0, y)
+    d2beta_y0 = f.d2beta_y_at(y)
+    dbeta_y_eps0 = f.dbeta_y_eps_at(y)
+    dbeta_eps0 = f.dbeta_eps_at(y)
+    d2beta_eps0 = f.d2beta_eps_at(y)
 
     def per_step(sl):
         Q = np.einsum("iajbc,ij->iabc", d2sigma0[sl], dgam) + d2beta_y0[sl] * dt[:, None, None, None]

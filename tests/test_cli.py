@@ -1,9 +1,11 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,17 @@ from roughlaplace.cli import (
     EXPERIMENT_KINDS,
     SCHEMA_DOC,
     ExperimentConfig,
+    _path_csv,
     ks_2samp_exact,
     main,
     run,
 )
+from roughlaplace.fbm import cm_map, sample_fbm
+from roughlaplace.functionals import make_field, make_functional
 from roughlaplace.grids import SampledPath, TimeGrid
+from roughlaplace.hessian import hessian_matrix
+from roughlaplace.roughpath import lift
+from roughlaplace.taylor import expansion_context
 
 
 def read(out_dir: Path, name: str) -> str:
@@ -139,6 +147,105 @@ class TestRuns:
         assert manifest["status"] == "failed"
         assert manifest["artifacts"] == ["never.csv"]
 
+    @pytest.mark.parametrize("kind, bad", [
+        ("laplace", {"truncation": "4"}), ("hessian", {"truncation": 0}),
+        ("hessian", {"truncation": 97}), ("laplace", {"hessian_N": 2.5}),
+        ("laplace", {"hessian_N": True}),
+    ])
+    def test_bad_mode_count_rejected_before_any_stage(self, tmp_path, kind, bad):
+        cfg = ExperimentConfig.from_dict({"kind": kind, "grid_size": 33, **bad})
+        key, value = next(iter(bad.items()))
+        with pytest.raises(ValueError, match=rf"{key} must be an int in \[1, 96\].*got {value!r}"):
+            run(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"fit_order": 4}, "fit_order 4 needs at least 5 eps values; eps_list has 4"),
+        ({"fit_order": "2"}, "fit_order must be a non-negative int; got '2'"),
+        ({"use_shift": "no"}, "use_shift must be true or false; got 'no'"),
+    ])
+    def test_bad_laplace_fit_and_shift_rejected_before_any_stage(self, tmp_path, bad, message):
+        cfg = ExperimentConfig.from_dict({"kind": "laplace", "grid_size": 33,
+                                          "eps_list": [0.6, 0.5, 0.4, 0.3], **bad})
+        with pytest.raises(ValueError, match=message):
+            run(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestArtifactFiles:
+    """Every CSV artifact is written by one formatter, 17 significant digits,
+    so each file reads back to the arrays the library returned bit for bit."""
+
+    def test_csv_roundtrip_lossless(self):
+        g = TimeGrid(np.array([0.0, 1 / 3, 0.7071067811865476, 1.0]))
+        vals = np.array([[0.0, 1e-17], [np.pi, -2 / 3], [1e300, 5e-124], [-1.0, 3.3]])
+        text = _path_csv(SampledPath(g, vals))
+        assert text.splitlines()[0] == "t,x1,x2"
+        rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 1:], vals)
+        assert np.array_equal(rows[:, 0], g.points)
+
+    @pytest.fixture(scope="class")
+    def lift_run(self, tmp_path_factory):
+        raw = {"kind": "lift", "H": 0.3, "grid_size": 17, "d": 2, "seed": 3, "level": 3}
+        cfg = ExperimentConfig.from_dict(raw)
+        return cfg, run(cfg, tmp_path_factory.mktemp("lift"))
+
+    def test_driver_csv_is_the_path(self, lift_run):
+        cfg, out = lift_run
+        text = read(out, "driver.csv")
+        assert text.splitlines()[0] == "t,x1,x2"
+        rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        grid = TimeGrid.uniform(cfg.grid_size)
+        assert np.array_equal(rows[:, 0], grid.points)
+        assert np.array_equal(rows[:, 1:], sample_fbm(grid, cfg.H, cfg.d, cfg.seed).values)
+
+    def test_rough_level_csv_rows_are_increments(self, lift_run):
+        cfg, out = lift_run
+        grid = TimeGrid.uniform(cfg.grid_size)
+        X = lift(sample_fbm(grid, cfg.H, cfg.d, cfg.seed), 3)
+        n = len(grid)
+        for k in (1, 2, 3):
+            text = read(out, f"rough_level{k}.csv")
+            assert text.splitlines()[0] == "i,j," + ",".join(f"v{m}" for m in range(2**k))
+            rows = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+            assert len(rows) == n * (n + 1) // 2
+            i, j = rows[:, 0].astype(int), rows[:, 1].astype(int)
+            assert np.all(i <= j)
+            want = X.increment(i, j)[k - 1].reshape(len(rows), -1)
+            assert np.array_equal(rows[:, 2:], want)
+
+    @pytest.fixture(scope="class")
+    def hessian_run(self, tmp_path_factory):
+        raw = {
+            "kind": "hessian", "H": 0.4, "grid_size": 65, "n": 2, "d": 2, "seed": 6,
+            "truncation": 3, "field_name": "tanh", "functional_name": "endpoint_quadratic",
+            "functional_params": {"Q": [[0.4, 0.1], [0.1, 0.3]]}, "N_list": [2, 4],
+        }
+        cfg = ExperimentConfig.from_dict(raw)
+        out = run(cfg, tmp_path_factory.mktemp("hessian"))
+        grid = TimeGrid.uniform(cfg.grid_size)
+        gamma = cm_map(np.array([[0.2, 0.2], [0.3, 0.3]]), cfg.H, grid).induced_path
+        return cfg, out, gamma
+
+    def test_hessian_csv_is_the_matrix(self, hessian_run):
+        cfg, out, gamma = hessian_run
+        text = read(out, "hessian.csv")
+        A = np.loadtxt(io.StringIO(text), delimiter=",")  # no header line
+        ctx = expansion_context(make_field("tanh", {"n": 2, "d": 2}), gamma)
+        want = hessian_matrix(make_functional("endpoint_quadratic", cfg.functional_params),
+                              ctx, cfg.truncation, cfg.H)
+        assert want.shape == (6, 6)
+        assert np.array_equal(A, want)
+
+    def test_hessian_meta_gamma_hash_is_crc32(self, hessian_run):
+        # the hash must not depend on the process (Python's str/bytes hash()
+        # is salted per process), so it is the CRC-32 of the gamma samples
+        cfg, out, gamma = hessian_run
+        meta = json.loads(read(out, "hessian_meta.json"))
+        assert meta == {"N": 3, "basis": "cameron-martin images of L2 cosine modes",
+                        "H": 0.4, "dim": 2, "gamma_hash": zlib.crc32(gamma.values.tobytes())}
+
 
 class TestMain:
     def test_pvar_subcommand(self, tmp_path, capsys):
@@ -193,6 +300,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"{key} must be a" in err and f"got {value!r}" in err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("truncation", "4"), ("hessian_N", 2.5), ("fit_order", 4), ("use_shift", "no"),
+    ])
+    def test_bad_laplace_key_named_with_exit_code(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "laplace", "grid_size": 33,
+                                        "eps_list": [0.6, 0.5, 0.4, 0.3], key: value}))
+        rc = main(["laplace", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("invalid config:") and key in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
     def test_workers_give_identical_laplace_artifacts(self, tmp_path, capsys):

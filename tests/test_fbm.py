@@ -375,6 +375,16 @@ def test_modes_within_quadrature_reach():
         cm_map(np.ones((97, 1)), 0.4, g)
 
 
+@pytest.mark.parametrize("n_modes", [2.5, 3.0, True])
+def test_mode_count_must_be_an_int(n_modes):
+    # a float or bool mode count would otherwise pass the range check and
+    # build a stack of some other size (2.5 gave 3 modes)
+    g = TimeGrid.uniform(17)
+    with pytest.raises(ValueError, match=f"be an int.*got {n_modes!r}"):
+        cm_basis(0.4, g, n_modes, 1)
+    assert cm_basis(0.4, g, np.int64(3), 1).shape == (3, 17, 1)
+
+
 def test_hyp2f1_series_consistency():
     z = np.array([0.0, 0.3, 0.9])
     for (a, b, c) in [(-0.1, 0.8, 0.9), (-0.2, 0.6, 0.8)]:

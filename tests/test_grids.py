@@ -1,9 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 
-from roughlaplace.grids import SampledPath, TimeGrid, path_to_csv
+from roughlaplace.grids import SampledPath, TimeGrid
 
 
 def test_grid_validation():
@@ -41,19 +39,3 @@ def test_path_algebra():
     s = a + 2.0 * b
     assert np.allclose(s.values, a.values + 2 * b.values)
     assert np.allclose((a - a).values, 0.0)
-
-
-def test_csv_roundtrip_lossless():
-    g = TimeGrid(np.array([0.0, 1 / 3, 0.7071067811865476, 1.0]))
-    vals = np.array([[0.0, 1e-17], [np.pi, -2 / 3], [1e300, 5e-124], [-1.0, 3.3]])
-    p = SampledPath(g, vals)
-    rows = np.loadtxt(io.StringIO(path_to_csv(p)), delimiter=",", skiprows=1)
-    assert np.array_equal(rows[:, 1:], p.values)
-    assert np.array_equal(rows[:, 0], g.points)
-
-
-def test_csv_header():
-    g = TimeGrid.uniform(3)
-    p = SampledPath(g, np.zeros((3, 2)))
-    text = path_to_csv(p)
-    assert text.splitlines()[0] == "t,x1,x2"

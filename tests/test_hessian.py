@@ -1,6 +1,4 @@
-import json
 import math
-import zlib
 
 import numpy as np
 import pytest
@@ -120,19 +118,8 @@ class TestRForms:
 
 class TestHessianMatrix:
     def test_constant_functional(self, ctx257):
-        hm = hessian_matrix(zero_functional(), ctx257, 4, H=0.4)
-        assert np.abs(hm.A).max() == 0.0
-
-    def test_gamma_hash_is_crc32(self):
-        # the hash must not depend on the process (Python's str/bytes hash()
-        # is salted per process), so it is the CRC-32 of the gamma samples
-        g = TimeGrid.uniform(129)
-        gamma = SampledPath(g, g.points[:, None] * np.array([0.5, -0.25]))
-        ctx = expansion_context(constant_field(np.eye(2)), gamma)
-        meta = json.loads(hessian_matrix(zero_functional(), ctx, 2, H=0.4).meta_json())
-        assert meta["gamma_hash"] == zlib.crc32(gamma.values.tobytes())
-        if np.little_endian:
-            assert meta["gamma_hash"] == 400310380
+        A = hessian_matrix(zero_functional(), ctx257, 4, H=0.4)
+        assert np.abs(A).max() == 0.0
 
     def test_gaussian_linear_closed_form(self):
         # sigma constant, F quadratic in the endpoint: entries reduce to
@@ -144,17 +131,17 @@ class TestHessianMatrix:
         F = endpoint_quadratic(Q)
         ctx = expansion_context(field, SampledPath(g, np.zeros((129, 2))))
         N = 4
-        hm = hessian_matrix(F, ctx, N, H=0.4)
+        A = hessian_matrix(F, ctx, N, H=0.4)
         ends = cm_basis(0.4, g, N, 2)[:, -1] @ S.T
         want = np.einsum("ia,ab,jb->ij", ends, Q, ends)
-        assert np.abs(hm.A - want).max() < 1e-10
+        assert np.abs(A - want).max() < 1e-10
 
     def test_symmetry_and_fd_oracle(self, ctx257):
         Q = np.array([[0.4, 0.0], [0.0, 0.2]])
         F = endpoint_quadratic(Q)
         N = 3
-        hm = hessian_matrix(F, ctx257, N, H=0.4)
-        assert np.abs(hm.A - hm.A.T).max() < 1e-10
+        A = hessian_matrix(F, ctx257, N, H=0.4)
+        assert np.abs(A - A.T).max() < 1e-10
         # h^2 second difference of F(Psi(gamma + h e)) along basis directions
         from roughlaplace.odes import heun_controlled
 
@@ -174,26 +161,26 @@ class TestHessianMatrix:
                 - FPsi(gamma.values - h * (ka - kb))
                 + FPsi(gamma.values - h * (ka + kb))
             ) / (4 * h**2)
-            assert num == pytest.approx(hm.A[a, b], rel=1e-3, abs=1e-6)
+            assert num == pytest.approx(A[a, b], rel=1e-3, abs=1e-6)
 
     def test_nesting(self, ctx257):
         F = endpoint_quadratic(np.eye(2) * 0.3)
         small = hessian_matrix(F, ctx257, 3, H=0.4)
         big = hessian_matrix(F, ctx257, 5, H=0.4)
-        assert np.abs(big.A[:6, :6] - small.A).max() < 1e-10
+        assert np.abs(big[:6, :6] - small).max() < 1e-10
 
     def test_frobenius_converges(self, ctx257):
         F = endpoint_quadratic(np.eye(2) * 0.3)
         norms = [
-            np.linalg.norm(hessian_matrix(F, ctx257, N, H=0.4).A) for N in (4, 8, 16)
+            np.linalg.norm(hessian_matrix(F, ctx257, N, H=0.4)) for N in (4, 8, 16)
         ]
         assert abs(norms[2] - norms[1]) / norms[2] < 0.05
 
     def test_h4_probe(self, ctx257):
         F = endpoint_quadratic(np.eye(2) * 0.3)
-        hm = hessian_matrix(F, ctx257, 4, H=0.4)
-        assert hm.nondegenerate()
-        assert 1.0 + hm.min_eigenvalue() > 0.0
+        # the lower-bound condition: the form stays strictly above -Id
+        eigs = np.linalg.eigvalsh(hessian_matrix(F, ctx257, 4, H=0.4))
+        assert 1.0 + eigs.min() > 0.0
 
     def test_trace_part_absolutely_summable(self, ctx257):
         # V2-type diagonal (A - A1 piece) has Cauchy absolute partial sums:
@@ -225,9 +212,9 @@ def test_every_field_builds_context_and_hessian(name):
     gamma = cm_map(np.array([[0.2, 0.1], [0.3, -0.2]]), 0.4, g).induced_path
     ctx = expansion_context(field, gamma)
     assert ctx.omL.shape == (32, 2, 2) and ctx.Q[0].shape == (32, 2, 2, 2)
-    hm = hessian_matrix(endpoint_quadratic(0.3 * np.eye(2)), ctx, 2, H=0.4)
-    assert hm.A.shape == (4, 4)
-    assert np.all(np.isfinite(hm.A)) and np.abs(hm.A - hm.A.T).max() < 1e-12
+    A = hessian_matrix(endpoint_quadratic(0.3 * np.eye(2)), ctx, 2, H=0.4)
+    assert A.shape == (4, 4)
+    assert np.all(np.isfinite(A)) and np.abs(A - A.T).max() < 1e-12
 
 
 class TestHsTail:

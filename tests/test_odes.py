@@ -322,8 +322,8 @@ def test_read_only_evaluator_outputs(field):
     def outputs(f):
         y = heun_controlled(f, g, inc, np.zeros(2), eps_beta=0.3)
         ctx = expansion_context(f, gamma)
-        hm = hessian_matrix(endpoint_quadratic([[0.5, 0.1], [0.1, 0.3]]), ctx, 3, 0.4)
-        return y, ctx.phi0.values, hm.A
+        A = hessian_matrix(endpoint_quadratic([[0.5, 0.1], [0.1, 0.3]]), ctx, 3, 0.4)
+        return y, ctx.phi0.values, A
 
     for got, want in zip(outputs(frozen), outputs(field)):
         assert np.array_equal(got, want)
@@ -334,16 +334,16 @@ def test_drift_free_evaluators_return_zeros():
     f = dataclasses.replace(constant_field([[1.0, 0.3], [-0.2, 0.8]], beta_matrix=np.eye(2)),
                             beta=None)
     ys = np.ones((7, 2))
-    for got, shape in ((f.beta_at(0.3, ys), (7, 2)), (f.dbeta_y_at(0.3, ys), (7, 2, 2)),
-                       (f.d2beta_y_at(0.3, ys), (7, 2, 2, 2)), (f.dbeta_eps_at(0.3, ys), (7, 2)),
-                       (f.d2beta_eps_at(0.3, ys), (7, 2)), (f.dbeta_y_eps_at(0.3, ys), (7, 2, 2))):
+    for got, shape in ((f.beta_at(0.3, ys), (7, 2)), (f.dbeta_y_at(ys), (7, 2, 2)),
+                       (f.d2beta_y_at(ys), (7, 2, 2, 2)), (f.dbeta_eps_at(ys), (7, 2)),
+                       (f.d2beta_eps_at(ys), (7, 2)), (f.dbeta_y_eps_at(ys), (7, 2, 2))):
         assert got.shape == shape and not got.any()
 
 
 def test_constant_field_returns_views():
     f = constant_field([[1.0, 0.3], [-0.2, 0.8]], beta_matrix=[[0.1, 0.0], [0.0, -0.2]])
     ys = np.zeros((7, 2))
-    for out in (f.sigma(ys), f.dbeta_y(0.0, ys)):
+    for out in (f.sigma(ys), f.dbeta_y(ys)):
         assert not out.flags.writeable and out.shape[0] == 7
     # sigma keeps one view per leading shape: a repeated call returns it again
     again = f.sigma(np.ones((7, 2)))
@@ -438,20 +438,20 @@ def test_fd_fallback_derivatives():
     y = np.array([0.3, -0.7])
     assert np.abs(bare.dsigma_at(y) - analytic.dsigma_at(y)).max() < 1e-9
     assert np.abs(bare.d2sigma_at(y) - analytic.d2sigma_at(y)).max() < 1e-6
-    assert np.abs(bare.dbeta_y_at(0.0, y) - analytic.dbeta_y_at(0.0, y)).max() < 1e-9
-    assert np.abs(bare.dbeta_eps_at(0.0, y) - analytic.dbeta_eps_at(0.0, y)).max() < 1e-9
-    assert np.abs(bare.d2beta_eps_at(0.0, y) - analytic.d2beta_eps_at(0.0, y)).max() < 1e-6
-    assert np.abs(bare.dbeta_y_eps_at(0.0, y) - analytic.dbeta_y_eps_at(0.0, y)).max() < 1e-6
+    assert np.abs(bare.dbeta_y_at(y) - analytic.dbeta_y_at(y)).max() < 1e-9
+    assert np.abs(bare.dbeta_eps_at(y) - analytic.dbeta_eps_at(y)).max() < 1e-9
+    assert np.abs(bare.d2beta_eps_at(y) - analytic.d2beta_eps_at(y)).max() < 1e-6
+    assert np.abs(bare.dbeta_y_eps_at(y) - analytic.dbeta_y_eps_at(y)).max() < 1e-6
 
     # the fallbacks broadcast: a (3, 2) batch of y, checked row by row
     def evaluators(f):
         return (
             f.dsigma_at,
             f.d2sigma_at,
-            lambda v: f.dbeta_y_at(0.0, v),
-            lambda v: f.dbeta_eps_at(0.0, v),
-            lambda v: f.d2beta_eps_at(0.0, v),
-            lambda v: f.dbeta_y_eps_at(0.0, v),
+            f.dbeta_y_at,
+            f.dbeta_eps_at,
+            f.d2beta_eps_at,
+            f.dbeta_y_eps_at,
         )
 
     ys = np.array([[0.3, -0.7], [-1.1, 0.4], [0.05, 0.9]])

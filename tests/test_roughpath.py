@@ -1,5 +1,4 @@
 import functools
-import io
 import math
 import tracemalloc
 
@@ -15,7 +14,6 @@ from roughlaplace.roughpath import (
     lift,
     pair,
     running_signature,
-    roughpath_to_csv,
     scale_rough,
     shift,
 )
@@ -397,18 +395,3 @@ def test_constructors_store_running_levels_only():
         finally:
             tracemalloc.stop()
         assert peak < 4e6
-
-
-def test_csv_roundtrip(smooth_pair):
-    # lossless: 17 significant digits reproduce float64 bit for bit, and the
-    # lower triangle is zero on both sides by construction
-    x, _ = smooth_pair
-    X = lift(x, 3)
-    texts = roughpath_to_csv(X)
-    assert sorted(texts) == [1, 2, 3]
-    for lvl, a in enumerate(X.levels(), start=1):
-        rows = np.loadtxt(io.StringIO(texts[lvl]), delimiter=",", skiprows=1, ndmin=2)
-        i, j = rows[:, 0].astype(int), rows[:, 1].astype(int)
-        b = np.zeros_like(a)
-        b[i, j] = rows[:, 2:].reshape((len(rows),) + a.shape[2:])
-        assert np.array_equal(a, b)
