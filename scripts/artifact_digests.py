@@ -6,9 +6,11 @@ Usage: python3 scripts/artifact_digests.py > digests.txt
 
 Runs each config in ``scripts/configs``, the laplace config with the linear
 term v = [0.4, -0.3], and small inline ``lift`` (H = 0.3, d = 2, level 3),
-``rde`` and ``pvar`` configs, so that every CSV the CLI writes is covered,
-through this checkout's CLI in a temporary directory, and prints one ``sha256  config/artifact`` line per artifact,
-sorted, leaving out the manifests (they hold timings).  Each run is a fresh
+``rde``, ``pvar`` and ``scale-test`` configs, so that every CSV the CLI
+writes is covered and the scale test's 5000 samples end in a partial
+sampling block, through this checkout's CLI in a temporary directory, and
+prints one ``sha256  config/artifact`` line per artifact, sorted, leaving
+out the manifests (they hold timings).  Each run is a fresh
 interpreter with one BLAS thread, since OpenBLAS sums in an order that
 depends on its thread count.  Run it in two checkouts and ``diff`` the
 outputs.
@@ -34,6 +36,8 @@ INLINE = {
     "rde_tanh": {"kind": "rde", "H": 0.4, "grid_size": 65, "n": 2, "d": 2, "seed": 71,
                  "eps_list": [0.5]},
     "pvar_cosine": {"kind": "pvar", "n_max": 8, "p_list": [1.5, 2.0, 3.5]},
+    "scale_h03": {"kind": "scale-test", "H": 0.3, "grid_size": 33, "d": 3, "seed": 81,
+                  "c": 0.25, "n_samples": 5000},
 }
 
 

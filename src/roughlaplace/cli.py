@@ -25,11 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fbm import _QUAD_NODES, HurstParams, cm_map, sample_fbm, sample_fbm_ensemble
+from .fbm import _QUAD_NODES, FbmSampler, HurstParams, cm_map, sample_fbm, sample_fbm_ensemble
 from .functionals import make_field, make_functional
 from .grids import SampledPath, TimeGrid
 from .hessian import hs_tail, hessian_matrix
 from .laplace import (
+    _MC_BLOCK,
     OptConfig,
     expansion_constants,
     expansion_fit,
@@ -62,8 +63,10 @@ def _is_positive(value, kinds) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool) and value > 0
 
 
-# The laplace kind's keys that are not config fields, with their defaults.
-_LAPLACE_EXTRAS = {"alpha0_samples": 10_000, "hessian_N": 8, "fit_order": 2, "use_shift": True}
+# Keys of the laplace, pvar and scale-test kinds that are not config
+# fields, with their defaults.
+_EXTRAS = {"alpha0_samples": 10_000, "hessian_N": 8, "fit_order": 2, "use_shift": True,
+           "n_max": 16, "c": 0.5}
 
 
 @dataclass
@@ -106,12 +109,13 @@ class ExperimentConfig:
         """The truncations of the ``hessian`` kind's hs_tail partial sums."""
         return self.extras.get("N_list", [8, 16, 32])
 
-    def laplace_extra(self, key: str):
-        """The ``laplace`` kind's ``key`` of ``_LAPLACE_EXTRAS``: the Monte
-        Carlo samples for the constant alpha0, the truncation of the Hessian
-        behind the constants, the degree of the expansion fit, and whether
-        the Monte Carlo samples are recentred on gamma."""
-        return self.extras.get(key, _LAPLACE_EXTRAS[key])
+    def extra(self, key: str):
+        """``key`` of ``_EXTRAS``: for ``laplace`` the Monte Carlo samples
+        for the constant alpha0, the truncation of the Hessian behind the
+        constants, the degree of the expansion fit, and whether the Monte
+        Carlo samples are recentred on gamma; for ``pvar`` the largest cosine
+        mode ``n_max``; for ``scale-test`` the horizon fraction ``c``."""
+        return self.extras.get(key, _EXTRAS[key])
 
     def validate(self) -> list:
         # types before values, so no comparison below meets a str or a bool
@@ -132,6 +136,21 @@ class ExperimentConfig:
                 self.hurst()
             except ValueError as e:
                 errors.append(str(e))
+        if self.kind == "lift" and "level" in self.extras:
+            level = self.extras["level"]
+            if not (isinstance(level, int) and not isinstance(level, bool) and level in (2, 3)):
+                errors.append(f"level must be the int 2 or 3; got {level!r}")
+        if self.kind == "pvar" and not _is_positive(self.extra("n_max"), int):
+            errors.append(f"n_max must be a positive int; got {self.extra('n_max')!r}")
+        if self.kind == "scale-test":
+            c = self.extra("c")
+            if not (_is_real(c) and 0 < c <= 1):
+                errors.append(f"c must be a real number in (0, 1]; got {c!r}")
+            elif not errors:  # grid_size and H are valid
+                try:
+                    scale_plan(TimeGrid.uniform(self.grid_size), c, self.H)
+                except ValueError as e:
+                    errors.append(str(e))
         if self.kind == "hessian":
             N_list = self.hs_N_list()
             if not (isinstance(N_list, list) and all(_is_positive(N, int) for N in N_list)
@@ -141,7 +160,7 @@ class ExperimentConfig:
         if self.kind in ("hessian", "laplace"):
             modes = [("truncation", self.truncation)]
             if self.kind == "laplace":
-                modes.append(("hessian_N", self.laplace_extra("hessian_N")))
+                modes.append(("hessian_N", self.extra("hessian_N")))
             errors += [f"{key} must be an int in [1, {_QUAD_NODES}], the cosine modes the "
                        f"kernel quadrature resolves; got {value!r}"
                        for key, value in modes
@@ -153,16 +172,16 @@ class ExperimentConfig:
             if not eps_ok:
                 errors.append(f"eps_list must be a list of positive numbers; got {eps_list!r}")
             for key, value in (("n_samples", self.n_samples),
-                               ("alpha0_samples", self.laplace_extra("alpha0_samples"))):
+                               ("alpha0_samples", self.extra("alpha0_samples"))):
                 if not (_is_positive(value, int) and value >= 2):
                     errors.append(f"{key} must be an int of at least 2; got {value!r}")
-            order = self.laplace_extra("fit_order")
+            order = self.extra("fit_order")
             if not (isinstance(order, int) and not isinstance(order, bool) and order >= 0):
                 errors.append(f"fit_order must be a non-negative int; got {order!r}")
             elif eps_ok and len(eps_list) < order + 1:
                 errors.append(f"fit_order {order} needs at least {order + 1} eps values; "
                               f"eps_list has {len(eps_list)}")
-            use_shift = self.laplace_extra("use_shift")
+            use_shift = self.extra("use_shift")
             if not isinstance(use_shift, bool):
                 errors.append(f"use_shift must be true or false; got {use_shift!r}")
         return errors
@@ -238,12 +257,13 @@ class RunContext:
 
     @contextmanager
     def stage(self, name: str):
-        """Time the enclosed block; the manifest reports it under ``timings``."""
+        """Time the enclosed block; the manifest reports it under ``timings``,
+        summed over every time the stage is entered."""
         t0 = time.perf_counter()
         try:
             yield
         finally:
-            self.timings[name] = time.perf_counter() - t0
+            self.timings[name] = self.timings.get(name, 0.0) + time.perf_counter() - t0
 
     def manifest(self, status: str):
         doc = {
@@ -314,7 +334,7 @@ def run_pvar(rc: RunContext):
     rc.manifest("started")
     rows = []
     with rc.stage("pvar_s"):
-        for nmode in range(1, cfg.extras.get("n_max", 16) + 1):
+        for nmode in range(1, cfg.extra("n_max") + 1):
             for p in cfg.extras.get("p_list", [1.5, 2.0, 3.5]):
                 grid = TimeGrid(np.linspace(0.0, 1.0, nmode + 1))
                 path = SampledPath(grid, np.cos(nmode * math.pi * grid.points) - 1.0)
@@ -422,26 +442,26 @@ def run_laplace(rc: RunContext):
     with rc.stage("constants_s"):
         rep = expansion_constants(
             rep, functional, field_spec,
-            mc_samples=cfg.laplace_extra("alpha0_samples"),
+            mc_samples=cfg.extra("alpha0_samples"),
             seed=cfg.seed + 2, G=weight,
-            hessian_N=cfg.laplace_extra("hessian_N"), workers=rc.workers,
+            hessian_N=cfg.extra("hessian_N"), workers=rc.workers,
         )
     with rc.stage("mc_s"):
         table = mc_laplace(
             functional, weight, field_spec, cfg.H, grid, cfg.eps_list,
-            cfg.n_samples, use_shift=cfg.laplace_extra("use_shift"),
+            cfg.n_samples, use_shift=cfg.extra("use_shift"),
             gamma_cm=rep.gamma, seed=cfg.seed + 3, workers=rc.workers,
         )
     with rc.stage("fit_s"):
         fit = expansion_fit(table, a=rep.F_Lambda_min, c=rep.c_coef,
-                            order=cfg.laplace_extra("fit_order"))
+                            order=cfg.extra("fit_order"))
     rep.fit = {**(rep.fit or {}), **fit}
     _write(rc.out, "mc_table.csv", _csv(table, ["eps", "J_hat", "se", "n"]))
     _write(rc.out, "report.json", json.dumps(rep.to_dict(), indent=2, sort_keys=True))
 
 
-# Paths per block of the scale-test area sums: a block's per-step products
-# stay small next to the sampled ensemble, so peak memory does not grow with it.
+# Paths per block of the area sums: bounds the per-step products of one
+# sample block of the scale test (``_MC_BLOCK`` paths) to a slice of it.
 _SCALE_BLOCK = 256
 
 
@@ -501,17 +521,27 @@ def run_scale_test(rc: RunContext):
     grid = TimeGrid.uniform(cfg.grid_size)
     rc.declare("scale_test.json")
     rc.manifest("started")
-    c = cfg.extras.get("c", 0.5)
+    c = cfg.extra("c")
     m, factor = scale_plan(grid, c, cfg.H)
-    d = max(cfg.d, 2)
-    with rc.stage("sample_s"):
-        e1 = sample_fbm_ensemble(grid, cfg.H, d, cfg.n_samples, cfg.seed)
-        e2 = sample_fbm_ensemble(grid, cfg.H, d, cfg.n_samples, cfg.seed + 1)
-    with rc.stage("signature_s"):
-        scaled = _endpoint_areas(e1, m, factor[1])
-        plain = _endpoint_areas(e2, grid.n_steps, 1.0)
+    d, n = max(cfg.d, 2), cfg.n_samples
+    # the rescaled ensemble, then the plain one, each drawn in Monte Carlo
+    # blocks into one reused buffer and reduced to its areas before the next
+    # block is drawn, so memory is O(_MC_BLOCK * grid_size) at any n_samples
+    buf = np.empty((min(n, _MC_BLOCK), len(grid), d))
+    areas = []
+    for seed, steps, level2 in ((cfg.seed, m, factor[1]), (cfg.seed + 1, grid.n_steps, 1.0)):
+        with rc.stage("sample_s"):
+            sampler = FbmSampler(grid, cfg.H, d, seed)
+        area = np.empty(n)
+        for lo in range(0, n, _MC_BLOCK):
+            hi = min(lo + _MC_BLOCK, n)
+            with rc.stage("sample_s"):
+                block = sampler.batch(lo, hi, out=buf[: hi - lo])[0]
+            with rc.stage("signature_s"):
+                area[lo:hi] = _endpoint_areas(block, steps, level2)
+        areas.append(area)
     with rc.stage("ks_s"):
-        statistic, p_value = ks_2samp_exact(scaled, plain)
+        statistic, p_value = ks_2samp_exact(*areas)
     _write(
         rc.out, "scale_test.json",
         json.dumps(
@@ -627,8 +657,12 @@ floats with 17 significant digits, which read back to the same float64.
   each round evaluates every restart still descending at once).
 
 ## scale-test
-- timings: `sample_s` (both ensembles), `signature_s` (endpoint Levy areas
-  from the lift's running sums P, Q at (0,1) and (1,0)), `ks_s` (KS test).
+- Both ensembles are drawn in blocks of 2048 samples, each reduced to its
+  areas before the next is drawn, so memory is O(block * grid_size) at any
+  `n_samples`.
+- timings, each summed over the blocks: `sample_s` (drawing both
+  ensembles), `signature_s` (endpoint Levy areas from the lift's running
+  sums P, Q at (0,1) and (1,0)), `ks_s` (KS test).
 - `scale_test.json`: KS statistic and p-value of the scaled-vs-plain
   level-2 antisymmetric (area) statistic.
 """

@@ -168,9 +168,11 @@ class FbmSampler:
             # (m+1, d): per coordinate, the augmented factor's last row [w_i, sqrt(s_i)]
             self.pairing = np.vstack([w, np.sqrt(np.maximum(s, 0.0))])
 
-    def batch(self, lo: int, hi: int):
+    def batch(self, lo: int, hi: int, out: np.ndarray | None = None):
         """Paths of samples [lo, hi) as an (n, m+1, d) array with zero first
-        row, and their pairings eta (None without ``gamma``)."""
+        row, and their pairings eta (None without ``gamma``).  The paths are
+        written into ``out`` when it is given: a caller that draws block
+        after block into one buffer does not fault in fresh pages per block."""
         k = self.m if self.pairing is None else self.m + 1
         Z = np.empty((hi - lo, k, self.d))
         bits, state = self._rng.bit_generator, self._state
@@ -178,7 +180,7 @@ class FbmSampler:
             state["state"]["counter"][2] = lo + j
             bits.state = state
             self._rng.standard_normal(out=Z[j])
-        vals = np.empty((hi - lo, self.m + 1, self.d))
+        vals = np.empty((hi - lo, self.m + 1, self.d)) if out is None else out
         vals[:, 0] = 0.0
         np.matmul(self.L, Z[:, : self.m], out=vals[:, 1:])
         if self.pairing is None:

@@ -315,6 +315,28 @@ class TestMain:
         assert err.startswith("invalid config:") and key in err and "Traceback" not in err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("kind, bad, message", [
+        ("scale-test", {"grid_size": 129, "c": 0.3},
+         "c = 0.3 is incompatible with a 128-step grid"),
+        ("scale-test", {"c": "0.5"}, "c must be a real number in (0, 1]; got '0.5'"),
+        ("scale-test", {"c": 1.5}, "c must be a real number in (0, 1]; got 1.5"),
+        ("lift", {"level": "3"}, "level must be the int 2 or 3; got '3'"),
+        ("lift", {"level": 4}, "level must be the int 2 or 3; got 4"),
+        ("lift", {"level": 2.0}, "level must be the int 2 or 3; got 2.0"),
+        ("pvar", {"n_max": "3"}, "n_max must be a positive int; got '3'"),
+        ("pvar", {"n_max": 0}, "n_max must be a positive int; got 0"),
+        ("pvar", {"n_max": True}, "n_max must be a positive int; got True"),
+    ])
+    def test_bad_kind_key_named_with_exit_code(self, tmp_path, capsys, kind, bad, message):
+        # rejected before the output directory and its manifest exist
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": kind, "grid_size": 33, **bad}))
+        rc = main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("invalid config:") and message in err and "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
     def test_workers_give_identical_laplace_artifacts(self, tmp_path, capsys):
         # 4200 samples make three Monte Carlo blocks of the default 2048, and
         # five restarts run in the pool as well
@@ -362,6 +384,58 @@ def test_scale_test_run_small(tmp_path):
     res = json.loads(read(out, "scale_test.json"))
     assert 0.0 <= res["ks_statistic"] <= 1.0
     assert res["p_value"] > 0.001
+
+
+def test_scale_test_streams_mc_blocks(tmp_path, monkeypatch):
+    # each ensemble is drawn in Monte Carlo blocks that tile [0, n) in order,
+    # and each block is reduced to its areas before the next is drawn
+    import roughlaplace.cli as cli_mod
+    from roughlaplace.fbm import FbmSampler
+    from roughlaplace.laplace import _MC_BLOCK
+
+    events = []
+    batch, endpoint_areas = FbmSampler.batch, cli_mod._endpoint_areas
+
+    def record_batch(self, lo, hi, out=None):
+        events.append(("draw", lo, hi))
+        return batch(self, lo, hi, out)
+
+    def record_areas(values, m, factor):
+        events.append(("areas", len(values)))
+        return endpoint_areas(values, m, factor)
+
+    monkeypatch.setattr(FbmSampler, "batch", record_batch)
+    monkeypatch.setattr(cli_mod, "_endpoint_areas", record_areas)
+    n = 2 * _MC_BLOCK + 7
+    raw = {"kind": "scale-test", "H": 0.4, "grid_size": 17, "d": 2, "n_samples": n, "seed": 3}
+    run(ExperimentConfig.from_dict(raw), tmp_path)
+    draws = [(lo, hi) for _, lo, hi in events[::2]]
+    # the rescaled ensemble, then the plain one
+    tiles = [(0, _MC_BLOCK), (_MC_BLOCK, 2 * _MC_BLOCK), (2 * _MC_BLOCK, n)]
+    assert draws == tiles + tiles
+    assert max(hi - lo for lo, hi in draws) <= _MC_BLOCK
+    assert events[1::2] == [("areas", hi - lo) for lo, hi in draws]
+
+
+def test_scale_test_peak_memory_flat_in_n_samples(tmp_path):
+    # the traced peak is one block's draw, not the ensembles: at 8 blocks of
+    # samples it is within 10 % of the peak at 2 blocks (whole ensembles
+    # made it about 4 times as large)
+    import tracemalloc
+
+    from roughlaplace.laplace import _MC_BLOCK
+
+    def peak(blocks):
+        raw = {"kind": "scale-test", "H": 0.4, "grid_size": 65, "d": 2,
+               "n_samples": blocks * _MC_BLOCK, "seed": 3}
+        tracemalloc.start()
+        try:
+            run(ExperimentConfig.from_dict(raw), tmp_path / str(blocks))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) <= 1.1 * peak(2)
 
 
 def _scale_areas_vs_lifts(tmp_path, monkeypatch, raw, block):

@@ -490,6 +490,11 @@ class TestFbmSampler:
             assert np.array_equal(eta, np.einsum("nkd,kd->n", Z, sampler.pairing))
         else:
             assert eta is None
+        # the same draw written into a prefix of a larger, dirty buffer
+        buf = np.full((50, 65, 2), np.nan)
+        into, eta_into = sampler.batch(5, 45, out=buf[:40])
+        assert np.shares_memory(into, buf) and np.array_equal(into, vals)
+        assert eta_into is None if eta is None else np.array_equal(eta_into, eta)
 
     def test_ensemble_is_per_sample_product(self):
         n, d = 40, 3
