@@ -6,11 +6,12 @@ Usage: python3 scripts/artifact_digests.py > digests.txt
 
 Runs each config in ``scripts/configs``, the laplace config with the linear
 term v = [0.4, -0.3], and small inline ``lift`` (H = 0.3, d = 2, level 3),
-``rde``, ``pvar`` and ``scale-test`` configs, so that every CSV the CLI
-writes is covered and the scale test's 5000 samples end in a partial
-sampling block, through this checkout's CLI in a temporary directory, and
-prints one ``sha256  config/artifact`` line per artifact, sorted, leaving
-out the manifests (they hold timings).  Each run is a fresh
+``rde``, ``pvar``, ``scale-test`` and ``laplace`` configs, so that every
+CSV the CLI writes is covered and the scale test's 5000 samples and the
+drifted ``tanh`` laplace config's shifted Monte Carlo samples end in a
+partial sampling block, through this checkout's CLI in a temporary
+directory, and prints one ``sha256  config/artifact`` line per artifact,
+sorted, leaving out the manifests (they hold timings).  Each run is a fresh
 interpreter with one BLAS thread, since OpenBLAS sums in an order that
 depends on its thread count.  Run it in two checkouts and ``diff`` the
 outputs.
@@ -38,6 +39,14 @@ INLINE = {
     "pvar_cosine": {"kind": "pvar", "n_max": 8, "p_list": [1.5, 2.0, 3.5]},
     "scale_h03": {"kind": "scale-test", "H": 0.3, "grid_size": 33, "d": 3, "seed": 81,
                   "c": 0.25, "n_samples": 5000},
+    # a drifted field under shifted sampling, so beta(eps, .) along eps X + gamma
+    # is solved, and sample counts that end in a partial sampling block
+    "laplace_tanh": {"kind": "laplace", "H": 0.4, "grid_size": 33, "n": 2, "d": 2, "seed": 91,
+                     "eps_list": [0.6, 0.5, 0.4], "truncation": 8, "n_samples": 2500,
+                     "field_name": "tanh", "field_params": {"coef_seed": 5, "drift_scale": 0.3},
+                     "functional_name": "endpoint_quadratic",
+                     "functional_params": {"Q": [[0.5, 0.1], [0.1, 0.3]], "v": [0.4, -0.3]},
+                     "alpha0_samples": 2300, "hessian_N": 8, "fit_order": 2, "use_shift": True},
 }
 
 

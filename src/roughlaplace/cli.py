@@ -66,7 +66,7 @@ def _is_positive(value, kinds) -> bool:
 # Keys of the laplace, pvar and scale-test kinds that are not config
 # fields, with their defaults.
 _EXTRAS = {"alpha0_samples": 10_000, "hessian_N": 8, "fit_order": 2, "use_shift": True,
-           "n_max": 16, "c": 0.5}
+           "n_max": 16, "p_list": [1.5, 2.0, 3.5], "c": 0.5}
 
 
 @dataclass
@@ -114,7 +114,8 @@ class ExperimentConfig:
         for the constant alpha0, the truncation of the Hessian behind the
         constants, the degree of the expansion fit, and whether the Monte
         Carlo samples are recentred on gamma; for ``pvar`` the largest cosine
-        mode ``n_max``; for ``scale-test`` the horizon fraction ``c``."""
+        mode ``n_max`` and the exponents ``p_list``; for ``scale-test`` the
+        horizon fraction ``c``."""
         return self.extras.get(key, _EXTRAS[key])
 
     def validate(self) -> list:
@@ -140,8 +141,14 @@ class ExperimentConfig:
             level = self.extras["level"]
             if not (isinstance(level, int) and not isinstance(level, bool) and level in (2, 3)):
                 errors.append(f"level must be the int 2 or 3; got {level!r}")
-        if self.kind == "pvar" and not _is_positive(self.extra("n_max"), int):
-            errors.append(f"n_max must be a positive int; got {self.extra('n_max')!r}")
+        if self.kind == "pvar":
+            if not _is_positive(self.extra("n_max"), int):
+                errors.append(f"n_max must be a positive int; got {self.extra('n_max')!r}")
+            p_list = self.extra("p_list")
+            if not (isinstance(p_list, list) and p_list
+                    and all(_is_real(p) and p >= 1 for p in p_list)):
+                errors.append("p_list must be a non-empty list of real numbers of at least 1; "
+                              f"got {p_list!r}")
         if self.kind == "scale-test":
             c = self.extra("c")
             if not (_is_real(c) and 0 < c <= 1):
@@ -335,7 +342,7 @@ def run_pvar(rc: RunContext):
     rows = []
     with rc.stage("pvar_s"):
         for nmode in range(1, cfg.extra("n_max") + 1):
-            for p in cfg.extras.get("p_list", [1.5, 2.0, 3.5]):
+            for p in cfg.extra("p_list"):
                 grid = TimeGrid(np.linspace(0.0, 1.0, nmode + 1))
                 path = SampledPath(grid, np.cos(nmode * math.pi * grid.points) - 1.0)
                 dp = float(pvar_values(path.values, p))

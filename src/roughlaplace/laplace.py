@@ -412,28 +412,20 @@ def mc_laplace(
     gen = FbmSampler(grid, H, field_spec.d, seed, kind=_STREAM_MC,
                      gamma=gamma_cm if use_shift else None)
     norm_sq = gamma_cm.norm_sq() if use_shift else 0.0
-    gamma_vals = gamma_cm.induced_path.values if use_shift else np.zeros((len(grid), gen.d))
-
-    def increments(vals, eps):
-        """Increments (N - 1, d, batch) of eps X + gamma from coordinate-major
-        samples X (N, d, batch), the stepper's own layout.  The path
-        eps X + gamma is freed on return, before the solve."""
-        Z = eps * vals
-        Z += gamma_vals[:, :, None]
-        return np.diff(Z, axis=0)
+    gamma_vals = gamma_cm.induced_path.values if use_shift else None
 
     def integrand(sample):
-        # coordinate-major samples, once per block: every eps's increments
-        # then reach the stepper in its layout, so it copies none of them;
-        # the draw is dropped first, so the block is held once
+        # the samples (batch, N, d) in the stepper's coordinate-major memory,
+        # copied once per block: every eps's solve reads them without a
+        # copy; the draw is dropped first, so the block is held once
         vals, eta = sample
         del sample
-        vals = np.ascontiguousarray(vals.transpose(1, 2, 0))
-        log_t = np.empty((len(eps_list), vals.shape[-1]))
-        g_t = np.empty((len(eps_list), vals.shape[-1]))
+        vals = np.ascontiguousarray(vals.transpose(1, 2, 0)).transpose(2, 0, 1)
+        log_t = np.empty((len(eps_list), len(vals)))
+        g_t = np.empty((len(eps_list), len(vals)))
         for e, eps in enumerate(eps_list):
-            inc = np.moveaxis(increments(vals, eps), (0, 1), (-2, -1))
-            sol = heun_controlled(field_spec, grid, inc, np.zeros(field_spec.n), eps_beta=eps)
+            sol = heun_controlled(field_spec, grid, np.zeros(field_spec.n),
+                                  eps=eps, X=vals, gamma=gamma_vals)
             Fv = np.asarray(functional.value(sol, grid), dtype=float)
             log_t[e] = -Fv / eps**2
             g_t[e] = np.asarray(G.value(sol, grid), dtype=float)

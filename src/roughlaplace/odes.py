@@ -1,10 +1,11 @@
 """ODE solving in the q-variation Young regime.
 
 One Heun (explicit trapezoidal) stepper handles the controlled ODE
-dy = sigma(y) dk + beta(eps, y) dt.  It steps coordinate-major, with the
-batch axis innermost in memory, so each stage's small (n, d) contraction
-runs along the batch; a field declared without drift (``beta=None``) gets
-no drift pass.  Every inhomogeneous linear equation
+dy = sigma(y) d(eps X + gamma) + beta(eps, y) dt, taking the paths X and
+gamma and forming each step's driver increment itself.  It steps
+coordinate-major, with the batch axis innermost in memory, so each stage's
+small (n, d) contraction runs along the batch; a field declared without
+drift (``beta=None``) gets no drift pass.  Every inhomogeneous linear equation
 sharing the homogeneous part  dz = [grad sigma(phi0)<z, dgamma> +
 grad beta0(phi0)<z>] dt + source  is solved through its flow.  A Heun step
 of that equation is one affine map z_{i+1} = T_i z_i + b_i: T from the
@@ -188,32 +189,62 @@ class VectorFieldSpec:
 def heun_controlled(
     field: VectorFieldSpec,
     grid: TimeGrid,
-    driver_increments: np.ndarray,
     y0: np.ndarray,
-    eps_beta: float = 0.0,
+    *,
+    eps: float = 0.0,
+    X: Optional[np.ndarray] = None,
+    gamma: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Heun steps for dy = sigma(y) dZ + beta(eps, y) dt along given increments.
+    """Heun steps for dy = sigma(y) d(eps X + gamma) + beta(eps, y) dt.
 
-    ``driver_increments`` has shape (..., n_steps, d), leading axes batch;
-    the returned array is (..., N, n).  The steps run coordinate-major, with
-    every leading axis flattened into one batch axis B that is innermost in
-    memory: the increments are copied once into (n_steps, d, B) order (no
-    copy when the caller's array is already laid out so) and the states are
-    written into an (N, n, B) buffer.  The field evaluators see (B, n)
-    transposed views of the states ((n,) unbatched), and each stage's
-    contraction sum_b sigma(y)[a, b] dZ[b] runs along B into a preallocated
-    buffer, adding the terms from b = 0 up at every B, so each row of a
-    batched solve has the bits of its unbatched solve.  A field without drift
-    (``beta=None``) gets no drift pass.  The result is the buffer's
-    (..., N, n) view, which is not C-contiguous.
+    ``X`` and ``gamma`` are paths (..., N, d) on ``grid``, leading axes
+    batch; either may be absent (a gamma of shape (N, d) is shared by every
+    batch row).  The returned array is (..., N, n).  The steps run
+    coordinate-major, with every leading axis flattened into one batch axis
+    B that is innermost in memory: each path is copied once into (N, d, B)
+    order (no copy when the caller's array is already laid out so) and the
+    states are written into an (N, n, B) buffer.  No increments array is
+    built: each step forms its increment
+    (eps X_{i+1} + gamma_{i+1}) - (eps X_i + gamma_i) in (d, B) scratch,
+    the subtraction ``np.diff`` of eps X + gamma would make.  The field
+    evaluators see (B, n) transposed views of the states ((n,) unbatched),
+    and each stage's contraction sum_b sigma(y)[a, b] dZ[b] runs along B into
+    a preallocated buffer, adding the terms from b = 0 up at every B, so each
+    row of a batched solve has the bits of its unbatched solve.  A field
+    without drift (``beta=None``) gets no drift pass.  The result is the
+    buffer's (..., N, n) view, which is not C-contiguous.
     """
-    inc = np.asarray(driver_increments, dtype=float)
-    lead, (n_steps, d) = inc.shape[:-2], inc.shape[-2:]
-    if n_steps != grid.n_steps:
-        raise ValueError("driver increments do not match the grid")
-    B, n = math.prod(lead), field.n
-    inc = np.ascontiguousarray(np.moveaxis(inc, (-2, -1), (0, 1)).reshape(n_steps, d, B))
-    out = np.empty((len(grid), n, B))
+    drivers = [a for a in (X, gamma) if a is not None]
+    if not drivers:
+        raise ValueError("the driver needs a path X or gamma")
+    N, d, n = len(grid), field.d, field.n
+    if any(np.shape(a)[-2:] != (N, d) for a in drivers):
+        raise ValueError(f"driver paths must be (..., {N}, {d}) on the grid")
+    lead = np.broadcast_shapes(*(np.shape(a)[:-2] for a in drivers))
+    B = math.prod(lead)
+
+    def coordinate_major(a):
+        """(N, d, B) layout of a driver path, or (N, d, 1) for one (N, d)
+        path shared by the batch."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim == 2:
+            return a[:, :, None]
+        a = np.broadcast_to(a, lead + (N, d))
+        return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)).reshape(N, d, B))
+
+    X, gamma = (None if a is None else coordinate_major(a) for a in (X, gamma))
+    z = np.empty((2, d, B))  # eps X + gamma at the step's two ends, alternately
+
+    def point(i):
+        """eps X_i + gamma_i: gamma's own view without X, else in z[i % 2]."""
+        if X is None:
+            return gamma[i]
+        buf = np.multiply(eps, X[i], out=z[i % 2])
+        if gamma is not None:
+            buf += gamma[i]
+        return buf
+
+    out = np.empty((N, n, B))
     out[0] = np.broadcast_to(np.asarray(y0, dtype=float), lead + (n,)).reshape(B, n).T
 
     def view(a):
@@ -221,26 +252,31 @@ def heun_controlled(
         array, or (..., k) unbatched; taken once per array, not per stage."""
         return np.swapaxes(a, -1, -2) if lead else a[..., 0]
 
-    ys, dzs = view(out), view(inc)
+    ys, dz = view(out), np.empty((d, B))
+    dzv = view(dz)
     s1, s2, y_mid, beta_h = (view(np.empty((n, B))) for _ in range(4))
     has_drift = field.beta is not None
 
-    def stage(y, dz, h, buf):
+    def stage(y, h, buf):
         # order "F" iterates the batch fastest and b slowest, so the terms
         # add from b = 0 up at every B (the default order sums otherwise)
-        np.einsum("...ab,...b->...a", field.sigma_at(y), dz, out=buf, order="F")
+        np.einsum("...ab,...b->...a", field.sigma_at(y), dzv, out=buf, order="F")
         if has_drift:
-            buf += np.multiply(field.beta_at(eps_beta, y), h, out=beta_h)
+            buf += np.multiply(field.beta_at(eps, y), h, out=beta_h)
 
     dt = grid.dt
-    for i in range(n_steps):
-        y, dz, h = ys[i], dzs[i], dt[i]
-        stage(y, dz, h, s1)
-        stage(np.add(y, s1, out=y_mid), dz, h, s2)
+    left = point(0)
+    for i in range(N - 1):
+        right = point(i + 1)
+        np.subtract(right, left, out=dz)
+        left = right
+        y, h = ys[i], dt[i]
+        stage(y, h, s1)
+        stage(np.add(y, s1, out=y_mid), h, s2)
         s1 += s2
         s1 *= 0.5
         field.check_guard(np.add(y, s1, out=ys[i + 1]))
-    return np.moveaxis(out.reshape((len(grid), n) + lead), (0, 1), (-2, -1))
+    return np.moveaxis(out.reshape((N, n) + lead), (0, 1), (-2, -1))
 
 
 def _matvec(C: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
@@ -264,6 +300,15 @@ def _matvec(C: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
             else:
                 row += C[..., a, b] * v[..., b]
     return out
+
+
+def _is_identity(flow: tuple) -> bool:
+    """True when both tables of a flow are exactly I at every grid point, as
+    they are for constant sigma without linear drift: a product with them
+    would return its vector's bits (up to the sign of a zero entry), so the
+    solve and the co-state skip their products."""
+    eye = np.eye(flow[0].shape[-1])
+    return all((table == eye).all() for table in flow)
 
 
 def _step_maps(omL: np.ndarray, omR: np.ndarray) -> np.ndarray:
@@ -343,10 +388,14 @@ def linear_perturbation_solve(flow: tuple, b: np.ndarray) -> np.ndarray:
     (8.9e6) and 1.0e-14 at lam = 12 (2.6e10).  A table normalized at t = 0
     gives 2.7e-13 and 8.8e-12 at lam = 8 and 12, about eps sqrt(cond M_N).
     Where Omega = 0 (constant sigma, no linear drift) M = M^{-1} = I
-    exactly and the result is bit-identical to the step-by-step solve.
+    exactly: the products are skipped, z is the cumulative sum of b, and the
+    result is bit-identical to the step-by-step solve.
     """
     M, Minv = flow
     acc = np.zeros(np.broadcast_shapes(M.shape[:-3], b.shape[:-2]) + M.shape[-3:-1])
+    if _is_identity(flow):
+        np.cumsum(np.broadcast_to(b, acc[..., 1:, :].shape), axis=-2, out=acc[..., 1:, :])
+        return acc
     np.cumsum(_matvec(Minv[..., 1:, :, :], b), axis=-2, out=acc[..., 1:, :])
     return _matvec(M, acc)
 
@@ -365,9 +414,15 @@ def linear_perturbation_costate(flow: tuple, g: np.ndarray) -> np.ndarray:
     one matrix-vector product, one reversed cumulative sum and one more
     product, elementwise over the batch, so a batched call gives each item
     the bits of an unbatched one.  The identity reassociates the solve's
-    sums, so it holds to rounding.
+    sums, so it holds to rounding.  Where M = M^{-1} = I exactly (constant
+    sigma, no linear drift) lambda is the reversed cumulative sum of g, with
+    no product.
     """
     M, Minv = flow
+    if _is_identity(flow):
+        g_rev = g[..., :0:-1, :]  # g_j for j = N - 1 down to 1
+        shape = np.broadcast_shapes(M.shape[:-3], g.shape[:-2]) + g_rev.shape[-2:]
+        return np.cumsum(np.broadcast_to(g_rev, shape), axis=-2)[..., ::-1, :]
     h = _matvec(np.swapaxes(M[..., 1:, :, :], -1, -2), g[..., 1:, :])  # M_j^T g_j, j >= 1
     tail = np.cumsum(h[..., ::-1, :], axis=-2)[..., ::-1, :]
     return _matvec(np.swapaxes(Minv[..., 1:, :, :], -1, -2), tail)

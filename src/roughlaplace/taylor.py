@@ -113,18 +113,18 @@ class ExpansionContext:
         return not any(t.any() for t in (*self.ds, *self.Q, *self.P, self.b_theta1, self.b_D))
 
 
-def _linearize(f: VectorFieldSpec, grid: TimeGrid, dgam: np.ndarray) -> tuple:
-    """phi0 = Psi(gamma) from the increments ``dgam`` (..., n_steps, d) of
-    gamma, and the tables of its linear equation that a chi solve or a
-    co-state reads, with leading axes batching: the endpoint values
-    omL, omR of dOmega = dsigma(phi0) dgamma + d_y beta(phi0) dt, the flow
-    table (M, M^{-1}) of the step maps (:func:`roughlaplace.odes.linear_flow`),
+def _linearize(f: VectorFieldSpec, grid: TimeGrid, gamma: np.ndarray) -> tuple:
+    """phi0 = Psi(gamma) from gamma's samples (..., N, d), and the tables of
+    its linear equation that a chi solve or a co-state reads, with leading
+    axes batching: the endpoint values omL, omR of
+    dOmega = dsigma(phi0) dgamma + d_y beta(phi0) dt, the flow table
+    (M, M^{-1}) of the step maps (:func:`roughlaplace.odes.linear_flow`),
     sigma0 = sigma(phi0) and chi's inhomogeneity table B_sigma.  Returns
     (phi0, omL, omR, flow, sigma0, B_sigma, dsigma(phi0)); the last feeds the
     ds tables of :func:`expansion_context`.
     """
-    y = heun_controlled(f, grid, dgam, np.zeros(f.n))
-    dt = grid.dt
+    y = heun_controlled(f, grid, np.zeros(f.n), gamma=gamma)
+    dgam, dt = np.diff(gamma, axis=-2), grid.dt
     sigma0, dsigma0, dbeta_y0 = f.sigma_at(y), f.dsigma_at(y), f.dbeta_y_at(y)
 
     def om(sl):
@@ -140,7 +140,7 @@ def expansion_context(field_spec: VectorFieldSpec, gamma: SampledPath) -> Expans
     f = field_spec
     dgam = gamma.increments()
     dt = gamma.grid.dt
-    y, omL, omR, flow, sigma0, B_sigma, dsigma0 = _linearize(f, gamma.grid, dgam)
+    y, omL, omR, flow, sigma0, B_sigma, dsigma0 = _linearize(f, gamma.grid, gamma.values)
     d2sigma0 = f.d2sigma_at(y)
     d2beta_y0 = f.d2beta_y_at(y)
     dbeta_y_eps0 = f.dbeta_y_eps_at(y)
@@ -303,7 +303,7 @@ def chi_gradient(field_spec: VectorFieldSpec, functional, gamma: np.ndarray, gri
     no chi solve and none of the phi2 tables.  Returns phi0 (..., N, n) and the
     pairings (..., nb).
     """
-    phi0, _, _, flow, _, B_sigma, _ = _linearize(field_spec, grid, np.diff(gamma, axis=-2))
+    phi0, _, _, flow, _, B_sigma, _ = _linearize(field_spec, grid, gamma)
     lam = _costate_lam(functional, phi0, flow, grid)
     covector = np.einsum("...ia,...iap->...ip", lam, B_sigma)  # B_sigma_i^T lam_i
     return phi0, _dot(dk, covector[..., None, :, :])
@@ -341,11 +341,10 @@ def _level_solve(field_spec: VectorFieldSpec, eps: float, X: np.ndarray,
     along Z = eps X + gamma restricted to dyadic level ``level``, for samples
     X (..., len(grid), d) (leading axes batch) and gamma (len(grid), d) or
     None on the caller's uniform dyadic ``grid``: Y (..., 2**level + 1, n)."""
-    Z = eps * restrict_dyadic(X, grid, level)
     if gamma is not None:
-        Z = Z + restrict_dyadic(gamma, grid, level)
-    return heun_controlled(field_spec, _level_grid(grid, level), np.diff(Z, axis=-2),
-                           np.zeros(field_spec.n), eps_beta=eps)
+        gamma = restrict_dyadic(gamma, grid, level)
+    return heun_controlled(field_spec, _level_grid(grid, level), np.zeros(field_spec.n),
+                           eps=eps, X=restrict_dyadic(X, grid, level), gamma=gamma)
 
 
 def _richardson(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:

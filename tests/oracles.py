@@ -66,7 +66,7 @@ def heun_reference(
 
 def compute_phi0(field_spec: VectorFieldSpec, gamma: SampledPath) -> SampledPath:
     """Base path: d phi0 = sigma(phi0) dgamma + beta(0, phi0) dt."""
-    vals = heun_controlled(field_spec, gamma.grid, gamma.increments(), np.zeros(field_spec.n))
+    vals = heun_controlled(field_spec, gamma.grid, np.zeros(field_spec.n), gamma=gamma.values)
     return SampledPath(gamma.grid, vals)
 
 

@@ -363,10 +363,10 @@ def test_criterion_15_short_time_law():
     frac = fractional_drift_field(base, 1.0 / H)
     XV = sample_fbm_ensemble(g, H, 1, n, seed=1015)
     XY = sample_fbm_ensemble(g, H, 1, n, seed=2015)
-    solV = heun_controlled(frac, g, np.diff(XV, axis=-2), np.zeros(1), eps_beta=1.0)
+    solV = heun_controlled(frac, g, np.zeros(1), eps=1.0, X=XV)
     V_T = solV[:, g.index_of(T), 0]
     eps = T**H
-    solY = heun_controlled(frac, g, eps * np.diff(XY, axis=-2), np.zeros(1), eps_beta=eps)
+    solY = heun_controlled(frac, g, np.zeros(1), eps=eps, X=XY)
     Y_1 = solY[:, -1, 0]
     ks = ks_2samp(V_T, Y_1)
     ok = ks.pvalue > 0.01

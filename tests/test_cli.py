@@ -326,6 +326,13 @@ class TestMain:
         ("pvar", {"n_max": "3"}, "n_max must be a positive int; got '3'"),
         ("pvar", {"n_max": 0}, "n_max must be a positive int; got 0"),
         ("pvar", {"n_max": True}, "n_max must be a positive int; got True"),
+        ("pvar", {"p_list": ["2"]}, "p_list must be a non-empty list of real numbers of at "
+                                    "least 1; got ['2']"),
+        ("pvar", {"p_list": [2.0, 0.5]}, "got [2.0, 0.5]"),
+        ("pvar", {"p_list": [True]}, "got [True]"),
+        ("pvar", {"p_list": []}, "got []"),
+        ("pvar", {"p_list": 2.0}, "p_list must be a non-empty list of real numbers of at "
+                                  "least 1; got 2.0"),
     ])
     def test_bad_kind_key_named_with_exit_code(self, tmp_path, capsys, kind, bad, message):
         # rejected before the output directory and its manifest exist
@@ -438,10 +445,10 @@ def test_scale_test_peak_memory_flat_in_n_samples(tmp_path):
     assert peak(8) <= 1.1 * peak(2)
 
 
-def _scale_areas_vs_lifts(tmp_path, monkeypatch, raw, block):
-    """Run the scale-test kind with ``_SCALE_BLOCK = block`` and check its
-    areas against the dense per-path route scale_rough(lift(p, 2), c, H)
-    bit for bit."""
+def _scale_areas_vs_lifts(tmp_path, monkeypatch, raw, block, mc_block=None):
+    """Run the scale-test kind with ``_SCALE_BLOCK = block`` (and sampling
+    blocks of ``mc_block`` paths, when given) and check its areas against
+    the dense per-path route scale_rough(lift(p, 2), c, H) bit for bit."""
     import roughlaplace.cli as cli_mod
     from roughlaplace.fbm import sample_fbm_ensemble
     from roughlaplace.roughpath import lift, scale_rough
@@ -455,6 +462,8 @@ def _scale_areas_vs_lifts(tmp_path, monkeypatch, raw, block):
 
     monkeypatch.setattr(cli_mod, "ks_2samp_exact", capture)
     monkeypatch.setattr(cli_mod, "_SCALE_BLOCK", block)
+    if mc_block is not None:
+        monkeypatch.setattr(cli_mod, "_MC_BLOCK", mc_block)
     cfg = ExperimentConfig.from_dict({"kind": "scale-test", "H": 0.4, **raw})
     out = run(cfg, tmp_path)
     assert json.loads(read(out, "manifest.json"))["status"] == "complete"
@@ -482,19 +491,26 @@ def test_scale_test_areas_match_per_path_lifts(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "grid_size, d, n_samples, c, block",
+    "grid_size, d, n_samples, c, block, mc_block",
     [
-        (33, 3, 50, 0.5, 24),  # d = 3: the area still reads coordinates 0 and 1
-        (129, 3, 300, 0.75, 256),  # the shipped block size, a partial last block
-        (257, 2, 37, 1.0, 16),  # the full horizon, factor 1
-        (129, 2, 40, 0.5, 40),  # one full block
+        # d = 3: the area still reads coordinates 0 and 1
+        pytest.param(33, 3, 50, 0.5, 24, None, id="33-3-50-0.5-24"),
+        # the shipped block size, a partial last block
+        pytest.param(129, 3, 300, 0.75, 256, None, id="129-3-300-0.75-256"),
+        # the full horizon, factor 1
+        pytest.param(257, 2, 37, 1.0, 16, None, id="257-2-37-1.0-16"),
+        # one full block
+        pytest.param(129, 2, 40, 0.5, 40, None, id="129-2-40-0.5-40"),
+        # 16-path sampling blocks, the last partial: the lifts are compared
+        # across sampling-block boundaries
+        pytest.param(33, 2, 50, 0.5, 8, 16, id="33-2-50-0.5-8-mc16"),
     ],
 )
 def test_scale_test_areas_match_per_path_lifts_grids(
-    tmp_path, monkeypatch, grid_size, d, n_samples, c, block
+    tmp_path, monkeypatch, grid_size, d, n_samples, c, block, mc_block
 ):
     raw = {"grid_size": grid_size, "d": d, "n_samples": n_samples, "seed": 5, "c": c}
-    _scale_areas_vs_lifts(tmp_path, monkeypatch, raw, block)
+    _scale_areas_vs_lifts(tmp_path, monkeypatch, raw, block, mc_block)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -149,7 +149,7 @@ class TestHessianMatrix:
         field, gamma, g = ctx257.field, ctx257.gamma, ctx257.grid
 
         def FPsi(path_vals):
-            sol = heun_controlled(field, g, np.diff(path_vals, axis=0), np.zeros(2))
+            sol = heun_controlled(field, g, np.zeros(2), gamma=path_vals)
             return float(F.value(sol, g))
 
         h = 1e-3  # symmetric mixed difference: O(h^2) truncation

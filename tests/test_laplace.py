@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import gaussian_oracle
 from oracles import kappa_reconstruct
 from roughlaplace import laplace
-from roughlaplace.fbm import _STREAM_OPT, FbmSampler, cm_basis, substream
+from roughlaplace.fbm import _STREAM_OPT, FbmSampler, cm_basis, cm_map, substream
 from roughlaplace.functionals import (
     constant_field,
     endpoint_linear,
@@ -338,6 +338,25 @@ class TestMcLaplace:
         monkeypatch.setattr(laplace, "heun_controlled", checking_heun)
         mc_laplace(zero_functional(), None, constant_field(S_TEST), H_TEST, GRID, [0.5, 0.25], 50)
         assert alive == [False, False]
+
+    def test_block_footprint_two_paths(self):
+        # one shifted block at 257 points holds at most about two path-sized
+        # arrays at a time (draw and paths, the coordinate-major copy, the
+        # samples and the solution): the stepper builds no eps X + gamma and
+        # no increments array, which made the peak 3.09 path arrays
+        import tracemalloc
+
+        grid = TimeGrid.uniform(257)
+        gamma = cm_map([[0.3, -0.2], [0.1, 0.05]], H_TEST, grid)
+        F = endpoint_quadratic([[0.5, 0.1], [0.1, 0.3]], v=[0.4, -0.3])
+        tracemalloc.start()
+        try:
+            mc_laplace(F, None, constant_field(S_TEST), H_TEST, grid, [0.5], laplace._MC_BLOCK,
+                       use_shift=True, gamma_cm=gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * laplace._MC_BLOCK * len(grid) * 2 * 8
 
 
 class TestWorkers:

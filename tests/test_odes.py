@@ -12,9 +12,11 @@ from roughlaplace.functionals import (
 )
 from roughlaplace.grids import SampledPath, TimeGrid
 from roughlaplace.hessian import hessian_matrix
+from roughlaplace import odes
 from roughlaplace.odes import (
     DivergenceError,
     VectorFieldSpec,
+    _matvec,
     _stage_fold,
     heun_controlled,
     linear_perturbation_costate,
@@ -36,7 +38,7 @@ def scalar_multiplicative_field():
 
 def solve(field, k, y0):
     """dy = sigma(y) dk + beta(0, y) dt along the samples of k, from y0."""
-    return heun_controlled(field, k.grid, k.increments(), np.asarray(y0, dtype=float))
+    return heun_controlled(field, k.grid, np.asarray(y0, dtype=float), gamma=k.values)
 
 
 class TestHeunControlled:
@@ -86,10 +88,10 @@ class TestHeunControlled:
     def test_non_finite_state_raises(self):
         # a NaN state compares False with the guard, yet must raise
         g = TimeGrid.uniform(9)
-        inc = np.full((8, 1), 0.1)
-        inc[3] = np.nan
+        k = 0.1 * np.arange(9.0)[:, None]
+        k[4] = np.nan
         with pytest.raises(DivergenceError, match="not finite"):
-            heun_controlled(constant_field([[1.0]]), g, inc, np.zeros(1))
+            heun_controlled(constant_field([[1.0]]), g, np.zeros(1), gamma=k)
 
 
 HEUN_FIELDS = {
@@ -100,27 +102,55 @@ HEUN_FIELDS = {
 }
 
 
+def driver_paths(rng, lead, N, d):
+    """A batch of paths X (*lead, N, d) and one shared path gamma (N, d)."""
+    X = np.cumsum(0.3 * rng.standard_normal(lead + (N, d)), axis=-2)
+    return X, np.cumsum(0.2 * rng.standard_normal((N, d)), axis=0)
+
+
 class TestHeunStepMajor:
     """The coordinate-major stepper gives the bits of the sample-major loop
-    that adds each stage's sigma dZ terms from b = 0 up."""
+    that adds each stage's sigma dZ terms from b = 0 up, along the
+    increments np.diff(eps X + gamma) it never builds."""
 
     @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=str)
-    @pytest.mark.parametrize("eps_beta", [0.0, 0.3])
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
     @pytest.mark.parametrize("name", sorted(HEUN_FIELDS))
-    def test_bit_identical(self, name, eps_beta, lead):
+    def test_bit_identical(self, name, eps, lead):
         field = HEUN_FIELDS[name]
         g = TimeGrid.uniform(33)
         rng = np.random.default_rng(11)
-        inc = 0.3 * rng.standard_normal(lead + (g.n_steps, field.d))
+        X, gamma = driver_paths(rng, lead, len(g), field.d)
         y0 = rng.uniform(-0.5, 0.5, field.n)
-        want = heun_reference(field, g, inc, y0, eps_beta)
-        # the same increments as a coordinate-major view, which the stepper does not copy
+        want = heun_reference(field, g, np.diff(eps * X + gamma, axis=-2), y0, eps)
+        # the same samples as a coordinate-major view, which the stepper does not copy
         coord_major = np.moveaxis(
-            np.ascontiguousarray(np.moveaxis(inc, (-2, -1), (0, 1))), (0, 1), (-2, -1))
-        for given in (inc, coord_major):
-            got = heun_controlled(field, g, given, y0, eps_beta)
+            np.ascontiguousarray(np.moveaxis(X, (-2, -1), (0, 1))), (0, 1), (-2, -1))
+        for given in (X, coord_major):
+            got = heun_controlled(field, g, y0, eps=eps, X=given, gamma=gamma)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(HEUN_FIELDS))
+    def test_driver_parts(self, name):
+        # X alone, gamma alone and a batch of gammas: each the bits of the
+        # reference along np.diff of its own driver
+        field = HEUN_FIELDS[name]
+        g = TimeGrid.uniform(33)
+        rng = np.random.default_rng(14)
+        X, gamma = driver_paths(rng, (4,), len(g), field.d)
+        y0 = rng.uniform(-0.5, 0.5, field.n)
+        for kwargs, Z in (({"X": X}, 0.3 * X), ({"gamma": gamma}, gamma), ({"gamma": X}, X)):
+            want = heun_reference(field, g, np.diff(Z, axis=-2), y0, 0.3)
+            assert np.array_equal(heun_controlled(field, g, y0, eps=0.3, **kwargs), want)
+
+    def test_driver_checked(self):
+        field, g = HEUN_FIELDS["tanh"], TimeGrid.uniform(33)
+        with pytest.raises(ValueError, match="needs a path"):
+            heun_controlled(field, g, np.zeros(2), eps=0.3)
+        for bad in (np.zeros((32, field.d)), np.zeros((4, 33, field.d + 1))):
+            with pytest.raises(ValueError, match="driver paths must be"):
+                heun_controlled(field, g, np.zeros(2), X=bad)
 
     @pytest.mark.parametrize("name", sorted(HEUN_FIELDS))
     def test_batch_rows_match_single_solves(self, name):
@@ -128,33 +158,34 @@ class TestHeunStepMajor:
         field = HEUN_FIELDS[name]
         g = TimeGrid.uniform(33)
         rng = np.random.default_rng(12)
-        inc = 0.3 * rng.standard_normal((5, g.n_steps, field.d))
+        X, gamma = driver_paths(rng, (5,), len(g), field.d)
         y0 = rng.uniform(-0.5, 0.5, field.n)
-        batched = heun_controlled(field, g, inc, y0, 0.3)
-        for row, row_inc in zip(batched, inc):
-            assert np.array_equal(row, heun_controlled(field, g, row_inc, y0, 0.3))
+        batched = heun_controlled(field, g, y0, eps=0.3, X=X, gamma=gamma)
+        for row, row_X in zip(batched, X):
+            assert np.array_equal(row, heun_controlled(field, g, y0, eps=0.3, X=row_X, gamma=gamma))
 
     def test_drift_free_field_has_no_drift_pass(self, monkeypatch):
         S = [[1.0, 0.3], [-0.2, 0.8]]
         free, zero = constant_field(S), constant_field(S, beta_matrix=np.zeros((2, 2)))
         g = TimeGrid.uniform(33)
         rng = np.random.default_rng(13)
-        inc = 0.3 * rng.standard_normal((4, g.n_steps, 2))
+        X, gamma = driver_paths(rng, (4,), len(g), 2)
         y0 = rng.uniform(-0.5, 0.5, 2)
-        want = heun_controlled(zero, g, inc, y0, 0.3)
+        want = heun_controlled(zero, g, y0, eps=0.3, X=X, gamma=gamma)
         calls = []
         beta_at = VectorFieldSpec.beta_at
         monkeypatch.setattr(VectorFieldSpec, "beta_at",
                             lambda self, *args: calls.append(1) or beta_at(self, *args))
-        got = heun_controlled(free, g, inc, y0, 0.3)
+        got = heun_controlled(free, g, y0, eps=0.3, X=X, gamma=gamma)
         assert free.beta is None and calls == []
         assert np.array_equal(got, want)
 
     def test_divergence_same_step(self):
         # dy = y dZ along increments 0.5, and 1.0 on path 1, which crosses the guard first
         g = TimeGrid.uniform(17)
-        inc = np.full((3, g.n_steps, 1), 0.5)
-        inc[1] *= 2.0
+        gamma = np.zeros((3, len(g), 1))
+        gamma[:, 1:] = 0.5 * np.arange(1, len(g))[:, None]
+        gamma[1] *= 2.0
 
         def failure(solver):
             calls = []
@@ -162,10 +193,11 @@ class TestHeunStepMajor:
                                     beta=lambda e, y: calls.append(1) or np.zeros(np.shape(y)),
                                     guard=50.0)
             with pytest.raises(DivergenceError) as err:
-                solver(field, g, inc, np.ones(1))
+                solver(field)
             return str(err.value), len(calls)  # two beta calls per step
 
-        got, want = failure(heun_controlled), failure(heun_reference)
+        got = failure(lambda f: heun_controlled(f, g, np.ones(1), gamma=gamma))
+        want = failure(lambda f: heun_reference(f, g, np.diff(gamma, axis=-2), np.ones(1)))
         assert got == want and want[1] < 2 * g.n_steps
 
 
@@ -218,6 +250,32 @@ class TestLinearPerturbationSolve:
         sL, sR = self._sources(ctx, lead, seed=2)
         got = linear_perturbation_solve(ctx.flow, heun_fold(ctx, sL, sR))
         assert np.array_equal(got, two_stage_solve(ctx.omL, ctx.omR, sL, sR))
+
+    @pytest.mark.parametrize("batched_flow", [False, True])
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=str)
+    def test_identity_flow_skips_products(self, monkeypatch, lead, batched_flow):
+        # M = M^{-1} = I exactly: the solve and the co-state are cumulative
+        # sums with the bits of the products they skip
+        ctx = self._ctx(constant_field([[1.0, 0.3], [-0.2, 0.8]]))
+        flow = tuple(np.broadcast_to(t, (5,) + t.shape) if batched_flow else t for t in ctx.flow)
+        M, Minv = flow
+        rng = np.random.default_rng(9)
+        b = heun_fold(ctx, *self._sources(ctx, lead, seed=7))
+        g = rng.normal(size=lead + (len(ctx.grid), 2))
+        acc = np.zeros(np.broadcast_shapes(M.shape[:-3], lead) + (len(ctx.grid), 2))
+        acc[..., 1:, :] = np.cumsum(_matvec(Minv[..., 1:, :, :], b), axis=-2)
+        want_z = _matvec(M, acc)
+        h = _matvec(np.swapaxes(M[..., 1:, :, :], -1, -2), g[..., 1:, :])
+        tail = np.cumsum(h[..., ::-1, :], axis=-2)[..., ::-1, :]
+        want_lam = _matvec(np.swapaxes(Minv[..., 1:, :, :], -1, -2), tail)
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("an identity flow multiplied out")
+
+        monkeypatch.setattr(odes, "_matvec", no_product)
+        z, lam = linear_perturbation_solve(flow, b), linear_perturbation_costate(flow, g)
+        assert z.shape == want_z.shape and np.array_equal(z, want_z)
+        assert lam.shape == want_lam.shape and np.array_equal(lam, want_lam)
 
     def test_linear_in_sources(self):
         ctx = self._ctx(tanh_field(2, 2, coef_seed=4))
@@ -283,7 +341,7 @@ class TestBroadcast:
         ctxs = self._contexts()
         f, grid = ctxs[0].field, ctxs[0].grid
         phi0, omL, omR, (M, Minv), sigma0, B_sigma, _ = _linearize(
-            f, grid, np.stack([c.gamma.increments() for c in ctxs]))
+            f, grid, np.stack([c.gamma.values for c in ctxs]))
         for got, name in zip((omL, omR, sigma0, B_sigma), ("omL", "omR", "sigma0", "B_sigma")):
             assert np.array_equal(got, np.stack([getattr(c, name) for c in ctxs]))
         assert np.array_equal(M, np.stack([c.flow[0] for c in ctxs]))
@@ -317,10 +375,10 @@ def test_read_only_evaluator_outputs(field):
     gamma = random_smooth_path(g, 2, rng)
     frozen = read_only_outputs(field)
     assert not frozen.sigma_at(np.zeros(2)).flags.writeable
-    inc = random_smooth_path(g, 2, rng).increments()
+    X = random_smooth_path(g, 2, rng).values
 
     def outputs(f):
-        y = heun_controlled(f, g, inc, np.zeros(2), eps_beta=0.3)
+        y = heun_controlled(f, g, np.zeros(2), eps=0.3, X=X)
         ctx = expansion_context(f, gamma)
         A = hessian_matrix(endpoint_quadratic([[0.5, 0.1], [0.1, 0.3]]), ctx, 3, 0.4)
         return y, ctx.phi0.values, A

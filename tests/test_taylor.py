@@ -109,9 +109,7 @@ class TestSolveRde:
         field = tanh_field(n, d, coef_seed=5)
         g = TimeGrid.dyadic(8)
         drv = sample_fbm_ensemble(g, H, d, n_mc, seed=300)
-        sol = heun_controlled(
-            field, g, eps * np.diff(drv, axis=-2), np.zeros(n), eps_beta=eps
-        )
+        sol = heun_controlled(field, g, np.zeros(n), eps=eps, X=drv)
         Y1 = sol[:, -1, :]
 
         rng = substream(301, 17, 0)
@@ -142,8 +140,8 @@ class TestDyadicLadder:
     def _direct(self, field, eps, X, gamma, level, top):
         stride = 2 ** (top - level)
         Z = eps * X.values[::stride] + gamma.values[::stride]
-        return heun_controlled(field, TimeGrid.dyadic(level), np.diff(Z, axis=0),
-                               np.zeros(field.n), eps_beta=eps)
+        return heun_controlled(field, TimeGrid.dyadic(level), np.zeros(field.n),
+                               eps=eps, gamma=Z)
 
     def test_coarse_points_and_ladder(self, ctx513):
         top, eps = 7, 0.4
@@ -246,7 +244,7 @@ class TestPsi:
         k = SampledPath(g, np.stack([0.3 * g.points**2, 0.4 * np.sin(2 * g.points)], axis=1))
 
         def itomap(path):
-            return heun_controlled(field, g, np.diff(path.values, axis=0), np.zeros(2), 0.0)
+            return heun_controlled(field, g, np.zeros(2), gamma=path.values)
 
         h = 1e-3
         num = (
@@ -286,8 +284,8 @@ class TestFirstOrder:
         g, field, gamma = ctx513.grid, ctx513.field, ctx513.gamma
 
         def phi_eps(eps):
-            Z = eps * driver513.values + gamma.values
-            return heun_controlled(field, g, np.diff(Z, axis=0), np.zeros(2), eps)
+            return heun_controlled(field, g, np.zeros(2), eps=eps, X=driver513.values,
+                                   gamma=gamma.values)
 
         h = 1e-4
         num = (phi_eps(h) - phi_eps(0.0)) / h
@@ -333,8 +331,8 @@ class TestSecondOrder:
         g, field, gamma = ctx513.grid, ctx513.field, ctx513.gamma
 
         def phi_eps(eps):
-            Z = eps * driver513.values + gamma.values
-            return heun_controlled(field, g, np.diff(Z, axis=0), np.zeros(2), eps)
+            return heun_controlled(field, g, np.zeros(2), eps=eps, X=driver513.values,
+                                   gamma=gamma.values)
 
         p1 = compute_phi1(ctx513, driver513).values
         p2 = compute_phi2(ctx513, driver513).values
@@ -424,14 +422,12 @@ class TestRemainderSlopes:
         g, field, gamma = ctx513.grid, ctx513.field, ctx513.gamma
         rng = np.random.default_rng(9)
         bump = random_smooth_path(g, 2, rng)
-        base = heun_controlled(
-            field, g, np.diff(0.5 * driver513.values + gamma.values, axis=0),
-            np.zeros(2), 0.5,
-        )
+        base = heun_controlled(field, g, np.zeros(2), eps=0.5, X=driver513.values,
+                               gamma=gamma.values)
         ratios = []
         for delta in (1e-2, 1e-3, 1e-4):
-            Z = 0.5 * (driver513.values + delta * bump.values) + gamma.values
-            pert = heun_controlled(field, g, np.diff(Z, axis=0), np.zeros(2), 0.5)
+            pert = heun_controlled(field, g, np.zeros(2), eps=0.5,
+                                   X=driver513.values + delta * bump.values, gamma=gamma.values)
             ratios.append(np.abs(pert - base).max() / delta)
         assert max(ratios) / min(ratios) < 2.0
 
