@@ -11,7 +11,10 @@ CSV the CLI writes is covered and the scale test's 5000 samples and the
 drifted ``tanh`` laplace config's shifted Monte Carlo samples end in a
 partial sampling block, through this checkout's CLI in a temporary
 directory, and prints one ``sha256  config/artifact`` line per artifact,
-sorted, leaving out the manifests (they hold timings).  Each run is a fresh
+sorted, leaving out the manifests (they hold timings).  Each run also gets
+one ``sha256  config/<kind>-<config_hash> config`` line: its directory name
+and the sha256 of its manifest's config echo, so a default that leaks into
+the echo or the hash shows in the diff as well.  Each run is a fresh
 interpreter with one BLAS thread, since OpenBLAS sums in an order that
 depends on its thread count.  Run it in two checkouts and ``diff`` the
 outputs.
@@ -61,7 +64,8 @@ def configs() -> dict:
 
 
 def run_config(name: str, cfg: dict, tmp: Path) -> list:
-    """Run one config in a child interpreter; (sha256, name/artifact) pairs."""
+    """Run one config in a child interpreter; (sha256, name/artifact) pairs,
+    and (sha256 of the config echo, name/run-directory config)."""
     path = tmp / f"{name}.json"
     path.write_text(json.dumps(cfg))
     out = tmp / name
@@ -72,8 +76,11 @@ def run_config(name: str, cfg: dict, tmp: Path) -> list:
                     "--config", str(path), "--out", str(out)],
                    env=env, check=True, stdout=subprocess.DEVNULL)
     [run_dir] = out.iterdir()
-    return [(hashlib.sha256(f.read_bytes()).hexdigest(), f"{name}/{f.relative_to(run_dir)}")
-            for f in sorted(run_dir.rglob("*")) if f.is_file() and f.name != "manifest.json"]
+    echo = json.loads((run_dir / "manifest.json").read_text())["config"]
+    echo_digest = hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()
+    return [(echo_digest, f"{name}/{run_dir.name} config")] + [
+        (hashlib.sha256(f.read_bytes()).hexdigest(), f"{name}/{f.relative_to(run_dir)}")
+        for f in sorted(run_dir.rglob("*")) if f.is_file() and f.name != "manifest.json"]
 
 
 def main() -> int:

@@ -12,6 +12,7 @@ into blocks fixed by the config alone.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -19,14 +20,21 @@ import sys
 import time
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .fbm import _QUAD_NODES, FbmSampler, HurstParams, cm_map, sample_fbm, sample_fbm_ensemble
-from .functionals import make_field, make_functional
+from .functionals import (
+    _FIELD_BUILDERS,
+    _FUNCTIONAL_BUILDERS,
+    _nearest,
+    make_field,
+    make_functional,
+)
 from .grids import SampledPath, TimeGrid
 from .hessian import hs_tail, hessian_matrix
 from .laplace import (
@@ -38,7 +46,7 @@ from .laplace import (
     minimize_F_Lambda,
 )
 from .roughpath import chen_residual, lift, scale_plan
-from .taylor import expansion_context, solve_rde, taylor_remainder_slope
+from .taylor import _SLOPE_EPS, expansion_context, solve_rde, taylor_remainder_slope
 from .variation import cosine_pvar, pvar_values
 
 EXPERIMENT_KINDS = (
@@ -51,6 +59,13 @@ EXPERIMENT_KINDS = (
     "laplace",
     "scale-test",
 )
+_NOT_PVAR = tuple(kind for kind in EXPERIMENT_KINDS if kind != "pvar")
+_BUILDS = ("rde", "taylor-slope", "hessian", "laplace")  # the kinds that build a field
+
+
+def _is_int(value) -> bool:
+    """``value`` is an int, bool excluded."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -58,15 +73,108 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_positive(value, kinds) -> bool:
-    """``value`` is an instance of ``kinds`` (bool excluded) and above 0."""
-    return isinstance(value, kinds) and not isinstance(value, bool) and value > 0
+def _int_in(lo, hi=math.inf):
+    return lambda v, cfg: _is_int(v) and lo <= v <= hi
 
 
-# Keys of the laplace, pvar and scale-test kinds that are not config
-# fields, with their defaults.
-_EXTRAS = {"alpha0_samples": 10_000, "hessian_N": 8, "fit_order": 2, "use_shift": True,
-           "n_max": 16, "p_list": [1.5, 2.0, 3.5], "c": 0.5}
+def _list_of(ok, shortest=0):
+    return lambda v, cfg=None: isinstance(v, list) and len(v) >= shortest and all(map(ok, v))
+
+
+def _positive(x) -> bool:
+    return _is_real(x) and x > 0
+
+
+def _spec(spec: str, kinds: tuple, builders: dict) -> tuple:
+    """The name and parameter rows of the field, functional or weight ``spec``."""
+    return (Key(f"{spec}_name", kinds, lambda v, cfg: isinstance(v, str) and v in builders,
+                f"be one of {sorted(builders)}"),
+            Key(f"{spec}_params", kinds,
+                lambda v, cfg: isinstance(v, dict) and not {"n", "d"} & set(v),
+                "be an object of named parameters other than n and d (the config's own)"))
+
+
+def _is_gamma(v, cfg) -> bool:
+    return (_list_of(_list_of(_is_real), 1)(v) and len(v) <= _QUAD_NODES
+            and all(len(row) == cfg.d for row in v))
+
+
+def _lift_level(cfg) -> int:
+    """2 for H > 1/3, else 3"""
+    return cfg.hurst().level
+
+
+def _gamma_coeffs(cfg) -> list:
+    """[[0.2] * d, [0.3] * d]"""
+    return [[0.2] * cfg.d, [0.3] * cfg.d]
+
+
+class Key(NamedTuple):
+    """One row of the config schema: ``name`` as read by ``kinds``, valid
+    where ``check(value, cfg)`` holds, else named as "{name} must {what};
+    got {value!r}".  ``default`` is a value or a function of the config
+    whose docstring documents it; None on a dataclass field leaves it the
+    field's own default."""
+
+    name: str
+    kinds: tuple
+    check: Callable
+    what: str
+    default: object = None
+
+
+_MODES = f"be an int in [1, {_QUAD_NODES}], the cosine modes the kernel quadrature resolves"
+
+# Every key a config may hold.  The dataclass fields are accepted by every
+# kind and checked for the kinds listed; any other key only by its kinds.
+KEYS = (
+    Key("H", EXPERIMENT_KINDS, lambda v, cfg: _is_real(v) and 0.25 < v <= 0.5,
+        "be a real number in (1/4, 1/2]"),
+    *(Key(pq, EXPERIMENT_KINDS, lambda v, cfg: v is None or _positive(v), "be a positive number")
+      for pq in "pq"),
+    Key("grid_size", _NOT_PVAR, _int_in(2), "be an int of at least 2"),
+    Key("n", _BUILDS, _int_in(1), "be a positive int"),
+    Key("d", _NOT_PVAR, _int_in(1), "be a positive int"),
+    Key("seed", ("simulate", "lift", "rde", "taylor-slope", "laplace", "scale-test"),
+        _int_in(0, 2**64 - 1), "be an int in [0, 2**64)"),
+    Key("eps_list", ("rde",), _list_of(_positive, 1), "be a non-empty list of positive numbers"),
+    Key("eps_list", ("taylor-slope",), _list_of(_positive, 4),
+        "be a list of at least 4 positive numbers", _SLOPE_EPS),
+    Key("eps_list", ("laplace",), _list_of(_positive), "be a list of positive numbers"),
+    Key("truncation", ("hessian", "laplace"), _int_in(1, _QUAD_NODES), _MODES),
+    Key("n_samples", ("simulate", "taylor-slope", "scale-test"), _int_in(1),
+        "be a positive int"),
+    Key("n_samples", ("laplace",), _int_in(2), "be an int of at least 2"),
+    *_spec("field", _BUILDS, _FIELD_BUILDERS),
+    *_spec("functional", ("hessian", "laplace"), _FUNCTIONAL_BUILDERS),
+    *_spec("weight", ("laplace",), _FUNCTIONAL_BUILDERS),
+    # the lift's tensor level
+    Key("level", ("lift",), lambda v, cfg: _is_int(v) and v in (2, 3), "be the int 2 or 3",
+        _lift_level),
+    # the largest cosine mode and the exponents of the p-variation corpus
+    Key("n_max", ("pvar",), _int_in(1), "be a positive int", 16),
+    Key("p_list", ("pvar",), _list_of(lambda p: _is_real(p) and p >= 1, 1),
+        "be a non-empty list of real numbers of at least 1", [1.5, 2.0, 3.5]),
+    # the horizon fraction of the scale test
+    Key("c", ("scale-test",), lambda v, cfg: _is_real(v) and 0 < v <= 1,
+        "be a real number in (0, 1]", 0.5),
+    # the truncations of the Hilbert-Schmidt partial sums
+    Key("N_list", ("hessian",),
+        lambda v, cfg: _list_of(lambda N: _is_int(N) and N > 0)(v) and max(v, default=0) >= 4,
+        "reach mode 4, the first mode of the decay fit, and hold positive ints only",
+        [8, 16, 32]),
+    # the cosine coefficients of the Cameron-Martin path gamma
+    Key("gamma_coeffs", ("taylor-slope", "hessian"), _is_gamma,
+        f"be a list of 1 to {_QUAD_NODES} cosine modes, each a list of d real numbers",
+        _gamma_coeffs),
+    # the Monte Carlo samples of alpha0, the Hessian truncation behind the
+    # constants, the degree of the expansion fit, and whether the Monte
+    # Carlo samples are recentred on gamma
+    Key("alpha0_samples", ("laplace",), _int_in(2), "be an int of at least 2", 10_000),
+    Key("hessian_N", ("laplace",), _int_in(1, _QUAD_NODES), _MODES, 8),
+    Key("fit_order", ("laplace",), _int_in(0), "be a non-negative int", 2),
+    Key("use_shift", ("laplace",), lambda v, cfg: isinstance(v, bool), "be true or false", True),
+)
 
 
 @dataclass
@@ -92,12 +200,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config ``raw`` describes.  A key its kind does not read is an
+        error naming the nearest known key; a field left out takes its
+        kind's table default where the table gives one, else the field's."""
         raw = dict(raw)
         kind = raw.pop("kind", None)
         if kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {kind!r}; choices: {EXPERIMENT_KINDS}")
-        known = {f for f in cls.__dataclass_fields__ if f != "extras"}
-        kwargs = {k: raw.pop(k) for k in list(raw) if k in known}
+        rows = [key for key in KEYS if kind in key.kinds]
+        known = _FIELDS | {key.name for key in rows}
+        unknown = [f"unknown {kind} config key {k!r}; nearest: {_nearest(k, known)!r}"
+                   for k in raw if k not in known]
+        if unknown:
+            raise ValueError("invalid config:\n  " + "\n  ".join(unknown))
+        kwargs = {k: raw.pop(k) for k in list(raw) if k in _FIELDS}
+        for key in rows:
+            if key.name in _FIELDS and key.default is not None:
+                kwargs.setdefault(key.name, copy.deepcopy(key.default))
         return cls(kind=kind, extras=raw, **kwargs)
 
     def hurst(self) -> HurstParams:
@@ -105,92 +224,50 @@ class ExperimentConfig:
             return HurstParams.default(self.H)
         return HurstParams(H=self.H, p=self.p, q=self.q)
 
-    def hs_N_list(self):
-        """The truncations of the ``hessian`` kind's hs_tail partial sums."""
-        return self.extras.get("N_list", [8, 16, 32])
-
-    def extra(self, key: str):
-        """``key`` of ``_EXTRAS``: for ``laplace`` the Monte Carlo samples
-        for the constant alpha0, the truncation of the Hessian behind the
-        constants, the degree of the expansion fit, and whether the Monte
-        Carlo samples are recentred on gamma; for ``pvar`` the largest cosine
-        mode ``n_max`` and the exponents ``p_list``; for ``scale-test`` the
-        horizon fraction ``c``."""
-        return self.extras.get(key, _EXTRAS[key])
+    def extra(self, name: str):
+        """The kind key ``name`` (not a dataclass field) as the config gives
+        it, else its table default; a key the kind does not read raises."""
+        key = next((k for k in KEYS if k.name == name and self.kind in k.kinds), None)
+        if key is None or name in _FIELDS:
+            raise KeyError(f"{name!r} is not one of the {self.kind} kind's own keys")
+        if name in self.extras:
+            return self.extras[name]
+        return key.default(self) if callable(key.default) else key.default
 
     def validate(self) -> list:
-        # types before values, so no comparison below meets a str or a bool
-        errors = [f"{key} must be a positive int; got {value!r}"
-                  for key, value in (("grid_size", self.grid_size), ("n", self.n),
-                                     ("d", self.d), ("n_samples", self.n_samples))
-                  if not _is_positive(value, int)]
-        if _is_positive(self.grid_size, int) and self.grid_size < 2:
-            errors.append("grid_size must be at least 2")
-        numbers = [("H", "a real number", _is_real(self.H))] + [
-            (key, "a positive number", _is_positive(getattr(self, key), (int, float)))
-            for key in ("p", "q") if getattr(self, key) is not None]
-        bad_numbers = [f"{key} must be {what}; got {getattr(self, key)!r}"
-                       for key, what, ok in numbers if not ok]
-        errors += bad_numbers
-        if not bad_numbers:
+        """Every error of the config: each key its kind reads against its
+        table row, then the checks that read several keys once those pass."""
+        errors, bad = [], set()
+        rows = [key for key in KEYS if self.kind in key.kinds]
+        for key in rows:
+            if key.name in _FIELDS or key.name in self.extras:
+                value = getattr(self, key.name) if key.name in _FIELDS else self.extras[key.name]
+                if not key.check(value, self):
+                    errors.append(f"{key.name} must {key.what}; got {value!r}")
+                    bad.add(key.name)
+        if not bad & {"H", "p", "q"}:
             try:
                 self.hurst()
             except ValueError as e:
                 errors.append(str(e))
-        if self.kind == "lift" and "level" in self.extras:
-            level = self.extras["level"]
-            if not (isinstance(level, int) and not isinstance(level, bool) and level in (2, 3)):
-                errors.append(f"level must be the int 2 or 3; got {level!r}")
-        if self.kind == "pvar":
-            if not _is_positive(self.extra("n_max"), int):
-                errors.append(f"n_max must be a positive int; got {self.extra('n_max')!r}")
-            p_list = self.extra("p_list")
-            if not (isinstance(p_list, list) and p_list
-                    and all(_is_real(p) and p >= 1 for p in p_list)):
-                errors.append("p_list must be a non-empty list of real numbers of at least 1; "
-                              f"got {p_list!r}")
-        if self.kind == "scale-test":
-            c = self.extra("c")
-            if not (_is_real(c) and 0 < c <= 1):
-                errors.append(f"c must be a real number in (0, 1]; got {c!r}")
-            elif not errors:  # grid_size and H are valid
-                try:
-                    scale_plan(TimeGrid.uniform(self.grid_size), c, self.H)
-                except ValueError as e:
-                    errors.append(str(e))
-        if self.kind == "hessian":
-            N_list = self.hs_N_list()
-            if not (isinstance(N_list, list) and all(_is_positive(N, int) for N in N_list)
-                    and max(N_list, default=0) >= 4):
-                errors.append("N_list must reach mode 4, the first mode of the decay fit, "
-                              f"and hold positive ints only; got {N_list!r}")
-        if self.kind in ("hessian", "laplace"):
-            modes = [("truncation", self.truncation)]
-            if self.kind == "laplace":
-                modes.append(("hessian_N", self.extra("hessian_N")))
-            errors += [f"{key} must be an int in [1, {_QUAD_NODES}], the cosine modes the "
-                       f"kernel quadrature resolves; got {value!r}"
-                       for key, value in modes
-                       if not (_is_positive(value, int) and value <= _QUAD_NODES)]
-        if self.kind == "laplace":
-            eps_list = self.eps_list
-            eps_ok = (isinstance(eps_list, list)
-                      and all(_is_positive(eps, (int, float)) for eps in eps_list))
-            if not eps_ok:
-                errors.append(f"eps_list must be a list of positive numbers; got {eps_list!r}")
-            for key, value in (("n_samples", self.n_samples),
-                               ("alpha0_samples", self.extra("alpha0_samples"))):
-                if not (_is_positive(value, int) and value >= 2):
-                    errors.append(f"{key} must be an int of at least 2; got {value!r}")
+        if self.kind == "scale-test" and not bad & {"grid_size", "H", "c"}:
+            try:
+                scale_plan(TimeGrid.uniform(self.grid_size), self.extra("c"), self.H)
+            except ValueError as e:
+                errors.append(str(e))
+        if self.kind == "laplace" and not bad & {"eps_list", "fit_order"}:
             order = self.extra("fit_order")
-            if not (isinstance(order, int) and not isinstance(order, bool) and order >= 0):
-                errors.append(f"fit_order must be a non-negative int; got {order!r}")
-            elif eps_ok and len(eps_list) < order + 1:
+            if len(self.eps_list) < order + 1:
                 errors.append(f"fit_order {order} needs at least {order + 1} eps values; "
-                              f"eps_list has {len(eps_list)}")
-            use_shift = self.extra("use_shift")
-            if not isinstance(use_shift, bool):
-                errors.append(f"use_shift must be true or false; got {use_shift!r}")
+                              f"eps_list has {len(self.eps_list)}")
+        # the field, functional and weight the kind builds, with their parameters
+        read = {key.name for key in rows}
+        for spec in ("field", "functional", "weight"):
+            if f"{spec}_params" in read and not bad & {f"{spec}_name", f"{spec}_params", "n", "d"}:
+                try:
+                    _build(self, spec)
+                except (ValueError, TypeError, IndexError) as e:
+                    errors.append(f"{spec}_params: {e}")
         return errors
 
     def numeric_dict(self) -> dict:
@@ -211,24 +288,20 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _field(cfg: ExperimentConfig):
-    params = {"n": cfg.n, "d": cfg.d, **cfg.field_params}
-    return make_field(cfg.field_name, params)
+_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"kind", "extras"}
 
 
-def _functional(cfg: ExperimentConfig):
-    return make_functional(cfg.functional_name, cfg.functional_params)
-
-
-def _weight(cfg: ExperimentConfig):
-    return make_functional(cfg.weight_name, cfg.weight_params)
+def _build(cfg: ExperimentConfig, spec: str):
+    """The config's ``field``, ``functional`` or ``weight``, built."""
+    name, params = getattr(cfg, f"{spec}_name"), getattr(cfg, f"{spec}_params")
+    if spec == "field":
+        return make_field(name, {"n": cfg.n, "d": cfg.d, **params})
+    return make_functional(name, params)
 
 
 def _gamma(cfg: ExperimentConfig, grid: TimeGrid) -> SampledPath:
-    """The Cameron-Martin path of the ``taylor-slope`` and ``hessian`` kinds:
-    cosine coefficients ``gamma_coeffs``, by default [[0.2]*d, [0.3]*d]."""
-    coeffs = cfg.extras.get("gamma_coeffs", [[0.2] * cfg.d, [0.3] * cfg.d])
-    return cm_map(np.asarray(coeffs, dtype=float), cfg.H, grid).induced_path
+    """The Cameron-Martin path of the ``taylor-slope`` and ``hessian`` kinds."""
+    return cm_map(np.asarray(cfg.extra("gamma_coeffs"), dtype=float), cfg.H, grid).induced_path
 
 
 def _write(out: Path, name: str, text: str):
@@ -315,7 +388,7 @@ def run_simulate(rc: RunContext):
 def run_lift(rc: RunContext):
     cfg = rc.cfg
     grid = TimeGrid.uniform(cfg.grid_size)
-    level = cfg.extras.get("level", cfg.hurst().level)
+    level = cfg.extra("level")
     names = [f"rough_level{j}.csv" for j in range(1, level + 1)]
     rc.declare("driver.csv", *names, "chen.json")
     rc.manifest("started")
@@ -359,12 +432,11 @@ def run_rde(rc: RunContext):
     grid = TimeGrid.uniform(cfg.grid_size)
     rc.declare("solution.csv", "ladder.json")
     rc.manifest("started")
-    field_spec = _field(cfg)
+    field_spec = _build(cfg, "field")
     with rc.stage("sample_s"):
         driver = sample_fbm(grid, cfg.H, cfg.d, cfg.seed)
-    eps = cfg.eps_list[0] if cfg.eps_list else 1.0
     with rc.stage("solve_s"):
-        sol = solve_rde(field_spec, eps, driver)
+        sol = solve_rde(field_spec, cfg.eps_list[0], driver)
     _write(rc.out, "solution.csv", _path_csv(sol))
     _write(rc.out, "ladder.json", json.dumps(sol.meta, indent=2, sort_keys=True))
 
@@ -374,7 +446,7 @@ def run_taylor_slope(rc: RunContext):
     grid = TimeGrid.uniform(cfg.grid_size)
     rc.declare("slopes.json")
     rc.manifest("started")
-    field_spec = _field(cfg)
+    field_spec = _build(cfg, "field")
     gamma = _gamma(cfg, grid)
     with rc.stage("sample_s"):
         drivers = sample_fbm_ensemble(grid, cfg.H, cfg.d, cfg.n_samples, cfg.seed)
@@ -383,7 +455,7 @@ def run_taylor_slope(rc: RunContext):
     for m in (1, 2):
         with rc.stage(f"slope_m{m}_s"):
             reports[f"m{m}"] = taylor_remainder_slope(
-                field_spec, gamma, drivers, m, eps_list=cfg.eps_list or None, p=hp.p
+                field_spec, gamma, drivers, m, eps_list=cfg.eps_list, p=hp.p
             )
     _write(rc.out, "slopes.json", json.dumps(reports, indent=2, sort_keys=True))
 
@@ -393,8 +465,8 @@ def run_hessian(rc: RunContext):
     grid = TimeGrid.uniform(cfg.grid_size)
     rc.declare("hessian.csv", "hessian_meta.json", "hs_tail.csv", "hs_tail.json")
     rc.manifest("started")
-    field_spec = _field(cfg)
-    functional = _functional(cfg)
+    field_spec = _build(cfg, "field")
+    functional = _build(cfg, "functional")
     with rc.stage("cm_s"):
         gamma = _gamma(cfg, grid)
     with rc.stage("hessian_s"):
@@ -411,7 +483,7 @@ def run_hessian(rc: RunContext):
     _write(rc.out, "hessian_meta.json", json.dumps(meta, indent=2, sort_keys=True))
     hp = cfg.hurst()
     with rc.stage("hs_tail_s"):
-        rep = hs_tail(ctx, N_list=cfg.hs_N_list(), hurst=hp)
+        rep = hs_tail(ctx, N_list=cfg.extra("N_list"), hurst=hp)
     _write(
         rc.out, "hs_tail.csv",
         _csv(list(zip(rep.N_list, rep.partial_sums)), ["N", "partial_sum"]),
@@ -438,9 +510,9 @@ def run_laplace(rc: RunContext):
     grid = TimeGrid.uniform(cfg.grid_size)
     rc.declare("report.json", "mc_table.csv")
     rc.manifest("started")
-    field_spec = _field(cfg)
-    functional = _functional(cfg)
-    weight = _weight(cfg)
+    field_spec = _build(cfg, "field")
+    functional = _build(cfg, "functional")
+    weight = _build(cfg, "weight")
     with rc.stage("minimize_s"):
         rep = minimize_F_Lambda(
             functional, field_spec, cfg.H, grid, cfg.truncation,
@@ -675,6 +747,24 @@ floats with 17 significant digits, which read back to the same float64.
 """
 
 
+def _config_doc() -> str:
+    """The "Config keys" section of SCHEMA.md, rendered from ``KEYS``."""
+    own = ExperimentConfig(kind="")
+    lines = ["# Config keys", "", "A field (a key of every kind) is accepted by every kind, any "
+             "other key only by the kinds listed; an unknown key is named with the nearest "
+             "known one.  Each key is checked for its kinds, then the (p, q) window, `c` against "
+             "the grid, `fit_order` against `eps_list`, and the field, functional and weight "
+             "parameters.  A failed check exits 2 before any output exists.", "",
+             "| key | kinds | default | constraint |", "|---|---|---|---|"]
+    for key in KEYS:
+        own_default = key.default is None and key.name in _FIELDS
+        default = getattr(own, key.name) if own_default else key.default
+        text = default.__doc__ if callable(default) else f"`{json.dumps(default)}`"
+        kinds = "every kind" if key.kinds == EXPERIMENT_KINDS else ", ".join(key.kinds)
+        lines.append(f"| `{key.name}` | {kinds} | {text} | must {key.what} |")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="roughlaplace",
@@ -689,12 +779,12 @@ def main(argv=None) -> int:
         sp.add_argument("--workers", type=int, default=1,
                         help="worker processes for the laplace kind's Monte Carlo "
                              "blocks (forked; numbers do not depend on it)")
-    sp = sub.add_parser("schema", help="write SCHEMA.md documenting artifact columns")
+    sp = sub.add_parser("schema", help="write SCHEMA.md documenting artifacts and config keys")
     sp.add_argument("--out", type=str, default="SCHEMA.md")
 
     args = parser.parse_args(argv)
     if args.command == "schema":
-        Path(args.out).write_text(SCHEMA_DOC)
+        Path(args.out).write_text(SCHEMA_DOC + "\n" + _config_doc())
         print(f"wrote {args.out}")
         return 0
 

@@ -6,6 +6,7 @@ all of state space.  All evaluators broadcast over leading batch axes.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -277,12 +278,16 @@ def tanh_field(
     )
 
 
-def rotation_field(d: int, kappa: float = 1.0, scale: float = 0.5) -> VectorFieldSpec:
+def rotation_field(d: int, kappa: float = 1.0, scale: float = 0.5, *,
+                   n: int = 2) -> VectorFieldSpec:
     """Planar rotation-type field on n = 2: sigma(y) = R(kappa tanh(y_1 + y_2)) S.
 
     Bounded and smooth, without drift; the sigma derivatives fall back to
-    finite differences.
+    finite differences.  The state dimension ``n`` is taken so that a
+    config asking for another one is named, not solved in the plane.
     """
+    if n != 2:
+        raise ValueError(f"the rotation field is planar: n must be 2; got {n!r}")
     S = scale * np.ones((2, d))
     S[1, :] *= 0.5
 
@@ -320,44 +325,51 @@ def fractional_drift_field(base: VectorFieldSpec, inv_H: float) -> VectorFieldSp
     )
 
 
+# name -> builder; each builder's signature declares its parameters and
+# their defaults, and make_field / make_functional check a config against it
 _FIELD_BUILDERS = {
-    "constant": lambda cfg: constant_field(
-        np.asarray(cfg.get("S", np.eye(cfg["n"], cfg["d"]))),
-        cfg.get("beta_matrix"),
-    ),
-    "tanh": lambda cfg: tanh_field(
-        cfg["n"], cfg["d"],
-        coef_seed=cfg.get("coef_seed", 12),
-        scale=cfg.get("scale", 0.4),
-        drift_scale=cfg.get("drift_scale", 0.3),
-    ),
-    "rotation": lambda cfg: rotation_field(
-        cfg["d"], kappa=cfg.get("kappa", 1.0), scale=cfg.get("scale", 0.5)
-    ),
+    "constant": lambda n, d, S=None, beta_matrix=None: constant_field(
+        np.eye(n, d) if S is None else S, beta_matrix),
+    "tanh": tanh_field,
+    "rotation": rotation_field,
 }
 
 _FUNCTIONAL_BUILDERS = {
-    "zero": lambda cfg: zero_functional(),
-    "one": lambda cfg: one_functional(),
-    "endpoint_linear": lambda cfg: endpoint_linear(np.asarray(cfg["v"], dtype=float)),
-    "endpoint_quadratic": lambda cfg: endpoint_quadratic(
-        np.asarray(cfg["Q"], dtype=float), cfg.get("v")
-    ),
-    "integral_quadratic": lambda cfg: integral_quadratic(
-        np.asarray(cfg["Q"], dtype=float), cfg.get("v"), cfg.get("c0", 0.0)
-    ),
+    "zero": zero_functional,
+    "one": one_functional,
+    "endpoint_linear": endpoint_linear,
+    "endpoint_quadratic": endpoint_quadratic,
+    "integral_quadratic": integral_quadratic,
 }
 
 
+def _nearest(word: str, choices) -> str:
+    """The entry of ``choices`` closest to ``word`` (difflib's ratio)."""
+    import difflib  # only on an error path
+
+    return difflib.get_close_matches(word, list(choices), n=1, cutoff=0.0)[0]
+
+
+def _build(what: str, builders: dict, name: str, params: dict):
+    """``builders[name](**params)``, after naming an unknown ``name`` or
+    parameter with the nearest known one; a missing parameter raises
+    Python's TypeError, which names it."""
+    if name not in builders:
+        raise ValueError(f"unknown {what} {name!r}; nearest: {_nearest(name, builders)!r}; "
+                         f"choices: {sorted(builders)}")
+    accepted = inspect.signature(builders[name]).parameters
+    for key in params:
+        if key not in accepted:
+            hint = f"; nearest: {_nearest(key, accepted)!r}" if accepted else ""
+            raise ValueError(f"{what} {name!r} has no parameter {key!r}{hint}")
+    return builders[name](**params)
+
+
 def make_field(name: str, cfg: dict) -> VectorFieldSpec:
-    if name not in _FIELD_BUILDERS:
-        raise ValueError(f"unknown field '{name}'; choices: {sorted(_FIELD_BUILDERS)}")
-    return _FIELD_BUILDERS[name](cfg)
+    """The field ``name`` built from ``cfg``: its ``n``, ``d`` and parameters."""
+    return _build("field", _FIELD_BUILDERS, name, cfg)
 
 
 def make_functional(name: str, cfg: dict) -> FunctionalSpec:
-    if name not in _FUNCTIONAL_BUILDERS:
-        raise ValueError(
-            f"unknown functional '{name}'; choices: {sorted(_FUNCTIONAL_BUILDERS)}"
-        )
-    return _FUNCTIONAL_BUILDERS[name](cfg)
+    """The functional ``name`` built from its parameters ``cfg``."""
+    return _build("functional", _FUNCTIONAL_BUILDERS, name, cfg)

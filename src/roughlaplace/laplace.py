@@ -26,9 +26,8 @@ from .fbm import (
 from .functionals import FunctionalSpec, one_functional
 from .grids import SampledPath, TimeGrid
 from .hessian import hessian_matrix, log_det2
-from .odes import VectorFieldSpec, heun_controlled
+from .odes import VectorFieldSpec, _matvec, heun_controlled
 from .taylor import (
-    _chi_values,
     _theta1_values,
     chi_gradient,
     costate,
@@ -343,12 +342,22 @@ def expansion_constants(
     theta1 = _theta1_values(ctx)
     g0 = 1.0 if G is None else float(G.value(ctx.phi0.values, grid))
 
+    pairs_dX = any(t.any() for t in cs._lin)  # whether phi2 reads the increments
+
     def integrand(sample):
-        X = sample[0]
-        phi1 = _chi_values(ctx, X) + theta1
-        gF = cs.phi2(phi1, np.diff(X, axis=-2))
+        # the increments once, for chi's source and phi2; they (where phi2
+        # does not read them) and the source are dropped once spent, so the
+        # block holds no more path arrays than with two np.diff calls
+        dX = np.diff(sample[0], axis=-2)
+        b = _matvec(ctx.B_sigma, dX)
+        if not pairs_dX:
+            dX = None
+        phi1 = ctx.solve(b)  # chi(X)
+        del b
+        phi1 += theta1
+        gF = cs.phi2(phi1, dX)
         hF = functional.hess(ctx.phi0.values, phi1, phi1, grid)
-        return -(gF + 0.5 * np.asarray(hF))[None], np.full((1, len(X)), g0)
+        return -(gF + 0.5 * np.asarray(hF))[None], np.full((1, len(phi1)), g0)
 
     gen = FbmSampler(grid, H, field_spec.d, seed, kind=_STREAM_MC)
     [(alpha0, alpha0_se)] = _mc_estimate(gen, mc_samples, "mc_samples", ["alpha0"],

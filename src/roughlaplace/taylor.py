@@ -414,6 +414,10 @@ def solve_rde(
     return SampledPath(grid, out_vals, meta=meta)
 
 
+# The default eps ladder of the slope fit, 2^-3 .. 2^-9.
+_SLOPE_EPS = [2.0**-j for j in range(3, 10)]
+
+
 def taylor_remainder_slope(
     field_spec: VectorFieldSpec,
     gamma: SampledPath,
@@ -433,9 +437,7 @@ def taylor_remainder_slope(
     """
     if m not in (1, 2):
         raise ValueError("remainder order m must be 1 or 2")
-    if eps_list is None:
-        eps_list = [2.0**-j for j in range(3, 10)]
-    eps_list = list(eps_list)
+    eps_list = list(_SLOPE_EPS if eps_list is None else eps_list)
     if len(eps_list) < 4:
         raise ValueError("need at least 4 eps values for a slope fit")
     if any(eps <= 0 for eps in eps_list):
@@ -452,10 +454,11 @@ def taylor_remainder_slope(
         ctx = expansion_context(
             field_spec, SampledPath(_level_grid(grid, lev), restrict_dyadic(gamma.values, grid, lev))
         )
-        phi1 = _chi_values(ctx, X_lev) + _theta1_values(ctx)
+        dX = np.diff(X_lev, axis=-2)
+        phi1 = ctx.solve(_matvec(ctx.B_sigma, dX)) + _theta1_values(ctx)  # chi + theta1
         terms = [np.broadcast_to(ctx.phi0.values, phi1.shape), phi1]
         if m == 2:
-            terms.append(ctx.solve(_phi2_sources(ctx, phi1, np.diff(X_lev, axis=-2))))
+            terms.append(ctx.solve(_phi2_sources(ctx, phi1, dX)))
         rem = np.empty((len(eps_list),) + phi1.shape)
         for ei, eps in enumerate(eps_list):
             rem[ei] = _level_solve(field_spec, eps, X, gamma.values, grid, lev)

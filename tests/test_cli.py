@@ -702,3 +702,193 @@ def test_run_pipeline_quick():
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "== expansion fit ==" in proc.stdout
+
+
+# --- the config schema ------------------------------------------------------
+# Every case below goes through ``main`` and must exit 2 naming the key
+# before the output root exists.
+
+def _rejected(tmp_path, capsys, raw, *names):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    rc = main([raw["kind"], "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("invalid config:") and "Traceback" not in err
+    for name in names:
+        assert repr(name) in err or f"{name} must" in err, (name, err)
+    assert not (tmp_path / "runs").exists()
+    return err
+
+
+# one value per key that its check rejects for every kind reading the key
+OUT_OF_RANGE = {
+    "H": 0.7, "p": -1.0, "q": 0, "grid_size": 1, "n": 0, "d": 0, "seed": -1,
+    "eps_list": [0.0], "truncation": 97, "n_samples": 0, "field_name": "tanhh",
+    "field_params": {"coef_seed": -1}, "functional_name": "endpoint",
+    "functional_params": {"v": "x"},
+    "weight_name": "two", "weight_params": {"v": [1.0]}, "level": 4, "n_max": 0, "p_list": [0.5],
+    "c": 1.5, "N_list": [2, 3], "gamma_coeffs": [], "alpha0_samples": 1, "hessian_N": 97,
+    "fit_order": -1, "use_shift": 1,
+}
+
+
+def _schema_cases():
+    from roughlaplace.cli import KEYS
+
+    for key in KEYS:
+        wrong_type = 1 if key.name.endswith("_name") else "1"
+        for kind in key.kinds:
+            for label, value in (("type", wrong_type), ("range", OUT_OF_RANGE.get(key.name))):
+                yield pytest.param(kind, key.name, value, id=f"{kind}-{key.name}-{label}")
+
+
+def test_out_of_range_table_covers_every_key():
+    from roughlaplace.cli import KEYS
+
+    assert set(OUT_OF_RANGE) == {key.name for key in KEYS}
+
+
+@pytest.mark.parametrize("kind, name, value", _schema_cases())
+def test_every_key_checked_from_the_table(tmp_path, capsys, kind, name, value):
+    # parameter errors name their config key as a prefix
+    err = _rejected(tmp_path, capsys, {"kind": kind, "grid_size": 33, name: value})
+    assert name in err
+
+
+# (kind, a key it reads, that key misspelled)
+MISSPELLED = [
+    ("simulate", "n_samples", "n_sample"), ("lift", "level", "levle"), ("pvar", "p_list", "plist"),
+    ("rde", "eps_list", "eps_lst"), ("taylor-slope", "gamma_coeffs", "gamma_coefs"),
+    ("hessian", "N_list", "N_lst"), ("laplace", "hessian_N", "hesian_N"),
+    ("scale-test", "n_samples", "nsamples"),
+]
+
+
+def test_misspelled_cases_cover_every_kind():
+    assert sorted(kind for kind, *_ in MISSPELLED) == sorted(EXPERIMENT_KINDS)
+
+
+@pytest.mark.parametrize("kind, key, typo", MISSPELLED)
+def test_misspelled_key_names_nearest(tmp_path, capsys, kind, key, typo):
+    _rejected(tmp_path, capsys, {"kind": kind, typo: 1}, typo, key)
+
+
+def _reading(params_key):
+    from roughlaplace.cli import KEYS
+
+    return [kind for key in KEYS if key.name == params_key for kind in key.kinds]
+
+
+@pytest.mark.parametrize("spec, raw, typo, nearest", [
+    pytest.param(spec, raw, typo, nearest, id=f"{kind}-{spec}")
+    for spec, raw, typo, nearest in [
+        ("field", {"field_params": {"coef_sed": 3}}, "coef_sed", "coef_seed"),
+        ("field", {"field_name": "rotation", "n": 2, "d": 2, "field_params": {"kapa": 1.0}},
+         "kapa", "kappa"),
+        ("functional", {"functional_params": {"vv": [1.0]}}, "vv", "v"),
+        ("weight", {"weight_name": "endpoint_linear", "weight_params": {"vv": [1.0]}},
+         "vv", "v"),
+    ]
+    for kind in _reading(f"{spec}_params")
+    for raw in [{"kind": kind, **raw}]
+])
+def test_misspelled_param_names_nearest(tmp_path, capsys, spec, raw, typo, nearest):
+    err = _rejected(tmp_path, capsys, {"grid_size": 33, **raw}, typo, nearest)
+    assert f"{spec}_params:" in err
+
+
+@pytest.mark.parametrize("kind, raw, key", [
+    ("laplace", {"hesian_N": 4}, "hesian_N"),
+    ("rde", {"field_params": {"coef_sed": 3}}, "coef_sed"),
+    ("hessian", {"functional_name": "endpoint_quadratic",
+                 "functional_params": {"Q": [[0.4]], "vv": [1.0]}}, "vv"),
+    ("laplace", {"weight_name": "endpoint_linear", "weight_params": {"vv": [1.0]}}, "vv"),
+    ("simulate", {"seed": 1.5}, "seed"),
+    ("simulate", {"seed": -3}, "seed"),
+    ("rde", {"eps_list": ["0.5"]}, "eps_list"),
+    ("rde", {"eps_list": []}, "eps_list"),
+    ("hessian", {"gamma_coeffs": [[0.2], [0.3, 0.1]]}, "gamma_coeffs"),
+    ("rde", {"field_name": "rotation", "n": 3, "d": 2}, "n"),
+    ("simulate", {"level": 7}, "level"),
+    # n inside field_params built a 3-dimensional field under the config's n = 1
+    ("rde", {"n": 1, "field_params": {"n": 3}}, "field_params"),
+    ("taylor-slope", {"eps_list": [0.5, 0.35, 0.25]}, "eps_list"),
+])
+def test_silently_wrong_configs_rejected(tmp_path, capsys, kind, raw, key):
+    # configs that ran with a key ignored, or failed only after the manifest
+    _rejected(tmp_path, capsys, {"kind": kind, "grid_size": 33, **raw}, key)
+
+
+def test_extra_rejects_a_key_outside_the_table():
+    cfg = ExperimentConfig.from_dict({"kind": "pvar"})
+    assert cfg.extra("n_max") == 16 and "n_max" not in cfg.extras  # no default leaks
+    for key in ("level", "grid_size", "nope"):
+        with pytest.raises(KeyError, match=key):
+            cfg.extra(key)
+
+
+def test_taylor_slope_default_eps_list(tmp_path):
+    # without eps_list the kind runs on the slope fit's own ladder 2^-3 .. 2^-9,
+    # and its hash is that of the config that spells the ladder out
+    raw = {"kind": "taylor-slope", "grid_size": 33, "n_samples": 2, "seed": 2}
+    ladder = [2.0**-j for j in range(3, 10)]
+    cfg = ExperimentConfig.from_dict(raw)
+    assert cfg.eps_list == ladder
+    spelled_out = ExperimentConfig.from_dict({**raw, "eps_list": ladder})
+    assert cfg.config_hash() == spelled_out.config_hash()
+    out = run(cfg, tmp_path)
+    slopes = json.loads(read(out, "slopes.json"))
+    assert slopes["m1"]["eps_list"] == slopes["m2"]["eps_list"] == ladder
+    assert json.loads(read(out, "manifest.json"))["config"]["eps_list"] == ladder
+
+
+def test_builders_name_the_nearest():
+    with pytest.raises(ValueError, match="unknown field 'tanhh'; nearest: 'tanh'"):
+        make_field("tanhh", {"n": 1, "d": 1})
+    with pytest.raises(ValueError, match="has no parameter 'scal'; nearest: 'scale'"):
+        make_field("tanh", {"n": 1, "d": 1, "scal": 0.3})
+    with pytest.raises(ValueError, match="unknown functional 'endpoint_lin'; nearest: "
+                                         "'endpoint_linear'"):
+        make_functional("endpoint_lin", {"v": [1.0]})
+    with pytest.raises(ValueError, match="functional 'zero' has no parameter 'v'$"):
+        make_functional("zero", {"v": [1.0]})
+    with pytest.raises(ValueError, match="n must be 2; got 3"):
+        make_field("rotation", {"n": 3, "d": 2})
+
+
+def test_schema_subcommand_documents_every_key(tmp_path):
+    from roughlaplace.cli import KEYS
+
+    target = tmp_path / "SCHEMA.md"
+    assert main(["schema", "--out", str(target)]) == 0
+    text = target.read_text().split("# Config keys", 1)[1]
+    for key in KEYS:
+        assert f"| `{key.name}` |" in text and f"must {key.what} |" in text
+
+
+# config_hash of every shipped config and of the digest script's inline
+# configs: the schema must not move a hash (a leaked default would)
+PINNED_HASHES = {
+    "hessian_tanh": "2161b23f0ce1ae30", "laplace_gaussian": "d3c97a735fd6e0cd",
+    "scale_test_h04": "c07072f40fd0d595", "simulate_h04": "ba757cd629d4546e",
+    "taylor_slopes_h04": "e9451744c20d0142", "laplace_gaussian_v": "d90356283f3d6afc",
+    "lift_h03": "c497b1f8b9bcc577", "rde_tanh": "0ae43c73a24b5e0d",
+    "pvar_cosine": "9a5d59bdb4ba2157", "scale_h03": "4ec0ecdec002016b",
+    "laplace_tanh": "08efadadd879e595",
+}
+
+
+def test_pinned_config_hashes():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    hashes = {}
+    for name, raw in digests.configs().items():
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.validate() == [], name
+        hashes[name] = cfg.config_hash()
+    assert hashes == PINNED_HASHES
